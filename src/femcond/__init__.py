@@ -8,7 +8,7 @@ from .assembly import (
     SparseSymmetric,
     assemble_mass_weighted,
     assemble_stiffness,
-    average_diffusion,
+    average_diffusion_all,
     density_beta_weighted,
     density_equidistributed,
     jacobi_scale,
@@ -39,7 +39,6 @@ from .mesh import (
     SimplicialMesh,
     compute_metrics,
     distance_to_boundary,
-    element_d_k,
     export_mesh,
     generate_boundary_layer,
     generate_chebyshev_1d,

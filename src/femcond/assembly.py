@@ -1,18 +1,21 @@
 """Stiffness and weighted mass matrix assembly over interior vertices.
 
 Linear (P1) basis functions on simplicial meshes; the diffusion coefficient
-enters through its per-element average.  Boundary rows and columns are never
-assembled: the system lives on the interior vertices only.  Assembly is
-deterministic: the same mesh and field produce a bit-identical matrix.
+enters through its per-element average D_K, computed for all elements in one
+batch (`average_diffusion_all`).  Assembly from a given D_K array is split
+out so that a caller holding D_K already does not average it again.
+Boundary rows and columns are never assembled: the system lives on the
+interior vertices only.  Assembly is deterministic: the same mesh and field
+produce a bit-identical matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
 from .mesh import SimplicialMesh
@@ -22,7 +25,6 @@ __all__ = [
     "DiffusionField",
     "SparseSymmetric",
     "DensityFunction",
-    "average_diffusion",
     "average_diffusion_all",
     "assemble_stiffness",
     "assemble_mass_weighted",
@@ -87,32 +89,43 @@ class DiffusionField:
         return DiffusionField(dim, f, float(d_min), float(d_max))
 
 
-def _check_spectrum(field: DiffusionField, mat: np.ndarray, where: str) -> None:
-    sym_err = np.abs(mat - mat.T).max()
-    if sym_err > _SYM_TOL * max(1.0, np.abs(mat).max()):
-        raise ValueError(f"diffusion matrix not symmetric at {where}")
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+def _check_spectrum(field: DiffusionField, mats: np.ndarray, where: str) -> None:
+    """Symmetry and declared eigenvalue range of a stack of (d, d) matrices.
+
+    where is formatted with the stack index k of the first offending matrix.
+    """
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2)) > _SYM_TOL * scale
+    eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2)))
     lo = field.d_min * (1 - _SPECTRUM_SLACK)
     hi = field.d_max * (1 + _SPECTRUM_SLACK)
-    if eigs[0] < lo or eigs[-1] > hi:
-        raise ValueError(
-            f"diffusion eigenvalues [{eigs[0]:.6g}, {eigs[-1]:.6g}] at {where} "
-            f"leave the declared range [{field.d_min:.6g}, {field.d_max:.6g}]"
-        )
+    bad = asym | (eigs[:, 0] < lo) | (eigs[:, -1] > hi)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if asym[k]:
+        raise ValueError(f"diffusion matrix not symmetric at {where.format(k=k)}")
+    raise ValueError(
+        f"diffusion eigenvalues [{eigs[k, 0]:.6g}, {eigs[k, -1]:.6g}] at "
+        f"{where.format(k=k)} leave the declared range "
+        f"[{field.d_min:.6g}, {field.d_max:.6g}]"
+    )
 
 
 def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.ndarray:
     """Element averages of the diffusion matrix, shape (n_elements, d, d).
 
     Uses a rule exact for quadratic integrands, hence exact for constant and
-    affine coefficient fields.
+    affine coefficient fields.  The evaluator is called once per element and
+    quadrature point; every value is checked for symmetry and the declared
+    eigenvalue range, and every average for positive definiteness.
     """
     d = mesh.dim
     if field.dim != d:
         raise ValueError(f"field dimension {field.dim} does not match mesh {d}")
     n = mesh.n_elements
     if field.constant is not None:
-        _check_spectrum(field, field.constant, "constant field")
+        _check_spectrum(field, field.constant[None], "constant field")
         return np.broadcast_to(field.constant, (n, d, d)).copy()
 
     ref_pts, ref_w = simplex_average_rule(d, 2)
@@ -120,35 +133,16 @@ def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.nda
     E = mesh.edge_matrices()
     out = np.zeros((n, d, d))
     for q in range(len(ref_w)):
-        pts = v0 + E @ ref_pts[q]
-        for k in range(n):
-            mat = np.asarray(field.evaluator(pts[k]), dtype=float).reshape(d, d)
-            _check_spectrum(field, mat, f"element {k}, quadrature point {q}")
-            out[k] += ref_w[q] * mat
-    for k in range(n):
-        if np.linalg.eigvalsh(out[k])[0] <= 0:
-            raise ValueError(f"averaged diffusion matrix on element {k} is not SPD")
-    return out
-
-
-def average_diffusion(mesh: SimplicialMesh, field: DiffusionField, element_id: int) -> np.ndarray:
-    """Average of the diffusion matrix over one element."""
-    if not 0 <= element_id < mesh.n_elements:
-        raise ValueError(f"element id {element_id} out of range")
-    if field.constant is not None:
-        _check_spectrum(field, field.constant, "constant field")
-        return field.constant.copy()
-    d = mesh.dim
-    ref_pts, ref_w = simplex_average_rule(d, 2)
-    v0 = mesh.vertices[mesh.elements[element_id, 0]]
-    E = mesh.edge_matrices()[element_id]
-    out = np.zeros((d, d))
-    for q in range(len(ref_w)):
-        mat = np.asarray(field.evaluator(v0 + E @ ref_pts[q]), dtype=float).reshape(d, d)
-        _check_spectrum(field, mat, f"element {element_id}, quadrature point {q}")
-        out += ref_w[q] * mat
-    if np.linalg.eigvalsh(out)[0] <= 0:
-        raise ValueError(f"averaged diffusion matrix on element {element_id} is not SPD")
+        mats = np.array([
+            np.asarray(field.evaluator(x), dtype=float).reshape(d, d)
+            for x in v0 + E @ ref_pts[q]
+        ])
+        _check_spectrum(field, mats, f"element {{k}}, quadrature point {q}")
+        out += ref_w[q] * mats
+    not_spd = np.linalg.eigvalsh(out)[:, 0] <= 0
+    if not_spd.any():
+        k = int(np.argmax(not_spd))
+        raise ValueError(f"averaged diffusion matrix on element {k} is not SPD")
     return out
 
 
@@ -215,42 +209,35 @@ def _p1_gradients(mesh: SimplicialMesh) -> np.ndarray:
     return grads
 
 
-def _local_stiffness(mesh: SimplicialMesh, field: DiffusionField) -> np.ndarray:
+def _local_stiffness(mesh: SimplicialMesh, dk: np.ndarray) -> np.ndarray:
+    """Per-element stiffness matrices |K| grad(phi_i) . D_K grad(phi_j),
+    shape (n, d+1, d+1), from the element averages dk."""
     grads = _p1_gradients(mesh)
-    dk = average_diffusion_all(mesh, field)
     local = np.einsum("kid,kde,kje->kij", grads, dk, grads)
     local *= mesh.volumes[:, None, None]
     return 0.5 * (local + local.transpose(0, 2, 1))
 
 
-def _assemble_from_local(mesh: SimplicialMesh, local: np.ndarray,
-                         all_vertices: bool = False) -> SparseSymmetric:
+def _assemble_from_local(mesh: SimplicialMesh, local: np.ndarray) -> SparseSymmetric:
     d = mesh.dim
-    if all_vertices:
-        index = np.arange(mesh.n_vertices)
-        order = mesh.n_vertices
-    else:
-        index = mesh.interior_index
-        order = mesh.n_interior
-        if order == 0:
-            raise ValueError("mesh has no interior vertices (empty system)")
-    ids = index[mesh.elements]  # (n, d+1)
+    if mesh.n_interior == 0:
+        raise ValueError("mesh has no interior vertices (empty system)")
+    ids = mesh.interior_index[mesh.elements]  # (n, d+1)
     rows = np.repeat(ids, d + 1, axis=1).ravel()
     cols = np.tile(ids, (1, d + 1)).ravel()
     vals = local.reshape(len(local), -1).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    return _scatter_symmetric(order, rows[keep], cols[keep], vals[keep])
+    return _scatter_symmetric(mesh.n_interior, rows[keep], cols[keep], vals[keep])
+
+
+def _stiffness_from_averages(mesh: SimplicialMesh, dk: np.ndarray) -> SparseSymmetric:
+    return _assemble_from_local(mesh, _local_stiffness(mesh, dk))
 
 
 def assemble_stiffness(mesh: SimplicialMesh, field: DiffusionField) -> SparseSymmetric:
     """Stiffness matrix of the diffusion bilinear form on interior vertices:
     entries sum |K| grad(phi_i) . D_K grad(phi_j) over shared elements."""
-    return _assemble_from_local(mesh, _local_stiffness(mesh, field))
-
-
-def _assemble_stiffness_all_vertices(mesh: SimplicialMesh, field: DiffusionField) -> SparseSymmetric:
-    """Diagnostic variant keeping boundary rows (no Dirichlet elimination)."""
-    return _assemble_from_local(mesh, _local_stiffness(mesh, field), all_vertices=True)
+    return _stiffness_from_averages(mesh, average_diffusion_all(mesh, field))
 
 
 @dataclass(frozen=True)
@@ -267,11 +254,6 @@ class DensityFunction:
             raise ValueError("density values must be a 1D array of positives")
         object.__setattr__(self, "rho_max", float(rho.max()))
         rho.setflags(write=False)
-
-
-def check_normalized(mesh: SimplicialMesh, rho: DensityFunction, tol: float = 1e-12) -> bool:
-    total = float(rho.rho_k @ mesh.volumes)
-    return abs(total - 1.0) <= tol * max(1.0, abs(total))
 
 
 def density_equidistributed(mesh: SimplicialMesh) -> DensityFunction:
@@ -317,39 +299,16 @@ def jacobi_scale(a: SparseSymmetric) -> SparseSymmetric:
 
 
 def write_matrix_market(a: SparseSymmetric, path) -> None:
-    """Coordinate symmetric format, 1-based indices, 17 significant digits
-    (lower triangle stored)."""
-    coo = sp.tril(a.matrix).tocoo()
-    with open(Path(path), "w", newline="\n") as f:
-        f.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        f.write(f"{a.order} {a.order} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i + 1} {j + 1} {v:.16e}\n")
+    """Coordinate symmetric format, lower triangle stored, values written
+    with enough digits to round-trip exactly."""
+    with open(path, "wb") as f:
+        scipy.io.mmwrite(f, sp.tril(a.matrix), symmetry="symmetric")
 
 
 def read_matrix_market(path) -> SparseSymmetric:
-    path = Path(path)
-    with open(path) as f:
-        header = f.readline()
-        if "matrixmarket" not in header.lower() or "symmetric" not in header.lower():
-            raise ValueError(f"{path}: not a symmetric MatrixMarket coordinate file")
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-        n, m, nnz = (int(t) for t in line.split())
-        if n != m:
-            raise ValueError(f"{path}: matrix is not square")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            parts = f.readline().split()
-            rows[k], cols[k] = int(parts[0]) - 1, int(parts[1]) - 1
-            vals[k] = float(parts[2])
-    off = rows != cols
-    full_rows = np.concatenate([rows, cols[off]])
-    full_cols = np.concatenate([cols, rows[off]])
-    full_vals = np.concatenate([vals, vals[off]])
-    return SparseSymmetric(
-        sp.csr_matrix((full_vals, (full_rows, full_cols)), shape=(n, n))
-    )
+    n, m, _, fmt, _, symmetry = scipy.io.mminfo(path)
+    if fmt != "coordinate" or symmetry != "symmetric":
+        raise ValueError(f"{path}: not a symmetric MatrixMarket coordinate file")
+    if n != m:
+        raise ValueError(f"{path}: matrix is not square")
+    return SparseSymmetric(sp.csr_matrix(scipy.io.mmread(path), dtype=float))

@@ -32,10 +32,12 @@ from .assembly import (
     DensityFunction,
     DiffusionField,
     SparseSymmetric,
+    _stiffness_from_averages,
     average_diffusion_all,
+    jacobi_scale,
 )
 from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics
-from .spectra import SpectralResult, condition_report
+from .spectra import DENSE_CUTOFF, SpectralResult, _extreme_pair
 
 __all__ = [
     "AnisotropyMetrics",
@@ -51,7 +53,6 @@ __all__ = [
     "bound_kappa_prior",
     "bound_lambda_min_fried",
     "bound_kappa_sas_conjectured",
-    "kappa_bounds_1d",
     "evaluate_raw_bounds",
     "calibrate",
     "build_report",
@@ -432,32 +433,6 @@ def bound_kappa_sas_conjectured(
     )
 
 
-def kappa_bounds_1d(mesh: SimplicialMesh, field: DiffusionField,
-                    *, geometry: ElementGeometry | None = None) -> dict[str, float]:
-    """Specialized 1D formulas (identity-diffusion shape): the general
-    evaluators must reproduce these exactly.
-
-    new:   kappa(A) <= sum d_K * max_j sum_{K in patch} 1/|K|,
-           kappa(SAS) <= sum d_K / |K|
-    prior: kappa(A) <= N * max_j sum_{K in patch} 1/|K|,
-           kappa(SAS) <= sum 1/|K|
-    """
-    if mesh.dim != 1:
-        raise ValueError("specialized formulas are 1D only")
-    metrics, geometry = _metrics_and_geometry(mesh, None, geometry)
-    beta = compute_beta(mesh, field, geometry=geometry)
-    inv_vol_patch = _patch_weighted_sums(
-        geometry, geometry.volumes * beta.beta_k, mesh.n_interior
-    ).max()
-    vb = geometry.volumes * beta.beta_k
-    return {
-        "new.kappa.A": float(geometry.d_k.sum() * inv_vol_patch),
-        "new.kappa.SAS": float(vb @ geometry.d_k),
-        "prior.kappa.A": float(mesh.n_elements * inv_vol_patch),
-        "prior.kappa.SAS": float(vb.sum()),
-    }
-
-
 def evaluate_raw_bounds(
     mesh: SimplicialMesh,
     field: DiffusionField,
@@ -472,13 +447,24 @@ def evaluate_raw_bounds(
     """
     metrics, geometry = _metrics_and_geometry(mesh, metrics, geometry)
     beta = compute_beta(mesh, field, geometry=geometry)
+    return _raw_bounds(mesh, field, p, geometry, metrics, beta)
+
+
+def _raw_bounds(
+    mesh: SimplicialMesh,
+    field: DiffusionField,
+    p: float | None,
+    geometry: ElementGeometry,
+    metrics: MeshMetrics,
+    beta: AnisotropyMetrics,
+) -> dict[str, float]:
     kappa_a, kappa_sas = bound_kappa(
         mesh, field, p, geometry=geometry, metrics=metrics, beta=beta
     )
     prior_a, prior_sas = bound_kappa_prior(
         mesh, field, geometry=geometry, metrics=metrics, beta=beta
     )
-    out = {
+    return {
         "new.lambda_min.A": bound_lambda_min_A(
             mesh, field, p, geometry=geometry, metrics=metrics
         ),
@@ -496,7 +482,6 @@ def evaluate_raw_bounds(
             else float("nan")
         ),
     }
-    return out
 
 
 # -- calibration -------------------------------------------------------------
@@ -590,8 +575,9 @@ def calibrate(
 class BoundReport:
     """Exact spectra plus every bound value for one mesh/diffusion instance.
 
-    Raw bounds omit the generic constant; calibrated values are raw values
-    scaled by the fitted constants when a calibration is attached.
+    raw maps every bound id to its value without the generic constant, in
+    CSV column order; calibrated values are raw values scaled by the fitted
+    constants when a calibration is attached.
     """
 
     dim: int
@@ -601,36 +587,16 @@ class BoundReport:
     domain_volume: float
     exact_A: SpectralResult
     exact_SAS: SpectralResult
-    lower_lambda_min_A: float
-    lower_lambda_min_SAS: float
     lambda_max_lower: float
     upper_lambda_max_A: float
-    kappa_A_new: float
-    kappa_SAS_new: float
-    kappa_A_prior: float
-    kappa_SAS_prior: float
-    lambda_min_fried: float
-    kappa_SAS_conjectured: float
+    raw: dict[str, float]
     calibration: Calibration | None = None
-
-    def raw_bounds(self) -> dict[str, float]:
-        return {
-            "new.lambda_min.A": self.lower_lambda_min_A,
-            "new.lambda_min.SAS": self.lower_lambda_min_SAS,
-            "new.kappa.A": self.kappa_A_new,
-            "new.kappa.SAS": self.kappa_SAS_new,
-            "prior.kappa.A": self.kappa_A_prior,
-            "prior.kappa.SAS": self.kappa_SAS_prior,
-            "fried.lambda_min": self.lambda_min_fried,
-            "conjectured.kappa.SAS": self.kappa_SAS_conjectured,
-        }
 
     def calibrated_bounds(self) -> dict[str, float] | None:
         if self.calibration is None:
             return None
-        raw = self.raw_bounds()
         return {
-            bid: raw[bid] * self.calibration.constants[bid]
+            bid: self.raw[bid] * self.calibration.constants[bid]
             for bid in BOUND_IDS
             if bid in self.calibration.constants
         }
@@ -652,8 +618,7 @@ class BoundReport:
             "diag.lambda_max.lower": self.lambda_max_lower,
             "diag.lambda_max.upper": self.upper_lambda_max_A,
         }
-        for bid, value in self.raw_bounds().items():
-            row[bid] = value
+        row.update(self.raw)
         cal = self.calibrated_bounds()
         if cal is not None:
             for bid in BOUND_IDS:
@@ -687,7 +652,7 @@ class BoundReport:
                 },
             },
             "lambda_max_sandwich": [self.lambda_max_lower, self.upper_lambda_max_A],
-            "bounds_raw": self.raw_bounds(),
+            "bounds_raw": dict(self.raw),
         }
         cal = self.calibrated_bounds()
         if cal is not None:
@@ -705,21 +670,25 @@ def build_report(
     dense_cutoff: int | None = None,
     seed: int = 0,
 ) -> BoundReport:
-    """Assemble, solve, and evaluate every bound for one instance."""
-    from .assembly import assemble_stiffness
-    from .spectra import DENSE_CUTOFF
+    """Assemble, solve, and evaluate every bound for one instance.
 
-    metrics, geometry = compute_metrics(mesh)
-    p = _resolve_p(mesh.dim, p)
-    cutoff = DENSE_CUTOFF if dense_cutoff is None else dense_cutoff
-    exact_a, exact_sas = condition_report(mesh, field, tol, dense_cutoff=cutoff, seed=seed)
-    a = assemble_stiffness(mesh, field)
-    lam_lo, lam_hi = bound_lambda_max(a, mesh.dim)
-    raw = evaluate_raw_bounds(mesh, field, p, geometry=geometry, metrics=metrics)
+    One pass: geometry and metrics, the element averages D_K, A from those
+    averages and then SAS, both spectra, beta from the same D_K, and the raw
+    bounds.  Each stage runs once and hands its result to the next.
+    """
     if calibration is not None and calibration.dim != mesh.dim:
         raise ValueError(
             f"calibration is for dimension {calibration.dim}, mesh is {mesh.dim}D"
         )
+    p = _resolve_p(mesh.dim, p)
+    metrics, geometry = compute_metrics(mesh)
+    dk = average_diffusion_all(mesh, field)
+    a = _stiffness_from_averages(mesh, dk)
+    sas = jacobi_scale(a)
+    cutoff = DENSE_CUTOFF if dense_cutoff is None else dense_cutoff
+    exact_a, exact_sas = _extreme_pair(a, sas, mesh.dim, tol, dense_cutoff=cutoff, seed=seed)
+    lam_lo, lam_hi = bound_lambda_max(a, mesh.dim)
+    beta = compute_beta(mesh, field, geometry=geometry, element_averages=dk)
     return BoundReport(
         dim=mesh.dim,
         n_elements=mesh.n_elements,
@@ -728,15 +697,8 @@ def build_report(
         domain_volume=mesh.domain_volume,
         exact_A=exact_a,
         exact_SAS=exact_sas,
-        lower_lambda_min_A=raw["new.lambda_min.A"],
-        lower_lambda_min_SAS=raw["new.lambda_min.SAS"],
         lambda_max_lower=lam_lo,
         upper_lambda_max_A=lam_hi,
-        kappa_A_new=raw["new.kappa.A"],
-        kappa_SAS_new=raw["new.kappa.SAS"],
-        kappa_A_prior=raw["prior.kappa.A"],
-        kappa_SAS_prior=raw["prior.kappa.SAS"],
-        lambda_min_fried=raw["fried.lambda_min"],
-        kappa_SAS_conjectured=raw["conjectured.kappa.SAS"],
+        raw=_raw_bounds(mesh, field, p, geometry, metrics, beta),
         calibration=calibration,
     )

@@ -3,13 +3,16 @@ parameter sweeps, and bound calibration.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  All commands are
 deterministic for fixed flags; numbers are printed with 17 significant
-digits so repeated runs produce bit-identical files.
+digits so repeated runs on one machine, with one build of numpy, scipy and
+their BLAS, produce bit-identical files.  Across machines or library builds
+the last digits may differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -191,7 +194,7 @@ def _print_report(report) -> None:
         f"<= {_fmt(report.upper_lambda_max_A)}"
     )
     print("bounds (raw, C = 1):")
-    for bid, value in report.raw_bounds().items():
+    for bid, value in report.raw.items():
         print(f"  {bid} = {_fmt(value)}")
     cal = report.calibrated_bounds()
     if cal is not None:
@@ -386,6 +389,8 @@ def _parse_values(text: str) -> list[float]:
         if not tok:
             continue
         v = float(tok)
+        if not math.isfinite(v):
+            raise ValueError(f"value {tok!r} is not finite")
         vals.append(int(v) if v == int(v) else v)
     if not vals:
         raise ValueError("empty value list")

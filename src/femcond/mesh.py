@@ -34,7 +34,6 @@ __all__ = [
     "import_mesh",
     "export_mesh",
     "distance_to_boundary",
-    "element_d_k",
     "compute_metrics",
     "max_aspect_ratio",
 ]
@@ -266,7 +265,6 @@ class MeshMetrics:
     k_min_volume: float
     k_avg_volume: float
     h_domain: float
-    sigma_h: float | None = None  # sum |K| det(D_K)^(-1/2), needs a field
 
 
 # -- generators ----------------------------------------------------------
@@ -415,10 +413,10 @@ def generate_boundary_layer(dim: int, n_core_per_axis: int, aspect: float) -> Si
 
 
 def _point_segment_distance(points, a, b):
-    """Min distance from points (m, 2) to segments a->b ((s, 2) each)."""
-    ab = b - a  # (s, 2)
+    """Distances from points (m, d) to segments a->b ((s, d) each), shape (m, s)."""
+    ab = b - a  # (s, d)
     denom = (ab**2).sum(axis=1)  # (s,)
-    w = points[:, None, :] - a[None, :, :]  # (m, s, 2)
+    w = points[:, None, :] - a[None, :, :]  # (m, s, d)
     t = (w * ab[None, :, :]).sum(axis=2) / denom[None, :]
     t = np.clip(t, 0.0, 1.0)
     closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
@@ -443,22 +441,13 @@ def _point_triangle_distance(points, a, b, c):
     d_in = np.sqrt(((points[:, None, :] - proj) ** 2).sum(axis=2))
 
     d_edge = np.minimum(
-        _point_segment_distance3(points, a, b),
+        _point_segment_distance(points, a, b),
         np.minimum(
-            _point_segment_distance3(points, a, c),
-            _point_segment_distance3(points, b, c),
+            _point_segment_distance(points, a, c),
+            _point_segment_distance(points, b, c),
         ),
     )
     return np.where(inside, d_in, d_edge)
-
-
-def _point_segment_distance3(points, a, b):
-    ab = b - a
-    denom = (ab**2).sum(axis=1)
-    w = points[:, None, :] - a[None, :, :]
-    t = np.clip((w * ab[None]).sum(axis=2) / denom[None, :], 0.0, 1.0)
-    closest = a[None] + t[..., None] * ab[None]
-    return np.sqrt(((points[:, None, :] - closest) ** 2).sum(axis=2))
 
 
 def _boundary_distance_batch(mesh: SimplicialMesh, points: np.ndarray) -> np.ndarray:
@@ -515,21 +504,8 @@ def _element_d_k_array(mesh: SimplicialMesh) -> np.ndarray:
     return np.maximum(vert_max, dc)
 
 
-def element_d_k(mesh: SimplicialMesh, element_id: int) -> float:
-    """Max distance from element to the boundary, sampled at the element's
-    vertices and centroid (a lower approximation of the true max, off by at
-    most the element diameter)."""
-    if not 0 <= element_id < mesh.n_elements:
-        raise MeshError(f"element id {element_id} out of range")
-    dv = mesh.vertex_boundary_distance[mesh.elements[element_id]].max()
-    centroid = mesh.vertices[mesh.elements[element_id]].mean(axis=0)
-    dc = _boundary_distance_batch(mesh, centroid[None, :])[0]
-    return float(max(dv, dc))
-
-
-def compute_metrics(mesh: SimplicialMesh, field=None) -> tuple[MeshMetrics, ElementGeometry]:
-    """Geometry arrays and global metrics; sigma_h only when a diffusion
-    field is supplied."""
+def compute_metrics(mesh: SimplicialMesh) -> tuple[MeshMetrics, ElementGeometry]:
+    """Geometry arrays and global metrics of a mesh."""
     d = mesh.dim
     scale = math.factorial(d) ** (1.0 / d)  # unit-volume reference simplex
     jac = mesh.edge_matrices() / scale
@@ -550,20 +526,12 @@ def compute_metrics(mesh: SimplicialMesh, field=None) -> tuple[MeshMetrics, Elem
     np.add.at(patch_volumes, rows, vols)
     np.add.at(patch_counts, rows, 1)
 
-    sigma_h = None
-    if field is not None:
-        from .assembly import average_diffusion_all
-
-        dk_mats = average_diffusion_all(mesh, field)
-        sigma_h = float((mesh.volumes / np.sqrt(np.linalg.det(dk_mats))).sum())
-
     metrics = MeshMetrics(
         patch_volumes=patch_volumes,
         p_min=int(patch_counts.min()) if n_i else 0,
         k_min_volume=float(mesh.volumes.min()),
         k_avg_volume=mesh.domain_volume / mesh.n_elements,
         h_domain=mesh.h_domain,
-        sigma_h=sigma_h,
     )
     return metrics, geometry
 

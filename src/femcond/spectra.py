@@ -191,6 +191,29 @@ def generalized_min_eigenvalue(
     return lam
 
 
+def _extreme_pair(
+    a: SparseSymmetric,
+    sas: SparseSymmetric,
+    dim: int,
+    tol: float,
+    *,
+    dense_cutoff: int,
+    seed: int,
+) -> tuple[SpectralResult, SpectralResult]:
+    """Extreme eigenvalues of A and of its Jacobi-scaled form SAS."""
+    res_a = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff, seed=seed)
+    res_sas = extreme_eigenvalues(sas, tol, dense_cutoff=dense_cutoff, seed=seed)
+
+    # Scaled system sanity: unit diagonal caps the largest eigenvalue at d+1.
+    cap = (dim + 1) * (1 + 100 * max(tol, res_sas.residual))
+    if res_sas.lambda_max > cap:
+        raise EigenSolveError(
+            f"lambda_max of the scaled system ({res_sas.lambda_max:.6g}) exceeds "
+            f"its dimensional cap {dim + 1}"
+        )
+    return res_a, res_sas
+
+
 def condition_report(
     mesh: SimplicialMesh,
     field: DiffusionField,
@@ -202,15 +225,5 @@ def condition_report(
     """Exact extreme eigenvalues of the stiffness matrix and of its
     Jacobi-scaled form, assembled once."""
     a = assemble_stiffness(mesh, field)
-    sas = jacobi_scale(a)
-    res_a = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff, seed=seed)
-    res_sas = extreme_eigenvalues(sas, tol, dense_cutoff=dense_cutoff, seed=seed)
-
-    # Scaled system sanity: unit diagonal caps the largest eigenvalue at d+1.
-    cap = (mesh.dim + 1) * (1 + 100 * max(tol, res_sas.residual))
-    if res_sas.lambda_max > cap:
-        raise EigenSolveError(
-            f"lambda_max of the scaled system ({res_sas.lambda_max:.6g}) exceeds "
-            f"its dimensional cap {mesh.dim + 1}"
-        )
-    return res_a, res_sas
+    return _extreme_pair(a, jacobi_scale(a), mesh.dim, tol,
+                         dense_cutoff=dense_cutoff, seed=seed)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import roots_legendre
 
-from femcond import DiffusionField, SimplicialMesh
+from femcond import DensityFunction, DiffusionField, SimplicialMesh
 
 
 def duffy_rule(dim: int, n: int):
@@ -150,3 +150,43 @@ def toeplitz_kappa_1d(n_elements: int) -> float:
     """Closed-form condition number of the 1D uniform stiffness matrix."""
     n = n_elements
     return (1 - math.cos((n - 1) * math.pi / n)) / (1 - math.cos(math.pi / n))
+
+
+def check_normalized(mesh: SimplicialMesh, rho: DensityFunction, tol: float = 1e-12) -> bool:
+    """Whether a piecewise-constant density has unit weighted volume."""
+    total = float(rho.rho_k @ mesh.volumes)
+    return abs(total - 1.0) <= tol * max(1.0, abs(total))
+
+
+def kappa_bounds_1d(mesh: SimplicialMesh) -> dict[str, float]:
+    """Specialized 1D condition-number bounds for D = I, written out from
+    the interval geometry alone; the general evaluators must reproduce them.
+
+    new:   kappa(A) <= sum d_K * max_j sum_{K in patch} 1/|K|,
+           kappa(SAS) <= sum d_K / |K|
+    prior: kappa(A) <= N * max_j sum_{K in patch} 1/|K|,
+           kappa(SAS) <= sum 1/|K|
+
+    d_K is the distance to the boundary sampled at both endpoints and the
+    midpoint of K, as the library samples it.
+    """
+    if mesh.dim != 1:
+        raise ValueError("specialized formulas are 1D only")
+    x = mesh.vertices[:, 0]
+    lo, hi = x.min(), x.max()
+    left, right = x[mesh.elements].min(axis=1), x[mesh.elements].max(axis=1)
+    width = right - left
+    d_k = np.zeros(mesh.n_elements)
+    for s in (left, right, 0.5 * (left + right)):
+        d_k = np.maximum(d_k, np.minimum(s - lo, hi - s))
+    patch = np.zeros(mesh.n_vertices)
+    for k, elem in enumerate(mesh.elements):
+        for v in elem:
+            if not mesh.boundary_vertex_flags[v]:
+                patch[v] += 1.0 / width[k]
+    return {
+        "new.kappa.A": float(d_k.sum() * patch.max()),
+        "new.kappa.SAS": float(np.sum(d_k / width)),
+        "prior.kappa.A": float(mesh.n_elements * patch.max()),
+        "prior.kappa.SAS": float(np.sum(1.0 / width)),
+    }

@@ -4,15 +4,12 @@ import scipy.io
 from hypothesis import given, settings, strategies as st
 
 import femcond as fc
-from femcond.assembly import (
-    DensityFunction,
-    _assemble_stiffness_all_vertices,
-    check_normalized,
-)
+from femcond.assembly import DensityFunction, _local_stiffness
 from conftest import random_mesh, random_spd_field
 from oracles import (
     assemble_mass_dense,
     assemble_stiffness_dense,
+    check_normalized,
     toeplitz_stiffness_1d,
 )
 
@@ -20,10 +17,9 @@ from oracles import (
 class TestAverageDiffusion:
     def test_identity_any_element(self):
         m = fc.generate_uniform(2, 2)
+        dk = fc.average_diffusion_all(m, fc.DiffusionField.identity(2))
         for k in (0, 3, 7):
-            assert np.array_equal(
-                fc.average_diffusion(m, fc.DiffusionField.identity(2), k), np.eye(2)
-            )
+            assert np.array_equal(dk[k], np.eye(2))
 
     def test_affine_1d_average(self):
         m = fc.SimplicialMesh(1, [[0.0], [0.5], [1.0]], [[0, 1], [1, 2]])
@@ -31,15 +27,26 @@ class TestAverageDiffusion:
             1, lambda x: np.array([[1.0 + x[0]]]), 1.0, 2.0
         )
         # exact integral of (1 + x) over [0, 0.5] divided by 0.5
-        assert fc.average_diffusion(m, field, 0)[0, 0] == pytest.approx(1.25, rel=1e-14)
+        assert fc.average_diffusion_all(m, field)[0, 0, 0] == pytest.approx(1.25, rel=1e-14)
 
     def test_eigenvalue_outside_declared_range_raises(self):
         m = fc.generate_uniform(1, 2)
         field = fc.DiffusionField.from_callable(
             1, lambda x: np.array([[0.1]]), 1.0, 2.0
         )
-        with pytest.raises(ValueError, match="leave the declared range"):
-            fc.average_diffusion(m, field, 0)
+        with pytest.raises(ValueError, match="at element 0, quadrature point 0 leave the declared range"):
+            fc.average_diffusion_all(m, field)
+
+    def test_nonsymmetric_value_names_first_bad_point(self):
+        # only the upper-right grid cell (elements 3 and 7) is non-symmetric
+        m = fc.generate_uniform(2, 2)
+
+        def evaluator(x):
+            return np.array([[1.0, 0.5], [0.0, 1.0]]) if min(x) > 0.5 else np.eye(2)
+
+        field = fc.DiffusionField.from_callable(2, evaluator, 0.5, 2.0)
+        with pytest.raises(ValueError, match="not symmetric at element 3, quadrature point 0$"):
+            fc.average_diffusion_all(m, field)
 
 
 class TestAssembleStiffness:
@@ -78,12 +85,14 @@ class TestAssembleStiffness:
             assert np.max(np.abs(a - oracle)) <= 1e-12 * scale
 
     def test_full_assembly_rows_sum_to_zero(self, rng):
-        # constant-gradient partition of unity, no Dirichlet elimination
+        # constant-gradient partition of unity, before Dirichlet elimination
         for dim in (1, 2, 3):
             mesh = random_mesh(rng, dim=dim)
-            a = _assemble_stiffness_all_vertices(mesh, fc.DiffusionField.identity(dim))
-            sums = np.asarray(a.matrix.sum(axis=1)).ravel()
-            assert np.max(np.abs(sums)) <= 1e-10 * np.abs(a.diagonal).max()
+            dk = fc.average_diffusion_all(mesh, fc.DiffusionField.identity(dim))
+            local = _local_stiffness(mesh, dk)
+            sums = np.abs(local.sum(axis=2))
+            scale = np.abs(np.diagonal(local, axis1=1, axis2=2)).max(axis=1)
+            assert np.all(sums <= 1e-10 * scale[:, None])
 
     def test_interior_vertex_with_interior_patch_has_zero_row_sum(self):
         mesh = fc.generate_uniform(2, 4)

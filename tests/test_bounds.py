@@ -11,11 +11,11 @@ from femcond.bounds import (
     Calibration,
     _sym_eigmax,
     evaluate_raw_bounds,
-    kappa_bounds_1d,
 )
 from femcond.cli import fit_loglog_slope
+from femcond.quadrature import simplex_average_rule
 from conftest import random_mesh
-from oracles import toeplitz_kappa_1d
+from oracles import kappa_bounds_1d, toeplitz_kappa_1d
 
 I1 = fc.DiffusionField.identity(1)
 I2 = fc.DiffusionField.identity(2)
@@ -213,7 +213,7 @@ class TestBoundKappa:
         ):
             kappa_a, kappa_sas = fc.bound_kappa(mesh, I1)
             prior_a, prior_sas = fc.bound_kappa_prior(mesh, I1)
-            special = kappa_bounds_1d(mesh, I1)
+            special = kappa_bounds_1d(mesh)
             assert kappa_a == pytest.approx(special["new.kappa.A"], rel=1e-12)
             assert kappa_sas == pytest.approx(special["new.kappa.SAS"], rel=1e-12)
             assert prior_a == pytest.approx(special["prior.kappa.A"], rel=1e-12)
@@ -454,5 +454,60 @@ class TestBuildReport:
     def test_dimension_mismatch_rejected(self):
         m = fc.generate_uniform(1, 4)
         cal = Calibration(dim=2, constants={"new.kappa.A": 1.0})
-        with pytest.raises(ValueError):
-            fc.build_report(m, I1, calibration=cal)
+        evaluator = _CountingEvaluator(lambda x: np.array([[1.0 + x[0]]]))
+        field = fc.DiffusionField.from_callable(1, evaluator, 1.0, 2.0)
+        with pytest.raises(ValueError, match="calibration is for dimension 2"):
+            fc.build_report(m, field, calibration=cal)
+        assert evaluator.calls == 0
+
+    def test_field_evaluated_once_per_quadrature_point(self):
+        m = fc.generate_boundary_layer(2, 6, 4.0)
+        evaluator = _CountingEvaluator(_varfield)
+        fc.build_report(m, fc.DiffusionField.from_callable(2, evaluator, 1.0, 11.0))
+        assert evaluator.calls == m.n_elements * len(simplex_average_rule(2, 2)[1])
+
+    @pytest.mark.parametrize("dim, p, cutoff", [(2, None, None), (2, None, 10), (3, 2.9, None)])
+    def test_row_equals_composed_public_stages(self, dim, p, cutoff):
+        m = fc.generate_boundary_layer(dim, 5, 4.0)
+        if dim == 2:
+            field = fc.DiffusionField.from_callable(2, _varfield, 1.0, 11.0)
+        else:
+            field = I3
+        kwargs = {} if cutoff is None else {"dense_cutoff": cutoff}
+        row = fc.build_report(m, field, p, **kwargs).to_row()
+
+        exact_a, exact_sas = fc.condition_report(m, field, **kwargs)
+        lo, hi = fc.bound_lambda_max(fc.assemble_stiffness(m, field), dim)
+        expected = {
+            "dim": dim,
+            "n_elements": m.n_elements,
+            "n_interior": m.n_interior,
+            "p": p if p is not None else math.nan,
+            "domain_volume": m.domain_volume,
+            "exact.lambda_min.A": exact_a.lambda_min,
+            "exact.lambda_max.A": exact_a.lambda_max,
+            "exact.kappa.A": exact_a.kappa,
+            "exact.lambda_min.SAS": exact_sas.lambda_min,
+            "exact.lambda_max.SAS": exact_sas.lambda_max,
+            "exact.kappa.SAS": exact_sas.kappa,
+            "diag.lambda_max.lower": lo,
+            "diag.lambda_max.upper": hi,
+            **evaluate_raw_bounds(m, field, p),
+        }
+        assert list(row) == list(expected)
+        # exact equality, NaN matching NaN
+        np.testing.assert_array_equal(list(row.values()), list(expected.values()))
+
+
+def _varfield(x):
+    return np.diag([1.0 + x[0], 1.0 + 10.0 * x[1]])
+
+
+class _CountingEvaluator:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)

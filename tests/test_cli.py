@@ -159,6 +159,11 @@ class TestSweep:
         n_col = rows[0].split(",").index("n_elements")
         assert [row.split(",")[n_col] for row in rows[1:]] == ["8", "16"]
 
+    @pytest.mark.parametrize("values", ["8,inf", "nan,8"])
+    def test_non_finite_value_exits_2(self, values, capsys):
+        assert run(["sweep", "--family", "chebyshev", "--values", values]) == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(family="uniform", variable="aspect", values=(1, 2))

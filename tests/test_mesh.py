@@ -252,11 +252,11 @@ class TestElementDk:
     def test_1d_uniform_first_element(self):
         m = fc.generate_uniform(1, 4)
         first = int(np.argmin(m.vertices[m.elements].mean(axis=1)))
-        assert fc.element_d_k(m, first) == pytest.approx(0.25, abs=1e-15)
+        assert fc.compute_metrics(m)[1].d_k[first] == pytest.approx(0.25, abs=1e-15)
 
     def test_single_element_interval(self):
         m = fc.SimplicialMesh(1, [[0.0], [1.0]], [[0, 1]])
-        assert fc.element_d_k(m, 0) == pytest.approx(0.5, abs=1e-15)
+        assert fc.compute_metrics(m)[1].d_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_boundary_element_close_to_thickness(self, rng):
         mesh = fc.generate_uniform(2, 16)
@@ -281,11 +281,6 @@ class TestElementDk:
                 diam = np.maximum(diam, np.linalg.norm(verts[:, i] - verts[:, j], axis=1))
             assert np.all(geom.d_k >= dv.max(axis=1) - 1e-12)
             assert np.all(geom.d_k <= (dv + diam[:, None]).min(axis=1) + 1e-12)
-
-    def test_id_validation(self):
-        m = fc.generate_uniform(1, 4)
-        with pytest.raises(MeshError):
-            fc.element_d_k(m, 99)
 
 
 def _random_interior_points_of_element(mesh, k, rng, count):
@@ -317,10 +312,10 @@ class TestComputeMetrics:
     def test_sigma_h_with_field(self):
         m = fc.generate_uniform(2, 3)
         field = fc.DiffusionField.constant_matrix(np.diag([4.0, 1.0]))
-        metrics, _ = fc.compute_metrics(m, field)
-        assert metrics.sigma_h == pytest.approx(m.domain_volume / 2.0, rel=1e-12)
-        metrics_plain, _ = fc.compute_metrics(m)
-        assert metrics_plain.sigma_h is None
+        # sigma_h = sum |K| det(D_K)^(-1/2)
+        dk = fc.average_diffusion_all(m, field)
+        sigma_h = float((m.volumes / np.sqrt(np.linalg.det(dk))).sum())
+        assert sigma_h == pytest.approx(m.domain_volume / 2.0, rel=1e-12)
 
     def test_jacobian_determinant_is_volume(self, rng):
         for _ in range(5):
