@@ -676,6 +676,21 @@ def build_report(
     averages and then SAS, both spectra, beta from the same D_K, and the raw
     bounds.  Each stage runs once and hands its result to the next.
     """
+    return _report_and_stiffness(mesh, field, p, tol, calibration=calibration,
+                                 dense_cutoff=dense_cutoff, seed=seed)[0]
+
+
+def _report_and_stiffness(
+    mesh: SimplicialMesh,
+    field: DiffusionField,
+    p: float | None,
+    tol: float,
+    *,
+    calibration: Calibration | None = None,
+    dense_cutoff: int | None = None,
+    seed: int = 0,
+) -> tuple[BoundReport, SparseSymmetric]:
+    """build_report's pass; also returns the stiffness matrix A it assembled."""
     if calibration is not None and calibration.dim != mesh.dim:
         raise ValueError(
             f"calibration is for dimension {calibration.dim}, mesh is {mesh.dim}D"
@@ -689,7 +704,7 @@ def build_report(
     exact_a, exact_sas = _extreme_pair(a, sas, mesh.dim, tol, dense_cutoff=cutoff, seed=seed)
     lam_lo, lam_hi = bound_lambda_max(a, mesh.dim)
     beta = compute_beta(mesh, field, geometry=geometry, element_averages=dk)
-    return BoundReport(
+    report = BoundReport(
         dim=mesh.dim,
         n_elements=mesh.n_elements,
         n_interior=mesh.n_interior,
@@ -702,3 +717,4 @@ def build_report(
         raw=_raw_bounds(mesh, field, p, geometry, metrics, beta),
         calibration=calibration,
     )
+    return report, a

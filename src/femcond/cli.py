@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import mesh as mesh_mod
-from .assembly import DiffusionField, assemble_stiffness, write_matrix_market
-from .bounds import BOUND_IDS, Calibration, build_report, calibrate
+from .assembly import DiffusionField, write_matrix_market
+from .bounds import BOUND_IDS, Calibration, _report_and_stiffness, build_report, calibrate
 from .mesh import (
     SimplicialMesh,
     export_mesh,
@@ -211,12 +211,12 @@ def cmd_analyze(args) -> int:
                           aspect=args.aspect, dim=args.dim)
     field = _parse_diffusion(args.diffusion, mesh.dim)
     calibration = _load_calibration(args.calibration)
-    report = build_report(
+    report, a = _report_and_stiffness(
         mesh, field, args.p, args.tol, calibration=calibration, seed=args.seed
     )
 
     if args.matrix_out:
-        write_matrix_market(assemble_stiffness(mesh, field), args.matrix_out)
+        write_matrix_market(a, args.matrix_out)
 
     _print_report(report)
     row = report.to_row()

@@ -212,10 +212,18 @@ class SimplicialMesh:
 
     @cached_property
     def h_domain(self) -> float:
-        """Domain diameter; attained at boundary vertices for polytopes."""
+        """Domain diameter; attained at boundary vertices for polytopes.
+
+        Squared pairwise distances are summed one coordinate at a time into
+        one (nb, nb) array; sqrt is monotone, so one sqrt of the maximum
+        equals the maximum of the distances.
+        """
         b = self.vertices[self.boundary_vertex_flags]
-        diff = b[:, None, :] - b[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
+        sq = np.zeros((len(b), len(b)))
+        for k in range(self.dim):
+            diff = np.subtract.outer(b[:, k], b[:, k])
+            sq += np.multiply(diff, diff, out=diff)
+        return float(np.sqrt(sq.max()))
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.elements].mean(axis=1)
@@ -226,10 +234,6 @@ class SimplicialMesh:
             self.vertices[self.elements[:, 1:]] - self.vertices[self.elements[:, :1]],
             1, 2,
         )
-
-    @cached_property
-    def vertex_boundary_distance(self) -> np.ndarray:
-        return _boundary_distance_batch(self, self.vertices)
 
     def __repr__(self):
         return (
@@ -260,8 +264,6 @@ class ElementGeometry:
 class MeshMetrics:
     """Global mesh quantities used by the conditioning bounds."""
 
-    patch_volumes: np.ndarray  # (n_interior,) total volume of each vertex patch
-    p_min: int                 # min number of elements in a vertex patch
     k_min_volume: float
     k_avg_volume: float
     h_domain: float
@@ -412,65 +414,105 @@ def generate_boundary_layer(dim: int, n_core_per_axis: int, aspect: float) -> Si
 # -- geometric queries ---------------------------------------------------
 
 
-def _point_segment_distance(points, a, b):
-    """Distances from points (m, d) to segments a->b ((s, d) each), shape (m, s)."""
-    ab = b - a  # (s, d)
-    denom = (ab**2).sum(axis=1)  # (s,)
-    w = points[:, None, :] - a[None, :, :]  # (m, s, d)
-    t = (w * ab[None, :, :]).sum(axis=2) / denom[None, :]
+def _segment_distance_pairs(p, a, b):
+    """Distances from points p[i] to segments a[i]->b[i]; all (P, d), out (P,)."""
+    ab = b - a
+    denom = (ab**2).sum(axis=1)
+    w = p - a
+    t = (w * ab).sum(axis=1) / denom
     t = np.clip(t, 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    return np.sqrt(((points[:, None, :] - closest) ** 2).sum(axis=2))
+    closest = a + t[:, None] * ab
+    return np.sqrt(((p - closest) ** 2).sum(axis=1))
 
 
-def _point_triangle_distance(points, a, b, c):
-    """Min distance from points (m, 3) to triangles (a, b, c) ((t, 3) each)."""
+def _triangle_distance_pairs(p, a, b, c):
+    """Distances from points p[i] (P, 3) to triangles (a[i], b[i], c[i])."""
     e0 = b - a
     e1 = c - a
     d00 = (e0 * e0).sum(axis=1)
     d01 = (e0 * e1).sum(axis=1)
     d11 = (e1 * e1).sum(axis=1)
     denom = d00 * d11 - d01**2
-    w = points[:, None, :] - a[None, :, :]  # (m, t, 3)
-    wp0 = (w * e0[None]).sum(axis=2)
-    wp1 = (w * e1[None]).sum(axis=2)
+    w = p - a
+    wp0 = (w * e0).sum(axis=1)
+    wp1 = (w * e1).sum(axis=1)
     u = (d11 * wp0 - d01 * wp1) / denom
     v = (d00 * wp1 - d01 * wp0) / denom
     inside = (u >= 0) & (v >= 0) & (u + v <= 1)
-    proj = a[None] + u[..., None] * e0[None] + v[..., None] * e1[None]
-    d_in = np.sqrt(((points[:, None, :] - proj) ** 2).sum(axis=2))
+    proj = a + u[:, None] * e0 + v[:, None] * e1
+    d_in = np.sqrt(((p - proj) ** 2).sum(axis=1))
 
     d_edge = np.minimum(
-        _point_segment_distance(points, a, b),
+        _segment_distance_pairs(p, a, b),
         np.minimum(
-            _point_segment_distance(points, a, c),
-            _point_segment_distance(points, b, c),
+            _segment_distance_pairs(p, a, c),
+            _segment_distance_pairs(p, b, c),
         ),
     )
     return np.where(inside, d_in, d_edge)
 
 
+_PRUNE_BLOCK = 1 << 16  # points x facets per pruning block; 512 KiB stays in cache
+_PRUNE_SLACK = 1e-10    # relative to the coordinate scale
+
+
 def _boundary_distance_batch(mesh: SimplicialMesh, points: np.ndarray) -> np.ndarray:
-    """Distance to the boundary for points assumed inside the closed domain."""
+    """Distance d(p) = min over boundary facets f of dist(p, f), per point.
+
+    Exact two-stage search.  Facet f has centre c_f (mean of its corners)
+    and radius rho_f = max over its corners of |corner - c_f|.
+
+    1. Prune.  Each c_f lies on the boundary, so r_up(p) = min_f |p - c_f|
+       bounds d(p) from above.  Facet f stays a candidate for p when
+       |p - c_f| - rho_f <= r_up(p).  This never drops the facet that
+       attains d(p): every q in f has |p - q| >= |p - c_f| - rho_f, so
+       dist(p, f) >= |p - c_f| - rho_f, and the attaining facet has
+       dist(p, f) = d(p) <= r_up(p).  Convexity is not used, so the rule
+       holds for any polytope domain.  The comparison carries a slack of
+       1e-10 times the coordinate scale, so that rounding cannot drop a
+       facet whose computed distance ties the minimum.
+    2. Exact distances.  The point-to-segment (2D) or point-to-triangle
+       (3D) kernel runs on the candidate (point, facet) pairs only, and
+       np.minimum.reduceat keeps one value per point.
+
+    Per pair the kernel does the same operations in the same order as an
+    all-pairs search, and a minimum does not depend on the order of its
+    operands, so the result is bit-identical to the brute-force search.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     bf = mesh.boundary_facets
-    out = np.empty(len(points))
     if mesh.dim == 1:
         bpts = mesh.vertices[bf[:, 0], 0]
         return np.abs(points[:, 0:1] - bpts[None, :]).min(axis=1)
 
-    chunk = max(1, 2_000_000 // max(1, len(bf)))
-    if mesh.dim == 2:
-        a = mesh.vertices[bf[:, 0]]
-        b = mesh.vertices[bf[:, 1]]
-        for s in range(0, len(points), chunk):
-            out[s:s + chunk] = _point_segment_distance(points[s:s + chunk], a, b).min(axis=1)
-    else:
-        a = mesh.vertices[bf[:, 0]]
-        b = mesh.vertices[bf[:, 1]]
-        c = mesh.vertices[bf[:, 2]]
-        for s in range(0, len(points), chunk):
-            out[s:s + chunk] = _point_triangle_distance(points[s:s + chunk], a, b, c).min(axis=1)
+    corners = mesh.vertices[bf]  # (t, d, d): facet, corner, coordinate
+    centre = corners.mean(axis=1)
+    rho = np.sqrt(((corners - centre[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+    ends = [corners[:, i] for i in range(mesh.dim)]
+    kernel = _segment_distance_pairs if mesh.dim == 2 else _triangle_distance_pairs
+    scale = max(np.abs(corners).max(), np.abs(points).max(initial=0.0))
+    slack = _PRUNE_SLACK * scale
+
+    out = np.empty(len(points))
+    chunk = max(1, _PRUNE_BLOCK // len(bf))
+    near_buf = np.empty((min(chunk, len(points)), len(bf)))
+    diff_buf = np.empty_like(near_buf)
+    keep_buf = np.empty(near_buf.shape, dtype=bool)
+    for s in range(0, len(points), chunk):
+        p = points[s:s + chunk]
+        near, diff, keep = near_buf[:len(p)], diff_buf[:len(p)], keep_buf[:len(p)]
+        near.fill(0.0)
+        for k in range(mesh.dim):
+            np.subtract.outer(p[:, k], centre[:, k], out=diff)
+            near += np.multiply(diff, diff, out=diff)
+        np.sqrt(near, out=near)
+        r_up = near.min(axis=1)
+        near -= rho
+        # Negated so that a NaN point keeps every facet (and stays NaN).
+        np.logical_not(np.greater(near, (r_up + slack)[:, None], out=keep), out=keep)
+        rows, cols = np.nonzero(keep)
+        dist = kernel(p[rows], *(e[cols] for e in ends))
+        out[s:s + chunk] = np.minimum.reduceat(dist, np.flatnonzero(np.diff(rows, prepend=-1)))
     return out
 
 
@@ -498,10 +540,10 @@ def distance_to_boundary(mesh: SimplicialMesh, point) -> float:
 
 def _element_d_k_array(mesh: SimplicialMesh) -> np.ndarray:
     """Sampled max boundary distance per element (vertices + centroid)."""
-    dv = mesh.vertex_boundary_distance
-    vert_max = dv[mesh.elements].max(axis=1)
-    dc = _boundary_distance_batch(mesh, mesh.centroids())
-    return np.maximum(vert_max, dc)
+    nv = mesh.n_vertices
+    dist = _boundary_distance_batch(mesh, np.concatenate([mesh.vertices, mesh.centroids()]))
+    vert_max = dist[:nv][mesh.elements].max(axis=1)
+    return np.maximum(vert_max, dist[nv:])
 
 
 def compute_metrics(mesh: SimplicialMesh) -> tuple[MeshMetrics, ElementGeometry]:
@@ -509,26 +551,13 @@ def compute_metrics(mesh: SimplicialMesh) -> tuple[MeshMetrics, ElementGeometry]
     d = mesh.dim
     scale = math.factorial(d) ** (1.0 / d)  # unit-volume reference simplex
     jac = mesh.edge_matrices() / scale
-    patch_ids = mesh.interior_index[mesh.elements]
     geometry = ElementGeometry(
         jacobians=jac,
         volumes=mesh.volumes.copy(),
         d_k=_element_d_k_array(mesh),
-        patch_ids=patch_ids,
+        patch_ids=mesh.interior_index[mesh.elements],
     )
-
-    n_i = mesh.n_interior
-    patch_volumes = np.zeros(n_i)
-    patch_counts = np.zeros(n_i, dtype=np.int64)
-    mask = patch_ids >= 0
-    rows = patch_ids[mask]
-    vols = np.broadcast_to(mesh.volumes[:, None], patch_ids.shape)[mask]
-    np.add.at(patch_volumes, rows, vols)
-    np.add.at(patch_counts, rows, 1)
-
     metrics = MeshMetrics(
-        patch_volumes=patch_volumes,
-        p_min=int(patch_counts.min()) if n_i else 0,
         k_min_volume=float(mesh.volumes.min()),
         k_avg_volume=mesh.domain_volume / mesh.n_elements,
         h_domain=mesh.h_domain,

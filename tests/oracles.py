@@ -190,3 +190,92 @@ def kappa_bounds_1d(mesh: SimplicialMesh) -> dict[str, float]:
         "prior.kappa.A": float(mesh.n_elements * patch.max()),
         "prior.kappa.SAS": float(np.sum(1.0 / width)),
     }
+
+
+def patch_volumes(mesh: SimplicialMesh) -> np.ndarray:
+    """Total volume of each interior vertex's patch, by interior row index."""
+    total = np.zeros(mesh.n_interior)
+    for elem, vol in zip(mesh.elements, mesh.volumes):
+        for v in elem:
+            if not mesh.boundary_vertex_flags[v]:
+                total[mesh.interior_index[v]] += vol
+    return total
+
+
+def p_min(mesh: SimplicialMesh) -> int:
+    """Min number of elements in an interior vertex's patch (0 without any
+    interior vertex)."""
+    counts = np.bincount(mesh.elements.ravel(), minlength=mesh.n_vertices)
+    interior = counts[~mesh.boundary_vertex_flags]
+    return int(interior.min()) if len(interior) else 0
+
+
+def h_domain_pairwise(mesh: SimplicialMesh) -> float:
+    """Domain diameter from the full (nb, nb, d) array of boundary-vertex
+    differences."""
+    b = mesh.vertices[mesh.boundary_vertex_flags]
+    diff = b[:, None, :] - b[None, :, :]
+    return float(np.sqrt((diff**2).sum(axis=2)).max())
+
+
+def _point_segment_distance(points, a, b):
+    """Distances from points (m, d) to segments a->b ((s, d) each), shape (m, s)."""
+    ab = b - a  # (s, d)
+    denom = (ab**2).sum(axis=1)  # (s,)
+    w = points[:, None, :] - a[None, :, :]  # (m, s, d)
+    t = (w * ab[None, :, :]).sum(axis=2) / denom[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    return np.sqrt(((points[:, None, :] - closest) ** 2).sum(axis=2))
+
+
+def _point_triangle_distance(points, a, b, c):
+    """Min distance from points (m, 3) to triangles (a, b, c) ((t, 3) each)."""
+    e0 = b - a
+    e1 = c - a
+    d00 = (e0 * e0).sum(axis=1)
+    d01 = (e0 * e1).sum(axis=1)
+    d11 = (e1 * e1).sum(axis=1)
+    denom = d00 * d11 - d01**2
+    w = points[:, None, :] - a[None, :, :]  # (m, t, 3)
+    wp0 = (w * e0[None]).sum(axis=2)
+    wp1 = (w * e1[None]).sum(axis=2)
+    u = (d11 * wp0 - d01 * wp1) / denom
+    v = (d00 * wp1 - d01 * wp0) / denom
+    inside = (u >= 0) & (v >= 0) & (u + v <= 1)
+    proj = a[None] + u[..., None] * e0[None] + v[..., None] * e1[None]
+    d_in = np.sqrt(((points[:, None, :] - proj) ** 2).sum(axis=2))
+
+    d_edge = np.minimum(
+        _point_segment_distance(points, a, b),
+        np.minimum(
+            _point_segment_distance(points, a, c),
+            _point_segment_distance(points, b, c),
+        ),
+    )
+    return np.where(inside, d_in, d_edge)
+
+
+def boundary_distance_brute(mesh: SimplicialMesh, points: np.ndarray) -> np.ndarray:
+    """Distance to the boundary for points assumed inside the closed domain:
+    the broadcast kernel on every point x every boundary facet."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    bf = mesh.boundary_facets
+    out = np.empty(len(points))
+    if mesh.dim == 1:
+        bpts = mesh.vertices[bf[:, 0], 0]
+        return np.abs(points[:, 0:1] - bpts[None, :]).min(axis=1)
+
+    chunk = max(1, 2_000_000 // max(1, len(bf)))
+    if mesh.dim == 2:
+        a = mesh.vertices[bf[:, 0]]
+        b = mesh.vertices[bf[:, 1]]
+        for s in range(0, len(points), chunk):
+            out[s:s + chunk] = _point_segment_distance(points[s:s + chunk], a, b).min(axis=1)
+    else:
+        a = mesh.vertices[bf[:, 0]]
+        b = mesh.vertices[bf[:, 1]]
+        c = mesh.vertices[bf[:, 2]]
+        for s in range(0, len(points), chunk):
+            out[s:s + chunk] = _point_triangle_distance(points[s:s + chunk], a, b, c).min(axis=1)
+    return out

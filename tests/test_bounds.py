@@ -15,7 +15,7 @@ from femcond.bounds import (
 from femcond.cli import fit_loglog_slope
 from femcond.quadrature import simplex_average_rule
 from conftest import random_mesh
-from oracles import kappa_bounds_1d, toeplitz_kappa_1d
+from oracles import kappa_bounds_1d, p_min, toeplitz_kappa_1d
 
 I1 = fc.DiffusionField.identity(1)
 I2 = fc.DiffusionField.identity(2)
@@ -88,7 +88,7 @@ class TestBoundLambdaMinB:
             if mesh.n_interior == 0:
                 continue
             rho = fc.density_equidistributed(mesh)
-            metrics, geometry = fc.compute_metrics(mesh)
+            _, geometry = fc.compute_metrics(mesh)
             wsums = np.zeros(mesh.n_interior)
             mask = geometry.patch_ids >= 0
             np.add.at(
@@ -97,7 +97,7 @@ class TestBoundLambdaMinB:
                 np.broadcast_to((rho.rho_k * mesh.volumes)[:, None],
                                 geometry.patch_ids.shape)[mask],
             )
-            assert wsums.min() >= metrics.p_min / mesh.n_elements * (1 - 1e-12)
+            assert wsums.min() >= p_min(mesh) / mesh.n_elements * (1 - 1e-12)
 
     def test_density_scaling_linearity(self):
         m = fc.generate_uniform(1, 8)

@@ -80,6 +80,23 @@ class TestAnalyze:
         assert r1.lambda_min == pytest.approx(r2.lambda_min, rel=1e-12)
         assert r1.lambda_max == pytest.approx(r2.lambda_max, rel=1e-12)
 
+    def test_matrix_out_assembles_once(self, tmp_path, monkeypatch):
+        calls = []
+        local = fc.assembly._local_stiffness
+
+        def counting(*args):
+            calls.append(1)
+            return local(*args)
+
+        monkeypatch.setattr(fc.assembly, "_local_stiffness", counting)
+        mtx = tmp_path / "a.mtx"
+        assert run([
+            "analyze", "--family", "uniform", "--dim", "2", "--n", "4",
+            "--matrix-out", mtx,
+        ]) == 0
+        assert len(calls) == 1
+        assert fc.read_matrix_market(mtx).order == 9
+
     def test_mesh_file_input(self, tmp_path):
         mesh_file = tmp_path / "m.json"
         fc.export_mesh(fc.generate_chebyshev_1d(8), mesh_file)

@@ -14,6 +14,7 @@ from femcond.mesh import (
     PointOutsideDomainError,
 )
 from conftest import random_mesh
+from oracles import boundary_distance_brute, h_domain_pairwise, p_min
 
 
 class TestGenerateUniform:
@@ -183,7 +184,7 @@ class TestImportExport:
         m2, _ = fc.compute_metrics(back)
         assert m2.k_min_volume == pytest.approx(m1.k_min_volume, rel=1e-15)
         assert m2.k_avg_volume == pytest.approx(m1.k_avg_volume, rel=1e-15)
-        assert m2.p_min == m1.p_min
+        assert p_min(back) == p_min(mesh)
 
     def test_parse_error_reports_line(self, tmp_path):
         node = tmp_path / "bad.node"
@@ -241,6 +242,79 @@ class TestDistance:
             assert np.all(np.abs(d - d[perm]) <= gap + 1e-12)
 
 
+def _l_shaped_mesh() -> fc.SimplicialMesh:
+    """[0, 2]^2 without the quadrant (1, 2]^2: a non-convex 2D domain."""
+    square = fc.generate_uniform(2, 8, domain=[(0, 2), (0, 2)])
+    c = square.centroids()
+    elems = square.elements[~((c[:, 0] > 1) & (c[:, 1] > 1))]
+    used = np.unique(elems)
+    renumber = np.full(square.n_vertices, -1)
+    renumber[used] = np.arange(len(used))
+    return fc.SimplicialMesh(2, square.vertices[used], renumber[elems])
+
+
+def _boundary_points(mesh):
+    """Boundary vertices and the centres of the boundary facets."""
+    corners = mesh.vertices[mesh.boundary_facets]
+    return np.concatenate([mesh.vertices[mesh.boundary_vertex_flags], corners.mean(axis=1)])
+
+
+class TestBoundaryDistanceSearch:
+    """The pruned search equals the all-pairs search bit for bit."""
+
+    @staticmethod
+    def _assert_exact(mesh, pts):
+        fast = fc.mesh._boundary_distance_batch(mesh, pts)
+        assert np.array_equal(fast, boundary_distance_brute(mesh, pts))
+        return fast
+
+    def _assert_exact_on_mesh(self, mesh, rng):
+        pts = np.concatenate([
+            mesh.vertices, mesh.centroids(), _random_interior_points(mesh, rng, 500),
+        ])
+        self._assert_exact(mesh, pts)
+
+    @pytest.mark.parametrize("dim, n_core, aspect", [
+        (2, 12, 1.0), (2, 20, 125.0), (3, 4, 25.0), (3, 5, 4.0),
+    ])
+    def test_boundary_layer_meshes(self, dim, n_core, aspect, rng):
+        self._assert_exact_on_mesh(fc.generate_boundary_layer(dim, n_core, aspect), rng)
+
+    def test_random_perturbed_meshes(self, rng):
+        for _ in range(8):
+            self._assert_exact_on_mesh(random_mesh(rng), rng)
+
+    def test_non_convex_l_shape(self, rng):
+        mesh = _l_shaped_mesh()
+        assert mesh.domain_volume == pytest.approx(3.0, rel=1e-14)
+        self._assert_exact_on_mesh(mesh, rng)
+        # Below and left of the re-entrant corner (1, 1) the nearest boundary
+        # point is the corner itself, closer than every outer side.
+        near_corner = 1.0 + rng.uniform(-0.3, 0.0, size=(200, 2))
+        d = self._assert_exact(mesh, near_corner)
+        assert d == pytest.approx(np.hypot(*(1.0 - near_corner).T), abs=1e-14)
+
+    def test_points_on_the_boundary(self):
+        for mesh in (fc.generate_boundary_layer(2, 6, 8.0),
+                     fc.generate_boundary_layer(3, 3, 4.0), _l_shaped_mesh()):
+            d = self._assert_exact(mesh, _boundary_points(mesh))
+            assert np.all(d[:int(mesh.boundary_vertex_flags.sum())] == 0.0)
+            assert d.max() <= 1e-15
+
+    def test_single_point(self, rng):
+        for mesh in (fc.generate_boundary_layer(2, 6, 8.0),
+                     fc.generate_boundary_layer(3, 3, 4.0), _l_shaped_mesh()):
+            for p in _random_interior_points(mesh, rng, 5):
+                assert fc.distance_to_boundary(mesh, p) == boundary_distance_brute(mesh, p[None])[0]
+
+
+class TestDomainDiameter:
+    def test_matches_pairwise_formula(self, rng):
+        for _ in range(10):
+            mesh = random_mesh(rng)
+            assert mesh.h_domain == h_domain_pairwise(mesh)
+
+
 def _random_interior_points(mesh, rng, count):
     elems = rng.integers(0, mesh.n_elements, size=count)
     bary = rng.dirichlet(np.ones(mesh.dim + 1), size=count)
@@ -274,7 +348,7 @@ class TestElementDk:
         for _ in range(5):
             mesh = random_mesh(rng)
             _, geom = fc.compute_metrics(mesh)
-            dv = mesh.vertex_boundary_distance[mesh.elements]
+            dv = fc.mesh._boundary_distance_batch(mesh, mesh.vertices)[mesh.elements]
             verts = mesh.vertices[mesh.elements]
             diam = np.zeros(mesh.n_elements)
             for i, j in itertools.combinations(range(mesh.dim + 1), 2):
@@ -295,7 +369,7 @@ class TestComputeMetrics:
         metrics, _ = fc.compute_metrics(m)
         assert metrics.k_avg_volume == pytest.approx(0.25, rel=1e-15)
         assert metrics.k_min_volume == pytest.approx(0.25, rel=1e-15)
-        assert metrics.p_min == 2
+        assert p_min(m) == 2
 
     def test_power2_n4(self):
         m = fc.generate_power2_1d(4)
@@ -360,7 +434,7 @@ class TestMeshInvariants:
             m2, _ = fc.compute_metrics(reflected)
             assert m2.k_avg_volume == pytest.approx(m1.k_avg_volume, rel=1e-12)
             assert m2.k_min_volume == pytest.approx(m1.k_min_volume, rel=1e-12)
-            assert m2.p_min == m1.p_min
+            assert p_min(reflected) == p_min(mesh)
 
     def test_mesh_is_immutable(self):
         mesh = fc.generate_uniform(2, 2)
