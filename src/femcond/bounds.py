@@ -633,24 +633,8 @@ class BoundReport:
             "p": self.p_used,
             "domain_volume": self.domain_volume,
             "nonunit_domain": abs(self.domain_volume - 1.0) > 1e-9,
-            "exact": {
-                "A": {
-                    "lambda_min": self.exact_A.lambda_min,
-                    "lambda_max": self.exact_A.lambda_max,
-                    "kappa": self.exact_A.kappa,
-                    "method": self.exact_A.method,
-                    "residual": self.exact_A.residual,
-                    "converged": self.exact_A.converged,
-                },
-                "SAS": {
-                    "lambda_min": self.exact_SAS.lambda_min,
-                    "lambda_max": self.exact_SAS.lambda_max,
-                    "kappa": self.exact_SAS.kappa,
-                    "method": self.exact_SAS.method,
-                    "residual": self.exact_SAS.residual,
-                    "converged": self.exact_SAS.converged,
-                },
-            },
+            "exact": {"A": _spectral_json(self.exact_A),
+                      "SAS": _spectral_json(self.exact_SAS)},
             "lambda_max_sandwich": [self.lambda_max_lower, self.upper_lambda_max_A],
             "bounds_raw": dict(self.raw),
         }
@@ -658,6 +642,19 @@ class BoundReport:
         if cal is not None:
             data["bounds_calibrated"] = cal
         return data
+
+
+def _spectral_json(r: SpectralResult) -> dict:
+    return {
+        "lambda_min": r.lambda_min,
+        "lambda_max": r.lambda_max,
+        "kappa": r.kappa,
+        "method": r.method,
+        "residual": r.residual,
+        "converged": r.converged,
+        "matvecs": r.matvecs,
+        "factor_nnz": r.factor_nnz,
+    }
 
 
 def build_report(

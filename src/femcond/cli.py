@@ -187,7 +187,8 @@ def _print_report(report) -> None:
         print(
             f"exact {name}: lambda_min={_fmt(r.lambda_min)} "
             f"lambda_max={_fmt(r.lambda_max)} kappa={_fmt(r.kappa)} "
-            f"method={r.method} residual={r.residual:.2e}{flag}"
+            f"method={r.method} residual={r.residual:.2e} "
+            f"matvecs={r.matvecs} factor_nnz={r.factor_nnz}{flag}"
         )
     print(
         f"lambda_max sandwich: {_fmt(report.lambda_max_lower)} <= lambda_max(A) "

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.special import roots_legendre
 
 from femcond import DensityFunction, DiffusionField, SimplicialMesh
@@ -150,6 +151,16 @@ def toeplitz_kappa_1d(n_elements: int) -> float:
     """Closed-form condition number of the 1D uniform stiffness matrix."""
     n = n_elements
     return (1 - math.cos((n - 1) * math.pi / n)) / (1 - math.cos(math.pi / n))
+
+
+def lambda_max_unfiltered(a, tol: float = 1e-8, seed: int = 0) -> float:
+    """Largest eigenvalue by plain ARPACK Lanczos on A itself (which="LA"),
+    with the tolerance and start vector the library used before it filtered
+    the lambda_max solve."""
+    v0 = np.random.default_rng(seed).standard_normal(a.order)
+    vals = spla.eigsh(a.matrix, k=1, which="LA", tol=max(tol * 1e-2, 1e-14), v0=v0,
+                      return_eigenvectors=False)
+    return float(vals[0])
 
 
 def check_normalized(mesh: SimplicialMesh, rho: DensityFunction, tol: float = 1e-12) -> bool:

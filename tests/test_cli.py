@@ -66,6 +66,21 @@ class TestAnalyze:
         lo, hi = data["lambda_max_sandwich"]
         assert lo <= data["exact"]["A"]["lambda_max"] <= hi
 
+    def test_solver_counters_reported(self, tmp_path, capsys):
+        # order 2401, above the dense cutoff: both matrices go through Lanczos
+        out = tmp_path / "r.json"
+        assert run([
+            "analyze", "--family", "boundary_layer_2d", "--n-core", "49",
+            "--aspect", "25", "--json", out,
+        ]) == 0
+        data = json.loads(out.read_text())
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("exact ")]
+        for name, line in zip(("A", "SAS"), lines):
+            exact = data["exact"][name]
+            assert exact["method"] == "lanczos_shift_invert"
+            assert exact["matvecs"] > 0 and exact["factor_nnz"] > 0
+            assert f"matvecs={exact['matvecs']} factor_nnz={exact['factor_nnz']}" in line
+
     def test_matrix_out_round_trips_spectra(self, tmp_path):
         mtx = tmp_path / "a.mtx"
         assert run([

@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import femcond as fc
 from femcond.assembly import DensityFunction, SparseSymmetric
-from femcond.spectra import extreme_eigenvalues, generalized_min_eigenvalue
+from femcond.spectra import (
+    EigenSolveError,
+    _interlacing_lower_bound,
+    _lambda_max_filtered,
+    extreme_eigenvalues,
+    generalized_min_eigenvalue,
+)
 from conftest import random_mesh, random_spd_field
-from oracles import toeplitz_kappa_1d
+from oracles import lambda_max_unfiltered, toeplitz_kappa_1d
 
 
 def _sparse(dense) -> SparseSymmetric:
@@ -82,6 +89,96 @@ class TestExtremeEigenvalues:
     def test_tol_validated(self):
         with pytest.raises(ValueError):
             extreme_eigenvalues(_sparse(np.eye(3)), tol=1e-2)
+
+
+def _boundary_layer_a() -> SparseSymmetric:
+    """Order 400, aspect 125: the two largest eigenvalues differ by 2.3e-6 relative."""
+    mesh = fc.generate_boundary_layer(2, 20, 125.0)
+    return fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
+
+
+def _laplacian_1d(n: int, shift: float = 0.0) -> SparseSymmetric:
+    """tridiag(-1, 2 - shift, -1) of order n."""
+    return SparseSymmetric(
+        sp.diags([-1.0, 2.0 - shift, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    )
+
+
+class TestFilteredLambdaMax:
+    """The iterative lambda_max runs Lanczos on a Chebyshev filter p(A)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clustered_top_matches_dense_and_unfiltered(self, seed):
+        a = _boundary_layer_a()
+        tol = 1e-8
+        dense = extreme_eigenvalues(a, tol)
+        filtered = extreme_eigenvalues(a, tol, dense_cutoff=10, seed=seed)
+        assert filtered.method == "lanczos_shift_invert"
+        assert filtered.converged
+        assert filtered.matvecs > 0 and filtered.matvecs % fc.spectra.FILTER_DEGREE == 0
+        assert filtered.lambda_max == pytest.approx(dense.lambda_max, rel=10 * tol)
+        assert filtered.lambda_max == pytest.approx(
+            lambda_max_unfiltered(a, tol, seed), rel=10 * tol)
+
+    def test_diagonal_matrix_above_cutoff(self, rng):
+        # no off-diagonal entries: the lower bound falls back to max a_ii
+        diag = rng.uniform(1.0, 2.0, 3000)
+        a = SparseSymmetric(sp.diags(diag, format="csr"))
+        assert _interlacing_lower_bound(a) == diag.max()
+        r = extreme_eigenvalues(a)
+        assert r.method == "lanczos_shift_invert"
+        assert r.converged
+        assert r.lambda_max == pytest.approx(diag.max(), rel=1e-12)
+        assert r.lambda_min == pytest.approx(diag.min(), rel=1e-12)
+
+    def test_indefinite_above_cutoff_rejected(self):
+        n = 3000
+        lam1, lam2 = 2.0 - 2.0 * np.cos(np.arange(1, 3) * np.pi / (n + 1))
+        # one negative eigenvalue, and it is the one nearest zero
+        shift = 0.75 * lam1 + 0.25 * lam2
+        with pytest.raises(EigenSolveError, match="not SPD"):
+            extreme_eigenvalues(_laplacian_1d(n, shift=shift))
+        # no positive diagonal entry: the filter has no interval to damp
+        negated = SparseSymmetric(-_laplacian_1d(n).matrix)
+        with pytest.raises(EigenSolveError, match="not SPD"):
+            extreme_eigenvalues(negated)
+
+    def test_negative_eigenvalue_never_wins(self):
+        # the odd degree maps -10 below -1; an even one would pick it
+        diag = np.concatenate([[-10.0], np.linspace(1.0, 2.0, 2999)])
+        a = SparseSymmetric(sp.diags(diag, format="csr"))
+        v0 = np.random.default_rng(0).standard_normal(a.order)
+        lam_max, _, ok, _ = _lambda_max_filtered(a, 1e-8, None, v0)
+        assert ok
+        assert lam_max == pytest.approx(2.0, rel=1e-12)
+
+    def test_at_least_the_lower_bounds(self):
+        a = _boundary_layer_a()
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        lower = _interlacing_lower_bound(a)
+        assert lower >= a.diagonal.max()
+        assert r.lambda_max >= lower
+        assert r.lambda_max >= fc.bound_lambda_max(a, 2)[0]
+
+    def test_unconverged_lambda_max_is_a_rayleigh_quotient(self):
+        a = _boundary_layer_a()
+        dense = extreme_eigenvalues(a)
+        r = extreme_eigenvalues(a, dense_cutoff=10, maxiter=1)
+        assert not r.converged
+        v = r.v_max
+        assert r.lambda_max == (v @ (a.matrix @ v)) / (v @ v)
+        assert r.lambda_max <= dense.lambda_max * (1 + 1e-14)
+
+    def test_counters_zero_on_dense_path(self):
+        r = extreme_eigenvalues(_boundary_layer_a())
+        assert r.method == "dense"
+        assert (r.matvecs, r.factor_nnz) == (0, 0)
+
+    def test_symmetric_mode_factor_fills_less_than_default_lu(self):
+        a = _boundary_layer_a()
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        default = spla.splu(a.matrix.tocsc())  # COLAMD ordering, partial pivoting
+        assert a.matrix.nnz + a.order <= r.factor_nnz < default.L.nnz + default.U.nnz
 
 
 class TestGeneralizedMinEigenvalue:
