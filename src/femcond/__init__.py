@@ -19,14 +19,8 @@ from .bounds import (
     AnisotropyMetrics,
     BoundReport,
     Calibration,
-    bound_kappa,
-    bound_kappa_prior,
-    bound_kappa_sas_conjectured,
     bound_lambda_max,
-    bound_lambda_min_A,
     bound_lambda_min_B,
-    bound_lambda_min_SAS,
-    bound_lambda_min_fried,
     bound_lambda_rho,
     build_report,
     calibrate,

@@ -6,7 +6,7 @@ Four bound families are evaluated, identified by stable string ids:
     new.lambda_min.A    new.lambda_min.SAS    new.kappa.A    new.kappa.SAS
     prior.kappa.A       prior.kappa.SAS
     fried.lambda_min
-    conjectured.kappa.SAS                      (2D only)
+    conjectured.kappa.SAS                      (2D only, NaN elsewhere)
 
 The "new" family weights every element by its distance to the domain
 boundary; the "prior" family replaces that distance by the domain diameter;
@@ -16,6 +16,14 @@ values omit the unknown generic constant; `calibrate` fits one constant per
 (dimension, bound id) from exact spectra on a reference family, min-ratio
 for lower bounds and max-ratio for upper bounds, so calibrated bounds remain
 valid on the whole calibration series by construction.
+
+`evaluate_raw_bounds` is the single entry point for the eight values.  One
+pass over the geometry computes, once each: the weights |K| beta_K, the
+largest patch sum of those weights over an interior vertex, the
+volume-nonuniformity factors of A and of SAS (the lambda_min bound of each
+is the reciprocal of the factor in its kappa bound), the prior and Fried
+factors, and in 3D the exponents q, expo and prefactor of the p-dependent
+estimate, which `bound_lambda_rho` shares.
 """
 
 from __future__ import annotations
@@ -46,13 +54,7 @@ __all__ = [
     "compute_beta",
     "bound_lambda_min_B",
     "bound_lambda_rho",
-    "bound_lambda_min_A",
-    "bound_lambda_min_SAS",
     "bound_lambda_max",
-    "bound_kappa",
-    "bound_kappa_prior",
-    "bound_lambda_min_fried",
-    "bound_kappa_sas_conjectured",
     "evaluate_raw_bounds",
     "calibrate",
     "build_report",
@@ -87,13 +89,6 @@ def _resolve_p(dim: int, p: float | None) -> float | None:
 
 def _geometry(mesh, geometry: ElementGeometry | None) -> ElementGeometry:
     return geometry if geometry is not None else compute_metrics(mesh)[1]
-
-
-def _metrics_and_geometry(mesh, metrics, geometry):
-    if metrics is None or geometry is None:
-        m, g = compute_metrics(mesh)
-        return metrics or m, geometry or g
-    return metrics, geometry
 
 
 # -- anisotropy ------------------------------------------------------------
@@ -209,6 +204,16 @@ def bound_lambda_max(a: SparseSymmetric, dim: int) -> tuple[float, float]:
     return top, (dim + 1) * top
 
 
+def _sobolev_exponents(d: int, p: float) -> tuple[float, float, float]:
+    """The exponents of the d >= 3 estimates: q = p/(p-1), the distance
+    exponent expo = q (d - (d-2) p)/(d + 2p), and the prefactor
+    (d/(d-2) - p)^(d/(d+2p)), which vanishes as p reaches d/(d-2)."""
+    q = p / (p - 1.0)
+    expo = q * (d - (d - 2) * p) / (d + 2 * p)
+    pref = (d / (d - 2) - p) ** (d / (d + 2 * p))
+    return q, expo, pref
+
+
 def bound_lambda_rho(
     mesh: SimplicialMesh,
     rho: DensityFunction,
@@ -228,209 +233,9 @@ def bound_lambda_rho(
     if d == 2:
         s = k_rho @ np.log1p(d_k * rho.rho_max) ** 2
         return float((1.0 + s) ** -0.5)
-    q = p / (p - 1.0)
-    expo = q * (d - (d - 2) * p) / (d + 2 * p)
+    q, expo, pref = _sobolev_exponents(d, p)
     s = np.sum(k_rho**q * geometry.volumes ** (-1.0 / (p - 1.0)) * d_k**expo)
-    pref = (d / (d - 2) - p) ** (d / (d + 2 * p))
     return float(pref * s ** (-1.0 / q))
-
-
-# Volume-nonuniformity factors of the condition-number bounds.  The factor
-# for kappa(A) is the reciprocal of the one in the lambda_min(A) bound, and
-# likewise for the scaled system, so the two directions share one code path.
-
-
-def _case_factor_A(
-    dim: int,
-    p: float | None,
-    volumes: np.ndarray,
-    d_k: np.ndarray,
-    k_min: float,
-    k_avg: float,
-) -> float:
-    n = len(volumes)
-    if dim == 1:
-        return float(d_k.sum() / n)
-    if dim == 2:
-        s = np.log1p((k_avg / k_min) * d_k) ** 2
-        return float(math.sqrt(1.0 + s.sum() / n))
-    q = p / (p - 1.0)
-    expo = q * (dim - (dim - 2) * p) / (dim + 2 * p)
-    s = np.sum((k_avg / volumes) ** (1.0 / (p - 1.0)) * d_k**expo) / n
-    pref = (dim / (dim - 2) - p) ** (dim / (dim + 2 * p))
-    return float(s ** (1.0 / q) / pref)
-
-
-def _case_factor_SAS(
-    dim: int,
-    p: float | None,
-    volumes: np.ndarray,
-    d_k: np.ndarray,
-    beta: np.ndarray,
-    gamma_h: float,
-) -> float:
-    n = len(volumes)
-    vb = volumes * beta
-    if dim == 1:
-        return float(vb @ d_k / n**2)
-    if dim == 2:
-        mean_vb = vb.sum() / n
-        logs = 1.0 + np.log1p(d_k * gamma_h) ** 2
-        return float(math.sqrt(mean_vb) * math.sqrt(vb @ logs / n))
-    q = p / (p - 1.0)
-    expo = q * (dim - (dim - 2) * p) / (dim + 2 * p)
-    s = np.sum(volumes * beta**q * d_k**expo) / n ** (2 * p / (dim * (p - 1.0)))
-    pref = (dim / (dim - 2) - p) ** (dim / (dim + 2 * p))
-    return float(s ** (1.0 / q) / pref)
-
-
-def bound_lambda_min_A(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    p: float | None = None,
-    *,
-    geometry: ElementGeometry | None = None,
-    metrics: MeshMetrics | None = None,
-) -> float:
-    """Distance-weighted lower bound on the smallest stiffness eigenvalue
-    (without the generic constant)."""
-    metrics, geometry = _metrics_and_geometry(mesh, metrics, geometry)
-    p = _resolve_p(mesh.dim, p)
-    n = mesh.n_elements
-    case = _case_factor_A(
-        mesh.dim, p, geometry.volumes, geometry.d_k,
-        metrics.k_min_volume, metrics.k_avg_volume,
-    )
-    return field.d_min / n / case
-
-
-def bound_lambda_min_SAS(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    p: float | None = None,
-    *,
-    geometry: ElementGeometry | None = None,
-    beta: AnisotropyMetrics | None = None,
-) -> float:
-    """Distance-weighted lower bound on the smallest eigenvalue of the
-    Jacobi-scaled stiffness matrix (without the generic constant)."""
-    geometry = _geometry(mesh, geometry)
-    p = _resolve_p(mesh.dim, p)
-    if beta is None:
-        beta = compute_beta(mesh, field, geometry=geometry)
-    n = mesh.n_elements
-    case = _case_factor_SAS(
-        mesh.dim, p, geometry.volumes, geometry.d_k, beta.beta_k, beta.gamma_h
-    )
-    return n ** (-2.0 / mesh.dim) / case
-
-
-def bound_kappa(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    p: float | None = None,
-    *,
-    geometry: ElementGeometry | None = None,
-    metrics: MeshMetrics | None = None,
-    beta: AnisotropyMetrics | None = None,
-) -> tuple[float, float]:
-    """Distance-weighted upper bounds (without the generic constant) on the
-    condition numbers of the stiffness matrix and of its Jacobi-scaled form."""
-    metrics, geometry = _metrics_and_geometry(mesh, metrics, geometry)
-    p = _resolve_p(mesh.dim, p)
-    if beta is None:
-        beta = compute_beta(mesh, field, geometry=geometry)
-    d = mesh.dim
-    n = mesh.n_elements
-    if mesh.n_interior == 0:
-        raise ValueError("mesh has no interior vertices")
-    patch_vb = _patch_weighted_sums(geometry, geometry.volumes * beta.beta_k, mesh.n_interior)
-    case_a = _case_factor_A(
-        d, p, geometry.volumes, geometry.d_k, metrics.k_min_volume, metrics.k_avg_volume
-    )
-    kappa_a = n ** (2.0 / d) * (n ** ((d - 2.0) / d) * patch_vb.max()) * case_a
-    case_sas = _case_factor_SAS(d, p, geometry.volumes, geometry.d_k, beta.beta_k, beta.gamma_h)
-    kappa_sas = n ** (2.0 / d) * case_sas
-    return float(kappa_a), float(kappa_sas)
-
-
-def bound_kappa_prior(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    *,
-    geometry: ElementGeometry | None = None,
-    metrics: MeshMetrics | None = None,
-    beta: AnisotropyMetrics | None = None,
-) -> tuple[float, float]:
-    """Earlier condition-number bounds that ignore the element-to-boundary
-    distance (without the generic constant)."""
-    metrics, geometry = _metrics_and_geometry(mesh, metrics, geometry)
-    if beta is None:
-        beta = compute_beta(mesh, field, geometry=geometry)
-    d = mesh.dim
-    n = mesh.n_elements
-    if mesh.n_interior == 0:
-        raise ValueError("mesh has no interior vertices")
-    vb = geometry.volumes * beta.beta_k
-    patch_vb = _patch_weighted_sums(geometry, vb, mesh.n_interior)
-    ratio = metrics.k_avg_volume / geometry.volumes
-
-    if d == 1:
-        case_a = 1.0
-        case_sas = vb.sum() / n**2
-    elif d == 2:
-        case_a = 1.0 + math.log(metrics.k_avg_volume / metrics.k_min_volume)
-        case_sas = (vb.sum() / n) * (1.0 + abs(math.log(beta.gamma_h)))
-    else:
-        case_a = float((np.sum(ratio ** ((d - 2.0) / 2.0)) / n) ** (2.0 / d))
-        case_sas = float(
-            (np.sum(geometry.volumes * beta.beta_k ** (d / 2.0)) / n) ** (2.0 / d)
-        )
-    kappa_a = n ** (2.0 / d) * (n ** ((d - 2.0) / d) * patch_vb.max()) * case_a
-    kappa_sas = n ** (2.0 / d) * case_sas
-    return float(kappa_a), float(kappa_sas)
-
-
-def bound_lambda_min_fried(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    *,
-    metrics: MeshMetrics | None = None,
-) -> float:
-    """Classical lower bound on the smallest stiffness eigenvalue driven by
-    the smallest element volume (without the generic constant)."""
-    if metrics is None:
-        metrics = compute_metrics(mesh)[0]
-    d = mesh.dim
-    n = mesh.n_elements
-    ratio = metrics.k_avg_volume / metrics.k_min_volume
-    if d == 1:
-        case = 1.0
-    elif d == 2:
-        case = 1.0 / (1.0 + math.log(ratio))
-    else:
-        case = ratio ** (2.0 / d - 1.0)
-    return field.d_min / n * case
-
-
-def bound_kappa_sas_conjectured(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    *,
-    geometry: ElementGeometry | None = None,
-    beta: AnisotropyMetrics | None = None,
-) -> float:
-    """Candidate sharper 2D bound on the scaled condition number, with the
-    boundary distance entering through log(1 + d_K / |K|).  Reported as
-    conjectured in all outputs."""
-    if mesh.dim != 2:
-        raise ValueError("the conjectured bound is 2D only")
-    geometry = _geometry(mesh, geometry)
-    if beta is None:
-        beta = compute_beta(mesh, field, geometry=geometry)
-    return float(
-        np.sum(geometry.volumes * beta.beta_k * np.log1p(geometry.d_k / geometry.volumes))
-    )
 
 
 def evaluate_raw_bounds(
@@ -441,11 +246,17 @@ def evaluate_raw_bounds(
     geometry: ElementGeometry | None = None,
     metrics: MeshMetrics | None = None,
 ) -> dict[str, float]:
-    """All raw (constant-free) bound values keyed by stable bound id.
+    """All raw (constant-free) bound values keyed by stable bound id, in
+    CSV column order.
 
-    The conjectured id maps to NaN outside 2D.
+    geometry and metrics default to compute_metrics(mesh); a geometry with
+    substituted d_k evaluates the bounds on those distances.  The
+    conjectured id maps to NaN outside 2D.
     """
-    metrics, geometry = _metrics_and_geometry(mesh, metrics, geometry)
+    p = _resolve_p(mesh.dim, p)
+    if metrics is None or geometry is None:
+        computed = compute_metrics(mesh)
+        metrics, geometry = metrics or computed[0], geometry or computed[1]
     beta = compute_beta(mesh, field, geometry=geometry)
     return _raw_bounds(mesh, field, p, geometry, metrics, beta)
 
@@ -458,29 +269,57 @@ def _raw_bounds(
     metrics: MeshMetrics,
     beta: AnisotropyMetrics,
 ) -> dict[str, float]:
-    kappa_a, kappa_sas = bound_kappa(
-        mesh, field, p, geometry=geometry, metrics=metrics, beta=beta
-    )
-    prior_a, prior_sas = bound_kappa_prior(
-        mesh, field, geometry=geometry, metrics=metrics, beta=beta
-    )
+    """The eight raw bound values from resolved p, geometry and beta."""
+    if mesh.n_interior == 0:
+        raise ValueError("mesh has no interior vertices")
+    d, n = mesh.dim, mesh.n_elements
+    volumes, d_k, beta_k = geometry.volumes, geometry.d_k, beta.beta_k
+    k_ratio = metrics.k_avg_volume / metrics.k_min_volume
+    vb = volumes * beta_k
+    patch_max = _patch_weighted_sums(geometry, vb, mesh.n_interior).max()
+
+    # case_a and case_sas are the volume-nonuniformity factors of the new
+    # kappa(A) and kappa(SAS) bounds; the lambda_min bounds divide by them.
+    # prior_a/prior_sas are the distance-free factors, fried the factor of
+    # Fried's lambda_min bound.
+    conjectured = float("nan")
+    if d == 1:
+        case_a = float(d_k.sum() / n)
+        case_sas = float(vb @ d_k / n**2)
+        prior_a, prior_sas = 1.0, vb.sum() / n**2
+        fried = 1.0
+    elif d == 2:
+        s = np.log1p(k_ratio * d_k) ** 2
+        case_a = float(math.sqrt(1.0 + s.sum() / n))
+        mean_vb = vb.sum() / n
+        logs = 1.0 + np.log1p(d_k * beta.gamma_h) ** 2
+        case_sas = float(math.sqrt(mean_vb) * math.sqrt(vb @ logs / n))
+        prior_a = 1.0 + math.log(k_ratio)
+        prior_sas = mean_vb * (1.0 + abs(math.log(beta.gamma_h)))
+        fried = 1.0 / prior_a
+        conjectured = float(np.sum(vb * np.log1p(d_k / volumes)))
+    else:
+        q, expo, pref = _sobolev_exponents(d, p)
+        ratio = metrics.k_avg_volume / volumes
+        s = np.sum(ratio ** (1.0 / (p - 1.0)) * d_k**expo) / n
+        case_a = float(s ** (1.0 / q) / pref)
+        s = np.sum(volumes * beta_k**q * d_k**expo) / n ** (2 * p / (d * (p - 1.0)))
+        case_sas = float(s ** (1.0 / q) / pref)
+        prior_a = float((np.sum(ratio ** ((d - 2.0) / 2.0)) / n) ** (2.0 / d))
+        prior_sas = float((np.sum(volumes * beta_k ** (d / 2.0)) / n) ** (2.0 / d))
+        fried = k_ratio ** (2.0 / d - 1.0)
+
+    scale = n ** (2.0 / d)
+    patch_term = n ** ((d - 2.0) / d) * patch_max
     return {
-        "new.lambda_min.A": bound_lambda_min_A(
-            mesh, field, p, geometry=geometry, metrics=metrics
-        ),
-        "new.lambda_min.SAS": bound_lambda_min_SAS(
-            mesh, field, p, geometry=geometry, beta=beta
-        ),
-        "new.kappa.A": kappa_a,
-        "new.kappa.SAS": kappa_sas,
-        "prior.kappa.A": prior_a,
-        "prior.kappa.SAS": prior_sas,
-        "fried.lambda_min": bound_lambda_min_fried(mesh, field, metrics=metrics),
-        "conjectured.kappa.SAS": (
-            bound_kappa_sas_conjectured(mesh, field, geometry=geometry, beta=beta)
-            if mesh.dim == 2
-            else float("nan")
-        ),
+        "new.lambda_min.A": field.d_min / n / case_a,
+        "new.lambda_min.SAS": n ** (-2.0 / d) / case_sas,
+        "new.kappa.A": float(scale * patch_term * case_a),
+        "new.kappa.SAS": float(scale * case_sas),
+        "prior.kappa.A": float(scale * patch_term * prior_a),
+        "prior.kappa.SAS": float(scale * prior_sas),
+        "fried.lambda_min": field.d_min / n * fried,
+        "conjectured.kappa.SAS": conjectured,
     }
 
 

@@ -266,7 +266,6 @@ class MeshMetrics:
 
     k_min_volume: float
     k_avg_volume: float
-    h_domain: float
 
 
 # -- generators ----------------------------------------------------------
@@ -560,7 +559,6 @@ def compute_metrics(mesh: SimplicialMesh) -> tuple[MeshMetrics, ElementGeometry]
     metrics = MeshMetrics(
         k_min_volume=float(mesh.volumes.min()),
         k_avg_volume=mesh.domain_volume / mesh.n_elements,
-        h_domain=mesh.h_domain,
     )
     return metrics, geometry
 

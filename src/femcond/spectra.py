@@ -23,7 +23,10 @@ the Ritz vector on A, and the residual on A decides convergence.
 
 lambda_min: shift-invert Lanczos at shift zero, with one sparse LU of A in
 SuperLU's symmetric mode (minimum-degree ordering on A + A^T, diagonal
-pivots), which fills far less than the default column ordering.
+pivots), which fills far less than the default column ordering.  Shift-invert
+finds the eigenvalue nearest zero, which is the smallest one only if A is
+positive definite; the signs of the diagonal pivots give A's inertia
+(Sylvester), so a factor with a pivot <= 0 is rejected as not SPD.
 """
 
 from __future__ import annotations
@@ -190,14 +193,32 @@ def _lambda_max_filtered(a: SparseSymmetric, tol, maxiter, v0):
 
 def _factor_at_zero(a: SparseSymmetric):
     """Sparse LU of A for shift-invert at zero, in SuperLU's symmetric mode:
-    minimum-degree ordering on A + A^T and diagonal pivots."""
+    minimum-degree ordering on A + A^T and diagonal pivots.
+
+    With diagonal pivots (perm_r == perm_c) the factor is P^T A P = L U with
+    U = D L^T, so by Sylvester's law of inertia A is SPD exactly when every
+    pivot diag(U) is positive.  A factor that left the diagonal or has a
+    pivot <= 0 is rejected as not SPD.
+    """
     try:
-        return spla.splu(
+        lu = spla.splu(
             a.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:
         raise EigenSolveError(f"sparse factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigenSolveError("matrix is not SPD (LU left the diagonal pivots)")
+    pivots = lu.U.diagonal()
+    if not np.all(pivots > 0):
+        raise EigenSolveError(
+            f"matrix is not SPD ({int(np.sum(~(pivots > 0)))} LU pivots <= 0)"
+        )
+    return lu
+
+
+def _solve_operator(lu) -> spla.LinearOperator:
+    return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=np.float64)
 
 
 def extreme_eigenvalues(
@@ -226,7 +247,7 @@ def extreme_eigenvalues(
     lu = _factor_at_zero(a)
     lam_min, v_min, ok_min = _arpack_one(
         a.matrix, tol, maxiter, v0, sigma=0.0, which="LM",
-        opinv=spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=np.float64),
+        opinv=_solve_operator(lu),
     )
     if lam_min <= 0:
         raise EigenSolveError(f"matrix is not SPD (lambda_min = {lam_min:.6g})")
@@ -257,7 +278,9 @@ def generalized_min_eigenvalue(
 ) -> float:
     """Smallest lambda with A u = lambda B u for SPD A and B.
 
-    The iterative path is shift-invert Lanczos on the pencil at shift zero.
+    The iterative path is shift-invert Lanczos on the pencil at shift zero,
+    with the symmetric-mode factor of A that extreme_eigenvalues uses (so an
+    A that is not SPD is rejected by its pivot signs).
     """
     _check_tol(tol)
     if a.order != b.order:
@@ -269,10 +292,11 @@ def generalized_min_eigenvalue(
         return float(vals[0])
 
     v0 = np.random.default_rng(seed).standard_normal(n)
+    opinv = _solve_operator(_factor_at_zero(a))
     try:
         vals, vecs = spla.eigsh(
             a.matrix.tocsc(), k=1, M=b.matrix.tocsc(), sigma=0.0, which="LM",
-            tol=max(tol * 1e-2, 1e-14), maxiter=maxiter, v0=v0,
+            tol=max(tol * 1e-2, 1e-14), maxiter=maxiter, v0=v0, OPinv=opinv,
         )
         lam, v = float(vals[0]), vecs[:, 0]
     except spla.ArpackNoConvergence as exc:

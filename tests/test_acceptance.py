@@ -147,7 +147,8 @@ def test_criterion_5_sharpness_ordering():
     new condition-number bounds in d <= 2."""
     t0 = time.time()
     for mesh in _one_d_test_meshes():
-        assert fc.bound_lambda_min_A(mesh, I1) >= fc.bound_lambda_min_fried(mesh, I1)
+        raw = fc.evaluate_raw_bounds(mesh, I1)
+        assert raw["new.lambda_min.A"] >= raw["fried.lambda_min"]
 
     import dataclasses
 
@@ -167,10 +168,10 @@ def test_criterion_5_sharpness_ordering():
         capped = dataclasses.replace(
             geometry, d_k=np.full(mesh.n_elements, mesh.h_domain)
         )
-        orig = fc.bound_kappa(mesh, field, geometry=geometry, metrics=metrics)
-        wide = fc.bound_kappa(mesh, field, geometry=capped, metrics=metrics)
-        assert wide[0] >= orig[0]
-        assert wide[1] >= orig[1]
+        orig = fc.evaluate_raw_bounds(mesh, field, geometry=geometry, metrics=metrics)
+        wide = fc.evaluate_raw_bounds(mesh, field, geometry=capped, metrics=metrics)
+        assert wide["new.kappa.A"] >= orig["new.kappa.A"]
+        assert wide["new.kappa.SAS"] >= orig["new.kappa.SAS"]
     _finish("5 sharpness ordering (fried dominance, distance monotonicity)", t0, 60.0)
 
 

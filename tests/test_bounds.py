@@ -138,7 +138,7 @@ class TestBoundLambdaRho:
 class TestBoundLambdaMinA:
     def test_1d_uniform_value_and_calibration_constant(self):
         m = fc.generate_uniform(1, 4)
-        raw = fc.bound_lambda_min_A(m, I1)
+        raw = evaluate_raw_bounds(m, I1)["new.lambda_min.A"]
         assert raw == pytest.approx(2.0 / 3.0, rel=1e-14)
         exact = 4 * (2 - math.sqrt(2))
         assert exact / raw == pytest.approx(3.5147, abs=2e-4)
@@ -149,19 +149,22 @@ class TestBoundLambdaMinA:
         for n in sizes:
             m = fc.generate_uniform(2, n)
             ns.append(m.n_elements)
-            vals.append(fc.bound_lambda_min_A(m, I2))
+            vals.append(evaluate_raw_bounds(m, I2)["new.lambda_min.A"])
         assert fit_loglog_slope(ns, vals) == pytest.approx(-1.0, abs=0.1)
 
     def test_dominates_fried_on_power2(self):
         for n in (6, 10, 16, 24):
             m = fc.generate_power2_1d(n)
-            assert fc.bound_lambda_min_A(m, I1) >= fc.bound_lambda_min_fried(m, I1)
+            raw = evaluate_raw_bounds(m, I1)
+            assert raw["new.lambda_min.A"] >= raw["fried.lambda_min"]
 
 
 class TestBoundLambdaMinSAS:
     def test_1d_uniform_value(self):
         m = fc.generate_uniform(1, 4)
-        assert fc.bound_lambda_min_SAS(m, I1) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert evaluate_raw_bounds(m, I1)["new.lambda_min.SAS"] == pytest.approx(
+            1.0 / 6.0, rel=1e-14
+        )
 
     def test_uniform_slope_minus_two_over_d(self):
         for dim, field, sizes in ((1, I1, [8, 16, 32, 64]), (2, I2, [4, 8, 16, 32])):
@@ -169,14 +172,14 @@ class TestBoundLambdaMinSAS:
             for n in sizes:
                 m = fc.generate_uniform(dim, n)
                 ns.append(m.n_elements)
-                vals.append(fc.bound_lambda_min_SAS(m, field))
+                vals.append(evaluate_raw_bounds(m, field)["new.lambda_min.SAS"])
             assert fit_loglog_slope(ns, vals) == pytest.approx(-2.0 / dim, abs=0.15)
 
     def test_aspect_one_layer_equals_uniform(self):
         bl = fc.generate_boundary_layer(2, 9, 1.0)
         un = fc.generate_uniform(2, 8)
-        assert fc.bound_lambda_min_SAS(bl, I2) == pytest.approx(
-            fc.bound_lambda_min_SAS(un, I2), rel=1e-10
+        assert evaluate_raw_bounds(bl, I2)["new.lambda_min.SAS"] == pytest.approx(
+            evaluate_raw_bounds(un, I2)["new.lambda_min.SAS"], rel=1e-10
         )
 
 
@@ -211,19 +214,17 @@ class TestBoundKappa:
             fc.generate_chebyshev_1d(24),
             fc.generate_power2_1d(12),
         ):
-            kappa_a, kappa_sas = fc.bound_kappa(mesh, I1)
-            prior_a, prior_sas = fc.bound_kappa_prior(mesh, I1)
+            raw = evaluate_raw_bounds(mesh, I1)
             special = kappa_bounds_1d(mesh)
-            assert kappa_a == pytest.approx(special["new.kappa.A"], rel=1e-12)
-            assert kappa_sas == pytest.approx(special["new.kappa.SAS"], rel=1e-12)
-            assert prior_a == pytest.approx(special["prior.kappa.A"], rel=1e-12)
-            assert prior_sas == pytest.approx(special["prior.kappa.SAS"], rel=1e-12)
+            for bid in ("new.kappa.A", "new.kappa.SAS", "prior.kappa.A", "prior.kappa.SAS"):
+                assert raw[bid] == pytest.approx(special[bid], rel=1e-12)
 
     def test_chebyshev_sweep_slopes(self):
         ns, kappa_a, kappa_sas = [], [], []
         for n in (64, 128, 256, 512):
             m = fc.generate_chebyshev_1d(n)
-            a, s = fc.bound_kappa(m, I1)
+            raw = evaluate_raw_bounds(m, I1)
+            a, s = raw["new.kappa.A"], raw["new.kappa.SAS"]
             ns.append(n)
             kappa_a.append(a)
             kappa_sas.append(s)
@@ -234,7 +235,8 @@ class TestBoundKappa:
         values = {}
         for n in (12, 16, 20, 24):
             m = fc.generate_power2_1d(n)
-            values[n] = fc.bound_kappa(m, I1)
+            raw = evaluate_raw_bounds(m, I1)
+            values[n] = (raw["new.kappa.A"], raw["new.kappa.SAS"])
         # kappa(A) bound doubles per unit step in n, kappa(SAS) bound is linear
         assert values[24][0] / values[20][0] == pytest.approx(2.0**4, rel=0.05)
         assert fit_loglog_slope(list(values), [v[1] for v in values.values()]) == pytest.approx(
@@ -250,10 +252,10 @@ class TestBoundKappa:
             capped = dataclasses.replace(
                 geometry, d_k=np.full(mesh.n_elements, mesh.h_domain)
             )
-            orig = fc.bound_kappa(mesh, field, geometry=geometry, metrics=metrics)
-            subbed = fc.bound_kappa(mesh, field, geometry=capped, metrics=metrics)
-            assert subbed[0] >= orig[0]
-            assert subbed[1] >= orig[1]
+            orig = evaluate_raw_bounds(mesh, field, geometry=geometry, metrics=metrics)
+            subbed = evaluate_raw_bounds(mesh, field, geometry=capped, metrics=metrics)
+            assert subbed["new.kappa.A"] >= orig["new.kappa.A"]
+            assert subbed["new.kappa.SAS"] >= orig["new.kappa.SAS"]
 
 
 class TestBoundKappaPrior:
@@ -261,9 +263,8 @@ class TestBoundKappaPrior:
         ratios = []
         for n in (12, 16, 20, 24):
             m = fc.generate_power2_1d(n)
-            _, new_sas = fc.bound_kappa(m, I1)
-            _, prior_sas = fc.bound_kappa_prior(m, I1)
-            ratios.append(new_sas / prior_sas)
+            raw = evaluate_raw_bounds(m, I1)
+            ratios.append(raw["new.kappa.SAS"] / raw["prior.kappa.SAS"])
         for a, b in zip(ratios, ratios[1:]):
             assert b <= a / 1.5
 
@@ -271,9 +272,8 @@ class TestBoundKappaPrior:
         ratios = []
         for n in (32, 64, 128, 256, 512):
             m = fc.generate_chebyshev_1d(n)
-            _, new_sas = fc.bound_kappa(m, I1)
-            _, prior_sas = fc.bound_kappa_prior(m, I1)
-            ratios.append(prior_sas / new_sas)
+            raw = evaluate_raw_bounds(m, I1)
+            ratios.append(raw["prior.kappa.SAS"] / raw["new.kappa.SAS"])
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_uniform_ratio_bounded(self):
@@ -281,9 +281,8 @@ class TestBoundKappaPrior:
             ratios = []
             for n in sizes:
                 m = fc.generate_uniform(dim, n)
-                new = fc.bound_kappa(m, field)
-                prior = fc.bound_kappa_prior(m, field)
-                ratios.append(prior[1] / new[1])
+                raw = evaluate_raw_bounds(m, field)
+                ratios.append(raw["prior.kappa.SAS"] / raw["new.kappa.SAS"])
             assert max(ratios) / min(ratios) <= 1.3
             assert 0.5 <= min(ratios) and max(ratios) <= 8.0
 
@@ -292,13 +291,15 @@ class TestBoundFried:
     def test_uniform_equals_dmin_over_n(self):
         for dim, field in ((1, I1), (2, I2), (3, I3)):
             m = fc.generate_uniform(dim, 3)
-            assert fc.bound_lambda_min_fried(m, field) == pytest.approx(
+            assert evaluate_raw_bounds(m, field)["fried.lambda_min"] == pytest.approx(
                 1.0 / m.n_elements, rel=1e-12
             )
 
     def test_power2_independent_of_grading(self):
         m = fc.generate_power2_1d(10)
-        assert fc.bound_lambda_min_fried(m, I1) == pytest.approx(1.0 / 10, rel=1e-15)
+        assert evaluate_raw_bounds(m, I1)["fried.lambda_min"] == pytest.approx(
+            1.0 / 10, rel=1e-15
+        )
 
     def test_new_dominates_on_random_graded_1d(self, rng):
         for _ in range(100):
@@ -309,26 +310,30 @@ class TestBoundFried:
             mesh = fc.SimplicialMesh(
                 1, nodes, np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
             )
-            assert fc.bound_lambda_min_A(mesh, I1) >= fc.bound_lambda_min_fried(mesh, I1)
+            raw = evaluate_raw_bounds(mesh, I1)
+            assert raw["new.lambda_min.A"] >= raw["fried.lambda_min"]
 
 
 class TestBoundConjectured:
     def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            fc.bound_kappa_sas_conjectured(fc.generate_uniform(1, 4), I1)
+        # the conjectured id reads NaN outside 2D
+        for dim, field in ((1, I1), (3, I3)):
+            raw = evaluate_raw_bounds(fc.generate_uniform(dim, 4 if dim == 1 else 2), field)
+            assert math.isnan(raw["conjectured.kappa.SAS"])
 
     def test_zero_distance_gives_zero(self):
         m = fc.generate_uniform(2, 3)
         _, geometry = fc.compute_metrics(m)
         flat = dataclasses.replace(geometry, d_k=np.zeros(m.n_elements))
-        assert fc.bound_kappa_sas_conjectured(m, I2, geometry=flat) == 0.0
+        raw = evaluate_raw_bounds(m, I2, geometry=flat)
+        assert raw["conjectured.kappa.SAS"] == 0.0
 
     def test_uniform_growth_close_to_n_log_n(self):
         ns, vals = [], []
         for n in (8, 16, 32):
             m = fc.generate_uniform(2, n)
             ns.append(m.n_elements)
-            vals.append(fc.bound_kappa_sas_conjectured(m, I2))
+            vals.append(evaluate_raw_bounds(m, I2)["conjectured.kappa.SAS"])
         slope = fit_loglog_slope(ns, vals)
         assert 1.0 <= slope <= 1.35  # N log N reads as slope slightly above 1
 
@@ -415,11 +420,12 @@ class TestPSensitivity:
     def test_continuous_and_vanishing_at_limit(self):
         m = fc.generate_uniform(3, 2)
         ps = np.linspace(1.2, 2.9, 20)
-        vals = [fc.bound_lambda_min_A(m, I3, p) for p in ps]
+        vals = [evaluate_raw_bounds(m, I3, p)["new.lambda_min.A"] for p in ps]
         diffs = np.abs(np.diff(vals)) / np.abs(np.asarray(vals[:-1]))
         assert np.all(diffs < 0.25)
         # the prefactor kills the bound as p approaches the admissible limit
-        tail = [fc.bound_lambda_min_A(m, I3, p) for p in (2.99, 2.999, 2.999999)]
+        tail = [evaluate_raw_bounds(m, I3, p)["new.lambda_min.A"]
+                for p in (2.99, 2.999, 2.999999)]
         assert tail[0] > tail[1] > tail[2]
         assert tail[2] < 0.05 * max(vals)
 

@@ -30,6 +30,20 @@ class TestGenerate:
         aspect = float(text.split("max_aspect=")[1].split()[0])
         assert 125.0 <= aspect <= 250.0
 
+    def test_summary_needs_no_boundary_distances(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("boundary distances computed")
+
+        monkeypatch.setattr(fc.mesh, "_boundary_distance_batch", fail)
+        out = tmp_path / "bl.json"
+        assert run([
+            "generate", "--family", "boundary_layer_2d",
+            "--n-core", "6", "--aspect", "25", "-o", out,
+        ]) == 0
+        mesh = fc.import_mesh(out, "native_json")
+        text = capsys.readouterr().out
+        assert f"|K_min|={format(float(mesh.volumes.min()), '.17g')} " in text
+
     def test_invalid_aspect_exits_2(self, tmp_path, capsys):
         code = run([
             "generate", "--family", "boundary_layer_2d",

@@ -1,6 +1,10 @@
+import dataclasses
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import femcond as fc
 
@@ -18,3 +22,29 @@ def test_import_loads_no_heavy_scipy_module():
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench.py"
+    spec = importlib.util.spec_from_file_location("femcond_perfbench", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name, instance", [("bl3d-n", (4, 25.0)),
+                                            ("varfield-2d", (12, 5.0))])
+def test_benchmark_replay_resolves(bench, name, instance):
+    # The traced pass calls the package's public functions with the
+    # arguments the benchmark passes; none of those calls may raise.
+    workload = dataclasses.replace(bench.WORKLOADS[name], instances=(instance,))
+    _, outcomes, _ = bench.run_traced_pass(workload, 0, {}, "t")
+    assert len(outcomes) == 1
+    assert not any((o.failure or "").startswith("raised") for o in outcomes)

@@ -181,6 +181,31 @@ class TestFilteredLambdaMax:
         assert a.matrix.nnz + a.order <= r.factor_nnz < default.L.nnz + default.U.nnz
 
 
+class TestInertia:
+    """Shift-invert at zero finds the eigenvalue nearest zero; the pivot
+    signs of its factor reject an indefinite matrix whose eigenvalue nearest
+    zero is positive."""
+
+    def test_indefinite_with_positive_eigenvalue_nearest_zero(self):
+        diag = np.concatenate([[-10.0], np.linspace(1.0, 2.0, 2999)])
+        a = SparseSymmetric(sp.diags(diag, format="csr"))
+        with pytest.raises(EigenSolveError, match="not SPD"):
+            extreme_eigenvalues(a)
+
+    def test_boundary_layer_shifted_between_two_smallest(self):
+        mesh = fc.generate_boundary_layer(2, 60, 5.0)
+        a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
+        assert a.order == 3600
+        lam1, lam2 = np.sort(spla.eigsh(a.matrix.tocsc(), k=2, sigma=0.0, which="LM",
+                                        return_eigenvectors=False))
+        # one negative eigenvalue; the positive lam2 - shift is nearest zero
+        shift = 0.25 * lam1 + 0.75 * lam2
+        shifted = SparseSymmetric(
+            (a.matrix - shift * sp.identity(a.order, format="csr")).tocsr())
+        with pytest.raises(EigenSolveError, match="not SPD"):
+            extreme_eigenvalues(shifted)
+
+
 class TestGeneralizedMinEigenvalue:
     def test_equal_matrices(self):
         m = fc.generate_uniform(1, 8)
@@ -209,6 +234,23 @@ class TestGeneralizedMinEigenvalue:
         dense = generalized_min_eigenvalue(a, b)
         iterative = generalized_min_eigenvalue(a, b, dense_cutoff=10)
         assert iterative == pytest.approx(dense, rel=1e-7)
+
+    def test_iterative_path_uses_the_symmetric_mode_factor(self, monkeypatch):
+        mesh = fc.generate_boundary_layer(2, 20, 25.0)
+        a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
+        b = fc.assemble_mass_weighted(mesh, fc.density_equidistributed(mesh))
+        dense = generalized_min_eigenvalue(a, b)
+        calls = []
+        factor = fc.spectra._factor_at_zero
+
+        def counting(m):
+            calls.append(m)
+            return factor(m)
+
+        monkeypatch.setattr(fc.spectra, "_factor_at_zero", counting)
+        iterative = generalized_min_eigenvalue(a, b, dense_cutoff=10)
+        assert len(calls) == 1 and calls[0] is a
+        assert iterative == pytest.approx(dense, rel=1e-10)
 
 
 class TestConditionReport:
