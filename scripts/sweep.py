@@ -53,9 +53,10 @@ EXPERIMENTS = {
 }
 
 
-def commands(family: str) -> list[list[str]]:
-    """The calibrate command, then one sweep command per table row."""
-    out = RESULTS / family
+def commands(family: str, root: Path = RESULTS) -> list[list[str]]:
+    """The calibrate command, then one sweep command per table row, writing
+    under root/family."""
+    out = root / family
     cal_file, cal_args, sweeps = EXPERIMENTS[family]
     cal = str(out / cal_file)
     argvs = [["calibrate", *cal_args, "-o", cal]]

@@ -491,6 +491,9 @@ def _spectral_json(r: SpectralResult) -> dict:
         "method": r.method,
         "residual": r.residual,
         "converged": r.converged,
+        "lambda_min_lower": r.lambda_min_lower,
+        "lambda_max_upper": r.lambda_max_upper,
+        "certified": r.certified,
         "matvecs": r.matvecs,
         "factor_nnz": r.factor_nnz,
     }

@@ -189,6 +189,11 @@ def _print_report(report) -> None:
             f"method={r.method} residual={r.residual:.2e} "
             f"matvecs={r.matvecs} factor_nnz={r.factor_nnz}{flag}"
         )
+        print(
+            f"  enclosure: {_fmt(r.lambda_min_lower)} <= lambda_min, "
+            f"lambda_max <= {_fmt(r.lambda_max_upper)}"
+            + ("" if r.certified else "  [NOT CERTIFIED]")
+        )
     print(
         f"lambda_max sandwich: {_fmt(report.lambda_max_lower)} <= lambda_max(A) "
         f"<= {_fmt(report.upper_lambda_max_A)}"

@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+# Points x facets (or planes) per block of a boundary-distance pass; 512 KiB
+# stays in cache.  Geometric comparisons carry a slack of _SLACK times the
+# coordinate scale.
+_BLOCK = 1 << 16
+_SLACK = 1e-10
+
+
 class MeshError(ValueError):
     """Base class for mesh construction and query failures."""
 
@@ -224,6 +231,48 @@ class SimplicialMesh:
             diff = np.subtract.outer(b[:, k], b[:, k])
             sq += np.multiply(diff, diff, out=diff)
         return float(np.sqrt(sq.max()))
+
+    @cached_property
+    def convex_half_spaces(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Facet planes (normals, offsets) of a convex domain, else None.
+
+        Each boundary facet spans a plane n . x = c with unit normal n
+        pointing away from the volume centroid of the mesh; coplanar facets
+        are merged into one plane (normal and offset rounded to 12 digits of
+        the coordinate scale).  The domain is called convex when every
+        boundary vertex v satisfies every plane, n . v <= c + slack with the
+        slack 1e-10 times the coordinate scale.  Every facet then lies on a
+        supporting plane of the convex hull of the vertices, so the boundary
+        of the domain lies on the hull's boundary and the domain is the hull
+        itself, {x : n . x <= c for every plane}.  None for a non-convex
+        domain and in 1D, where the boundary is two points.
+        """
+        if self.dim == 1:
+            return None
+        corners = self.vertices[self.boundary_facets]  # facet, corner, coordinate
+        edges = corners[:, 1:] - corners[:, :1]
+        if self.dim == 2:
+            normal = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
+        else:
+            normal = np.cross(edges[:, 0], edges[:, 1])
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        offset = (normal * corners[:, 0]).sum(axis=1)
+        centre = self.volumes @ self.centroids() / self.volumes.sum()
+        outward = np.where(offset >= normal @ centre, 1.0, -1.0)
+        normal *= outward[:, None]
+        offset *= outward
+        scale = float(np.abs(self.vertices).max()) or 1.0
+        key = np.round(np.column_stack([normal, offset / scale]), 12)
+        first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        normal, offset = normal[first], offset[first]
+
+        limit = offset + _SLACK * scale
+        b = self.vertices[self.boundary_vertex_flags]
+        chunk = max(1, _BLOCK // len(offset))
+        for s in range(0, len(b), chunk):
+            if np.any(b[s:s + chunk] @ normal.T > limit):
+                return None
+        return normal, offset
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.elements].mean(axis=1)
@@ -451,11 +500,33 @@ def _triangle_distance_pairs(p, a, b, c):
     return np.where(inside, d_in, d_edge)
 
 
-_PRUNE_BLOCK = 1 << 16  # points x facets per pruning block; 512 KiB stays in cache
-_PRUNE_SLACK = 1e-10    # relative to the coordinate scale
-
-
 def _boundary_distance_batch(mesh: SimplicialMesh, points: np.ndarray) -> np.ndarray:
+    """Distance d(p) from each point of the closed domain to its boundary.
+
+    On a convex domain (SimplicialMesh.convex_half_spaces: every boundary
+    vertex satisfies every facet plane) the domain is {x : n . x <= c} over
+    its facet planes, and for a point p inside it the distance to the
+    boundary is the distance to the nearest plane:
+    d(p) = min over planes of (c - n . p).  Each term bounds d(p) from above
+    (the foot of the perpendicular lies on the plane, and the segment to it
+    leaves the domain no later than the plane), and the minimum is attained
+    (the ball of that radius lies in every half-space).  Values below zero,
+    which rounding can give on the boundary, are clipped to zero.  On an
+    axis-aligned box the normals are exact unit vectors, so the result is
+    bit-identical to the facet search.
+
+    Any other domain, and the 1D interval, goes through
+    _boundary_distance_search.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    planes = mesh.convex_half_spaces
+    if planes is None:
+        return _boundary_distance_search(mesh, points)
+    normal, offset = planes
+    return np.maximum((offset - points @ normal.T).min(axis=1), 0.0)
+
+
+def _boundary_distance_search(mesh: SimplicialMesh, points: np.ndarray) -> np.ndarray:
     """Distance d(p) = min over boundary facets f of dist(p, f), per point.
 
     Exact two-stage search.  Facet f has centre c_f (mean of its corners)
@@ -490,10 +561,10 @@ def _boundary_distance_batch(mesh: SimplicialMesh, points: np.ndarray) -> np.nda
     ends = [corners[:, i] for i in range(mesh.dim)]
     kernel = _segment_distance_pairs if mesh.dim == 2 else _triangle_distance_pairs
     scale = max(np.abs(corners).max(), np.abs(points).max(initial=0.0))
-    slack = _PRUNE_SLACK * scale
+    slack = _SLACK * scale
 
     out = np.empty(len(points))
-    chunk = max(1, _PRUNE_BLOCK // len(bf))
+    chunk = max(1, _BLOCK // len(bf))
     near_buf = np.empty((min(chunk, len(points)), len(bf)))
     diff_buf = np.empty_like(near_buf)
     keep_buf = np.empty(near_buf.shape, dtype=bool)

@@ -1,10 +1,11 @@
 """Extreme eigenvalues and condition numbers of symmetric matrices.
 
-Small systems (order <= 2000) go through a dense symmetric eigensolver.
-Larger ones use implicitly restarted Lanczos (ARPACK) for both ends.
+Small systems (order <= 300) go through a dense symmetric eigensolver.
+Larger ones use implicitly restarted Lanczos (ARPACK) for both ends, and
+each end is then certified by the inertia of a shifted factor (below).
 Every returned eigenvalue carries an explicitly computed relative residual
 ||A v - lambda v|| / ||lambda v|| on A itself; results that miss the
-requested tolerance are flagged, not hidden.
+requested tolerance or their certificate are flagged, not hidden.
 
 lambda_max: filtered Lanczos.  On anisotropic meshes the top of the
 spectrum is tightly clustered (relative gaps near 1e-8), so plain Lanczos
@@ -27,6 +28,36 @@ pivots), which fills far less than the default column ordering.  Shift-invert
 finds the eigenvalue nearest zero, which is the smallest one only if A is
 positive definite; the signs of the diagonal pivots give A's inertia
 (Sylvester), so a factor with a pivot <= 0 is rejected as not SPD.
+
+Certificates.  A small residual only says that (theta, v) is close to some
+eigenpair, possibly an interior one.  Both ends are therefore enclosed by
+shifted factors, with the same pivot-sign test:
+  lambda_max in [theta_max, sigma_hi + delta]: sigma_hi I - A has all
+      pivots positive, sigma_hi = theta_max (1 + tol 1e-2);
+  lambda_min in [sigma_lo - delta, theta_min]: A - sigma_lo I has all
+      pivots positive, sigma_lo = theta_min (1 - tol 1e-2).
+The left end of the first and the right end of the second hold because
+theta_max is a Rayleigh quotient on A and theta_min the inverse of a
+Rayleigh quotient on A^-1.  When sigma_lo - delta <= 0 the lower end is 0,
+which the factor at zero certifies.  Each factor is built, read and
+released in turn, so only one is held at a time.
+
+Rounding margin delta.  With diagonal pivots the symmetric-mode LU of a
+symmetric M performs the operations of M = L D L^T (U = D L^T).  The
+computed factors are the exact ones of M + E with
+|E| <= g |L| |D| |L^T|, g = gamma_w / (1 - gamma_w), gamma_w = w u / (1 - w u),
+u the unit roundoff and w - 1 the largest number of nonzeros in a column of
+U, which bounds the terms of every inner product (Higham, Accuracy and
+Stability of Numerical Algorithms, Thm 10.3, on the sparsity pattern;
+Rump, BIT 46, 2006).  All pivots positive makes D > 0, and Cauchy-Schwarz
+then gives (|L| |D| |L^T|)_ij <= sqrt(m_ii m_jj), the diagonal taken of M + E
+(which the 1 / (1 - gamma_w) absorbs).  For the nonnegative |E| with
+positive weights s_j = sqrt(m_jj), ||E||_2 <= rho(|E|) <= max_i sum_j
+|E_ij| s_j / s_i <= g max_i sum_j m_jj, the sum over the filled pattern of
+row i of L + U.  Forming M rounds its diagonal by at most u max_j |m_jj|.
+So delta = g max_i sum_j m_jj + u max_j |m_jj|: positive pivots prove that
+M + E is SPD with ||E||_2 <= delta, i.e. that lambda_min(M) > -delta.
+Underflow is not modelled; the entries here are far above it.
 """
 
 from __future__ import annotations
@@ -51,7 +82,7 @@ __all__ = [
     "DEFAULT_TOL",
 ]
 
-DENSE_CUTOFF = 2000
+DENSE_CUTOFF = 300
 DEFAULT_TOL = 1e-8
 # Chebyshev filter of the lambda_max solve: its odd degree, and the relative
 # margin by which its lower end sits below the interlacing bound.
@@ -67,11 +98,16 @@ class EigenSolveError(RuntimeError):
 class SpectralResult:
     """Extreme eigenvalues of an SPD matrix with certificates.
 
-    residual is the larger of the two achieved relative residuals; the
-    converged flag is False when the iteration cap was reached first (the
-    values are then best estimates).  On the iterative path, matvecs counts
-    the products with A spent on lambda_max and factor_nnz is the L + U
-    fill of the shift-invert factorization; both are 0 on the dense path.
+    residual is the larger of the two achieved relative residuals.
+    [lambda_min_lower, lambda_min] and [lambda_max, lambda_max_upper]
+    enclose the extreme eigenvalues; certified is True when both enclosures
+    are proven (on the dense path the whole spectrum is computed, and the
+    enclosures collapse to the computed values).  The converged flag is
+    False when the iteration cap was reached first, a residual misses the
+    tolerance or a certificate fails (the values are then best estimates).
+    On the iterative path, matvecs counts the products with A spent on
+    lambda_max and factor_nnz is the L + U fill of the shift-invert
+    factorization; both are 0 on the dense path.
     """
 
     lambda_min: float
@@ -80,6 +116,9 @@ class SpectralResult:
     method: str  # "dense" or "lanczos_shift_invert"
     residual: float
     converged: bool = True
+    lambda_min_lower: float = float("nan")
+    lambda_max_upper: float = float("nan")
+    certified: bool = False
     matvecs: int = 0
     factor_nnz: int = 0
     v_min: np.ndarray | None = None
@@ -112,6 +151,9 @@ def _dense_extremes(a: SparseSymmetric, tol: float) -> SpectralResult:
         method="dense",
         residual=res,
         converged=res <= tol,
+        lambda_min_lower=lam_min,
+        lambda_max_upper=lam_max,
+        certified=True,
         v_min=vecs[:, 0].copy(),
         v_max=vecs[:, -1].copy(),
     )
@@ -191,34 +233,83 @@ def _lambda_max_filtered(a: SparseSymmetric, tol, maxiter, v0):
     return float(v @ (a.matrix @ v) / (v @ v)), v, ok, op.matvecs
 
 
-def _factor_at_zero(a: SparseSymmetric):
-    """Sparse LU of A for shift-invert at zero, in SuperLU's symmetric mode:
-    minimum-degree ordering on A + A^T and diagonal pivots.
+def _symmetric_lu(matrix):
+    """Sparse LU in SuperLU's symmetric mode: minimum-degree ordering on
+    A + A^T and diagonal pivots."""
+    return spla.splu(
+        matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+
+def _nonpositive_pivots(lu) -> int | None:
+    """Number of pivots <= 0 of a symmetric-mode factor, or None when it
+    left the diagonal pivots (its inertia is then unknown).
 
     With diagonal pivots (perm_r == perm_c) the factor is P^T A P = L U with
     U = D L^T, so by Sylvester's law of inertia A is SPD exactly when every
-    pivot diag(U) is positive.  A factor that left the diagonal or has a
-    pivot <= 0 is rejected as not SPD.
+    pivot diag(U) is positive.
     """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.sum(~(lu.U.diagonal() > 0)))
+
+
+def _factor_at_zero(a: SparseSymmetric):
+    """Symmetric-mode LU of A for shift-invert at zero; a factor that left
+    the diagonal or has a pivot <= 0 is rejected as not SPD."""
     try:
-        lu = spla.splu(
-            a.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        lu = _symmetric_lu(a.matrix)
     except RuntimeError as exc:
         raise EigenSolveError(f"sparse factorization failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
+    bad = _nonpositive_pivots(lu)
+    if bad is None:
         raise EigenSolveError("matrix is not SPD (LU left the diagonal pivots)")
-    pivots = lu.U.diagonal()
-    if not np.all(pivots > 0):
-        raise EigenSolveError(
-            f"matrix is not SPD ({int(np.sum(~(pivots > 0)))} LU pivots <= 0)"
-        )
+    if bad:
+        raise EigenSolveError(f"matrix is not SPD ({bad} LU pivots <= 0)")
     return lu
+
+
+def _shifted_bound(a: SparseSymmetric, sigma: float, upper: bool) -> float | None:
+    """Certified end of the spectrum from one shifted factor (see the module
+    docstring): sigma + delta >= lambda_max when upper and sigma I - A has
+    all pivots positive, sigma - delta <= lambda_min when not upper and
+    A - sigma I has.  None when a pivot is <= 0, the factor left the
+    diagonal or the factorization failed.  The factor is released on
+    return."""
+    eye = sp.identity(a.order, format="csr")
+    m = (sigma * eye - a.matrix) if upper else (a.matrix - sigma * eye)
+    try:
+        lu = _symmetric_lu(m)
+    except RuntimeError:
+        return None
+    if _nonpositive_pivots(lu) != 0:
+        return None
+    u_csc = lu.U
+    col_count = np.diff(u_csc.indptr)
+    diag = np.empty(a.order)
+    diag[lu.perm_c] = m.diagonal()  # in the factor's (permuted) order
+    # Sum of m_jj over the filled pattern of each row of L + U: the row of U
+    # plus the column of U (the row of L, as U = D L^T), diagonal once.
+    row_sum = (np.bincount(u_csc.indices, weights=np.repeat(diag, col_count),
+                           minlength=a.order)
+               + np.add.reduceat(diag[u_csc.indices], u_csc.indptr[:-1]) - diag)
+    u = np.finfo(float).eps / 2
+    w = int(col_count.max()) + 1
+    gamma = w * u / (1 - w * u)
+    delta = gamma / (1 - gamma) * float(row_sum.max()) + u * float(np.abs(diag).max())
+    return sigma + delta if upper else sigma - delta
 
 
 def _solve_operator(lu) -> spla.LinearOperator:
     return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=np.float64)
+
+
+def _lambda_min_shift_invert(a: SparseSymmetric, lu, tol, maxiter, v0):
+    """Eigenvalue nearest zero by shift-invert Lanczos with the factor lu of
+    A.  Returns (value, vector, converged)."""
+    return _arpack_one(a.matrix, tol, maxiter, v0, sigma=0.0, which="LM",
+                       opinv=_solve_operator(lu))
 
 
 def extreme_eigenvalues(
@@ -244,13 +335,17 @@ def extreme_eigenvalues(
 
     v0 = np.random.default_rng(seed).standard_normal(n)
     lam_max, v_max, ok_max, matvecs = _lambda_max_filtered(a, tol, maxiter, v0)
+    # One factor at a time: each certificate factor is released before the
+    # next factor is built.
+    upper = _shifted_bound(a, lam_max * (1 + tol * 1e-2), upper=True)
     lu = _factor_at_zero(a)
-    lam_min, v_min, ok_min = _arpack_one(
-        a.matrix, tol, maxiter, v0, sigma=0.0, which="LM",
-        opinv=_solve_operator(lu),
-    )
+    lam_min, v_min, ok_min = _lambda_min_shift_invert(a, lu, tol, maxiter, v0)
+    factor_nnz = lu.L.nnz + lu.U.nnz
+    del lu
     if lam_min <= 0:
         raise EigenSolveError(f"matrix is not SPD (lambda_min = {lam_min:.6g})")
+    lower = _shifted_bound(a, lam_min * (1 - tol * 1e-2), upper=False)
+    certified = upper is not None and lower is not None
 
     res = max(_rel_residual(a, lam_min, v_min), _rel_residual(a, lam_max, v_max))
     return SpectralResult(
@@ -259,9 +354,12 @@ def extreme_eigenvalues(
         kappa=lam_max / lam_min,
         method="lanczos_shift_invert",
         residual=res,
-        converged=ok_min and ok_max and res <= tol,
+        converged=ok_min and ok_max and res <= tol and certified,
+        lambda_min_lower=max(lower, 0.0) if lower is not None else float("nan"),
+        lambda_max_upper=upper if upper is not None else float("nan"),
+        certified=certified,
         matvecs=matvecs,
-        factor_nnz=lu.L.nnz + lu.U.nnz,
+        factor_nnz=factor_nnz,
         v_min=v_min,
         v_max=v_max,
     )

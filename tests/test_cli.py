@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import femcond as fc
-from femcond.cli import SweepSpec, fit_loglog_slope, main
+from femcond.cli import SweepSpec, _fmt, fit_loglog_slope, main
 
 
 def run(args):
@@ -94,6 +94,25 @@ class TestAnalyze:
             assert exact["method"] == "lanczos_shift_invert"
             assert exact["matvecs"] > 0 and exact["factor_nnz"] > 0
             assert f"matvecs={exact['matvecs']} factor_nnz={exact['factor_nnz']}" in line
+
+    def test_certificate_reported(self, tmp_path, capsys):
+        # order 400, above the dense cutoff
+        out = tmp_path / "r.json"
+        assert run([
+            "analyze", "--family", "boundary_layer_2d", "--n-core", "18",
+            "--aspect", "25", "--json", out,
+        ]) == 0
+        data = json.loads(out.read_text())
+        text = capsys.readouterr().out
+        lines = [ln for ln in text.splitlines() if ln.startswith("  enclosure: ")]
+        assert len(lines) == 2
+        for name, line in zip(("A", "SAS"), lines):
+            exact = data["exact"][name]
+            assert exact["method"] == "lanczos_shift_invert" and exact["certified"]
+            assert 0 < exact["lambda_min_lower"] <= exact["lambda_min"]
+            assert exact["lambda_max"] <= exact["lambda_max_upper"]
+            assert line == (f"  enclosure: {_fmt(exact['lambda_min_lower'])} <= lambda_min, "
+                            f"lambda_max <= {_fmt(exact['lambda_max_upper'])}")
 
     def test_matrix_out_round_trips_spectra(self, tmp_path):
         mtx = tmp_path / "a.mtx"

@@ -259,20 +259,24 @@ def _boundary_points(mesh):
     return np.concatenate([mesh.vertices[mesh.boundary_vertex_flags], corners.mean(axis=1)])
 
 
+def _points_of(mesh, rng):
+    """Vertices, centroids and 500 random interior points."""
+    return np.concatenate([
+        mesh.vertices, mesh.centroids(), _random_interior_points(mesh, rng, 500),
+    ])
+
+
 class TestBoundaryDistanceSearch:
     """The pruned search equals the all-pairs search bit for bit."""
 
     @staticmethod
     def _assert_exact(mesh, pts):
-        fast = fc.mesh._boundary_distance_batch(mesh, pts)
+        fast = fc.mesh._boundary_distance_search(mesh, pts)
         assert np.array_equal(fast, boundary_distance_brute(mesh, pts))
         return fast
 
     def _assert_exact_on_mesh(self, mesh, rng):
-        pts = np.concatenate([
-            mesh.vertices, mesh.centroids(), _random_interior_points(mesh, rng, 500),
-        ])
-        self._assert_exact(mesh, pts)
+        self._assert_exact(mesh, _points_of(mesh, rng))
 
     @pytest.mark.parametrize("dim, n_core, aspect", [
         (2, 12, 1.0), (2, 20, 125.0), (3, 4, 25.0), (3, 5, 4.0),
@@ -306,6 +310,72 @@ class TestBoundaryDistanceSearch:
                      fc.generate_boundary_layer(3, 3, 4.0), _l_shaped_mesh()):
             for p in _random_interior_points(mesh, rng, 5):
                 assert fc.distance_to_boundary(mesh, p) == boundary_distance_brute(mesh, p[None])[0]
+
+
+class TestHalfSpaceDistance:
+    """On a convex domain the boundary distance is read from the facet
+    planes; elsewhere the pruned search runs."""
+
+    @staticmethod
+    def _spy_search(monkeypatch):
+        calls = []
+        search = fc.mesh._boundary_distance_search
+
+        def spy(mesh, points):
+            calls.append(mesh)
+            return search(mesh, points)
+
+        monkeypatch.setattr(fc.mesh, "_boundary_distance_search", spy)
+        return calls
+
+    @pytest.mark.parametrize("mesh", [
+        fc.generate_boundary_layer(2, 12, 1.0), fc.generate_boundary_layer(2, 20, 125.0),
+        fc.generate_boundary_layer(3, 4, 25.0), fc.generate_boundary_layer(3, 5, 4.0),
+        fc.generate_uniform(2, 7), fc.generate_uniform(3, 3),
+        fc.generate_uniform(2, 5, domain=[(-1.0, 3.0), (0.5, 0.75)]),
+    ], ids=lambda m: repr(m))
+    def test_equals_brute_force_on_boxes(self, mesh, rng, monkeypatch):
+        calls = self._spy_search(monkeypatch)
+        pts = _points_of(mesh, rng)
+        d = fc.mesh._boundary_distance_batch(mesh, pts)
+        assert np.array_equal(d, boundary_distance_brute(mesh, pts))
+        normals, offsets = mesh.convex_half_spaces
+        assert normals.shape == (2 * mesh.dim, mesh.dim)  # coplanar facets merged
+        assert calls == []
+
+    def test_equals_brute_force_on_perturbed_meshes(self, rng, monkeypatch):
+        calls = self._spy_search(monkeypatch)
+        for _ in range(8):
+            mesh = random_mesh(rng, dim=int(rng.integers(2, 4)))
+            pts = _points_of(mesh, rng)
+            d = fc.mesh._boundary_distance_batch(mesh, pts)
+            assert np.array_equal(d, boundary_distance_brute(mesh, pts))
+        assert calls == []
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sheared_box(self, dim, rng, monkeypatch):
+        base = fc.generate_boundary_layer(dim, 5, 4.0)
+        shear = np.eye(dim)
+        shear[0, 1:] = 0.7
+        shear[-1, 0] = -0.3
+        mesh = fc.SimplicialMesh(dim, 3.0 * base.vertices @ shear.T, base.elements)
+        calls = self._spy_search(monkeypatch)
+        assert mesh.convex_half_spaces is not None
+        assert len(mesh.convex_half_spaces[1]) == 2 * dim
+        pts = _points_of(mesh, rng)
+        d = fc.mesh._boundary_distance_batch(mesh, pts)
+        scale = np.abs(mesh.vertices).max()
+        assert np.abs(d - boundary_distance_brute(mesh, pts)).max() <= 1e-14 * scale
+        assert calls == []
+
+    def test_l_shape_is_not_convex_and_searches(self, rng, monkeypatch):
+        mesh = _l_shaped_mesh()
+        assert mesh.convex_half_spaces is None
+        calls = self._spy_search(monkeypatch)
+        pts = _points_of(mesh, rng)
+        d = fc.mesh._boundary_distance_batch(mesh, pts)
+        assert calls == [mesh]
+        assert np.array_equal(d, boundary_distance_brute(mesh, pts))
 
 
 class TestDomainDiameter:

@@ -59,7 +59,7 @@ class TestExtremeEigenvalues:
                 fc.assemble_stiffness(mesh, fc.DiffusionField.identity(1))
             )
             tol = 1e-8
-            dense = extreme_eigenvalues(a, tol)
+            dense = extreme_eigenvalues(a, tol, dense_cutoff=a.order)
             iterative = extreme_eigenvalues(a, tol, dense_cutoff=10)
             assert iterative.method == "lanczos_shift_invert"
             assert iterative.converged
@@ -111,7 +111,7 @@ class TestFilteredLambdaMax:
     def test_clustered_top_matches_dense_and_unfiltered(self, seed):
         a = _boundary_layer_a()
         tol = 1e-8
-        dense = extreme_eigenvalues(a, tol)
+        dense = extreme_eigenvalues(a, tol, dense_cutoff=a.order)
         filtered = extreme_eigenvalues(a, tol, dense_cutoff=10, seed=seed)
         assert filtered.method == "lanczos_shift_invert"
         assert filtered.converged
@@ -162,7 +162,7 @@ class TestFilteredLambdaMax:
 
     def test_unconverged_lambda_max_is_a_rayleigh_quotient(self):
         a = _boundary_layer_a()
-        dense = extreme_eigenvalues(a)
+        dense = extreme_eigenvalues(a, dense_cutoff=a.order)
         r = extreme_eigenvalues(a, dense_cutoff=10, maxiter=1)
         assert not r.converged
         v = r.v_max
@@ -170,7 +170,8 @@ class TestFilteredLambdaMax:
         assert r.lambda_max <= dense.lambda_max * (1 + 1e-14)
 
     def test_counters_zero_on_dense_path(self):
-        r = extreme_eigenvalues(_boundary_layer_a())
+        a = _boundary_layer_a()
+        r = extreme_eigenvalues(a, dense_cutoff=a.order)
         assert r.method == "dense"
         assert (r.matvecs, r.factor_nnz) == (0, 0)
 
@@ -179,6 +180,78 @@ class TestFilteredLambdaMax:
         r = extreme_eigenvalues(a, dense_cutoff=10)
         default = spla.splu(a.matrix.tocsc())  # COLAMD ordering, partial pivoting
         assert a.matrix.nnz + a.order <= r.factor_nnz < default.L.nnz + default.U.nnz
+
+
+class TestCertificate:
+    """Each iterative end is enclosed by the pivot signs of a shifted
+    factor, so an interior eigenpair with a small residual is not taken for
+    the extreme one."""
+
+    def test_interior_pair_at_the_top_is_rejected(self, monkeypatch):
+        a = _boundary_layer_a()
+        vals, vecs = np.linalg.eigh(a.toarray())
+        assert vals[-2] < vals[-1]
+
+        def second_largest(a_, tol, maxiter, v0):
+            v = vecs[:, -2]
+            return float(v @ (a_.matrix @ v)), v, True, 9
+
+        monkeypatch.setattr(fc.spectra, "_lambda_max_filtered", second_largest)
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.residual <= 1e-8  # the interior pair passes the residual test
+        assert not r.certified
+        assert not r.converged
+
+    def test_interior_pair_at_the_bottom_is_rejected(self, monkeypatch):
+        a = _boundary_layer_a()
+        vals, vecs = np.linalg.eigh(a.toarray())
+        assert vals[0] < vals[1]
+
+        def second_smallest(a_, lu, tol, maxiter, v0):
+            return float(vals[1]), vecs[:, 1], True
+
+        monkeypatch.setattr(fc.spectra, "_lambda_min_shift_invert", second_smallest)
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.residual <= 1e-8
+        assert not r.certified
+        assert not r.converged
+
+    def test_enclosure_on_the_iterative_path(self):
+        a = _boundary_layer_a()
+        vals = np.linalg.eigvalsh(a.toarray())
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.certified and r.converged
+        assert 0 < r.lambda_min_lower <= vals[0] <= r.lambda_min * (1 + 1e-12)
+        assert r.lambda_max * (1 - 1e-12) <= vals[-1] <= r.lambda_max_upper
+        assert r.lambda_max_upper <= r.lambda_max * (1 + 1e-8)
+        assert r.lambda_min_lower >= r.lambda_min * (1 - 1e-6)
+
+    @pytest.fixture(scope="class", params=["2d-400", "3d-1331"])
+    def matrix_and_spectrum(self, request):
+        if request.param == "2d-400":
+            a = _boundary_layer_a()
+        else:
+            mesh = fc.generate_boundary_layer(3, 11, 25.0)
+            a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(3))
+        return a, np.linalg.eigvalsh(a.toarray())
+
+    def test_shift_inside_the_spectrum_is_rejected(self, matrix_and_spectrum):
+        a, vals = matrix_and_spectrum
+        assert fc.spectra._shifted_bound(a, vals[-1] * (1 - 1e-6), upper=True) is None
+        assert fc.spectra._shifted_bound(a, vals[0] * (1 + 1e-6), upper=False) is None
+
+    def test_shift_just_outside_the_spectrum_is_accepted(self, matrix_and_spectrum):
+        a, vals = matrix_and_spectrum
+        hi = fc.spectra._shifted_bound(a, vals[-1] * (1 + 1e-10), upper=True)
+        lo = fc.spectra._shifted_bound(a, vals[0] * (1 - 1e-10), upper=False)
+        assert vals[-1] < hi <= vals[-1] * (1 + 1e-9)
+        assert vals[0] * (1 - 1e-6) <= lo < vals[0]
+
+    def test_dense_path_is_certified_by_the_full_spectrum(self):
+        a = _boundary_layer_a()
+        r = extreme_eigenvalues(a, dense_cutoff=a.order)
+        assert r.certified
+        assert (r.lambda_min_lower, r.lambda_max_upper) == (r.lambda_min, r.lambda_max)
 
 
 class TestInertia:
@@ -239,7 +312,7 @@ class TestGeneralizedMinEigenvalue:
         mesh = fc.generate_boundary_layer(2, 20, 25.0)
         a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
         b = fc.assemble_mass_weighted(mesh, fc.density_equidistributed(mesh))
-        dense = generalized_min_eigenvalue(a, b)
+        dense = generalized_min_eigenvalue(a, b, dense_cutoff=a.order)
         calls = []
         factor = fc.spectra._factor_at_zero
 
