@@ -3,14 +3,10 @@ simplicial meshes: assembly, exact extreme eigenvalues, a-priori bounds, and
 experiment sweeps."""
 
 from .assembly import (
-    DensityFunction,
     DiffusionField,
     SparseSymmetric,
-    assemble_mass_weighted,
     assemble_stiffness,
     average_diffusion_all,
-    density_beta_weighted,
-    density_equidistributed,
     jacobi_scale,
     read_matrix_market,
     write_matrix_market,
@@ -20,8 +16,6 @@ from .bounds import (
     BoundReport,
     Calibration,
     bound_lambda_max,
-    bound_lambda_min_B,
-    bound_lambda_rho,
     build_report,
     calibrate,
     compute_beta,
@@ -43,9 +37,7 @@ from .mesh import (
 )
 from .spectra import (
     SpectralResult,
-    condition_report,
     extreme_eigenvalues,
-    generalized_min_eigenvalue,
 )
 
 __version__ = "0.1.0"

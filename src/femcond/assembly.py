@@ -1,4 +1,4 @@
-"""Stiffness and weighted mass matrix assembly over interior vertices.
+"""Stiffness matrix assembly over interior vertices.
 
 Linear (P1) basis functions on simplicial meshes; the diffusion coefficient
 enters through its per-element average D_K, computed for all elements in one
@@ -24,13 +24,9 @@ from .quadrature import simplex_average_rule
 __all__ = [
     "DiffusionField",
     "SparseSymmetric",
-    "DensityFunction",
     "average_diffusion_all",
     "assemble_stiffness",
-    "assemble_mass_weighted",
     "jacobi_scale",
-    "density_equidistributed",
-    "density_beta_weighted",
     "write_matrix_market",
     "read_matrix_market",
 ]
@@ -238,47 +234,6 @@ def assemble_stiffness(mesh: SimplicialMesh, field: DiffusionField) -> SparseSym
     """Stiffness matrix of the diffusion bilinear form on interior vertices:
     entries sum |K| grad(phi_i) . D_K grad(phi_j) over shared elements."""
     return _stiffness_from_averages(mesh, average_diffusion_all(mesh, field))
-
-
-@dataclass(frozen=True)
-class DensityFunction:
-    """Piecewise-constant positive weight, one value per element."""
-
-    rho_k: np.ndarray
-    rho_max: float = dataclass_field(default=None)
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho_k, dtype=float)
-        object.__setattr__(self, "rho_k", rho)
-        if rho.ndim != 1 or not np.all(rho > 0):
-            raise ValueError("density values must be a 1D array of positives")
-        object.__setattr__(self, "rho_max", float(rho.max()))
-        rho.setflags(write=False)
-
-
-def density_equidistributed(mesh: SimplicialMesh) -> DensityFunction:
-    """Density giving every element the same weighted volume 1/N."""
-    return DensityFunction(1.0 / (mesh.n_elements * mesh.volumes))
-
-
-def density_beta_weighted(mesh: SimplicialMesh, field: DiffusionField) -> DensityFunction:
-    """Density proportional to the per-element anisotropy factor, normalized
-    to unit weighted domain volume."""
-    from .bounds import compute_beta  # assembly <-> bounds is a soft cycle
-
-    beta = compute_beta(mesh, field).beta_k
-    return DensityFunction(beta / float(mesh.volumes @ beta))
-
-
-def assemble_mass_weighted(mesh: SimplicialMesh, rho: DensityFunction) -> SparseSymmetric:
-    """Weighted mass matrix on interior vertices using the exact linear-basis
-    formula int_K phi_i phi_j = |K| (1 + delta_ij) / ((d+1)(d+2))."""
-    if len(rho.rho_k) != mesh.n_elements:
-        raise ValueError("density must have one value per element")
-    d = mesh.dim
-    base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    local = (rho.rho_k * mesh.volumes)[:, None, None] * base[None, :, :]
-    return _assemble_from_local(mesh, local)
 
 
 def jacobi_scale(a: SparseSymmetric) -> SparseSymmetric:

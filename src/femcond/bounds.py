@@ -23,7 +23,7 @@ largest patch sum of those weights over an interior vertex, the
 volume-nonuniformity factors of A and of SAS (the lambda_min bound of each
 is the reciprocal of the factor in its kappa bound), the prior and Fried
 factors, and in 3D the exponents q, expo and prefactor of the p-dependent
-estimate, which `bound_lambda_rho` shares.
+estimate.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .assembly import (
-    DensityFunction,
     DiffusionField,
     SparseSymmetric,
     _stiffness_from_averages,
@@ -45,15 +44,13 @@ from .assembly import (
     jacobi_scale,
 )
 from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics
-from .spectra import DENSE_CUTOFF, SpectralResult, _extreme_pair
+from .spectra import DENSE_CUTOFF, EigenSolveError, SpectralResult, extreme_eigenvalues
 
 __all__ = [
     "AnisotropyMetrics",
     "BoundReport",
     "Calibration",
     "compute_beta",
-    "bound_lambda_min_B",
-    "bound_lambda_rho",
     "bound_lambda_max",
     "evaluate_raw_bounds",
     "calibrate",
@@ -85,10 +82,6 @@ def _resolve_p(dim: int, p: float | None) -> float | None:
     if not (1.0 < p < dim / (dim - 2)):
         raise ValueError(f"p must lie in (1, {dim / (dim - 2)}) for dim {dim}, got {p}")
     return p
-
-
-def _geometry(mesh, geometry: ElementGeometry | None) -> ElementGeometry:
-    return geometry if geometry is not None else compute_metrics(mesh)[1]
 
 
 # -- anisotropy ------------------------------------------------------------
@@ -157,7 +150,8 @@ def compute_beta(
     element_averages: np.ndarray | None = None,
 ) -> AnisotropyMetrics:
     """Per-element anisotropy factors and their normalized maximum."""
-    geometry = _geometry(mesh, geometry)
+    if geometry is None:
+        geometry = compute_metrics(mesh)[1]
     dk = element_averages if element_averages is not None else average_diffusion_all(mesh, field)
     finv = np.linalg.inv(geometry.jacobians)
     m = finv @ dk @ np.swapaxes(finv, 1, 2)
@@ -179,22 +173,6 @@ def _patch_weighted_sums(geometry: ElementGeometry, weights: np.ndarray, n_inter
     return out
 
 
-def bound_lambda_min_B(
-    mesh: SimplicialMesh,
-    rho: DensityFunction,
-    *,
-    geometry: ElementGeometry | None = None,
-) -> float:
-    """Constant-free lower bound on the smallest eigenvalue of the weighted
-    mass matrix: the smallest weighted patch volume over (d+1)(d+2)."""
-    geometry = _geometry(mesh, geometry)
-    if mesh.n_interior == 0:
-        raise ValueError("mesh has no interior vertices")
-    wsums = _patch_weighted_sums(geometry, rho.rho_k * geometry.volumes, mesh.n_interior)
-    d = mesh.dim
-    return float(wsums.min() / ((d + 1) * (d + 2)))
-
-
 def bound_lambda_max(a: SparseSymmetric, dim: int) -> tuple[float, float]:
     """Constant-free sandwich for the largest stiffness eigenvalue:
     (max diagonal, (d+1) * max diagonal)."""
@@ -212,30 +190,6 @@ def _sobolev_exponents(d: int, p: float) -> tuple[float, float, float]:
     expo = q * (d - (d - 2) * p) / (d + 2 * p)
     pref = (d / (d - 2) - p) ** (d / (d + 2 * p))
     return q, expo, pref
-
-
-def bound_lambda_rho(
-    mesh: SimplicialMesh,
-    rho: DensityFunction,
-    p: float | None = None,
-    *,
-    geometry: ElementGeometry | None = None,
-) -> float:
-    """Lower bound (without the generic constant) on the smallest eigenvalue
-    of the Dirichlet Laplacian weighted by the density rho."""
-    geometry = _geometry(mesh, geometry)
-    d = mesh.dim
-    p = _resolve_p(d, p)
-    k_rho = rho.rho_k * geometry.volumes
-    d_k = geometry.d_k
-    if d == 1:
-        return float(1.0 / (k_rho @ d_k))
-    if d == 2:
-        s = k_rho @ np.log1p(d_k * rho.rho_max) ** 2
-        return float((1.0 + s) ** -0.5)
-    q, expo, pref = _sobolev_exponents(d, p)
-    s = np.sum(k_rho**q * geometry.volumes ** (-1.0 / (p - 1.0)) * d_k**expo)
-    return float(pref * s ** (-1.0 / q))
 
 
 def evaluate_raw_bounds(
@@ -362,26 +316,32 @@ class Calibration:
         return Calibration.from_json(Path(path).read_text())
 
 
-def calibrate(
-    series: Sequence[tuple[SimplicialMesh, DiffusionField, tuple[SpectralResult, SpectralResult]]],
-    p: float | None = None,
-) -> Calibration:
-    """Fit the generic constants from exact spectra on a reference family.
+def calibrate(reports: Sequence[BoundReport]) -> Calibration:
+    """Fit the generic constants from the reports of a reference family.
 
-    Lower bounds get the min ratio exact/raw, upper bounds the max ratio, so
-    calibrated values stay on the correct side of the exact ones for every
-    member of the series.
+    Reads each report's raw bounds and exact spectra; nothing is solved or
+    evaluated again.  Lower bounds get the min ratio exact/raw, upper bounds
+    the max ratio, so calibrated values stay on the correct side of the
+    exact ones for every member of the series.  The reports must share one
+    dimension and one p, and every spectrum must have converged.
     """
-    if not series:
+    if not reports:
         raise ValueError("calibration series is empty")
-    dims = {mesh.dim for mesh, _, _ in series}
+    dims = {r.dim for r in reports}
     if len(dims) != 1:
         raise ValueError("calibration series mixes dimensions")
+    if len({r.p_used for r in reports}) != 1:
+        raise ValueError("calibration series mixes p")
     dim = dims.pop()
 
     ratios: dict[str, list[float]] = {bid: [] for bid in BOUND_IDS}
-    for mesh, field, (exact_a, exact_sas) in series:
-        raw = evaluate_raw_bounds(mesh, field, p)
+    for i, report in enumerate(reports):
+        exact_a, exact_sas, raw = report.exact_A, report.exact_SAS, report.raw
+        if not (exact_a.converged and exact_sas.converged):
+            raise EigenSolveError(
+                f"calibration member {i} (N={report.n_elements}): eigensolver "
+                "did not reach the requested tolerance"
+            )
         exact = {
             "new.lambda_min.A": exact_a.lambda_min,
             "new.lambda_min.SAS": exact_sas.lambda_min,
@@ -540,7 +500,15 @@ def _report_and_stiffness(
     a = _stiffness_from_averages(mesh, dk)
     sas = jacobi_scale(a)
     cutoff = DENSE_CUTOFF if dense_cutoff is None else dense_cutoff
-    exact_a, exact_sas = _extreme_pair(a, sas, mesh.dim, tol, dense_cutoff=cutoff, seed=seed)
+    exact_a = extreme_eigenvalues(a, tol, dense_cutoff=cutoff, seed=seed)
+    exact_sas = extreme_eigenvalues(sas, tol, dense_cutoff=cutoff, seed=seed)
+    # Scaled system sanity: unit diagonal caps the largest eigenvalue at d+1.
+    cap = (mesh.dim + 1) * (1 + 100 * max(tol, exact_sas.residual))
+    if exact_sas.lambda_max > cap:
+        raise EigenSolveError(
+            f"lambda_max of the scaled system ({exact_sas.lambda_max:.6g}) exceeds "
+            f"its dimensional cap {mesh.dim + 1}"
+        )
     lam_lo, lam_hi = bound_lambda_max(a, mesh.dim)
     beta = compute_beta(mesh, field, geometry=geometry, element_averages=dk)
     report = BoundReport(

@@ -32,7 +32,7 @@ from .mesh import (
     import_mesh,
     max_aspect_ratio,
 )
-from .spectra import EigenSolveError, condition_report
+from .spectra import EigenSolveError
 
 __all__ = ["main", "cmd_generate", "cmd_analyze", "cmd_sweep", "cmd_calibrate",
            "SweepSpec", "fit_loglog_slope"]
@@ -372,16 +372,12 @@ def _write_gnuplot(plot_dir: Path, curve_keys, spec: SweepSpec) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    values = _parse_values(args.n_values)
-    if args.family != "uniform":
-        raise ValueError("calibration runs on the uniform family")
-    series = []
-    for n in values:
+    reports = []
+    for n in _parse_values(args.n_values):
         mesh = generate_uniform(args.dim, int(n))
         field = _parse_diffusion(args.diffusion, mesh.dim)
-        exact = condition_report(mesh, field, args.tol, seed=args.seed)
-        series.append((mesh, field, exact))
-    cal = calibrate(series, args.p)
+        reports.append(build_report(mesh, field, args.p, args.tol, seed=args.seed))
+    cal = calibrate(reports)
     cal.save(args.output)
     print(f"wrote {args.output}: {len(cal.constants)} constants for dim {cal.dim}")
     return 0
@@ -474,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="fit bound constants on uniform meshes")
-    p.add_argument("--family", default="uniform", choices=("uniform",))
     p.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--n-values", dest="n_values", required=True,
                    help="comma-separated uniform mesh sizes")

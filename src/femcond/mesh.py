@@ -749,7 +749,6 @@ def _import_triangle(path: Path) -> SimplicialMesh:
             coords[k] = [float(p) for p in parts[1:1 + dim]]
         except (ValueError, IndexError):
             raise MeshFormatError(node_path, lineno, "bad node row") from None
-    one_based = ids.min() == 1
 
     rows = _read_rows(ele_path)
     if not rows:

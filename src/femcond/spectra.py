@@ -65,19 +65,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import DiffusionField, SparseSymmetric, assemble_stiffness, jacobi_scale
-from .mesh import SimplicialMesh
+from .assembly import SparseSymmetric
 
 __all__ = [
     "EigenSolveError",
     "SpectralResult",
     "extreme_eigenvalues",
-    "generalized_min_eigenvalue",
-    "condition_report",
     "DENSE_CUTOFF",
     "DEFAULT_TOL",
 ]
@@ -363,84 +359,3 @@ def extreme_eigenvalues(
         v_min=v_min,
         v_max=v_max,
     )
-
-
-def generalized_min_eigenvalue(
-    a: SparseSymmetric,
-    b: SparseSymmetric,
-    tol: float = DEFAULT_TOL,
-    *,
-    dense_cutoff: int = DENSE_CUTOFF,
-    maxiter: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Smallest lambda with A u = lambda B u for SPD A and B.
-
-    The iterative path is shift-invert Lanczos on the pencil at shift zero,
-    with the symmetric-mode factor of A that extreme_eigenvalues uses (so an
-    A that is not SPD is rejected by its pivot signs).
-    """
-    _check_tol(tol)
-    if a.order != b.order:
-        raise ValueError("matrices must have the same order")
-    n = a.order
-    if n <= dense_cutoff:
-        vals = sla.eigh(a.toarray(), b.toarray(), eigvals_only=True,
-                        subset_by_index=(0, 0))
-        return float(vals[0])
-
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    opinv = _solve_operator(_factor_at_zero(a))
-    try:
-        vals, vecs = spla.eigsh(
-            a.matrix.tocsc(), k=1, M=b.matrix.tocsc(), sigma=0.0, which="LM",
-            tol=max(tol * 1e-2, 1e-14), maxiter=maxiter, v0=v0, OPinv=opinv,
-        )
-        lam, v = float(vals[0]), vecs[:, 0]
-    except spla.ArpackNoConvergence as exc:
-        if not len(exc.eigenvalues):
-            raise EigenSolveError("generalized eigensolve produced no estimate") from exc
-        lam, v = float(exc.eigenvalues[0]), exc.eigenvectors[:, 0]
-    except RuntimeError as exc:
-        raise EigenSolveError(f"generalized eigensolve failed: {exc}") from exc
-    if lam <= 0:
-        raise EigenSolveError("generalized problem is not positive definite")
-    return lam
-
-
-def _extreme_pair(
-    a: SparseSymmetric,
-    sas: SparseSymmetric,
-    dim: int,
-    tol: float,
-    *,
-    dense_cutoff: int,
-    seed: int,
-) -> tuple[SpectralResult, SpectralResult]:
-    """Extreme eigenvalues of A and of its Jacobi-scaled form SAS."""
-    res_a = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff, seed=seed)
-    res_sas = extreme_eigenvalues(sas, tol, dense_cutoff=dense_cutoff, seed=seed)
-
-    # Scaled system sanity: unit diagonal caps the largest eigenvalue at d+1.
-    cap = (dim + 1) * (1 + 100 * max(tol, res_sas.residual))
-    if res_sas.lambda_max > cap:
-        raise EigenSolveError(
-            f"lambda_max of the scaled system ({res_sas.lambda_max:.6g}) exceeds "
-            f"its dimensional cap {dim + 1}"
-        )
-    return res_a, res_sas
-
-
-def condition_report(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    tol: float = DEFAULT_TOL,
-    *,
-    dense_cutoff: int = DENSE_CUTOFF,
-    seed: int = 0,
-) -> tuple[SpectralResult, SpectralResult]:
-    """Exact extreme eigenvalues of the stiffness matrix and of its
-    Jacobi-scaled form, assembled once."""
-    a = assemble_stiffness(mesh, field)
-    return _extreme_pair(a, jacobi_scale(a), mesh.dim, tol,
-                         dense_cutoff=dense_cutoff, seed=seed)

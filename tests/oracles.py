@@ -1,20 +1,47 @@
-"""Independent reference computations used by the tests.
+"""Reference computations and test-only helpers used by the tests.
 
-Everything here deliberately avoids the library's own code paths: the
-quadrature is built from scipy's Gauss nodes, basis gradients come from a
-Vandermonde solve, and matrices are assembled densely.
+The reference computations deliberately avoid the library's own code paths:
+the quadrature is built from scipy's Gauss nodes, basis gradients come from
+a Vandermonde solve, and matrices are assembled densely.
+
+The density-function lemma helpers at the end are different: no package code
+path calls them, and they check the paper's density-function lemma
+numerically (weighted mass matrix, its patch bound, the weighted Dirichlet
+eigenvalue bound and the stiffness/mass pencil).  They reuse the package's
+_patch_weighted_sums, _sobolev_exponents and _factor_at_zero; the last is
+looked up through femcond.spectra at call time, so that a test can
+substitute it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.special import roots_legendre
 
-from femcond import DensityFunction, DiffusionField, SimplicialMesh
+from femcond import (
+    DiffusionField,
+    ElementGeometry,
+    SimplicialMesh,
+    SparseSymmetric,
+    compute_beta,
+    compute_metrics,
+    spectra,
+)
+from femcond.assembly import _assemble_from_local
+from femcond.bounds import _patch_weighted_sums, _resolve_p, _sobolev_exponents
+from femcond.spectra import (
+    DEFAULT_TOL,
+    DENSE_CUTOFF,
+    EigenSolveError,
+    _check_tol,
+    _solve_operator,
+)
 
 
 def duffy_rule(dim: int, n: int):
@@ -290,3 +317,130 @@ def boundary_distance_brute(mesh: SimplicialMesh, points: np.ndarray) -> np.ndar
         for s in range(0, len(points), chunk):
             out[s:s + chunk] = _point_triangle_distance(points[s:s + chunk], a, b, c).min(axis=1)
     return out
+
+
+# -- density-function lemma helpers ------------------------------------------
+
+
+@dataclass(frozen=True)
+class DensityFunction:
+    """Piecewise-constant positive weight, one value per element."""
+
+    rho_k: np.ndarray
+    rho_max: float = dataclass_field(default=None)
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho_k, dtype=float)
+        object.__setattr__(self, "rho_k", rho)
+        if rho.ndim != 1 or not np.all(rho > 0):
+            raise ValueError("density values must be a 1D array of positives")
+        object.__setattr__(self, "rho_max", float(rho.max()))
+        rho.setflags(write=False)
+
+
+def density_equidistributed(mesh: SimplicialMesh) -> DensityFunction:
+    """Density giving every element the same weighted volume 1/N."""
+    return DensityFunction(1.0 / (mesh.n_elements * mesh.volumes))
+
+
+def density_beta_weighted(mesh: SimplicialMesh, field: DiffusionField) -> DensityFunction:
+    """Density proportional to the per-element anisotropy factor, normalized
+    to unit weighted domain volume."""
+    beta = compute_beta(mesh, field).beta_k
+    return DensityFunction(beta / float(mesh.volumes @ beta))
+
+
+def assemble_mass_weighted(mesh: SimplicialMesh, rho: DensityFunction) -> SparseSymmetric:
+    """Weighted mass matrix on interior vertices using the exact linear-basis
+    formula int_K phi_i phi_j = |K| (1 + delta_ij) / ((d+1)(d+2))."""
+    if len(rho.rho_k) != mesh.n_elements:
+        raise ValueError("density must have one value per element")
+    d = mesh.dim
+    base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    local = (rho.rho_k * mesh.volumes)[:, None, None] * base[None, :, :]
+    return _assemble_from_local(mesh, local)
+
+
+def bound_lambda_min_B(
+    mesh: SimplicialMesh,
+    rho: DensityFunction,
+    *,
+    geometry: ElementGeometry | None = None,
+) -> float:
+    """Constant-free lower bound on the smallest eigenvalue of the weighted
+    mass matrix: the smallest weighted patch volume over (d+1)(d+2)."""
+    if geometry is None:
+        geometry = compute_metrics(mesh)[1]
+    if mesh.n_interior == 0:
+        raise ValueError("mesh has no interior vertices")
+    wsums = _patch_weighted_sums(geometry, rho.rho_k * geometry.volumes, mesh.n_interior)
+    d = mesh.dim
+    return float(wsums.min() / ((d + 1) * (d + 2)))
+
+
+def bound_lambda_rho(
+    mesh: SimplicialMesh,
+    rho: DensityFunction,
+    p: float | None = None,
+    *,
+    geometry: ElementGeometry | None = None,
+) -> float:
+    """Lower bound (without the generic constant) on the smallest eigenvalue
+    of the Dirichlet Laplacian weighted by the density rho."""
+    if geometry is None:
+        geometry = compute_metrics(mesh)[1]
+    d = mesh.dim
+    p = _resolve_p(d, p)
+    k_rho = rho.rho_k * geometry.volumes
+    d_k = geometry.d_k
+    if d == 1:
+        return float(1.0 / (k_rho @ d_k))
+    if d == 2:
+        s = k_rho @ np.log1p(d_k * rho.rho_max) ** 2
+        return float((1.0 + s) ** -0.5)
+    q, expo, pref = _sobolev_exponents(d, p)
+    s = np.sum(k_rho**q * geometry.volumes ** (-1.0 / (p - 1.0)) * d_k**expo)
+    return float(pref * s ** (-1.0 / q))
+
+
+def generalized_min_eigenvalue(
+    a: SparseSymmetric,
+    b: SparseSymmetric,
+    tol: float = DEFAULT_TOL,
+    *,
+    dense_cutoff: int = DENSE_CUTOFF,
+    maxiter: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Smallest lambda with A u = lambda B u for SPD A and B.
+
+    The iterative path is shift-invert Lanczos on the pencil at shift zero,
+    with the symmetric-mode factor of A that extreme_eigenvalues uses (so an
+    A that is not SPD is rejected by its pivot signs).
+    """
+    _check_tol(tol)
+    if a.order != b.order:
+        raise ValueError("matrices must have the same order")
+    n = a.order
+    if n <= dense_cutoff:
+        vals = sla.eigh(a.toarray(), b.toarray(), eigvals_only=True,
+                        subset_by_index=(0, 0))
+        return float(vals[0])
+
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    opinv = _solve_operator(spectra._factor_at_zero(a))
+    try:
+        vals, vecs = spla.eigsh(
+            a.matrix.tocsc(), k=1, M=b.matrix.tocsc(), sigma=0.0, which="LM",
+            tol=max(tol * 1e-2, 1e-14), maxiter=maxiter, v0=v0, OPinv=opinv,
+        )
+        lam, v = float(vals[0]), vecs[:, 0]
+    except spla.ArpackNoConvergence as exc:
+        if not len(exc.eigenvalues):
+            raise EigenSolveError("generalized eigensolve produced no estimate") from exc
+        lam, v = float(exc.eigenvalues[0]), exc.eigenvectors[:, 0]
+    except RuntimeError as exc:
+        raise EigenSolveError(f"generalized eigensolve failed: {exc}") from exc
+    if lam <= 0:
+        raise EigenSolveError("generalized problem is not positive definite")
+    return lam

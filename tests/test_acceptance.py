@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 
 import femcond as fc
-from femcond.assembly import DensityFunction
-from femcond.bounds import evaluate_raw_bounds
 from femcond.cli import fit_loglog_slope
 from conftest import perturb_interior, random_mesh, random_spd_field
-from oracles import toeplitz_kappa_1d, toeplitz_stiffness_1d
+from oracles import (
+    DensityFunction,
+    assemble_mass_weighted,
+    bound_lambda_min_B,
+    generalized_min_eigenvalue,
+    toeplitz_kappa_1d,
+    toeplitz_stiffness_1d,
+)
 
 I1 = fc.DiffusionField.identity(1)
 I2 = fc.DiffusionField.identity(2)
@@ -40,9 +45,9 @@ def test_criterion_1_constant_free_inequalities():
         field = random_spd_field(rng, dim, cond_max=100.0)
         rho = DensityFunction(rng.uniform(0.1, 10.0, mesh.n_elements))
 
-        b = fc.assemble_mass_weighted(mesh, rho)
+        b = assemble_mass_weighted(mesh, rho)
         lam_min_b = np.linalg.eigvalsh(b.toarray())[0]
-        assert lam_min_b >= fc.bound_lambda_min_B(mesh, rho)
+        assert lam_min_b >= bound_lambda_min_B(mesh, rho)
 
         a = fc.assemble_stiffness(mesh, field)
         lam_max_a = np.linalg.eigvalsh(a.toarray())[-1]
@@ -83,9 +88,9 @@ def test_criterion_3_chebyshev_reproduction():
     exact_a, exact_sas, new_sas, prior_sas = [], [], [], []
     for n in ns:
         mesh = fc.generate_chebyshev_1d(n)
-        res_a, res_sas = fc.condition_report(mesh, I1, tol=1e-8)
+        report = fc.build_report(mesh, I1, tol=1e-8)
+        res_a, res_sas, raw = report.exact_A, report.exact_SAS, report.raw
         assert res_a.converged and res_sas.converged
-        raw = evaluate_raw_bounds(mesh, I1)
         exact_a.append(res_a.kappa)
         exact_sas.append(res_sas.kappa)
         new_sas.append(raw["new.kappa.SAS"])
@@ -108,8 +113,8 @@ def test_criterion_4_boundary_layer_reproduction():
     exact_a, exact_sas, ratio_new_prior = [], [], []
     for n in ns:
         mesh = fc.generate_power2_1d(n)
-        res_a, res_sas = fc.condition_report(mesh, I1, tol=1e-8)
-        raw = evaluate_raw_bounds(mesh, I1)
+        report = fc.build_report(mesh, I1, tol=1e-8)
+        res_a, res_sas, raw = report.exact_A, report.exact_SAS, report.raw
         exact_a.append(res_a.kappa)
         exact_sas.append(res_sas.kappa)
         ratio_new_prior.append(raw["new.kappa.SAS"] / raw["prior.kappa.SAS"])
@@ -184,7 +189,8 @@ def test_criterion_6_2d_aspect_flatness():
     for aspect in (5.0, 25.0, 125.0):
         mesh = fc.generate_boundary_layer(2, 100, aspect)
         assert abs(mesh.n_elements - 20_000) < 1_000
-        res_a, res_sas = fc.condition_report(mesh, I2, tol=1e-8)
+        report = fc.build_report(mesh, I2, tol=1e-8)
+        res_a, res_sas = report.exact_A, report.exact_SAS
         assert res_a.converged and res_sas.converged
         kappa_a.append(res_a.kappa)
         kappa_sas.append(res_sas.kappa)
@@ -194,12 +200,9 @@ def test_criterion_6_2d_aspect_flatness():
     _finish("6 2D aspect flatness at N ~ 20k", t0, 600.0)
 
 
-def _uniform_series(dim, sizes, field):
-    out = []
-    for n in sizes:
-        mesh = fc.generate_uniform(dim, n)
-        out.append((mesh, field, fc.condition_report(mesh, field, tol=1e-8)))
-    return out
+def _uniform_series(dim, sizes, field, p=None):
+    return [fc.build_report(fc.generate_uniform(dim, n), field, p, tol=1e-8)
+            for n in sizes]
 
 
 def test_criterion_7_calibration_validity():
@@ -214,11 +217,11 @@ def test_criterion_7_calibration_validity():
     }
     calibrations = {}
     for dim, (sizes, field) in families.items():
-        series = _uniform_series(dim, sizes, field)
-        cal = fc.calibrate(series, p=2.9 if dim == 3 else None)
+        series = _uniform_series(dim, sizes, field, 2.9 if dim == 3 else None)
+        cal = fc.calibrate(series)
         calibrations[dim] = cal
-        for mesh, f, (exact_a, exact_sas) in series:
-            raw = evaluate_raw_bounds(mesh, f, 2.9 if dim == 3 else None)
+        for report in series:
+            exact_a, exact_sas, raw = report.exact_A, report.exact_SAS, report.raw
             exact_of = {
                 "new.lambda_min.A": exact_a.lambda_min,
                 "new.lambda_min.SAS": exact_sas.lambda_min,
@@ -239,8 +242,8 @@ def test_criterion_7_calibration_validity():
     cal1 = calibrations[1]
     for n in (32, 64, 128, 256):
         mesh = fc.generate_chebyshev_1d(n)
-        exact_a, exact_sas = fc.condition_report(mesh, I1, tol=1e-8)
-        raw = evaluate_raw_bounds(mesh, I1)
+        report = fc.build_report(mesh, I1, tol=1e-8)
+        exact_a, exact_sas, raw = report.exact_A, report.exact_SAS, report.raw
         violations = []
         checks = [
             ("new.lambda_min.A", exact_a.lambda_min, "lower"),
@@ -266,8 +269,8 @@ def test_criterion_8_generalized_eigenvalue_sanity():
     t0 = time.time()
     mesh = fc.generate_uniform(1, 64)
     a = fc.assemble_stiffness(mesh, I1)
-    b = fc.assemble_mass_weighted(mesh, DensityFunction(np.ones(64)))
-    lam = fc.generalized_min_eigenvalue(a, b, tol=1e-8)
+    b = assemble_mass_weighted(mesh, DensityFunction(np.ones(64)))
+    lam = generalized_min_eigenvalue(a, b, tol=1e-8)
     assert lam == pytest.approx(math.pi**2, rel=0.01)
     _finish("8 generalized eigenvalue sanity (pi^2)", t0, 1.0)
 
@@ -277,18 +280,18 @@ def test_note_3d_trends():
     number is flat (< 20 percent) under the aspect sweep at fixed N, and
     calibrated bounds keep the correct ordering on the layered meshes."""
     t0 = time.time()
-    cal = fc.calibrate(_uniform_series(3, (2, 3, 4, 5), I3), p=2.9)
+    cal = fc.calibrate(_uniform_series(3, (2, 3, 4, 5), I3, 2.9))
 
     kappa_sas = []
     for aspect in (5.0, 25.0):
         mesh = fc.generate_boundary_layer(3, 8, aspect)
         a = fc.assemble_stiffness(mesh, I3)
-        exact_a, exact_sas = fc.condition_report(mesh, I3, tol=1e-8)
+        report = fc.build_report(mesh, I3, 2.9, tol=1e-8)
+        exact_a, exact_sas, raw = report.exact_A, report.exact_SAS, report.raw
         lo, hi = fc.bound_lambda_max(a, 3)
         assert lo <= exact_a.lambda_max <= hi
         kappa_sas.append(exact_sas.kappa)
 
-        raw = evaluate_raw_bounds(mesh, I3, 2.9)
         assert cal.constants["new.lambda_min.A"] * raw["new.lambda_min.A"] <= exact_a.lambda_min
         assert cal.constants["new.lambda_min.SAS"] * raw["new.lambda_min.SAS"] <= exact_sas.lambda_min
         assert cal.constants["fried.lambda_min"] * raw["fried.lambda_min"] <= exact_a.lambda_min

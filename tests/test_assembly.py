@@ -4,12 +4,17 @@ import scipy.io
 from hypothesis import given, settings, strategies as st
 
 import femcond as fc
-from femcond.assembly import DensityFunction, _local_stiffness
+from femcond.assembly import _local_stiffness
 from conftest import random_mesh, random_spd_field
 from oracles import (
+    DensityFunction,
     assemble_mass_dense,
+    assemble_mass_weighted,
     assemble_stiffness_dense,
+    bound_lambda_min_B,
     check_normalized,
+    density_beta_weighted,
+    density_equidistributed,
     patch_volumes,
     toeplitz_stiffness_1d,
 )
@@ -138,7 +143,7 @@ class TestAssembleStiffness:
 class TestAssembleMass:
     def test_1d_n2_value(self):
         m = fc.generate_uniform(1, 2)
-        b = fc.assemble_mass_weighted(m, DensityFunction(np.ones(2)))
+        b = assemble_mass_weighted(m, DensityFunction(np.ones(2)))
         assert b.toarray() == pytest.approx(np.array([[1.0 / 3.0]]), rel=1e-15)
 
     def test_trace_formula_for_uniform_density(self, rng):
@@ -147,7 +152,7 @@ class TestAssembleMass:
             if mesh.n_interior == 0:
                 continue
             rho = DensityFunction(np.full(mesh.n_elements, 1.0 / mesh.domain_volume))
-            b = fc.assemble_mass_weighted(mesh, rho)
+            b = assemble_mass_weighted(mesh, rho)
             d = mesh.dim
             expected = patch_volumes(mesh).sum() * 2 / ((d + 1) * (d + 2)) / mesh.domain_volume
             assert np.trace(b.toarray()) == pytest.approx(expected, rel=1e-12)
@@ -155,8 +160,8 @@ class TestAssembleMass:
     def test_density_scaling_linearity(self, rng):
         mesh = random_mesh(rng, dim=2)
         rho = DensityFunction(rng.uniform(0.5, 2.0, mesh.n_elements))
-        b1 = fc.assemble_mass_weighted(mesh, rho).toarray()
-        b2 = fc.assemble_mass_weighted(mesh, DensityFunction(3.0 * rho.rho_k)).toarray()
+        b1 = assemble_mass_weighted(mesh, rho).toarray()
+        b2 = assemble_mass_weighted(mesh, DensityFunction(3.0 * rho.rho_k)).toarray()
         assert b2 == pytest.approx(3.0 * b1, rel=1e-15)
 
     def test_matches_quadrature_oracle(self, rng):
@@ -165,7 +170,7 @@ class TestAssembleMass:
             if mesh.n_interior == 0:
                 continue
             rho = rng.uniform(0.2, 4.0, mesh.n_elements)
-            b = fc.assemble_mass_weighted(mesh, DensityFunction(rho)).toarray()
+            b = assemble_mass_weighted(mesh, DensityFunction(rho)).toarray()
             oracle = assemble_mass_dense(mesh, rho)
             assert b == pytest.approx(oracle, rel=1e-10)
 
@@ -176,9 +181,9 @@ class TestAssembleMass:
             if mesh.n_interior == 0:
                 continue
             rho = DensityFunction(rng.uniform(0.1, 10.0, mesh.n_elements))
-            b = fc.assemble_mass_weighted(mesh, rho)
+            b = assemble_mass_weighted(mesh, rho)
             lam_min = np.linalg.eigvalsh(b.toarray())[0]
-            assert lam_min >= fc.bound_lambda_min_B(mesh, rho)
+            assert lam_min >= bound_lambda_min_B(mesh, rho)
 
 
 class TestJacobiScale:
@@ -222,13 +227,13 @@ class TestJacobiScale:
 class TestDensities:
     def test_equidistributed_uniform(self):
         m = fc.generate_uniform(1, 8)
-        rho = fc.density_equidistributed(m)
+        rho = density_equidistributed(m)
         assert rho.rho_k == pytest.approx(np.ones(8), rel=1e-12)
         assert check_normalized(m, rho)
 
     def test_equidistributed_power2(self):
         m = fc.generate_power2_1d(4)
-        rho = fc.density_equidistributed(m)
+        rho = density_equidistributed(m)
         k_small = int(np.argmin(m.volumes))
         assert rho.rho_k[k_small] == pytest.approx(1.0 / (4 * 0.125), rel=1e-15)
         metrics, _ = fc.compute_metrics(m)
@@ -239,21 +244,21 @@ class TestDensities:
     def test_beta_weighted_equals_equidistributed_for_uniform_identity(self):
         for dim in (1, 2, 3):
             m = fc.generate_uniform(dim, 3)
-            r1 = fc.density_beta_weighted(m, fc.DiffusionField.identity(dim))
-            r2 = fc.density_equidistributed(m)
+            r1 = density_beta_weighted(m, fc.DiffusionField.identity(dim))
+            r2 = density_equidistributed(m)
             assert r1.rho_k == pytest.approx(r2.rho_k, rel=1e-12)
 
     def test_beta_weighted_1d_inverse_square(self, rng):
         m = fc.generate_power2_1d(6)
-        rho = fc.density_beta_weighted(m, fc.DiffusionField.identity(1))
+        rho = density_beta_weighted(m, fc.DiffusionField.identity(1))
         raw = 1.0 / m.volumes**2
         assert rho.rho_k == pytest.approx(raw / (m.volumes @ raw), rel=1e-12)
         assert check_normalized(m, rho)
 
     def test_beta_weighted_invariant_under_field_scaling(self):
         m = fc.generate_boundary_layer(2, 5, 4.0)
-        r1 = fc.density_beta_weighted(m, fc.DiffusionField.identity(2))
-        r2 = fc.density_beta_weighted(
+        r1 = density_beta_weighted(m, fc.DiffusionField.identity(2))
+        r2 = density_beta_weighted(
             m, fc.DiffusionField.constant_matrix(7.5 * np.eye(2))
         )
         assert r1.rho_k == pytest.approx(r2.rho_k, rel=1e-12)
@@ -262,7 +267,7 @@ class TestDensities:
     @given(seed=st.integers(0, 10_000))
     def test_equidistributed_normalization(self, seed):
         mesh = random_mesh(np.random.default_rng(seed))
-        rho = fc.density_equidistributed(mesh)
+        rho = density_equidistributed(mesh)
         assert check_normalized(mesh, rho)
 
     def test_positive_values_required(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import femcond as fc
-from femcond.assembly import DensityFunction
 from femcond.bounds import (
     BOUND_IDS,
     Calibration,
@@ -15,7 +14,16 @@ from femcond.bounds import (
 from femcond.cli import fit_loglog_slope
 from femcond.quadrature import simplex_average_rule
 from conftest import random_mesh
-from oracles import kappa_bounds_1d, p_min, toeplitz_kappa_1d
+from oracles import (
+    DensityFunction,
+    assemble_mass_weighted,
+    bound_lambda_min_B,
+    bound_lambda_rho,
+    density_equidistributed,
+    kappa_bounds_1d,
+    p_min,
+    toeplitz_kappa_1d,
+)
 
 I1 = fc.DiffusionField.identity(1)
 I2 = fc.DiffusionField.identity(2)
@@ -77,9 +85,9 @@ class TestBoundLambdaMinB:
     def test_1d_uniform_value_and_validity(self):
         m = fc.generate_uniform(1, 4)
         rho = DensityFunction(np.ones(4))
-        bound = fc.bound_lambda_min_B(m, rho)
+        bound = bound_lambda_min_B(m, rho)
         assert bound == pytest.approx(0.5 / 6.0, rel=1e-15)
-        b = fc.assemble_mass_weighted(m, rho)
+        b = assemble_mass_weighted(m, rho)
         assert np.linalg.eigvalsh(b.toarray())[0] >= bound
 
     def test_equidistributed_patch_lower_bound(self, rng):
@@ -87,7 +95,7 @@ class TestBoundLambdaMinB:
             mesh = random_mesh(rng)
             if mesh.n_interior == 0:
                 continue
-            rho = fc.density_equidistributed(mesh)
+            rho = density_equidistributed(mesh)
             _, geometry = fc.compute_metrics(mesh)
             wsums = np.zeros(mesh.n_interior)
             mask = geometry.patch_ids >= 0
@@ -103,8 +111,8 @@ class TestBoundLambdaMinB:
         m = fc.generate_uniform(1, 8)
         rho = DensityFunction(np.ones(8))
         doubled = DensityFunction(2 * np.ones(8))
-        assert fc.bound_lambda_min_B(m, doubled) == pytest.approx(
-            2 * fc.bound_lambda_min_B(m, rho), rel=1e-15
+        assert bound_lambda_min_B(m, doubled) == pytest.approx(
+            2 * bound_lambda_min_B(m, rho), rel=1e-15
         )
 
 
@@ -113,26 +121,26 @@ class TestBoundLambdaRho:
         m = fc.generate_uniform(1, 4)
         rho = DensityFunction(np.ones(4))
         # element distances 0.25, 0.5, 0.5, 0.25, each weighted by h = 0.25
-        assert fc.bound_lambda_rho(m, rho) == pytest.approx(1 / 0.375, rel=1e-14)
+        assert bound_lambda_rho(m, rho) == pytest.approx(1 / 0.375, rel=1e-14)
 
     def test_2d_degenerate_distance_limit(self):
         m = fc.generate_uniform(2, 3)
-        rho = fc.density_equidistributed(m)
+        rho = density_equidistributed(m)
         _, geometry = fc.compute_metrics(m)
         flat = dataclasses.replace(geometry, d_k=np.zeros(m.n_elements))
-        assert fc.bound_lambda_rho(m, rho, geometry=flat) == pytest.approx(1.0, rel=1e-15)
+        assert bound_lambda_rho(m, rho, geometry=flat) == pytest.approx(1.0, rel=1e-15)
 
     def test_3d_prefactor_vanishes_as_p_approaches_limit(self):
         m = fc.generate_uniform(3, 2)
-        rho = fc.density_equidistributed(m)
-        values = [fc.bound_lambda_rho(m, rho, p) for p in (2.0, 2.9, 2.999, 2.999999)]
+        rho = density_equidistributed(m)
+        values = [bound_lambda_rho(m, rho, p) for p in (2.0, 2.9, 2.999, 2.999999)]
         assert values[-1] < values[-2] < 1e-1 * values[0]
 
     def test_p_validation(self):
         m = fc.generate_uniform(3, 2)
-        rho = fc.density_equidistributed(m)
+        rho = density_equidistributed(m)
         with pytest.raises(ValueError):
-            fc.bound_lambda_rho(m, rho, 3.5)
+            bound_lambda_rho(m, rho, 3.5)
 
 
 class TestBoundLambdaMinA:
@@ -355,11 +363,7 @@ class TestBoundConjectured:
 
 class TestCalibrate:
     def _uniform_series(self, dim, sizes, field):
-        series = []
-        for n in sizes:
-            mesh = fc.generate_uniform(dim, n)
-            series.append((mesh, field, fc.condition_report(mesh, field)))
-        return series
+        return [fc.build_report(fc.generate_uniform(dim, n), field) for n in sizes]
 
     def test_exact_equal_bound_gives_unit_constant(self):
         mesh = fc.generate_uniform(1, 8)
@@ -378,7 +382,9 @@ class TestCalibrate:
             method="dense",
             residual=0.0,
         )
-        cal = fc.calibrate([(mesh, I1, (fake_a, fake_sas))])
+        report = dataclasses.replace(fc.build_report(mesh, I1),
+                                     exact_A=fake_a, exact_SAS=fake_sas)
+        cal = fc.calibrate([report])
         assert cal.constants["new.lambda_min.A"] == pytest.approx(1.0, rel=1e-12)
         assert cal.constants["new.kappa.SAS"] == pytest.approx(1.0, rel=1e-12)
 
@@ -386,8 +392,8 @@ class TestCalibrate:
         series = self._uniform_series(1, (8, 16, 32, 64), I1)
         cal = fc.calibrate(series)
         hits = 0
-        for mesh, field, (exact_a, exact_sas) in series:
-            raw = evaluate_raw_bounds(mesh, field)
+        for report in series:
+            exact_sas, raw = report.exact_SAS, report.raw
             value = cal.constants["new.lambda_min.SAS"] * raw["new.lambda_min.SAS"]
             assert value <= exact_sas.lambda_min * (1 + 1e-12)
             if value == pytest.approx(exact_sas.lambda_min, rel=1e-12):
@@ -405,6 +411,25 @@ class TestCalibrate:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             fc.calibrate([])
+
+    def test_mixed_p_rejected(self):
+        report = fc.build_report(fc.generate_uniform(3, 2), I3, 2.9)
+        with pytest.raises(ValueError, match="mixes p"):
+            fc.calibrate([report, dataclasses.replace(report, p_used=2.0)])
+
+    def test_reads_reports_only(self, monkeypatch):
+        evaluator = _CountingEvaluator(lambda x: np.array([[1.0 + x[0]]]))
+        field = fc.DiffusionField.from_callable(1, evaluator, 1.0, 2.0)
+        series = [fc.build_report(fc.generate_uniform(1, n), field) for n in (8, 16)]
+        evaluator.calls = 0
+
+        def fail(mesh):
+            raise AssertionError("calibrate recomputed the mesh metrics")
+
+        monkeypatch.setattr(fc.bounds, "compute_metrics", fail)
+        cal = fc.calibrate(series)
+        assert evaluator.calls == 0
+        assert cal.dim == 1 and cal.constants
 
     def test_json_roundtrip(self, tmp_path):
         series = self._uniform_series(1, (8, 16), I1)
@@ -446,9 +471,7 @@ class TestBuildReport:
 
     def test_calibrated_row_columns(self):
         m = fc.generate_uniform(2, 4)
-        series = [(fc.generate_uniform(2, n), I2,
-                   fc.condition_report(fc.generate_uniform(2, n), I2))
-                  for n in (2, 4)]
+        series = [fc.build_report(fc.generate_uniform(2, n), I2) for n in (2, 4)]
         cal = fc.calibrate(series)
         report = fc.build_report(m, I2, calibration=cal)
         row = report.to_row()
@@ -482,8 +505,10 @@ class TestBuildReport:
         kwargs = {} if cutoff is None else {"dense_cutoff": cutoff}
         row = fc.build_report(m, field, p, **kwargs).to_row()
 
-        exact_a, exact_sas = fc.condition_report(m, field, **kwargs)
-        lo, hi = fc.bound_lambda_max(fc.assemble_stiffness(m, field), dim)
+        a = fc.assemble_stiffness(m, field)
+        exact_a = fc.extreme_eigenvalues(a, **kwargs)
+        exact_sas = fc.extreme_eigenvalues(fc.jacobi_scale(a), **kwargs)
+        lo, hi = fc.bound_lambda_max(a, dim)
         expected = {
             "dim": dim,
             "n_elements": m.n_elements,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -276,6 +277,36 @@ class TestCalibrateCommand:
         with pytest.raises(SystemExit) as err:
             run(["calibrate", "--dim", "1", "-o", "x.json"])  # missing --n-values
         assert err.value.code == 2
+
+    def test_unconverged_member_refused(self, tmp_path, capsys, monkeypatch):
+        build = fc.cli.build_report
+
+        def unconverged_at_16(mesh, *args, **kwargs):
+            report = build(mesh, *args, **kwargs)
+            if mesh.n_elements != 16:
+                return report
+            sas = dataclasses.replace(report.exact_SAS, converged=False)
+            return dataclasses.replace(report, exact_SAS=sas)
+
+        monkeypatch.setattr(fc.cli, "build_report", unconverged_at_16)
+        out = tmp_path / "cal.json"
+        assert run(["calibrate", "--dim", "1", "--n-values", "8,16", "-o", out]) == 3
+        assert not out.exists()
+        assert "member 1 (N=16)" in capsys.readouterr().err
+
+    def test_one_average_per_member(self, tmp_path, monkeypatch):
+        calls = []
+        average = fc.assembly.average_diffusion_all
+
+        def counting(*args):
+            calls.append(1)
+            return average(*args)
+
+        monkeypatch.setattr(fc.assembly, "average_diffusion_all", counting)
+        monkeypatch.setattr(fc.bounds, "average_diffusion_all", counting)
+        out = tmp_path / "cal.json"
+        assert run(["calibrate", "--dim", "2", "--n-values", "2,4", "-o", out]) == 0
+        assert len(calls) == 2
 
 
 class TestSlopeFit:

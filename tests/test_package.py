@@ -48,3 +48,13 @@ def test_benchmark_replay_resolves(bench, name, instance):
     _, outcomes, _ = bench.run_traced_pass(workload, 0, {}, "t")
     assert len(outcomes) == 1
     assert not any((o.failure or "").startswith("raised") for o in outcomes)
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark harness imports the package's public names; its own
+    # self-tests (about 10 s on small meshes) catch a name it relies on
+    # disappearing.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr

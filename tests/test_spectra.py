@@ -6,16 +6,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import femcond as fc
-from femcond.assembly import DensityFunction, SparseSymmetric
+from femcond.assembly import SparseSymmetric
 from femcond.spectra import (
     EigenSolveError,
     _interlacing_lower_bound,
     _lambda_max_filtered,
     extreme_eigenvalues,
-    generalized_min_eigenvalue,
 )
 from conftest import random_mesh, random_spd_field
-from oracles import lambda_max_unfiltered, toeplitz_kappa_1d
+from oracles import (
+    DensityFunction,
+    assemble_mass_weighted,
+    density_equidistributed,
+    generalized_min_eigenvalue,
+    lambda_max_unfiltered,
+    toeplitz_kappa_1d,
+)
 
 
 def _sparse(dense) -> SparseSymmetric:
@@ -296,14 +302,14 @@ class TestGeneralizedMinEigenvalue:
     def test_dirichlet_laplace_eigenvalue(self):
         m = fc.generate_uniform(1, 64)
         a = fc.assemble_stiffness(m, fc.DiffusionField.identity(1))
-        b = fc.assemble_mass_weighted(m, DensityFunction(np.ones(64)))
+        b = assemble_mass_weighted(m, DensityFunction(np.ones(64)))
         lam = generalized_min_eigenvalue(a, b)
         assert lam == pytest.approx(math.pi**2, rel=0.01)
 
     def test_iterative_matches_dense(self):
         m = fc.generate_uniform(1, 300)
         a = fc.assemble_stiffness(m, fc.DiffusionField.identity(1))
-        b = fc.assemble_mass_weighted(m, DensityFunction(np.ones(300)))
+        b = assemble_mass_weighted(m, DensityFunction(np.ones(300)))
         dense = generalized_min_eigenvalue(a, b)
         iterative = generalized_min_eigenvalue(a, b, dense_cutoff=10)
         assert iterative == pytest.approx(dense, rel=1e-7)
@@ -311,7 +317,7 @@ class TestGeneralizedMinEigenvalue:
     def test_iterative_path_uses_the_symmetric_mode_factor(self, monkeypatch):
         mesh = fc.generate_boundary_layer(2, 20, 25.0)
         a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
-        b = fc.assemble_mass_weighted(mesh, fc.density_equidistributed(mesh))
+        b = assemble_mass_weighted(mesh, density_equidistributed(mesh))
         dense = generalized_min_eigenvalue(a, b, dense_cutoff=a.order)
         calls = []
         factor = fc.spectra._factor_at_zero
@@ -329,7 +335,8 @@ class TestGeneralizedMinEigenvalue:
 class TestConditionReport:
     def test_1d_uniform_n4(self):
         m = fc.generate_uniform(1, 4)
-        res_a, res_sas = fc.condition_report(m, fc.DiffusionField.identity(1))
+        report = fc.build_report(m, fc.DiffusionField.identity(1))
+        res_a, res_sas = report.exact_A, report.exact_SAS
         expected = (2 + math.sqrt(2)) / (2 - math.sqrt(2))
         assert res_a.kappa == pytest.approx(expected, rel=1e-12)
         # constant diagonal: scaling is a constant multiple, kappa unchanged
@@ -339,7 +346,7 @@ class TestConditionReport:
         kappas = []
         for n in (15, 16):
             m = fc.generate_power2_1d(n)
-            res_a, _ = fc.condition_report(m, fc.DiffusionField.identity(1))
+            res_a = fc.build_report(m, fc.DiffusionField.identity(1)).exact_A
             kappas.append(res_a.kappa)
         assert 1.8 <= kappas[1] / kappas[0] <= 2.2
 
@@ -349,7 +356,7 @@ class TestConditionReport:
             if mesh.n_interior == 0:
                 continue
             field = random_spd_field(rng, dim)
-            _, res_sas = fc.condition_report(mesh, field)
+            res_sas = fc.build_report(mesh, field).exact_SAS
             assert 1.0 - 1e-12 <= res_sas.lambda_max <= dim + 1 + 1e-12
 
     def test_lambda_max_sandwich(self, rng):
