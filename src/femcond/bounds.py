@@ -456,6 +456,8 @@ def _spectral_json(r: SpectralResult) -> dict:
         "certified": r.certified,
         "matvecs": r.matvecs,
         "factor_nnz": r.factor_nnz,
+        "solves": r.solves,
+        "factorizations": r.factorizations,
     }
 
 

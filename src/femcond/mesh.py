@@ -154,7 +154,14 @@ class SimplicialMesh:
             keep = [i for i in range(d + 1) if i != drop]
             facet_list.append(elements[:, keep])
         facets = np.sort(np.concatenate(facet_list, axis=0), axis=1)
-        uniq, counts = np.unique(facets, axis=0, return_counts=True)
+        # One integer key per sorted row: its index in an (nv,) * d array, so
+        # the keys sort in the rows' lexicographic order.
+        nv = len(self.vertices)
+        _, first, counts = np.unique(
+            np.ravel_multi_index(facets.T, (nv,) * d),
+            return_index=True, return_counts=True,
+        )
+        uniq = facets[first]
         if counts.max(initial=0) > 2:
             f = uniq[int(np.argmax(counts))]
             raise NonConformingMeshError(
@@ -183,7 +190,8 @@ class SimplicialMesh:
                     ),
                     axis=1,
                 )
-            _, rcounts = np.unique(ridges, axis=0, return_counts=True)
+                ridges = np.ravel_multi_index(ridges.T, (nv, nv))
+            _, rcounts = np.unique(ridges, return_counts=True)
             if not np.all(rcounts == 2):
                 raise NonConformingMeshError(
                     "boundary is not watertight: a boundary ridge is shared "

@@ -7,20 +7,42 @@ Every returned eigenvalue carries an explicitly computed relative residual
 ||A v - lambda v|| / ||lambda v|| on A itself; results that miss the
 requested tolerance or their certificate are flagged, not hidden.
 
-lambda_max: filtered Lanczos.  On anisotropic meshes the top of the
-spectrum is tightly clustered (relative gaps near 1e-8), so plain Lanczos
-on A needs thousands of products and hundreds of restarts.  ARPACK instead
-runs on p(A), p(x) = T_9((2x - b)/b) the odd degree-9 Chebyshev polynomial
-mapped so that |p| <= 1 on [0, b] and p increases above b.  The lower end
-is b = (1 - 1e-3) l, where l, the largest eigenvalue of any 2x2 principal
-submatrix over the off-diagonal nonzeros (max a_ii without them), is a
-lower bound of lambda_max by Cauchy interlacing.  Hence lambda_max > b and
-p(lambda_max) > 1 >= p(lambda) for every eigenvalue lambda in [0, b],
-while p increases between b and lambda_max: the largest eigenvalue of p(A)
-belongs to the largest eigenvalue of A.  The degree is odd, so a negative
-eigenvalue maps below -1 and never wins; an indefinite A still fails the
-lambda_min <= 0 check.  The reported lambda_max is the Rayleigh quotient of
-the Ritz vector on A, and the residual on A decides convergence.
+lambda_max: a loose filtered start, then shift-invert above lambda_max.  On
+anisotropic meshes the top of the spectrum is tightly clustered (relative
+gaps near 1e-8), so Lanczos on A, or on a polynomial filter of A run to full
+accuracy, needs thousands of products.  The solve has three steps.
+  1. Start.  ARPACK runs to tolerance 1e-3 on p(A), p(x) = T_9((2x - b)/b)
+     the odd degree-9 Chebyshev polynomial mapped so that |p| <= 1 on [0, b]
+     and p increases above b.  The lower end is b = (1 - 1e-3) l, where l,
+     the largest eigenvalue of any 2x2 principal submatrix over the
+     off-diagonal nonzeros (max a_ii without them), is a lower bound of
+     lambda_max by Cauchy interlacing.  Hence lambda_max > b and
+     p(lambda_max) > 1 >= p(lambda) for every eigenvalue lambda in [0, b],
+     while p increases between b and lambda_max: the largest eigenvalue of
+     p(A) belongs to the largest eigenvalue of A.  The degree is odd, so a
+     negative eigenvalue maps below -1 and never wins.  The Rayleigh
+     quotient theta_0 of the Ritz vector on A is <= lambda_max.
+  2. Shift.  sigma_1 = theta_0 (1 + 1e-4) is accepted when the
+     symmetric-mode factor of sigma_1 I - A has every pivot positive; by
+     Sylvester's law of inertia sigma_1 I - A is then SPD, i.e. sigma_1 >
+     lambda_max.  A pivot <= 0 instead shows lambda_max >= sigma_1; the next
+     shift is then sigma_1 (1 + eta) with eta ten times larger, at most
+     until the shift passes the Gershgorin bound max_i sum_j |a_ij| >=
+     lambda_max, above which sigma I - A is strictly diagonally dominant (a
+     pivot <= 0 there raises).  A shift that had to grow is brought back by
+     geometric bisection between the largest shift shown below lambda_max
+     and the smallest proven above it, until they are within 1e-4
+     relative.
+  3. Shift-invert.  (sigma_1 I - A)^-1, proven SPD, has the eigenvalues
+     1 / (sigma_1 - lambda) > 0, increasing in lambda, so its largest one
+     belongs to lambda_max; the shift spreads the top cluster from relative
+     gaps (lambda_1 - lambda_2) / lambda_1 to (lambda_1 - lambda_2) /
+     (sigma_1 - lambda_2).  ARPACK which="LA" runs on that inverse from the
+     Ritz vector of step 1.  The reported lambda_max is the Rayleigh quotient
+     of the result on A, and the residual on A decides convergence.  The
+     vector only has to be good: a misconverged pair (an interior eigenvalue,
+     or too few digits) is caught by the lambda_max certificate below, which
+     does not depend on how the vector was found.
 
 lambda_min: shift-invert Lanczos at shift zero, with one sparse LU of A in
 SuperLU's symmetric mode (minimum-degree ordering on A + A^T, diagonal
@@ -28,6 +50,15 @@ pivots), which fills far less than the default column ordering.  Shift-invert
 finds the eigenvalue nearest zero, which is the smallest one only if A is
 positive definite; the signs of the diagonal pivots give A's inertia
 (Sylvester), so a factor with a pivot <= 0 is rejected as not SPD.
+
+One ordering per matrix.  The factor at zero is the only one that computes a
+fill-reducing ordering.  With q = argsort(perm_c) of that factor, the three
+later factors (the lambda_min certificate, the lambda_max shift and the
+lambda_max certificate) are of A[q][:, q] shifted, in NATURAL order.  A shift
+changes only the diagonal, which is structurally nonzero, so they have the
+pattern of the factor at zero (less any zeros that A stores explicitly, which
+the subtraction drops) and at most its fill.  Both shift-invert solves use a
+10-vector Krylov basis.
 
 Certificates.  A small residual only says that (theta, v) is close to some
 eigenpair, possibly an interior one.  Both ends are therefore enclosed by
@@ -62,6 +93,7 @@ Underflow is not modelled; the entries here are far above it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +112,17 @@ __all__ = [
 
 DENSE_CUTOFF = 300
 DEFAULT_TOL = 1e-8
-# Chebyshev filter of the lambda_max solve: its odd degree, and the relative
+# Chebyshev filter of the lambda_max start: its odd degree, and the relative
 # margin by which its lower end sits below the interlacing bound.
 FILTER_DEGREE = 9
 FILTER_MARGIN = 1e-3
+# ARPACK tolerance of the filtered start, the first relative gap eta of the
+# lambda_max shift above the start's Rayleigh quotient (multiplied by 10
+# until the shift is proven above lambda_max), and the Krylov basis size of
+# both shift-invert solves.
+START_TOL = 1e-3
+SHIFT_GAP = 1e-4
+KRYLOV_VECTORS = 10
 
 
 class EigenSolveError(RuntimeError):
@@ -101,9 +140,12 @@ class SpectralResult:
     enclosures collapse to the computed values).  The converged flag is
     False when the iteration cap was reached first, a residual misses the
     tolerance or a certificate fails (the values are then best estimates).
-    On the iterative path, matvecs counts the products with A spent on
-    lambda_max and factor_nnz is the L + U fill of the shift-invert
-    factorization; both are 0 on the dense path.
+    On the iterative path, matvecs counts the products with A spent on the
+    filtered lambda_max start, factor_nnz is the L + U fill of the factor at
+    zero (which bounds the fill of every factor of the call), solves counts the
+    applications of a factor's inverse over both shift-invert solves and
+    factorizations the sparse factorizations built; all four are 0 on the
+    dense path.
     """
 
     lambda_min: float
@@ -117,6 +159,8 @@ class SpectralResult:
     certified: bool = False
     matvecs: int = 0
     factor_nnz: int = 0
+    solves: int = 0
+    factorizations: int = 0
     v_min: np.ndarray | None = None
     v_max: np.ndarray | None = None
 
@@ -155,15 +199,20 @@ def _dense_extremes(a: SparseSymmetric, tol: float) -> SpectralResult:
     )
 
 
-def _arpack_one(matrix, tol, maxiter, v0, *, sigma=None, which="LA", opinv=None):
-    """One extreme eigenpair via ARPACK; returns (value, vector, converged)."""
-    # Ask ARPACK for extra accuracy; the explicit residual check below is
-    # what decides convergence against the caller's tolerance.
-    arp_tol = max(tol * 1e-2, 1e-14)
+def _arpack_tol(tol: float) -> float:
+    # Ask ARPACK for extra accuracy; the explicit residual check on A is what
+    # decides convergence against the caller's tolerance.
+    return max(tol * 1e-2, 1e-14)
+
+
+def _arpack_one(matrix, arp_tol, maxiter, v0, *, sigma=None, which="LA", opinv=None,
+                ncv=None):
+    """One extreme eigenpair via ARPACK at ARPACK tolerance arp_tol; returns
+    (value, vector, converged)."""
     try:
         vals, vecs = spla.eigsh(
             matrix, k=1, which=which, sigma=sigma, tol=arp_tol,
-            maxiter=maxiter, v0=v0, OPinv=opinv,
+            maxiter=maxiter, v0=v0, OPinv=opinv, ncv=ncv,
         )
         return float(vals[0]), vecs[:, 0], True
     except spla.ArpackNoConvergence as exc:
@@ -173,7 +222,7 @@ def _arpack_one(matrix, tol, maxiter, v0, *, sigma=None, which="LA", opinv=None)
         try:
             vals, vecs = spla.eigsh(
                 matrix, k=1, which=which, sigma=sigma, tol=0.1,
-                maxiter=maxiter, v0=v0, OPinv=opinv,
+                maxiter=maxiter, v0=v0, OPinv=opinv, ncv=ncv,
             )
             return float(vals[0]), vecs[:, 0], False
         except (spla.ArpackNoConvergence, RuntimeError):
@@ -182,6 +231,10 @@ def _arpack_one(matrix, tol, maxiter, v0, *, sigma=None, which="LA", opinv=None)
             ) from exc
     except RuntimeError as exc:
         raise EigenSolveError(f"sparse eigensolve failed: {exc}") from exc
+
+
+def _rayleigh(a: SparseSymmetric, v: np.ndarray) -> float:
+    return float(v @ (a.matrix @ v) / (v @ v))
 
 
 def _interlacing_lower_bound(a: SparseSymmetric) -> float:
@@ -217,23 +270,24 @@ class _ChebyshevFilter(spla.LinearOperator):
         return cur
 
 
-def _lambda_max_filtered(a: SparseSymmetric, tol, maxiter, v0):
-    """Largest eigenvalue by Lanczos on the Chebyshev-filtered p(A) (see the
-    module docstring).  Returns (Rayleigh quotient on A, Ritz vector,
-    converged, products with A)."""
+def _lambda_max_filtered(a: SparseSymmetric, arp_tol, maxiter, v0):
+    """Largest eigenvalue by Lanczos on the Chebyshev-filtered p(A) at ARPACK
+    tolerance arp_tol (see the module docstring).  Returns (Rayleigh
+    quotient on A, Ritz vector, converged, products with A)."""
     b = (1.0 - FILTER_MARGIN) * _interlacing_lower_bound(a)
     if not b > 0:
         raise EigenSolveError("matrix is not SPD (no positive diagonal entry)")
     op = _ChebyshevFilter(a, b)
-    _, v, ok = _arpack_one(op, tol, maxiter, v0, which="LA")
-    return float(v @ (a.matrix @ v) / (v @ v)), v, ok, op.matvecs
+    _, v, ok = _arpack_one(op, arp_tol, maxiter, v0, which="LA")
+    return _rayleigh(a, v), v, ok, op.matvecs
 
 
-def _symmetric_lu(matrix):
-    """Sparse LU in SuperLU's symmetric mode: minimum-degree ordering on
-    A + A^T and diagonal pivots."""
+def _symmetric_lu(matrix, permc_spec: str):
+    """Sparse LU in SuperLU's symmetric mode: diagonal pivots, columns in the
+    order permc_spec ("MMD_AT_PLUS_A": minimum degree on A + A^T;
+    "NATURAL": the matrix's own order)."""
     return spla.splu(
-        matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
 
@@ -252,10 +306,11 @@ def _nonpositive_pivots(lu) -> int | None:
 
 
 def _factor_at_zero(a: SparseSymmetric):
-    """Symmetric-mode LU of A for shift-invert at zero; a factor that left
-    the diagonal or has a pivot <= 0 is rejected as not SPD."""
+    """Symmetric-mode LU of A, minimum-degree ordered, for shift-invert at
+    zero; a factor that left the diagonal or has a pivot <= 0 is rejected as
+    not SPD."""
     try:
-        lu = _symmetric_lu(a.matrix)
+        lu = _symmetric_lu(a.matrix, "MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise EigenSolveError(f"sparse factorization failed: {exc}") from exc
     bad = _nonpositive_pivots(lu)
@@ -266,29 +321,41 @@ def _factor_at_zero(a: SparseSymmetric):
     return lu
 
 
-def _shifted_bound(a: SparseSymmetric, sigma: float, upper: bool) -> float | None:
-    """Certified end of the spectrum from one shifted factor (see the module
-    docstring): sigma + delta >= lambda_max when upper and sigma I - A has
-    all pivots positive, sigma - delta <= lambda_min when not upper and
-    A - sigma I has.  None when a pivot is <= 0, the factor left the
-    diagonal or the factorization failed.  The factor is released on
-    return."""
-    eye = sp.identity(a.order, format="csr")
-    m = (sigma * eye - a.matrix) if upper else (a.matrix - sigma * eye)
+def _shifted_factor(matrix, sigma: float, upper: bool):
+    """Symmetric-mode LU, in the matrix's own order, of M = sigma I - A when
+    upper and of M = A - sigma I when not.  Returns (M, factor) when every
+    pivot is positive, which proves M SPD, and None when a pivot is <= 0,
+    the factor left the diagonal or the factorization failed."""
+    eye = sp.identity(matrix.shape[0], format="csr")
+    m = (sigma * eye - matrix) if upper else (matrix - sigma * eye)
     try:
-        lu = _symmetric_lu(m)
+        lu = _symmetric_lu(m, "NATURAL")
     except RuntimeError:
         return None
     if _nonpositive_pivots(lu) != 0:
         return None
+    return m, lu
+
+
+def _shifted_bound(matrix, sigma: float, upper: bool) -> float | None:
+    """Certified end of the spectrum of the symmetric matrix A from one
+    shifted factor in A's own order (see the module docstring): sigma +
+    delta >= lambda_max when upper and sigma I - A has all pivots positive,
+    sigma - delta <= lambda_min when not upper and A - sigma I has.  None
+    when _shifted_factor is.  The factor is released on return."""
+    factored = _shifted_factor(matrix, sigma, upper)
+    if factored is None:
+        return None
+    m, lu = factored
+    n = matrix.shape[0]
     u_csc = lu.U
     col_count = np.diff(u_csc.indptr)
-    diag = np.empty(a.order)
+    diag = np.empty(n)
     diag[lu.perm_c] = m.diagonal()  # in the factor's (permuted) order
     # Sum of m_jj over the filled pattern of each row of L + U: the row of U
     # plus the column of U (the row of L, as U = D L^T), diagonal once.
     row_sum = (np.bincount(u_csc.indices, weights=np.repeat(diag, col_count),
-                           minlength=a.order)
+                           minlength=n)
                + np.add.reduceat(diag[u_csc.indices], u_csc.indptr[:-1]) - diag)
     u = np.finfo(float).eps / 2
     w = int(col_count.max()) + 1
@@ -297,15 +364,71 @@ def _shifted_bound(a: SparseSymmetric, sigma: float, upper: bool) -> float | Non
     return sigma + delta if upper else sigma - delta
 
 
-def _solve_operator(lu) -> spla.LinearOperator:
-    return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=np.float64)
+def _shift_above_lambda_max(matrix, theta0: float):
+    """Factor of sigma_1 I - A, A in its own order, whose pivots prove sigma_1
+    > lambda_max, with sigma_1 <= lo (1 + SHIFT_GAP) for some lo <=
+    lambda_max (see the module docstring).  theta0 <= lambda_max is the
+    Rayleigh quotient of the start.  Returns (factor, factorizations built).
+    """
+    if not theta0 > 0:
+        raise EigenSolveError(f"matrix is not SPD (Rayleigh quotient {theta0:.6g})")
+    gershgorin = float(abs(matrix).sum(axis=1).max())
+    lo, hi, eta, tries = theta0, math.inf, SHIFT_GAP, 0
+    factored = None
+    while hi > lo * (1 + SHIFT_GAP):
+        # Grow the shift above lo until one is proven above lambda_max, then
+        # bisect [lo, hi] geometrically.
+        sigma = lo * (1 + eta) if math.isinf(hi) else math.sqrt(lo * hi)
+        factored = None  # release the last factor before building the next
+        factored = _shifted_factor(matrix, sigma, upper=True)
+        tries += 1
+        if factored is not None:
+            hi = sigma
+        elif sigma > gershgorin:
+            raise EigenSolveError(
+                f"sigma I - A has a pivot <= 0 at sigma = {sigma:.6g}, above the "
+                f"Gershgorin bound {gershgorin:.6g} of lambda_max"
+            )
+        else:  # sigma I - A is not SPD: lambda_max >= sigma
+            lo, eta = sigma, 10 * eta
+    if factored is None:  # the last bisection step fell below lambda_max
+        factored = _shifted_factor(matrix, hi, upper=True)
+        tries += 1
+    return factored[1], tries
 
 
-def _lambda_min_shift_invert(a: SparseSymmetric, lu, tol, maxiter, v0):
-    """Eigenvalue nearest zero by shift-invert Lanczos with the factor lu of
-    A.  Returns (value, vector, converged)."""
-    return _arpack_one(a.matrix, tol, maxiter, v0, sigma=0.0, which="LM",
-                       opinv=_solve_operator(lu))
+class _Inverse(spla.LinearOperator):
+    """x -> A^-1 x in A's order, from the factor lu of A[q][:, q] (of A
+    itself when q is None); counts its solves."""
+
+    def __init__(self, lu, q: np.ndarray | None = None):
+        super().__init__(dtype=np.float64, shape=lu.shape)
+        self.lu, self.q = lu, q
+        self.solves = 0
+
+    def _matvec(self, x):
+        self.solves += 1
+        if self.q is None:
+            return self.lu.solve(x)
+        y = np.empty_like(x)
+        y[self.q] = self.lu.solve(x[self.q])
+        return y
+
+
+def _lambda_min_shift_invert(a: SparseSymmetric, inverse, tol, maxiter, v0):
+    """Eigenvalue nearest zero by shift-invert Lanczos with inverse = A^-1.
+    Returns (value, vector, converged)."""
+    return _arpack_one(a.matrix, _arpack_tol(tol), maxiter, v0, sigma=0.0, which="LM",
+                       opinv=inverse, ncv=KRYLOV_VECTORS)
+
+
+def _lambda_max_shift_invert(a: SparseSymmetric, inverse, tol, maxiter, v0):
+    """Largest eigenvalue of A by Lanczos on inverse = (sigma_1 I - A)^-1,
+    sigma_1 proven above lambda_max.  Returns (Rayleigh quotient on A,
+    vector, converged)."""
+    _, v, ok = _arpack_one(inverse, _arpack_tol(tol), maxiter, v0, which="LA",
+                           ncv=KRYLOV_VECTORS)
+    return _rayleigh(a, v), v, ok
 
 
 def extreme_eigenvalues(
@@ -318,11 +441,13 @@ def extreme_eigenvalues(
 ) -> SpectralResult:
     """Smallest and largest eigenvalue of an SPD matrix with condition number.
 
-    maxiter caps the ARPACK iterations (restarts) of each iterative solve.
-    On the lambda_max side each Lanczos step applies the filter p(A), i.e.
-    FILTER_DEGREE = 9 products with A.  A solve that hits the cap is
-    flagged converged=False; its lambda_max is still the Rayleigh quotient
-    of the returned vector, so it never exceeds the true lambda_max.
+    maxiter caps the ARPACK iterations (restarts) of each of the three
+    iterative solves: the filtered lambda_max start, whose Lanczos steps
+    apply p(A), i.e. FILTER_DEGREE = 9 products with A, and the two
+    shift-invert solves.  The start only supplies a shift and a vector, so
+    its own convergence is not required.  A shift-invert solve that hits the
+    cap is flagged converged=False; lambda_max is still the Rayleigh
+    quotient of the returned vector, so it never exceeds the true lambda_max.
     """
     _check_tol(tol)
     n = a.order
@@ -330,17 +455,27 @@ def extreme_eigenvalues(
         return _dense_extremes(a, tol)
 
     v0 = np.random.default_rng(seed).standard_normal(n)
-    lam_max, v_max, ok_max, matvecs = _lambda_max_filtered(a, tol, maxiter, v0)
-    # One factor at a time: each certificate factor is released before the
-    # next factor is built.
-    upper = _shifted_bound(a, lam_max * (1 + tol * 1e-2), upper=True)
+    # One factor at a time: each is released before the next is built.  The
+    # factor at zero chooses the fill-reducing order q that the others share.
     lu = _factor_at_zero(a)
-    lam_min, v_min, ok_min = _lambda_min_shift_invert(a, lu, tol, maxiter, v0)
+    q = np.argsort(lu.perm_c)
     factor_nnz = lu.L.nnz + lu.U.nnz
-    del lu
+    inverse = _Inverse(lu)
+    lam_min, v_min, ok_min = _lambda_min_shift_invert(a, inverse, tol, maxiter, v0)
+    solves = inverse.solves
+    del lu, inverse
     if lam_min <= 0:
         raise EigenSolveError(f"matrix is not SPD (lambda_min = {lam_min:.6g})")
-    lower = _shifted_bound(a, lam_min * (1 - tol * 1e-2), upper=False)
+    ordered = a.matrix[q][:, q]
+    lower = _shifted_bound(ordered, lam_min * (1 - tol * 1e-2), upper=False)
+
+    theta0, v_start, _, matvecs = _lambda_max_filtered(a, START_TOL, maxiter, v0)
+    lu, tries = _shift_above_lambda_max(ordered, theta0)
+    inverse = _Inverse(lu, q)
+    lam_max, v_max, ok_max = _lambda_max_shift_invert(a, inverse, tol, maxiter, v_start)
+    solves += inverse.solves
+    del lu, inverse
+    upper = _shifted_bound(ordered, lam_max * (1 + tol * 1e-2), upper=True)
     certified = upper is not None and lower is not None
 
     res = max(_rel_residual(a, lam_min, v_min), _rel_residual(a, lam_max, v_max))
@@ -356,6 +491,8 @@ def extreme_eigenvalues(
         certified=certified,
         matvecs=matvecs,
         factor_nnz=factor_nnz,
+        solves=solves,
+        factorizations=tries + 3,
         v_min=v_min,
         v_max=v_max,
     )

@@ -40,7 +40,7 @@ from femcond.spectra import (
     DENSE_CUTOFF,
     EigenSolveError,
     _check_tol,
-    _solve_operator,
+    _Inverse,
 )
 
 
@@ -256,6 +256,17 @@ def h_domain_pairwise(mesh: SimplicialMesh) -> float:
     return float(np.sqrt((diff**2).sum(axis=2)).max())
 
 
+def boundary_facets_unique_rows(mesh: SimplicialMesh) -> np.ndarray:
+    """Boundary facets as sorted vertex rows, deduplicated row-wise by
+    np.unique(axis=0) and kept where they occur once: the mesh's facets
+    without its integer keys, in lexicographic row order."""
+    d = mesh.dim
+    facets = np.sort(np.concatenate(
+        [np.delete(mesh.elements, drop, axis=1) for drop in range(d + 1)]), axis=1)
+    uniq, counts = np.unique(facets, axis=0, return_counts=True)
+    return uniq[counts == 1]
+
+
 def _point_segment_distance(points, a, b):
     """Distances from points (m, d) to segments a->b ((s, d) each), shape (m, s)."""
     ab = b - a  # (s, d)
@@ -428,7 +439,7 @@ def generalized_min_eigenvalue(
         return float(vals[0])
 
     v0 = np.random.default_rng(seed).standard_normal(n)
-    opinv = _solve_operator(spectra._factor_at_zero(a))
+    opinv = _Inverse(spectra._factor_at_zero(a))
     try:
         vals, vecs = spla.eigsh(
             a.matrix.tocsc(), k=1, M=b.matrix.tocsc(), sigma=0.0, which="LM",

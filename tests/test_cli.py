@@ -94,7 +94,10 @@ class TestAnalyze:
             exact = data["exact"][name]
             assert exact["method"] == "lanczos_shift_invert"
             assert exact["matvecs"] > 0 and exact["factor_nnz"] > 0
-            assert f"matvecs={exact['matvecs']} factor_nnz={exact['factor_nnz']}" in line
+            assert exact["solves"] > 0 and exact["factorizations"] >= 4
+            assert (f"matvecs={exact['matvecs']} factor_nnz={exact['factor_nnz']} "
+                    f"solves={exact['solves']} factorizations={exact['factorizations']}"
+                    ) in line
 
     def test_certificate_reported(self, tmp_path, capsys):
         # order 400, above the dense cutoff

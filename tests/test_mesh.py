@@ -14,7 +14,12 @@ from femcond.mesh import (
     PointOutsideDomainError,
 )
 from conftest import random_mesh
-from oracles import boundary_distance_brute, h_domain_pairwise, p_min
+from oracles import (
+    boundary_distance_brute,
+    boundary_facets_unique_rows,
+    h_domain_pairwise,
+    p_min,
+)
 
 
 class TestGenerateUniform:
@@ -492,6 +497,25 @@ class TestMeshInvariants:
         for f, c in zip(uniq, counts):
             assert c in (1, 2)
             assert (tuple(f) in boundary_set) == (c == 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_facets_equal_the_unique_rows_oracle(self, dim, rng):
+        graded = {1: fc.generate_chebyshev_1d(40),
+                  2: fc.generate_boundary_layer(2, 30, 125.0),
+                  3: fc.generate_boundary_layer(3, 6, 25.0)}[dim]
+        for mesh in [graded] + [random_mesh(rng, dim) for _ in range(3)]:
+            # Relabel the vertices and shuffle the elements, so that neither
+            # the facet rows nor their keys arrive in order.
+            perm = rng.permutation(mesh.n_vertices)
+            relabeled = fc.SimplicialMesh(
+                dim, mesh.vertices[np.argsort(perm)],
+                perm[mesh.elements][rng.permutation(mesh.n_elements)])
+            for m in (mesh, relabeled):
+                expected = boundary_facets_unique_rows(m)
+                np.testing.assert_array_equal(m.boundary_facets, expected)
+                flags = np.zeros(m.n_vertices, dtype=bool)
+                flags[expected.ravel()] = True
+                np.testing.assert_array_equal(m.boundary_vertex_flags, flags)
 
     def test_reflection_symmetry_of_metrics(self):
         for dim in (1, 2, 3):

@@ -83,9 +83,12 @@ class TestExtremeEigenvalues:
         assert r.lambda_max * (1 - tol) <= rq_max <= r.lambda_max * (1 + 1e-15)
 
     def test_nonconvergence_is_flagged(self):
-        m = fc.generate_uniform(1, 700)
+        # maxiter=1: the lambda_max shift-invert solve stops after its first
+        # 10-vector Krylov basis, unconverged.  At order 699 one basis
+        # converges every solve, so the order is 1 999.
+        m = fc.generate_uniform(1, 2000)
         a = fc.assemble_stiffness(m, fc.DiffusionField.identity(1))
-        r = extreme_eigenvalues(a, tol=1e-8, dense_cutoff=10, maxiter=3)
+        r = extreme_eigenvalues(a, tol=1e-8, dense_cutoff=10, maxiter=1)
         assert not r.converged
 
     def test_non_spd_rejected(self):
@@ -169,7 +172,10 @@ class TestFilteredLambdaMax:
     def test_unconverged_lambda_max_is_a_rayleigh_quotient(self):
         a = _boundary_layer_a()
         dense = extreme_eigenvalues(a, dense_cutoff=a.order)
-        r = extreme_eigenvalues(a, dense_cutoff=10, maxiter=1)
+        # maxiter=1 at tol 1e-12 (ARPACK tol 1e-14): the lambda_max
+        # shift-invert solve stops after its first Krylov basis, unconverged;
+        # at the default tol that one basis already converges.
+        r = extreme_eigenvalues(a, 1e-12, dense_cutoff=10, maxiter=1)
         assert not r.converged
         v = r.v_max
         assert r.lambda_max == (v @ (a.matrix @ v)) / (v @ v)
@@ -179,13 +185,64 @@ class TestFilteredLambdaMax:
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=a.order)
         assert r.method == "dense"
-        assert (r.matvecs, r.factor_nnz) == (0, 0)
+        assert (r.matvecs, r.factor_nnz, r.solves, r.factorizations) == (0, 0, 0, 0)
 
     def test_symmetric_mode_factor_fills_less_than_default_lu(self):
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=10)
         default = spla.splu(a.matrix.tocsc())  # COLAMD ordering, partial pivoting
         assert a.matrix.nnz + a.order <= r.factor_nnz < default.L.nnz + default.U.nnz
+
+
+class TestShiftInvertLambdaMax:
+    """lambda_max is refined by Lanczos on (sigma_1 I - A)^-1, sigma_1 proven
+    above lambda_max by the pivots of its factor, and every factor of a call
+    shares the ordering of the factor at zero."""
+
+    def test_start_far_below_lambda_max_grows_the_shift(self, monkeypatch):
+        a = _boundary_layer_a()
+        vals, vecs = np.linalg.eigh(a.toarray())
+        assert vals[-1] > 1e3 * vals[0]
+
+        def smallest(a_, arp_tol, maxiter, v0):
+            v = vecs[:, 0]
+            return float(v @ (a_.matrix @ v)), v, True, 0
+
+        monkeypatch.setattr(fc.spectra, "_lambda_max_filtered", smallest)
+        tol = 1e-8
+        r = extreme_eigenvalues(a, tol, dense_cutoff=10)
+        # four factors when the first shift holds; the pivots failed here
+        assert r.factorizations > 4
+        assert r.certified and r.converged
+        assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
+        assert r.lambda_min == pytest.approx(vals[0], rel=10 * tol)
+
+    def test_first_shift_holds_on_a_converged_start(self):
+        a = _boundary_layer_a()
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.converged
+        assert r.factorizations == 4
+        assert r.solves > 0
+
+    def test_one_minimum_degree_ordering_per_call(self, monkeypatch):
+        a = fc.assemble_stiffness(fc.generate_boundary_layer(3, 11, 25.0),
+                                  fc.DiffusionField.identity(3))
+        specs, fills = [], []
+        splu = spla.splu
+
+        def spy(matrix, *args, permc_spec=None, **kwargs):
+            lu = splu(matrix, *args, permc_spec=permc_spec, **kwargs)
+            specs.append(permc_spec)
+            fills.append(lu.nnz)
+            return lu
+
+        monkeypatch.setattr(fc.spectra.spla, "splu", spy)
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.converged
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (r.factorizations - 1)
+        # A shift keeps the pattern, less the zeros A stores explicitly
+        # (right angles in 3D), which the subtraction drops.
+        assert len(set(fills[1:])) == 1 and fills[1] <= fills[0]
 
 
 class TestCertificate:
@@ -198,11 +255,11 @@ class TestCertificate:
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[-2] < vals[-1]
 
-        def second_largest(a_, tol, maxiter, v0):
+        def second_largest(a_, inverse, tol, maxiter, v0):
             v = vecs[:, -2]
-            return float(v @ (a_.matrix @ v)), v, True, 9
+            return float(v @ (a_.matrix @ v)), v, True
 
-        monkeypatch.setattr(fc.spectra, "_lambda_max_filtered", second_largest)
+        monkeypatch.setattr(fc.spectra, "_lambda_max_shift_invert", second_largest)
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.residual <= 1e-8  # the interior pair passes the residual test
         assert not r.certified
@@ -213,7 +270,7 @@ class TestCertificate:
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[0] < vals[1]
 
-        def second_smallest(a_, lu, tol, maxiter, v0):
+        def second_smallest(a_, inverse, tol, maxiter, v0):
             return float(vals[1]), vecs[:, 1], True
 
         monkeypatch.setattr(fc.spectra, "_lambda_min_shift_invert", second_smallest)
@@ -243,13 +300,13 @@ class TestCertificate:
 
     def test_shift_inside_the_spectrum_is_rejected(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
-        assert fc.spectra._shifted_bound(a, vals[-1] * (1 - 1e-6), upper=True) is None
-        assert fc.spectra._shifted_bound(a, vals[0] * (1 + 1e-6), upper=False) is None
+        assert fc.spectra._shifted_bound(a.matrix, vals[-1] * (1 - 1e-6), upper=True) is None
+        assert fc.spectra._shifted_bound(a.matrix, vals[0] * (1 + 1e-6), upper=False) is None
 
     def test_shift_just_outside_the_spectrum_is_accepted(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
-        hi = fc.spectra._shifted_bound(a, vals[-1] * (1 + 1e-10), upper=True)
-        lo = fc.spectra._shifted_bound(a, vals[0] * (1 - 1e-10), upper=False)
+        hi = fc.spectra._shifted_bound(a.matrix, vals[-1] * (1 + 1e-10), upper=True)
+        lo = fc.spectra._shifted_bound(a.matrix, vals[0] * (1 - 1e-10), upper=False)
         assert vals[-1] < hi <= vals[-1] * (1 + 1e-9)
         assert vals[0] * (1 - 1e-6) <= lo < vals[0]
 
