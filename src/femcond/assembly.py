@@ -198,7 +198,7 @@ def _p1_gradients(mesh: SimplicialMesh) -> np.ndarray:
     """Constant gradients of the d+1 barycentric basis functions per
     element, shape (n, d+1, d)."""
     d = mesh.dim
-    inv_e = np.linalg.inv(mesh.edge_matrices())
+    inv_e = mesh.inverse_edge_matrices
     grads = np.empty((mesh.n_elements, d + 1, d))
     grads[:, 1:, :] = inv_e
     grads[:, 0, :] = -inv_e.sum(axis=1)

@@ -43,7 +43,7 @@ from .assembly import (
     average_diffusion_all,
     jacobi_scale,
 )
-from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics
+from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics, reference_scale
 from .spectra import DENSE_CUTOFF, EigenSolveError, SpectralResult, extreme_eigenvalues
 
 __all__ = [
@@ -149,15 +149,16 @@ def compute_beta(
     geometry: ElementGeometry | None = None,
     element_averages: np.ndarray | None = None,
 ) -> AnisotropyMetrics:
-    """Per-element anisotropy factors and their normalized maximum."""
-    if geometry is None:
-        geometry = compute_metrics(mesh)[1]
+    """Per-element anisotropy factors and their normalized maximum; of
+    geometry only the volumes are read (the mesh's own when it is None)."""
+    volumes = mesh.volumes if geometry is None else geometry.volumes
     dk = element_averages if element_averages is not None else average_diffusion_all(mesh, field)
-    finv = np.linalg.inv(geometry.jacobians)
+    # inv(jacobians) = scale inv(E), E the edge matrices the mesh inverts once.
+    finv = reference_scale(mesh.dim) * mesh.inverse_edge_matrices
     m = finv @ dk @ np.swapaxes(finv, 1, 2)
     m = 0.5 * (m + np.swapaxes(m, 1, 2))
     beta = _sym_eigmax(m) / field.d_min
-    gamma_h = float(beta.max() / (geometry.volumes @ beta))
+    gamma_h = float(beta.max() / (volumes @ beta))
     return AnisotropyMetrics(beta_k=beta, gamma_h=gamma_h, p=_resolve_p(mesh.dim, p))
 
 

@@ -292,6 +292,15 @@ class SimplicialMesh:
             1, 2,
         )
 
+    @cached_property
+    def inverse_edge_matrices(self) -> np.ndarray:
+        """Inverses of edge_matrices(), shape (n, d, d), computed once per
+        mesh (read-only): assembly's basis gradients and the anisotropy
+        factors beta_k both read them."""
+        inverse = np.linalg.inv(self.edge_matrices())
+        inverse.setflags(write=False)
+        return inverse
+
     def __repr__(self):
         return (
             f"SimplicialMesh(dim={self.dim}, vertices={self.n_vertices}, "
@@ -624,11 +633,15 @@ def _element_d_k_array(mesh: SimplicialMesh) -> np.ndarray:
     return np.maximum(vert_max, dist[nv:])
 
 
+def reference_scale(dim: int) -> float:
+    """Edge length scale of the unit-volume reference simplex: an element's
+    jacobian is its edge matrix divided by it."""
+    return math.factorial(dim) ** (1.0 / dim)
+
+
 def compute_metrics(mesh: SimplicialMesh) -> tuple[MeshMetrics, ElementGeometry]:
     """Geometry arrays and global metrics of a mesh."""
-    d = mesh.dim
-    scale = math.factorial(d) ** (1.0 / d)  # unit-volume reference simplex
-    jac = mesh.edge_matrices() / scale
+    jac = mesh.edge_matrices() / reference_scale(mesh.dim)
     geometry = ElementGeometry(
         jacobians=jac,
         volumes=mesh.volumes.copy(),

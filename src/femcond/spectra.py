@@ -2,7 +2,7 @@
 
 Small systems (order <= 300) go through a dense symmetric eigensolver.
 Larger ones use implicitly restarted Lanczos (ARPACK) for both ends, and
-each end is then certified by the inertia of a shifted factor (below).
+each end is then certified by a shifted Cholesky factorization (below).
 Every returned eigenvalue carries an explicitly computed relative residual
 ||A v - lambda v|| / ||lambda v|| on A itself; results that miss the
 requested tolerance or their certificate are flagged, not hidden.
@@ -22,73 +22,79 @@ accuracy, needs thousands of products.  The solve has three steps.
      p(A) belongs to the largest eigenvalue of A.  The degree is odd, so a
      negative eigenvalue maps below -1 and never wins.  The Rayleigh
      quotient theta_0 of the Ritz vector on A is <= lambda_max.
-  2. Shift.  sigma_1 = theta_0 (1 + 1e-4) is accepted when the
-     symmetric-mode factor of sigma_1 I - A has every pivot positive; by
-     Sylvester's law of inertia sigma_1 I - A is then SPD, i.e. sigma_1 >
-     lambda_max.  A pivot <= 0 instead shows lambda_max >= sigma_1; the next
-     shift is then sigma_1 (1 + eta) with eta ten times larger, at most
-     until the shift passes the Gershgorin bound max_i sum_j |a_ij| >=
-     lambda_max, above which sigma I - A is strictly diagonally dominant (a
-     pivot <= 0 there raises).  A shift that had to grow is brought back by
-     geometric bisection between the largest shift shown below lambda_max
-     and the smallest proven above it, until they are within 1e-4
+  2. Shift.  sigma_1 = theta_0 (1 + 1e-4) is accepted when the Cholesky
+     factorization of sigma_1 I - A completes, which shows sigma_1 I - A
+     positive definite to working precision, i.e. sigma_1 > lambda_max up to
+     the rounding margin below.  A failed one instead shows lambda_max >=
+     sigma_1; the next shift is then sigma_1 (1 + eta) with eta ten times
+     larger, at most until the shift passes the Gershgorin bound max_i sum_j
+     |a_ij| >= lambda_max, above which sigma I - A is strictly diagonally
+     dominant (a failure there raises).  A shift that had to grow is brought
+     back by geometric bisection between the largest shift shown below
+     lambda_max and the smallest shown above it, until they are within 1e-4
      relative.
-  3. Shift-invert.  (sigma_1 I - A)^-1, proven SPD, has the eigenvalues
-     1 / (sigma_1 - lambda) > 0, increasing in lambda, so its largest one
-     belongs to lambda_max; the shift spreads the top cluster from relative
-     gaps (lambda_1 - lambda_2) / lambda_1 to (lambda_1 - lambda_2) /
-     (sigma_1 - lambda_2).  ARPACK which="LA" runs on that inverse from the
-     Ritz vector of step 1.  The reported lambda_max is the Rayleigh quotient
-     of the result on A, and the residual on A decides convergence.  The
-     vector only has to be good: a misconverged pair (an interior eigenvalue,
-     or too few digits) is caught by the lambda_max certificate below, which
-     does not depend on how the vector was found.
+  3. Shift-invert.  (sigma_1 I - A)^-1, positive definite, has the
+     eigenvalues 1 / (sigma_1 - lambda) > 0, increasing in lambda, so its
+     largest one belongs to lambda_max; the shift spreads the top cluster
+     from relative gaps (lambda_1 - lambda_2) / lambda_1 to (lambda_1 -
+     lambda_2) / (sigma_1 - lambda_2).  ARPACK which="LA" runs on that
+     inverse from the Ritz vector of step 1.  The reported lambda_max is the
+     Rayleigh quotient of the result on A, and the residual on A decides
+     convergence.  The vector only has to be good: a misconverged pair (an
+     interior eigenvalue, or too few digits) is caught by the lambda_max
+     certificate below, which does not depend on how the vector was found.
 
-lambda_min: shift-invert Lanczos at shift zero, with one sparse LU of A in
-SuperLU's symmetric mode (minimum-degree ordering on A + A^T, diagonal
-pivots), which fills far less than the default column ordering.  Shift-invert
-finds the eigenvalue nearest zero, which is the smallest one only if A is
-positive definite; the signs of the diagonal pivots give A's inertia
-(Sylvester), so a factor with a pivot <= 0 is rejected as not SPD.
+lambda_min: shift-invert Lanczos at shift zero, with the Cholesky factor of
+A.  Shift-invert finds the eigenvalue nearest zero, which is the smallest
+one only if A is positive definite; a Cholesky factorization completes only
+on a matrix that is positive definite to working precision, so a failed one
+is rejected as not SPD.
 
-One ordering per matrix.  The factor at zero is the only one that computes a
-fill-reducing ordering.  With q = argsort(perm_c) of that factor, the three
-later factors (the lambda_min certificate, the lambda_max shift and the
-lambda_max certificate) are of A[q][:, q] shifted, in NATURAL order.  A shift
-changes only the diagonal, which is structurally nonzero, so they have the
-pattern of the factor at zero (less any zeros that A stores explicitly, which
-the subtraction drops) and at most its fill.  Both shift-invert solves use a
-10-vector Krylov basis.
+One ordering per matrix.  The factor at zero computes the only ordering of
+a call: q = reverse_cuthill_mckee(A), on A's stored pattern, which makes
+A[q][:, q] a band matrix of half-bandwidth kd = max |i - j| over its stored
+entries.  All four factors of a call (at zero, the lambda_min certificate,
+the lambda_max shift and the lambda_max certificate) are LAPACK band
+Cholesky factorizations (dpbtrf) of A[q][:, q] shifted, in that band: a
+shift changes only the diagonal.  Each band is built in Fortran order from
+the entries of the lower triangle of A[q][:, q], factored in place and
+released before the next one is built, so one (kd + 1) x n array is alive at
+a time.  Cost model: a factor takes about n kd^2 flops, a solve 4 n kd, and
+both work on n (kd + 1) doubles.  On a d-dimensional grid kd is about the
+number of vertices in a cross-section, n^((d-1)/d): at large 2D orders a
+fill-reducing sparse factor needs less memory and fewer flops per solve.
+Both shift-invert solves use a 10-vector Krylov basis.
 
 Certificates.  A small residual only says that (theta, v) is close to some
 eigenpair, possibly an interior one.  Both ends are therefore enclosed by
-shifted factors, with the same pivot-sign test:
-  lambda_max in [theta_max, sigma_hi + delta]: sigma_hi I - A has all
-      pivots positive, sigma_hi = theta_max (1 + tol 1e-2);
-  lambda_min in [sigma_lo - delta, theta_min]: A - sigma_lo I has all
-      pivots positive, sigma_lo = theta_min (1 - tol 1e-2).
+shifted factorizations:
+  lambda_max in [theta_max, sigma_hi + delta]: the Cholesky factorization
+      of sigma_hi I - A completes, sigma_hi = theta_max (1 + tol 1e-2);
+  lambda_min in [sigma_lo - delta, theta_min]: the Cholesky factorization
+      of A - sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
 The left end of the first and the right end of the second hold because
 theta_max is a Rayleigh quotient on A and theta_min the inverse of a
 Rayleigh quotient on A^-1.  When sigma_lo - delta <= 0 the lower end is 0,
-which the factor at zero certifies.  Each factor is built, read and
-released in turn, so only one is held at a time.
+which the factor at zero certifies.
 
-Rounding margin delta.  With diagonal pivots the symmetric-mode LU of a
-symmetric M performs the operations of M = L D L^T (U = D L^T).  The
-computed factors are the exact ones of M + E with
-|E| <= g |L| |D| |L^T|, g = gamma_w / (1 - gamma_w), gamma_w = w u / (1 - w u),
-u the unit roundoff and w - 1 the largest number of nonzeros in a column of
-U, which bounds the terms of every inner product (Higham, Accuracy and
-Stability of Numerical Algorithms, Thm 10.3, on the sparsity pattern;
-Rump, BIT 46, 2006).  All pivots positive makes D > 0, and Cauchy-Schwarz
-then gives (|L| |D| |L^T|)_ij <= sqrt(m_ii m_jj), the diagonal taken of M + E
-(which the 1 / (1 - gamma_w) absorbs).  For the nonnegative |E| with
-positive weights s_j = sqrt(m_jj), ||E||_2 <= rho(|E|) <= max_i sum_j
-|E_ij| s_j / s_i <= g max_i sum_j m_jj, the sum over the filled pattern of
-row i of L + U.  Forming M rounds its diagonal by at most u max_j |m_jj|.
-So delta = g max_i sum_j m_jj + u max_j |m_jj|: positive pivots prove that
-M + E is SPD with ||E||_2 <= delta, i.e. that lambda_min(M) > -delta.
-Underflow is not modelled; the entries here are far above it.
+Rounding margin delta.  For a symmetric M of half-bandwidth kd, the
+computed Cholesky factor R (M = R^T R) is the exact one of M + E with
+|E| <= gamma_w |R^T| |R|, gamma_w = w u / (1 - w u), u the unit roundoff
+and w = kd + 2: every entry of R comes from an inner product of at most kd
+terms, a subtraction and a division or square root, in any order of
+summation (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3,
+with the band in place of n; Rump, BIT 46, 2006).  For the columns r_i of
+R, Cauchy-Schwarz gives (|R^T| |R|)_ij <= ||r_i|| ||r_j||, and ||r_i||^2 =
+m_ii + e_ii <= m_ii + gamma_w ||r_i||^2, so |E_ij| <= g sqrt(m_ii m_jj) with
+g = gamma_w / (1 - gamma_w), and E vanishes outside the band |i - j| <= kd.
+For the nonnegative |E| with positive weights s_j = sqrt(m_jj), ||E||_2 <=
+rho(|E|) <= max_i sum_j |E_ij| s_j / s_i <= g max_i sum_{|j - i| <= kd}
+m_jj.  Forming M rounds its diagonal by at most u max_j |m_jj|.  So delta =
+g max_i sum_{|j - i| <= kd} m_jj + u max_j |m_jj|: a completed factorization
+proves M + E positive definite with ||E||_2 <= delta, i.e. lambda_min(M) >
+-delta.  Underflow, and the rounding in evaluating delta itself (relative,
+below (2 kd + 1) u), are not modelled; the entries here are far above
+underflow.
 """
 
 from __future__ import annotations
@@ -99,6 +105,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import SparseSymmetric
 
@@ -118,7 +126,7 @@ FILTER_DEGREE = 9
 FILTER_MARGIN = 1e-3
 # ARPACK tolerance of the filtered start, the first relative gap eta of the
 # lambda_max shift above the start's Rayleigh quotient (multiplied by 10
-# until the shift is proven above lambda_max), and the Krylov basis size of
+# until the shift is shown above lambda_max), and the Krylov basis size of
 # both shift-invert solves.
 START_TOL = 1e-3
 SHIFT_GAP = 1e-4
@@ -141,11 +149,10 @@ class SpectralResult:
     False when the iteration cap was reached first, a residual misses the
     tolerance or a certificate fails (the values are then best estimates).
     On the iterative path, matvecs counts the products with A spent on the
-    filtered lambda_max start, factor_nnz is the L + U fill of the factor at
-    zero (which bounds the fill of every factor of the call), solves counts the
-    applications of a factor's inverse over both shift-invert solves and
-    factorizations the sparse factorizations built; all four are 0 on the
-    dense path.
+    filtered lambda_max start, factor_nnz is the size n (kd + 1) of the band
+    that every factor of the call fills, solves counts the applications of a
+    factor's inverse over both shift-invert solves and factorizations the
+    band Cholesky factorizations built; all four are 0 on the dense path.
     """
 
     lambda_min: float
@@ -282,137 +289,124 @@ def _lambda_max_filtered(a: SparseSymmetric, arp_tol, maxiter, v0):
     return _rayleigh(a, v), v, ok, op.matvecs
 
 
-def _symmetric_lu(matrix, permc_spec: str):
-    """Sparse LU in SuperLU's symmetric mode: diagonal pivots, columns in the
-    order permc_spec ("MMD_AT_PLUS_A": minimum degree on A + A^T;
-    "NATURAL": the matrix's own order)."""
-    return spla.splu(
-        matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+class _Band:
+    """The symmetric A in one reverse Cuthill-McKee order q: the entries on
+    and below the diagonal of A[q][:, q] by diagonal offset and column, its
+    diagonal and its half-bandwidth kd (see the module docstring)."""
+
+    def __init__(self, matrix):
+        n = matrix.shape[0]
+        self.q = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+        pos = np.empty(n, dtype=np.intp)
+        pos[self.q] = np.arange(n)
+        coo = matrix.tocoo()
+        coo.sum_duplicates()
+        row, col = pos[coo.row], pos[coo.col]
+        lower = row >= col
+        self.offset, self.col, self.val = row[lower] - col[lower], col[lower], coo.data[lower]
+        self.diagonal = matrix.diagonal()[self.q]
+        self.n, self.kd = n, int(self.offset.max(initial=0))
+
+    def shifted_diagonal(self, sigma: float, upper: bool) -> np.ndarray:
+        """Diagonal of M = sigma I - A when upper and of M = A - sigma I when
+        not, in the order q."""
+        return sigma - self.diagonal if upper else self.diagonal - sigma
+
+    def cholesky(self, sigma: float, upper: bool) -> np.ndarray | None:
+        """Lower band Cholesky factor, in LAPACK band storage, of M[q][:, q]
+        for M as in shifted_diagonal; None when the factorization fails,
+        i.e. M is not positive definite to working precision.  The band is
+        built in Fortran order, so dpbtrf factors it in place."""
+        ab = np.zeros((self.kd + 1, self.n), order="F")
+        ab[self.offset, self.col] = -self.val if upper else self.val
+        ab[0] = self.shifted_diagonal(sigma, upper)
+        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        return factor if info == 0 else None
 
 
-def _nonpositive_pivots(lu) -> int | None:
-    """Number of pivots <= 0 of a symmetric-mode factor, or None when it
-    left the diagonal pivots (its inertia is then unknown).
-
-    With diagonal pivots (perm_r == perm_c) the factor is P^T A P = L U with
-    U = D L^T, so by Sylvester's law of inertia A is SPD exactly when every
-    pivot diag(U) is positive.
-    """
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.sum(~(lu.U.diagonal() > 0)))
-
-
-def _factor_at_zero(a: SparseSymmetric):
-    """Symmetric-mode LU of A, minimum-degree ordered, for shift-invert at
-    zero; a factor that left the diagonal or has a pivot <= 0 is rejected as
-    not SPD."""
-    try:
-        lu = _symmetric_lu(a.matrix, "MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise EigenSolveError(f"sparse factorization failed: {exc}") from exc
-    bad = _nonpositive_pivots(lu)
-    if bad is None:
-        raise EigenSolveError("matrix is not SPD (LU left the diagonal pivots)")
-    if bad:
-        raise EigenSolveError(f"matrix is not SPD ({bad} LU pivots <= 0)")
-    return lu
-
-
-def _shifted_factor(matrix, sigma: float, upper: bool):
-    """Symmetric-mode LU, in the matrix's own order, of M = sigma I - A when
-    upper and of M = A - sigma I when not.  Returns (M, factor) when every
-    pivot is positive, which proves M SPD, and None when a pivot is <= 0,
-    the factor left the diagonal or the factorization failed."""
-    eye = sp.identity(matrix.shape[0], format="csr")
-    m = (sigma * eye - matrix) if upper else (matrix - sigma * eye)
-    try:
-        lu = _symmetric_lu(m, "NATURAL")
-    except RuntimeError:
-        return None
-    if _nonpositive_pivots(lu) != 0:
-        return None
-    return m, lu
-
-
-def _shifted_bound(matrix, sigma: float, upper: bool) -> float | None:
-    """Certified end of the spectrum of the symmetric matrix A from one
-    shifted factor in A's own order (see the module docstring): sigma +
-    delta >= lambda_max when upper and sigma I - A has all pivots positive,
-    sigma - delta <= lambda_min when not upper and A - sigma I has.  None
-    when _shifted_factor is.  The factor is released on return."""
-    factored = _shifted_factor(matrix, sigma, upper)
-    if factored is None:
-        return None
-    m, lu = factored
-    n = matrix.shape[0]
-    u_csc = lu.U
-    col_count = np.diff(u_csc.indptr)
-    diag = np.empty(n)
-    diag[lu.perm_c] = m.diagonal()  # in the factor's (permuted) order
-    # Sum of m_jj over the filled pattern of each row of L + U: the row of U
-    # plus the column of U (the row of L, as U = D L^T), diagonal once.
-    row_sum = (np.bincount(u_csc.indices, weights=np.repeat(diag, col_count),
-                           minlength=n)
-               + np.add.reduceat(diag[u_csc.indices], u_csc.indptr[:-1]) - diag)
+def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
+    """delta = g max_i sum_{|j - i| <= kd} m_jj + u max_j |m_jj| of a
+    completed band Cholesky factorization of M with diagonal m_diag (see the
+    module docstring)."""
     u = np.finfo(float).eps / 2
-    w = int(col_count.max()) + 1
+    w = kd + 2
     gamma = w * u / (1 - w * u)
-    delta = gamma / (1 - gamma) * float(row_sum.max()) + u * float(np.abs(diag).max())
-    return sigma + delta if upper else sigma - delta
-
-
-def _shift_above_lambda_max(matrix, theta0: float):
-    """Factor of sigma_1 I - A, A in its own order, whose pivots prove sigma_1
-    > lambda_max, with sigma_1 <= lo (1 + SHIFT_GAP) for some lo <=
-    lambda_max (see the module docstring).  theta0 <= lambda_max is the
-    Rayleigh quotient of the start.  Returns (factor, factorizations built).
-    """
-    if not theta0 > 0:
-        raise EigenSolveError(f"matrix is not SPD (Rayleigh quotient {theta0:.6g})")
-    gershgorin = float(abs(matrix).sum(axis=1).max())
-    lo, hi, eta, tries = theta0, math.inf, SHIFT_GAP, 0
-    factored = None
-    while hi > lo * (1 + SHIFT_GAP):
-        # Grow the shift above lo until one is proven above lambda_max, then
-        # bisect [lo, hi] geometrically.
-        sigma = lo * (1 + eta) if math.isinf(hi) else math.sqrt(lo * hi)
-        factored = None  # release the last factor before building the next
-        factored = _shifted_factor(matrix, sigma, upper=True)
-        tries += 1
-        if factored is not None:
-            hi = sigma
-        elif sigma > gershgorin:
-            raise EigenSolveError(
-                f"sigma I - A has a pivot <= 0 at sigma = {sigma:.6g}, above the "
-                f"Gershgorin bound {gershgorin:.6g} of lambda_max"
-            )
-        else:  # sigma I - A is not SPD: lambda_max >= sigma
-            lo, eta = sigma, 10 * eta
-    if factored is None:  # the last bisection step fell below lambda_max
-        factored = _shifted_factor(matrix, hi, upper=True)
-        tries += 1
-    return factored[1], tries
+    window = np.lib.stride_tricks.sliding_window_view(np.pad(m_diag, kd), 2 * kd + 1)
+    return (gamma / (1 - gamma) * float(window.sum(axis=1).max())
+            + u * float(np.abs(m_diag).max()))
 
 
 class _Inverse(spla.LinearOperator):
-    """x -> A^-1 x in A's order, from the factor lu of A[q][:, q] (of A
-    itself when q is None); counts its solves."""
+    """x -> M^-1 x in A's order, from the band Cholesky factor of M[q][:, q]
+    (M = A or a shift of it, q the band's order); counts its solves."""
 
-    def __init__(self, lu, q: np.ndarray | None = None):
-        super().__init__(dtype=np.float64, shape=lu.shape)
-        self.lu, self.q = lu, q
+    def __init__(self, band: _Band, factor: np.ndarray):
+        super().__init__(dtype=np.float64, shape=(band.n, band.n))
+        self.band, self.factor = band, factor
         self.solves = 0
 
     def _matvec(self, x):
         self.solves += 1
-        if self.q is None:
-            return self.lu.solve(x)
-        y = np.empty_like(x)
-        y[self.q] = self.lu.solve(x[self.q])
+        q = self.band.q
+        z, _ = dpbtrs(self.factor, x[q], lower=1, overwrite_b=1)
+        y = np.empty_like(z)
+        y[q] = z
         return y
+
+
+def _factor_at_zero(a: SparseSymmetric) -> _Inverse:
+    """A^-1 for shift-invert at zero, from the band Cholesky factor of A in
+    its reverse Cuthill-McKee order; a failed factorization is rejected as
+    not SPD."""
+    band = _Band(a.matrix)
+    factor = band.cholesky(0.0, upper=False)
+    if factor is None:
+        raise EigenSolveError("matrix is not SPD (its Cholesky factorization failed)")
+    return _Inverse(band, factor)
+
+
+def _shifted_bound(band: _Band, sigma: float, upper: bool) -> float | None:
+    """Certified end of the spectrum of the symmetric A from one shifted
+    band Cholesky factorization (see the module docstring): sigma + delta >=
+    lambda_max when upper and the factorization of sigma I - A completes,
+    sigma - delta <= lambda_min when not upper and that of A - sigma I
+    does; None when it fails.  The factor is released on return."""
+    if band.cholesky(sigma, upper) is None:
+        return None
+    delta = _rounding_margin(band.kd, band.shifted_diagonal(sigma, upper))
+    return sigma + delta if upper else sigma - delta
+
+
+def _shift_above_lambda_max(band: _Band, theta0: float, gershgorin: float):
+    """(sigma_1 I - A)^-1 from a band Cholesky factorization that completes,
+    with sigma_1 <= lo (1 + SHIFT_GAP) for some lo <= lambda_max (see the
+    module docstring).  theta0 <= lambda_max is the Rayleigh quotient of the
+    start, gershgorin = max_i sum_j |a_ij|.  Returns (inverse,
+    factorizations built)."""
+    if not theta0 > 0:
+        raise EigenSolveError(f"matrix is not SPD (Rayleigh quotient {theta0:.6g})")
+    lo, hi, eta, tries = theta0, math.inf, SHIFT_GAP, 0
+    factor = None
+    while hi > lo * (1 + SHIFT_GAP):
+        # Grow the shift above lo until one is shown above lambda_max, then
+        # bisect [lo, hi] geometrically.
+        sigma = lo * (1 + eta) if math.isinf(hi) else math.sqrt(lo * hi)
+        factor = None  # release the last factor before building the next
+        factor = band.cholesky(sigma, upper=True)
+        tries += 1
+        if factor is not None:
+            hi = sigma
+        elif sigma > gershgorin:
+            raise EigenSolveError(
+                f"the Cholesky factorization of sigma I - A fails at sigma = "
+                f"{sigma:.6g}, above the Gershgorin bound {gershgorin:.6g} of lambda_max"
+            )
+        else:  # sigma I - A is not positive definite: lambda_max >= sigma
+            lo, eta = sigma, 10 * eta
+    if factor is None:  # the last bisection step fell below lambda_max
+        factor = band.cholesky(hi, upper=True)
+        tries += 1
+    return _Inverse(band, factor), tries
 
 
 def _lambda_min_shift_invert(a: SparseSymmetric, inverse, tol, maxiter, v0):
@@ -424,7 +418,7 @@ def _lambda_min_shift_invert(a: SparseSymmetric, inverse, tol, maxiter, v0):
 
 def _lambda_max_shift_invert(a: SparseSymmetric, inverse, tol, maxiter, v0):
     """Largest eigenvalue of A by Lanczos on inverse = (sigma_1 I - A)^-1,
-    sigma_1 proven above lambda_max.  Returns (Rayleigh quotient on A,
+    sigma_1 shown above lambda_max.  Returns (Rayleigh quotient on A,
     vector, converged)."""
     _, v, ok = _arpack_one(inverse, _arpack_tol(tol), maxiter, v0, which="LA",
                            ncv=KRYLOV_VECTORS)
@@ -456,26 +450,23 @@ def extreme_eigenvalues(
 
     v0 = np.random.default_rng(seed).standard_normal(n)
     # One factor at a time: each is released before the next is built.  The
-    # factor at zero chooses the fill-reducing order q that the others share.
-    lu = _factor_at_zero(a)
-    q = np.argsort(lu.perm_c)
-    factor_nnz = lu.L.nnz + lu.U.nnz
-    inverse = _Inverse(lu)
+    # factor at zero chooses the band order that the others share.
+    inverse = _factor_at_zero(a)
+    band = inverse.band
     lam_min, v_min, ok_min = _lambda_min_shift_invert(a, inverse, tol, maxiter, v0)
     solves = inverse.solves
-    del lu, inverse
+    del inverse
     if lam_min <= 0:
         raise EigenSolveError(f"matrix is not SPD (lambda_min = {lam_min:.6g})")
-    ordered = a.matrix[q][:, q]
-    lower = _shifted_bound(ordered, lam_min * (1 - tol * 1e-2), upper=False)
+    lower = _shifted_bound(band, lam_min * (1 - tol * 1e-2), upper=False)
 
     theta0, v_start, _, matvecs = _lambda_max_filtered(a, START_TOL, maxiter, v0)
-    lu, tries = _shift_above_lambda_max(ordered, theta0)
-    inverse = _Inverse(lu, q)
+    gershgorin = float(abs(a.matrix).sum(axis=1).max())
+    inverse, tries = _shift_above_lambda_max(band, theta0, gershgorin)
     lam_max, v_max, ok_max = _lambda_max_shift_invert(a, inverse, tol, maxiter, v_start)
     solves += inverse.solves
-    del lu, inverse
-    upper = _shifted_bound(ordered, lam_max * (1 + tol * 1e-2), upper=True)
+    del inverse
+    upper = _shifted_bound(band, lam_max * (1 + tol * 1e-2), upper=True)
     certified = upper is not None and lower is not None
 
     res = max(_rel_residual(a, lam_min, v_min), _rel_residual(a, lam_max, v_max))
@@ -490,7 +481,7 @@ def extreme_eigenvalues(
         lambda_max_upper=upper if upper is not None else float("nan"),
         certified=certified,
         matvecs=matvecs,
-        factor_nnz=factor_nnz,
+        factor_nnz=band.n * (band.kd + 1),
         solves=solves,
         factorizations=tries + 3,
         v_min=v_min,

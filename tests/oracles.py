@@ -40,7 +40,6 @@ from femcond.spectra import (
     DENSE_CUTOFF,
     EigenSolveError,
     _check_tol,
-    _Inverse,
 )
 
 
@@ -426,8 +425,8 @@ def generalized_min_eigenvalue(
     """Smallest lambda with A u = lambda B u for SPD A and B.
 
     The iterative path is shift-invert Lanczos on the pencil at shift zero,
-    with the symmetric-mode factor of A that extreme_eigenvalues uses (so an
-    A that is not SPD is rejected by its pivot signs).
+    with the band Cholesky factor of A that extreme_eigenvalues uses (so an
+    A that is not SPD is rejected by its failed factorization).
     """
     _check_tol(tol)
     if a.order != b.order:
@@ -439,7 +438,7 @@ def generalized_min_eigenvalue(
         return float(vals[0])
 
     v0 = np.random.default_rng(seed).standard_normal(n)
-    opinv = _Inverse(spectra._factor_at_zero(a))
+    opinv = spectra._factor_at_zero(a)
     try:
         vals, vecs = spla.eigsh(
             a.matrix.tocsc(), k=1, M=b.matrix.tocsc(), sigma=0.0, which="LM",

@@ -475,6 +475,19 @@ class TestComputeMetrics:
             )
             assert np.allclose(dets, geom.volumes, rtol=1e-12)
 
+    def test_inverse_edge_matrices_once_per_mesh(self, rng):
+        for _ in range(3):
+            mesh = random_mesh(rng)
+            inverse = mesh.inverse_edge_matrices
+            assert inverse is mesh.inverse_edge_matrices
+            assert not inverse.flags.writeable
+            np.testing.assert_array_equal(inverse, np.linalg.inv(mesh.edge_matrices()))
+            _, geom = fc.compute_metrics(mesh)
+            scaled = fc.mesh.reference_scale(mesh.dim) * inverse
+            np.testing.assert_allclose(scaled @ geom.jacobians,
+                                       np.broadcast_to(np.eye(mesh.dim), inverse.shape),
+                                       atol=1e-12)
+
 
 class TestMeshInvariants:
     @settings(max_examples=25, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ import femcond as fc
 from femcond.assembly import SparseSymmetric
 from femcond.spectra import (
     EigenSolveError,
+    _Band,
     _interlacing_lower_bound,
     _lambda_max_filtered,
+    _rounding_margin,
+    _shifted_bound,
     extreme_eigenvalues,
 )
 from conftest import random_mesh, random_spd_field
@@ -187,17 +191,11 @@ class TestFilteredLambdaMax:
         assert r.method == "dense"
         assert (r.matvecs, r.factor_nnz, r.solves, r.factorizations) == (0, 0, 0, 0)
 
-    def test_symmetric_mode_factor_fills_less_than_default_lu(self):
-        a = _boundary_layer_a()
-        r = extreme_eigenvalues(a, dense_cutoff=10)
-        default = spla.splu(a.matrix.tocsc())  # COLAMD ordering, partial pivoting
-        assert a.matrix.nnz + a.order <= r.factor_nnz < default.L.nnz + default.U.nnz
-
 
 class TestShiftInvertLambdaMax:
-    """lambda_max is refined by Lanczos on (sigma_1 I - A)^-1, sigma_1 proven
-    above lambda_max by the pivots of its factor, and every factor of a call
-    shares the ordering of the factor at zero."""
+    """lambda_max is refined by Lanczos on (sigma_1 I - A)^-1, sigma_1 shown
+    above lambda_max by a completed Cholesky factorization, and every factor
+    of a call shares the band order of the factor at zero."""
 
     def test_start_far_below_lambda_max_grows_the_shift(self, monkeypatch):
         a = _boundary_layer_a()
@@ -211,7 +209,7 @@ class TestShiftInvertLambdaMax:
         monkeypatch.setattr(fc.spectra, "_lambda_max_filtered", smallest)
         tol = 1e-8
         r = extreme_eigenvalues(a, tol, dense_cutoff=10)
-        # four factors when the first shift holds; the pivots failed here
+        # four factors when the first shift holds; its factorization failed here
         assert r.factorizations > 4
         assert r.certified and r.converged
         assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
@@ -224,31 +222,80 @@ class TestShiftInvertLambdaMax:
         assert r.factorizations == 4
         assert r.solves > 0
 
-    def test_one_minimum_degree_ordering_per_call(self, monkeypatch):
+    def test_one_band_order_per_call(self, monkeypatch):
         a = fc.assemble_stiffness(fc.generate_boundary_layer(3, 11, 25.0),
                                   fc.DiffusionField.identity(3))
-        specs, fills = [], []
-        splu = spla.splu
+        orders, bands = [], []
+        rcm, dpbtrf = fc.spectra.reverse_cuthill_mckee, fc.spectra.dpbtrf
 
-        def spy(matrix, *args, permc_spec=None, **kwargs):
-            lu = splu(matrix, *args, permc_spec=permc_spec, **kwargs)
-            specs.append(permc_spec)
-            fills.append(lu.nnz)
-            return lu
+        def rcm_spy(*args, **kwargs):
+            orders.append(rcm(*args, **kwargs))
+            return orders[-1]
 
-        monkeypatch.setattr(fc.spectra.spla, "splu", spy)
+        def dpbtrf_spy(band, *args, **kwargs):
+            factor, info = dpbtrf(band, *args, **kwargs)
+            # Fortran order, so LAPACK factors the band in place.
+            bands.append((band.shape, band.flags.f_contiguous,
+                          np.shares_memory(band, factor)))
+            return factor, info
+
+        monkeypatch.setattr(fc.spectra, "reverse_cuthill_mckee", rcm_spy)
+        monkeypatch.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.converged
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (r.factorizations - 1)
-        # A shift keeps the pattern, less the zeros A stores explicitly
-        # (right angles in 3D), which the subtraction drops.
-        assert len(set(fills[1:])) == 1 and fills[1] <= fills[0]
+        assert len(orders) == 1
+        assert len(bands) == r.factorizations
+        (shape, f_order, in_place), = set(bands)
+        assert f_order and in_place
+        kd = shape[0] - 1
+        assert shape == (kd + 1, a.order) and r.factor_nnz == a.order * (kd + 1)
+
+    def test_band_stays_narrow_under_relabelled_vertices(self):
+        # An imported mesh (say from Triangle) numbers its vertices in no
+        # useful order; reverse Cuthill-McKee must find a band as narrow as
+        # the generator's numbering gives.
+        rng = np.random.default_rng(7)
+        for dim, n in ((2, 20), (3, 8)):
+            mesh = fc.generate_boundary_layer(dim, n, 25.0)
+            field = fc.DiffusionField.identity(dim)
+            a = fc.assemble_stiffness(mesh, field)
+            coo = a.matrix.tocoo()
+            kd_generated = int(np.abs(coo.row - coo.col).max())
+            perm = rng.permutation(mesh.n_vertices)
+            label = np.empty_like(perm)
+            label[perm] = np.arange(len(perm))
+            relabelled = fc.SimplicialMesh(dim, mesh.vertices[perm], label[mesh.elements])
+            b = fc.assemble_stiffness(relabelled, field)
+            coo = b.matrix.tocoo()
+            assert int(np.abs(coo.row - coo.col).max()) > 2 * kd_generated
+            ra = extreme_eigenvalues(a, dense_cutoff=10)
+            rb = extreme_eigenvalues(b, dense_cutoff=10)
+            assert rb.converged and rb.method == "lanczos_shift_invert"
+            kd = rb.factor_nnz // b.order - 1
+            assert kd <= 1.5 * kd_generated
+            assert rb.lambda_min == pytest.approx(ra.lambda_min, rel=1e-12)
+            assert rb.lambda_max == pytest.approx(ra.lambda_max, rel=1e-12)
+
+    def test_one_band_alive_at_a_time(self):
+        # Order 10 000: the band, n (kd + 1) doubles, dominates the memory of
+        # the call.  Two bands alive at once, or a band in C order that
+        # LAPACK would copy, each take the peak above twice its size.
+        a = fc.assemble_stiffness(fc.generate_boundary_layer(2, 100, 125.0),
+                                  fc.DiffusionField.identity(2))
+        tracemalloc.start()
+        try:
+            r = extreme_eigenvalues(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.converged
+        assert peak <= 2.0 * 8 * r.factor_nnz
 
 
 class TestCertificate:
-    """Each iterative end is enclosed by the pivot signs of a shifted
-    factor, so an interior eigenpair with a small residual is not taken for
-    the extreme one."""
+    """Each iterative end is enclosed by a shifted band Cholesky
+    factorization, so an interior eigenpair with a small residual is not
+    taken for the extreme one."""
 
     def test_interior_pair_at_the_top_is_rejected(self, monkeypatch):
         a = _boundary_layer_a()
@@ -300,15 +347,43 @@ class TestCertificate:
 
     def test_shift_inside_the_spectrum_is_rejected(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
-        assert fc.spectra._shifted_bound(a.matrix, vals[-1] * (1 - 1e-6), upper=True) is None
-        assert fc.spectra._shifted_bound(a.matrix, vals[0] * (1 + 1e-6), upper=False) is None
+        band = _Band(a.matrix)
+        assert _shifted_bound(band, vals[-1] * (1 - 1e-6), upper=True) is None
+        assert _shifted_bound(band, vals[0] * (1 + 1e-6), upper=False) is None
 
     def test_shift_just_outside_the_spectrum_is_accepted(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
-        hi = fc.spectra._shifted_bound(a.matrix, vals[-1] * (1 + 1e-10), upper=True)
-        lo = fc.spectra._shifted_bound(a.matrix, vals[0] * (1 - 1e-10), upper=False)
+        band = _Band(a.matrix)
+        hi = _shifted_bound(band, vals[-1] * (1 + 1e-10), upper=True)
+        lo = _shifted_bound(band, vals[0] * (1 - 1e-10), upper=False)
         assert vals[-1] < hi <= vals[-1] * (1 + 1e-9)
         assert vals[0] * (1 - 1e-6) <= lo < vals[0]
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_rounding_margin_bounds_the_backward_error(self, matrix_and_spectrum, upper):
+        # M = sigma I - A just above lambda_max, or A - sigma I just below
+        # lambda_min: nearly singular, the hardest case for the factor.
+        a, vals = matrix_and_spectrum
+        sigma = vals[-1] * (1 + 1e-10) if upper else vals[0] * (1 - 1e-10)
+        band = _Band(a.matrix)
+        q, kd, n = band.q, band.kd, band.n
+        m_diag = band.shifted_diagonal(sigma, upper)
+        m = a.toarray()[np.ix_(q, q)] * (-1.0 if upper else 1.0)
+        np.fill_diagonal(m, m_diag)  # M as rounded into the band
+        factor = band.cholesky(sigma, upper)
+        assert factor is not None
+        # R^T R - M in extended precision (where numpy has it), so that the
+        # product's own rounding does not swamp the factor's.
+        err = -m.astype(np.longdouble)
+        for j in range(n):
+            r_j = factor[:min(kd + 1, n - j), j].astype(np.longdouble)
+            err[j:j + len(r_j), j:j + len(r_j)] += np.multiply.outer(r_j, r_j)
+        backward = float(np.abs(np.linalg.eigvalsh(err.astype(float))).max())
+        delta = _rounding_margin(kd, m_diag)
+        assert backward <= delta
+        # The roundoff of M's diagonal alone is exceeded: the margin's
+        # gamma term is needed.
+        assert backward > np.finfo(float).eps / 2 * np.abs(m_diag).max()
 
     def test_dense_path_is_certified_by_the_full_spectrum(self):
         a = _boundary_layer_a()
@@ -318,9 +393,9 @@ class TestCertificate:
 
 
 class TestInertia:
-    """Shift-invert at zero finds the eigenvalue nearest zero; the pivot
-    signs of its factor reject an indefinite matrix whose eigenvalue nearest
-    zero is positive."""
+    """Shift-invert at zero finds the eigenvalue nearest zero; its Cholesky
+    factorization fails on, and so rejects, an indefinite matrix whose
+    eigenvalue nearest zero is positive."""
 
     def test_indefinite_with_positive_eigenvalue_nearest_zero(self):
         diag = np.concatenate([[-10.0], np.linspace(1.0, 2.0, 2999)])
@@ -371,7 +446,7 @@ class TestGeneralizedMinEigenvalue:
         iterative = generalized_min_eigenvalue(a, b, dense_cutoff=10)
         assert iterative == pytest.approx(dense, rel=1e-7)
 
-    def test_iterative_path_uses_the_symmetric_mode_factor(self, monkeypatch):
+    def test_iterative_path_uses_the_band_factor_at_zero(self, monkeypatch):
         mesh = fc.generate_boundary_layer(2, 20, 25.0)
         a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
         b = assemble_mass_weighted(mesh, density_equidistributed(mesh))
@@ -384,8 +459,18 @@ class TestGeneralizedMinEigenvalue:
             return factor(m)
 
         monkeypatch.setattr(fc.spectra, "_factor_at_zero", counting)
+        solves = []
+        dpbtrs = fc.spectra.dpbtrs
+
+        def solve_spy(*args, **kwargs):
+            solves.append(args[0].shape)
+            return dpbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(fc.spectra, "dpbtrs", solve_spy)
         iterative = generalized_min_eigenvalue(a, b, dense_cutoff=10)
         assert len(calls) == 1 and calls[0] is a
+        kd = _Band(a.matrix).kd
+        assert solves and set(solves) == {(kd + 1, a.order)}
         assert iterative == pytest.approx(dense, rel=1e-10)
 
 
