@@ -26,7 +26,6 @@ from .mesh import (
     MeshMetrics,
     SimplicialMesh,
     compute_metrics,
-    distance_to_boundary,
     export_mesh,
     generate_boundary_layer,
     generate_chebyshev_1d,

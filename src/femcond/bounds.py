@@ -153,7 +153,7 @@ def compute_beta(
     geometry only the volumes are read (the mesh's own when it is None)."""
     volumes = mesh.volumes if geometry is None else geometry.volumes
     dk = element_averages if element_averages is not None else average_diffusion_all(mesh, field)
-    # inv(jacobians) = scale inv(E), E the edge matrices the mesh inverts once.
+    # inv(E / scale) = scale inv(E), E the edge matrices the mesh inverts once.
     finv = reference_scale(mesh.dim) * mesh.inverse_edge_matrices
     m = finv @ dk @ np.swapaxes(finv, 1, 2)
     m = 0.5 * (m + np.swapaxes(m, 1, 2))

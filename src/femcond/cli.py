@@ -1,11 +1,14 @@
 """Command-line front end: mesh generation, single-instance analysis,
 parameter sweeps, and bound calibration.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.  All commands are
-deterministic for fixed flags; numbers are printed with 17 significant
-digits so repeated runs on one machine, with one build of numpy, scipy and
-their BLAS, produce bit-identical files.  Across machines or library builds
-the last digits may differ.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  Any command
+exits 2 on a usage error, before any solve.  A sweep member that fails on
+its own (a generator refusing the value, a failed eigen-solve) is reported
+on stderr and written as a NaN row; the sweep exits 3 only when every member
+failed.  All commands are deterministic for fixed flags; numbers are printed
+with 17 significant digits so repeated runs on one machine, with one build
+of numpy, scipy and their BLAS, produce bit-identical files.  Across
+machines or library builds the last digits may differ.
 """
 
 from __future__ import annotations
@@ -14,14 +17,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
-from . import mesh as mesh_mod
 from .assembly import DiffusionField, write_matrix_market
-from .bounds import BOUND_IDS, Calibration, _report_and_stiffness, build_report, calibrate
+from .bounds import (BOUND_IDS, Calibration, _report_and_stiffness, _resolve_p,
+                     build_report, calibrate)
 from .mesh import (
     SimplicialMesh,
     export_mesh,
@@ -35,10 +37,11 @@ from .mesh import (
 from .spectra import EigenSolveError
 
 __all__ = ["main", "cmd_generate", "cmd_analyze", "cmd_sweep", "cmd_calibrate",
-           "SweepSpec", "fit_loglog_slope"]
+           "fit_loglog_slope"]
 
-FAMILIES = ("uniform", "chebyshev", "power2", "boundary_layer_2d",
-            "boundary_layer_3d", "imported")
+FAMILY_DIM = {"chebyshev": 1, "power2": 1, "boundary_layer_2d": 2, "boundary_layer_3d": 3}
+GENERATORS = ("uniform", *FAMILY_DIM)
+FAMILIES = (*GENERATORS, "imported")
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
@@ -51,62 +54,29 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One experiment sweep: a mesh family, the swept variable, its values,
-    and the fixed remaining parameters."""
-
-    family: str
-    variable: str  # "n" or "aspect"
-    values: tuple
-    fixed: dict = dataclass_field(default_factory=dict)
-    p: float | None = None
-    tol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.variable not in ("n", "aspect"):
-            raise ValueError("variable must be 'n' or 'aspect'")
-        if not self.values:
-            raise ValueError("sweep values must be nonempty")
-        if list(self.values) != sorted(set(self.values)):
-            raise ValueError("sweep values must be strictly increasing")
-        if self.variable == "aspect" and not self.family.startswith("boundary_layer"):
-            raise ValueError("aspect sweeps require a boundary_layer family")
+def _check_family_flags(args) -> int:
+    """Raise the usage error of a generator family's missing flags; return
+    the family's dimension."""
+    if args.family == "uniform":
+        needed = ("dim", "n")
+    else:
+        needed = ("n",) if FAMILY_DIM[args.family] == 1 else ("n_core", "aspect")
+    missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        raise ValueError(f"{' and '.join(missing)} {verb} required for the {args.family} family")
+    return FAMILY_DIM.get(args.family, args.dim)
 
 
-def _family_dim(family: str, dim: int | None) -> int:
-    if family in ("chebyshev", "power2"):
-        return 1
-    if family == "boundary_layer_2d":
-        return 2
-    if family == "boundary_layer_3d":
-        return 3
-    if family == "uniform":
-        if dim is None:
-            raise ValueError("--dim is required for the uniform family")
-        return dim
-    raise ValueError(f"family {family!r} has no generator")
-
-
-def _make_mesh(family: str, *, n=None, n_core=None, aspect=None, dim=None) -> SimplicialMesh:
-    if family in ("uniform", "chebyshev", "power2") and n is None:
-        raise ValueError(f"--n is required for the {family} family")
-    if family.startswith("boundary_layer") and (n_core is None or aspect is None):
-        raise ValueError(f"--n-core and --aspect are required for {family}")
-    if family == "uniform":
-        return generate_uniform(_family_dim(family, dim), int(n))
-    if family == "chebyshev":
-        return generate_chebyshev_1d(int(n))
-    if family == "power2":
-        return generate_power2_1d(int(n))
-    if family == "boundary_layer_2d":
-        return generate_boundary_layer(2, int(n_core), float(aspect))
-    if family == "boundary_layer_3d":
-        return generate_boundary_layer(3, int(n_core), float(aspect))
-    raise ValueError(f"family {family!r} has no generator")
+def _make_mesh(args) -> SimplicialMesh:
+    """The mesh of the generator flags, checked by _check_family_flags."""
+    if args.family == "uniform":
+        return generate_uniform(args.dim, int(args.n))
+    if args.family == "chebyshev":
+        return generate_chebyshev_1d(int(args.n))
+    if args.family == "power2":
+        return generate_power2_1d(int(args.n))
+    return generate_boundary_layer(FAMILY_DIM[args.family], int(args.n_core), float(args.aspect))
 
 
 def _parse_diffusion(spec: str, dim: int) -> DiffusionField:
@@ -159,8 +129,8 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_generate(args) -> int:
-    mesh = _make_mesh(args.family, n=args.n, n_core=args.n_core,
-                      aspect=args.aspect, dim=args.dim)
+    _check_family_flags(args)
+    mesh = _make_mesh(args)
     export_mesh(mesh, args.output, args.format)
     print(
         f"wrote {args.output}: N={mesh.n_elements} N_vi={mesh.n_interior} "
@@ -212,10 +182,10 @@ def _print_report(report) -> None:
 def cmd_analyze(args) -> int:
     if args.mesh:
         mesh = import_mesh(args.mesh, args.format)
+        field = _parse_diffusion(args.diffusion, mesh.dim)
     else:
-        mesh = _make_mesh(args.family, n=args.n, n_core=args.n_core,
-                          aspect=args.aspect, dim=args.dim)
-    field = _parse_diffusion(args.diffusion, mesh.dim)
+        field = _parse_diffusion(args.diffusion, _check_family_flags(args))
+        mesh = _make_mesh(args)
     calibration = _load_calibration(args.calibration)
     report, a = _report_and_stiffness(
         mesh, field, args.p, args.tol, calibration=calibration, seed=args.seed
@@ -238,73 +208,46 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_instance(spec: SweepSpec, value):
-    kwargs = dict(spec.fixed)
-    if spec.family == "imported":
-        files = kwargs.get("mesh_files") or ()
-        idx = int(value)
-        if not 0 <= idx < len(files):
-            raise ValueError(f"imported sweep index {idx} out of range")
-        mesh = import_mesh(files[idx], kwargs.get("format", "native_json"))
-    else:
-        kwargs[spec.variable if spec.variable == "aspect" else "n"] = value
-        if spec.family.startswith("boundary_layer") and spec.variable == "n":
-            kwargs["n_core"] = value
-            kwargs.pop("n", None)
-        mesh = _make_mesh(
-            spec.family,
-            n=kwargs.get("n"),
-            n_core=kwargs.get("n_core"),
-            aspect=kwargs.get("aspect"),
-            dim=kwargs.get("dim"),
-        )
-    field = _parse_diffusion(kwargs.get("diffusion", "identity"), mesh.dim)
-    return mesh, field
-
-
-def run_sweep(spec: SweepSpec, calibration: Calibration | None = None):
-    """One report per sweep value; failures yield None entries."""
-    reports = []
-    for value in spec.values:
-        try:
-            mesh, field = _sweep_instance(spec, value)
-            reports.append(
-                build_report(mesh, field, spec.p, spec.tol,
-                             calibration=calibration, seed=spec.seed)
-            )
-        except (EigenSolveError, mesh_mod.MeshError, ValueError) as exc:
-            print(f"warning: sweep value {value} failed: {exc}", file=sys.stderr)
-            reports.append(None)
-    return reports
-
-
 def cmd_sweep(args) -> int:
-    mesh_files = [t for t in (args.mesh_files or "").split(",") if t]
+    if args.variable == "aspect" and not args.family.startswith("boundary_layer"):
+        raise ValueError("aspect sweeps require a boundary_layer family")
+    calibration = _load_calibration(args.calibration)
     if args.family == "imported":
-        values = list(range(len(mesh_files)))
-        if not values:
+        files = [t for t in (args.mesh_files or "").split(",") if t]
+        if not files:
             raise ValueError("--mesh-files is required for the imported family")
+        values = list(range(len(files)))
     else:
         if args.values is None:
             raise ValueError("--values is required")
         values = _parse_values(args.values)
-    fixed = {"dim": args.dim, "diffusion": args.diffusion,
-             "mesh_files": tuple(mesh_files), "format": args.format}
-    if args.variable == "aspect":
-        fixed["n_core"] = args.n_core
-    elif args.aspect is not None:
-        fixed["aspect"] = args.aspect
-    spec = SweepSpec(
-        family=args.family,
-        variable=args.variable,
-        values=tuple(values),
-        fixed=fixed,
-        p=args.p,
-        tol=args.tol,
-        seed=args.seed,
-    )
-    calibration = _load_calibration(args.calibration)
-    reports = run_sweep(spec, calibration)
+        if values != sorted(set(values)):
+            raise ValueError("sweep values must be strictly increasing")
+        swept = ("aspect" if args.variable == "aspect"
+                 else "n_core" if args.family.startswith("boundary_layer") else "n")
+        if swept != "aspect" and any(isinstance(v, float) for v in values):
+            raise ValueError(f"sweep values of {swept} must be integers")
+        members = [argparse.Namespace(**{**vars(args), swept: v}) for v in values]
+        dim = _check_family_flags(members[0])
+        field = _parse_diffusion(args.diffusion, dim)
+        _resolve_p(dim, args.p)
+        if calibration is not None and calibration.dim != dim:
+            raise ValueError(f"calibration is for dimension {calibration.dim}, "
+                             f"the {args.family} family is {dim}D")
+
+    reports = []
+    for k, value in enumerate(values):
+        try:
+            if args.family == "imported":
+                mesh = import_mesh(files[k], args.format)
+                field = _parse_diffusion(args.diffusion, mesh.dim)
+            else:
+                mesh = _make_mesh(members[k])
+            reports.append(build_report(mesh, field, args.p, args.tol,
+                                        calibration=calibration, seed=args.seed))
+        except (EigenSolveError, ValueError) as exc:  # MeshError is a ValueError
+            print(f"warning: sweep value {value} failed: {exc}", file=sys.stderr)
+            reports.append(None)
     if all(r is None for r in reports):
         print("error: every sweep instance failed", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -315,14 +258,14 @@ def cmd_sweep(args) -> int:
     header += value_keys
     rows = []
     xs = []
-    for value, report in zip(spec.values, reports):
+    for value, report in zip(values, reports):
         if report is None:
             rows.append([value] + [float("nan")] * len(value_keys))
             xs.append(float("nan"))
         else:
             row = report.to_row()
             rows.append([value] + [row[k] for k in value_keys])
-            xs.append(value if spec.variable == "aspect" else report.n_elements)
+            xs.append(value if args.variable == "aspect" else report.n_elements)
     if args.csv:
         _write_csv(args.csv, header, rows)
 
@@ -333,7 +276,7 @@ def cmd_sweep(args) -> int:
         ys = [row[1 + value_keys.index(key)] for row in rows]
         slopes[key] = fit_loglog_slope(xs, ys)
 
-    print(f"sweep {spec.family} over {spec.variable} = {list(spec.values)}")
+    print(f"sweep {args.family} over {args.variable} = {values}")
     print("fitted log-log slopes (upper half of sweep):")
     for key, slope in slopes.items():
         print(f"  {key}: {_fmt(slope)}")
@@ -352,14 +295,14 @@ def cmd_sweep(args) -> int:
             ["curve", "slope"],
             [[k, s] for k, s in slopes.items()],
         )
-        _write_gnuplot(plot_dir, curve_keys, spec)
+        _write_gnuplot(plot_dir, curve_keys, args.variable)
     return 0
 
 
-def _write_gnuplot(plot_dir: Path, curve_keys, spec: SweepSpec) -> None:
+def _write_gnuplot(plot_dir: Path, curve_keys, variable: str) -> None:
     lines = [
         "set logscale xy",
-        f'set xlabel "{ "aspect ratio" if spec.variable == "aspect" else "number of elements N"}"',
+        f'set xlabel "{ "aspect ratio" if variable == "aspect" else "number of elements N"}"',
         'set ylabel "value"',
         "set key left top",
         "plot \\",
@@ -373,10 +316,10 @@ def _write_gnuplot(plot_dir: Path, curve_keys, spec: SweepSpec) -> None:
 
 
 def cmd_calibrate(args) -> int:
+    field = _parse_diffusion(args.diffusion, args.dim)
     reports = []
     for n in _parse_values(args.n_values):
         mesh = generate_uniform(args.dim, int(n))
-        field = _parse_diffusion(args.diffusion, mesh.dim)
         reports.append(build_report(mesh, field, args.p, args.tol, seed=args.seed))
     cal = calibrate(reports)
     cal.save(args.output)
@@ -402,9 +345,9 @@ def _parse_values(text: str) -> list[float]:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_family_args(p: argparse.ArgumentParser, with_imported: bool = False) -> None:
-    choices = list(FAMILIES) if with_imported else [f for f in FAMILIES if f != "imported"]
-    p.add_argument("--family", choices=choices)
+def _add_family_args(p: argparse.ArgumentParser, families=GENERATORS, source=None) -> None:
+    """Generator flags; --family is required, or one of a required group."""
+    (source or p).add_argument("--family", choices=families, required=source is None)
     p.add_argument("--dim", type=int, choices=(1, 2, 3),
                    help="dimension (uniform family)")
     p.add_argument("--n", type=int, help="elements per axis / 1D element count")
@@ -442,9 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="exact spectra and all bounds for one mesh")
-    _add_family_args(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    _add_family_args(p, source=source)
     _add_common_args(p)
-    p.add_argument("--mesh", help="mesh file instead of a generator family")
+    source.add_argument("--mesh", help="mesh file instead of a generator family")
     p.add_argument("--format", choices=("native_json", "triangle_node_ele"),
                    default="native_json")
     p.add_argument("--calibration", help="calibration JSON from the calibrate command")
@@ -455,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="sweep a family parameter, write CSV and plot data")
-    _add_family_args(p, with_imported=True)
+    _add_family_args(p, FAMILIES)
     _add_common_args(p)
     p.add_argument("--variable", choices=("n", "aspect"), default="n")
     p.add_argument("--values",
@@ -489,7 +433,7 @@ def main(argv=None) -> int:
     except EigenSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (mesh_mod.MeshError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # MeshError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

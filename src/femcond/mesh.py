@@ -23,7 +23,6 @@ __all__ = [
     "NonConformingMeshError",
     "DegenerateElementError",
     "MeshFormatError",
-    "PointOutsideDomainError",
     "SimplicialMesh",
     "ElementGeometry",
     "MeshMetrics",
@@ -33,7 +32,6 @@ __all__ = [
     "generate_boundary_layer",
     "import_mesh",
     "export_mesh",
-    "distance_to_boundary",
     "compute_metrics",
     "max_aspect_ratio",
 ]
@@ -70,10 +68,6 @@ class MeshFormatError(MeshError):
         super().__init__(f"{where}: {message}")
         self.path = path
         self.line = line
-
-
-class PointOutsideDomainError(MeshError):
-    """Query point has negative barycentric orientation w.r.t. every element."""
 
 
 class SimplicialMesh:
@@ -226,21 +220,6 @@ class SimplicialMesh:
         return float(self.volumes.sum())
 
     @cached_property
-    def h_domain(self) -> float:
-        """Domain diameter; attained at boundary vertices for polytopes.
-
-        Squared pairwise distances are summed one coordinate at a time into
-        one (nb, nb) array; sqrt is monotone, so one sqrt of the maximum
-        equals the maximum of the distances.
-        """
-        b = self.vertices[self.boundary_vertex_flags]
-        sq = np.zeros((len(b), len(b)))
-        for k in range(self.dim):
-            diff = np.subtract.outer(b[:, k], b[:, k])
-            sq += np.multiply(diff, diff, out=diff)
-        return float(np.sqrt(sq.max()))
-
-    @cached_property
     def convex_half_spaces(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Facet planes (normals, offsets) of a convex domain, else None.
 
@@ -253,13 +232,15 @@ class SimplicialMesh:
         supporting plane of the convex hull of the vertices, so the boundary
         of the domain lies on the hull's boundary and the domain is the hull
         itself, {x : n . x <= c for every plane}.  None for a non-convex
-        domain and in 1D, where the boundary is two points.
+        domain.  In 1D the boundary is the two end points of one interval
+        (SimplicialMesh refuses any other count), whose planes have the
+        normals -1 and +1.
         """
-        if self.dim == 1:
-            return None
         corners = self.vertices[self.boundary_facets]  # facet, corner, coordinate
         edges = corners[:, 1:] - corners[:, :1]
-        if self.dim == 2:
+        if self.dim == 1:
+            normal = np.ones((len(corners), 1))
+        elif self.dim == 2:
             normal = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
         else:
             normal = np.cross(edges[:, 0], edges[:, 1])
@@ -312,15 +293,13 @@ class SimplicialMesh:
 class ElementGeometry:
     """Per-element geometry, stored as arrays indexed by element.
 
-    jacobians map the unit-volume reference simplex onto each element, so
-    |det jacobians[k]| equals volumes[k].  d_k is the sampled maximum
+    volumes[k] is the measure |K| of element k.  d_k is the sampled maximum
     distance from the element to the domain boundary (vertices plus
     centroid; underestimates the true maximum by at most the element
     diameter).  patch_ids[k] lists the interior row indices of element k's
     vertices, -1 for boundary vertices.
     """
 
-    jacobians: np.ndarray  # (n, d, d)
     volumes: np.ndarray    # (n,)
     d_k: np.ndarray        # (n,)
     patch_ids: np.ndarray  # (n, d+1), interior row index or -1
@@ -532,8 +511,7 @@ def _boundary_distance_batch(mesh: SimplicialMesh, points: np.ndarray) -> np.nda
     axis-aligned box the normals are exact unit vectors, so the result is
     bit-identical to the facet search.
 
-    Any other domain, and the 1D interval, goes through
-    _boundary_distance_search.
+    Any other domain goes through _boundary_distance_search.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     planes = mesh.convex_half_spaces
@@ -546,7 +524,8 @@ def _boundary_distance_batch(mesh: SimplicialMesh, points: np.ndarray) -> np.nda
 def _boundary_distance_search(mesh: SimplicialMesh, points: np.ndarray) -> np.ndarray:
     """Distance d(p) = min over boundary facets f of dist(p, f), per point.
 
-    Exact two-stage search.  Facet f has centre c_f (mean of its corners)
+    Exact two-stage search in 2D and 3D (a 1D domain is an interval and
+    takes the half-space path).  Facet f has centre c_f (mean of its corners)
     and radius rho_f = max over its corners of |corner - c_f|.
 
     1. Prune.  Each c_f lies on the boundary, so r_up(p) = min_f |p - c_f|
@@ -568,10 +547,6 @@ def _boundary_distance_search(mesh: SimplicialMesh, points: np.ndarray) -> np.nd
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     bf = mesh.boundary_facets
-    if mesh.dim == 1:
-        bpts = mesh.vertices[bf[:, 0], 0]
-        return np.abs(points[:, 0:1] - bpts[None, :]).min(axis=1)
-
     corners = mesh.vertices[bf]  # (t, d, d): facet, corner, coordinate
     centre = corners.mean(axis=1)
     rho = np.sqrt(((corners - centre[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
@@ -603,28 +578,6 @@ def _boundary_distance_search(mesh: SimplicialMesh, points: np.ndarray) -> np.nd
     return out
 
 
-def _contains_point(mesh: SimplicialMesh, point: np.ndarray) -> bool:
-    E = mesh.edge_matrices()
-    rhs = point[None, :] - mesh.vertices[mesh.elements[:, 0]]
-    lam = np.linalg.solve(E, rhs[:, :, None])[:, :, 0]
-    tol = 1e-12 * max(1.0, mesh.h_domain)
-    ok = np.all(lam >= -tol, axis=1) & (lam.sum(axis=1) <= 1 + tol)
-    return bool(ok.any())
-
-
-def distance_to_boundary(mesh: SimplicialMesh, point) -> float:
-    """Exact distance from a point of the closed domain to its boundary.
-
-    Raises PointOutsideDomainError when no element contains the point.
-    """
-    point = np.asarray(point, dtype=float).reshape(-1)
-    if point.shape != (mesh.dim,):
-        raise MeshError(f"point must have {mesh.dim} coordinates")
-    if not _contains_point(mesh, point):
-        raise PointOutsideDomainError(f"point {point.tolist()} is outside the domain")
-    return float(_boundary_distance_batch(mesh, point[None, :])[0])
-
-
 def _element_d_k_array(mesh: SimplicialMesh) -> np.ndarray:
     """Sampled max boundary distance per element (vertices + centroid)."""
     nv = mesh.n_vertices
@@ -641,9 +594,7 @@ def reference_scale(dim: int) -> float:
 
 def compute_metrics(mesh: SimplicialMesh) -> tuple[MeshMetrics, ElementGeometry]:
     """Geometry arrays and global metrics of a mesh."""
-    jac = mesh.edge_matrices() / reference_scale(mesh.dim)
     geometry = ElementGeometry(
-        jacobians=jac,
         volumes=mesh.volumes.copy(),
         d_k=_element_d_k_array(mesh),
         patch_ids=mesh.interior_index[mesh.elements],

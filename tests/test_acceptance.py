@@ -16,6 +16,7 @@ from oracles import (
     assemble_mass_weighted,
     bound_lambda_min_B,
     generalized_min_eigenvalue,
+    h_domain_pairwise,
     toeplitz_kappa_1d,
     toeplitz_stiffness_1d,
 )
@@ -171,7 +172,7 @@ def test_criterion_5_sharpness_ordering():
         field = I1 if mesh.dim == 1 else I2
         metrics, geometry = fc.compute_metrics(mesh)
         capped = dataclasses.replace(
-            geometry, d_k=np.full(mesh.n_elements, mesh.h_domain)
+            geometry, d_k=np.full(mesh.n_elements, h_domain_pairwise(mesh))
         )
         orig = fc.evaluate_raw_bounds(mesh, field, geometry=geometry, metrics=metrics)
         wide = fc.evaluate_raw_bounds(mesh, field, geometry=capped, metrics=metrics)

@@ -20,6 +20,7 @@ from oracles import (
     bound_lambda_min_B,
     bound_lambda_rho,
     density_equidistributed,
+    h_domain_pairwise,
     kappa_bounds_1d,
     p_min,
     toeplitz_kappa_1d,
@@ -55,7 +56,7 @@ class TestComputeBeta:
         verts = [[0.0, 0.0], [h, 0.0], [0.0, h / a], [h, h / a]]
         m = fc.SimplicialMesh(2, verts, [[0, 1, 2], [1, 3, 2]])
         beta = fc.compute_beta(m, I2)
-        jac = fc.compute_metrics(m)[1].jacobians
+        jac = m.edge_matrices() / fc.mesh.reference_scale(2)
         oracle = np.array([
             np.linalg.eigvalsh(np.linalg.inv(j) @ np.linalg.inv(j).T)[-1] for j in jac
         ])
@@ -258,7 +259,7 @@ class TestBoundKappa:
                 continue
             metrics, geometry = fc.compute_metrics(mesh)
             capped = dataclasses.replace(
-                geometry, d_k=np.full(mesh.n_elements, mesh.h_domain)
+                geometry, d_k=np.full(mesh.n_elements, h_domain_pairwise(mesh))
             )
             orig = evaluate_raw_bounds(mesh, field, geometry=geometry, metrics=metrics)
             subbed = evaluate_raw_bounds(mesh, field, geometry=capped, metrics=metrics)

@@ -6,11 +6,28 @@ import numpy as np
 import pytest
 
 import femcond as fc
-from femcond.cli import SweepSpec, _fmt, fit_loglog_slope, main
+from femcond.cli import _fmt, fit_loglog_slope, main
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def assert_usage_error(args, capsys, reason):
+    """The command exits 2 with the reason on stderr, before any solve."""
+    code = run(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert reason in err
+    assert "warning: sweep value" not in err
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigen-solve started")
+
+    monkeypatch.setattr(fc.bounds, "extreme_eigenvalues", fail)
 
 
 class TestGenerate:
@@ -52,6 +69,13 @@ class TestGenerate:
         ])
         assert code == 2
         assert "aspect" in capsys.readouterr().err
+
+    def test_family_required(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["generate", "--n", "4", "-o", tmp_path / "x.json"])
+        assert err.value.code == 2
+        assert "--family" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_triangle_format(self, tmp_path):
         out = tmp_path / "mesh"
@@ -154,6 +178,20 @@ class TestAnalyze:
         fc.export_mesh(fc.generate_chebyshev_1d(8), mesh_file)
         assert run(["analyze", "--mesh", mesh_file]) == 0
 
+    def test_family_or_mesh_required(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["analyze", "--n", "4"])
+        assert err.value.code == 2
+        assert "--family --mesh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, reason", [
+        (["--family", "uniform", "--n", "4"], "--dim is required"),
+        (["--family", "chebyshev", "--n", "8", "--diffusion", "const:1,2,3"],
+         "const diffusion for dim 1"),
+    ])
+    def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
+        assert_usage_error(["analyze", *args], capsys, reason)
+
     def test_const_diffusion_flag(self, capsys):
         assert run([
             "analyze", "--family", "uniform", "--dim", "2", "--n", "4",
@@ -233,13 +271,61 @@ class TestSweep:
         assert run(["sweep", "--family", "chebyshev", "--values", values]) == 2
         assert "not finite" in capsys.readouterr().err
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(family="uniform", variable="aspect", values=(1, 2))
-        with pytest.raises(ValueError):
-            SweepSpec(family="chebyshev", variable="n", values=(8, 8))
-        with pytest.raises(ValueError):
-            SweepSpec(family="chebyshev", variable="n", values=())
+    def test_spec_validation(self, capsys, no_solve):
+        assert_usage_error(["sweep", "--family", "uniform", "--dim", "1", "--variable",
+                            "aspect", "--values", "1,2"], capsys, "boundary_layer family")
+        assert_usage_error(["sweep", "--family", "chebyshev", "--values", "8,8"],
+                           capsys, "strictly increasing")
+        assert_usage_error(["sweep", "--family", "chebyshev", "--values", ","],
+                           capsys, "empty value list")
+
+    @pytest.mark.parametrize("args, reason", [
+        (["--family", "uniform", "--values", "2,4"], "--dim is required"),
+        (["--family", "boundary_layer_2d", "--values", "4,6"], "--aspect is required"),
+        (["--family", "boundary_layer_2d", "--variable", "aspect", "--values", "4,6"],
+         "--n-core is required"),
+        (["--family", "chebyshev", "--values", "8,16", "--diffusion", "bogus"],
+         "unknown diffusion spec"),
+        (["--family", "power2", "--values", "8,16", "--diffusion", "const:1,2,3"],
+         "const diffusion for dim 1"),
+        (["--family", "boundary_layer_3d", "--values", "3,4", "--aspect", "4", "--p", "5"],
+         "p must lie in"),
+        (["--family", "chebyshev", "--values", "8.2,8.7"], "must be integers"),
+    ], ids=["no-dim", "no-aspect", "no-n-core", "bogus-diffusion", "diffusion-dim",
+            "p-range", "fractional-n"])
+    def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
+        assert_usage_error(["sweep", *args], capsys, reason)
+
+    def test_calibration_of_another_dimension_exits_2(self, tmp_path, capsys, no_solve):
+        cal = tmp_path / "cal.json"
+        fc.Calibration(dim=1, constants={"new.kappa.A": 1.0}).save(cal)
+        assert_usage_error(["sweep", "--family", "boundary_layer_2d", "--values", "4,6",
+                            "--aspect", "4", "--calibration", cal], capsys,
+                           "calibration is for dimension 1")
+
+    def test_family_required(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", "--values", "8,16"])
+        assert err.value.code == 2
+        assert "--family" in capsys.readouterr().err
+
+    def test_failing_member_writes_nan_row(self, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        assert run(["sweep", "--family", "chebyshev", "--values", "1,8,16", "--csv", csv]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: sweep value") == 1
+        assert "warning: sweep value 1 failed: n must be >= 2" in err
+        rows = [row.split(",") for row in csv.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "8", "16"]
+        assert all(v == "nan" for v in rows[0][1:])
+        n_col = csv.read_text().splitlines()[0].split(",").index("n_elements")
+        assert [row[n_col] for row in rows[1:]] == ["8", "16"]
+
+    def test_every_member_failing_exits_3(self, capsys):
+        assert run(["sweep", "--family", "power2", "--values", "60,61"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("warning: sweep value") == 2
+        assert "every sweep instance failed" in err
 
 
 class TestCalibrateCommand:

@@ -11,13 +11,11 @@ from femcond.mesh import (
     MeshError,
     MeshFormatError,
     NonConformingMeshError,
-    PointOutsideDomainError,
 )
 from conftest import random_mesh
 from oracles import (
     boundary_distance_brute,
     boundary_facets_unique_rows,
-    h_domain_pairwise,
     p_min,
 )
 
@@ -220,23 +218,22 @@ class SimplicialLike:
         self.elements = elements
 
 
+def _distance(mesh, point):
+    return fc.mesh._boundary_distance_batch(mesh, np.atleast_2d(point))[0]
+
+
 class TestDistance:
     def test_unit_square_point(self):
         m = fc.generate_uniform(2, 4)
-        assert fc.distance_to_boundary(m, (0.3, 0.4)) == pytest.approx(0.3, abs=1e-14)
+        assert _distance(m, (0.3, 0.4)) == pytest.approx(0.3, abs=1e-14)
 
     def test_unit_interval_midpoint(self):
         m = fc.generate_uniform(1, 4)
-        assert fc.distance_to_boundary(m, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert _distance(m, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_cube_center(self):
         m = fc.generate_uniform(3, 2)
-        assert fc.distance_to_boundary(m, (0.5, 0.5, 0.5)) == pytest.approx(0.5, abs=1e-14)
-
-    def test_outside_point_raises(self):
-        m = fc.generate_uniform(2, 2)
-        with pytest.raises(PointOutsideDomainError):
-            fc.distance_to_boundary(m, (1.5, 0.5))
+        assert _distance(m, (0.5, 0.5, 0.5)) == pytest.approx(0.5, abs=1e-14)
 
     def test_lipschitz_on_random_pairs(self, rng):
         for mesh in (fc.generate_uniform(2, 4), fc.generate_uniform(3, 2)):
@@ -291,7 +288,7 @@ class TestBoundaryDistanceSearch:
 
     def test_random_perturbed_meshes(self, rng):
         for _ in range(8):
-            self._assert_exact_on_mesh(random_mesh(rng), rng)
+            self._assert_exact_on_mesh(random_mesh(rng, dim=int(rng.integers(2, 4))), rng)
 
     def test_non_convex_l_shape(self, rng):
         mesh = _l_shaped_mesh()
@@ -314,7 +311,7 @@ class TestBoundaryDistanceSearch:
         for mesh in (fc.generate_boundary_layer(2, 6, 8.0),
                      fc.generate_boundary_layer(3, 3, 4.0), _l_shaped_mesh()):
             for p in _random_interior_points(mesh, rng, 5):
-                assert fc.distance_to_boundary(mesh, p) == boundary_distance_brute(mesh, p[None])[0]
+                assert _distance(mesh, p) == boundary_distance_brute(mesh, p[None])[0]
 
 
 class TestHalfSpaceDistance:
@@ -338,6 +335,8 @@ class TestHalfSpaceDistance:
         fc.generate_boundary_layer(3, 4, 25.0), fc.generate_boundary_layer(3, 5, 4.0),
         fc.generate_uniform(2, 7), fc.generate_uniform(3, 3),
         fc.generate_uniform(2, 5, domain=[(-1.0, 3.0), (0.5, 0.75)]),
+        fc.generate_chebyshev_1d(1024), fc.generate_power2_1d(24),
+        fc.generate_uniform(1, 7, (-3.0, 2.5)),
     ], ids=lambda m: repr(m))
     def test_equals_brute_force_on_boxes(self, mesh, rng, monkeypatch):
         calls = self._spy_search(monkeypatch)
@@ -381,13 +380,6 @@ class TestHalfSpaceDistance:
         d = fc.mesh._boundary_distance_batch(mesh, pts)
         assert calls == [mesh]
         assert np.array_equal(d, boundary_distance_brute(mesh, pts))
-
-
-class TestDomainDiameter:
-    def test_matches_pairwise_formula(self, rng):
-        for _ in range(10):
-            mesh = random_mesh(rng)
-            assert mesh.h_domain == h_domain_pairwise(mesh)
 
 
 def _random_interior_points(mesh, rng, count):
@@ -470,8 +462,9 @@ class TestComputeMetrics:
         for _ in range(5):
             mesh = random_mesh(rng)
             _, geom = fc.compute_metrics(mesh)
-            dets = np.abs(np.linalg.det(geom.jacobians)) if mesh.dim > 1 else np.abs(
-                geom.jacobians[:, 0, 0]
+            jacobians = mesh.edge_matrices() / fc.mesh.reference_scale(mesh.dim)
+            dets = np.abs(np.linalg.det(jacobians)) if mesh.dim > 1 else np.abs(
+                jacobians[:, 0, 0]
             )
             assert np.allclose(dets, geom.volumes, rtol=1e-12)
 
@@ -482,9 +475,9 @@ class TestComputeMetrics:
             assert inverse is mesh.inverse_edge_matrices
             assert not inverse.flags.writeable
             np.testing.assert_array_equal(inverse, np.linalg.inv(mesh.edge_matrices()))
-            _, geom = fc.compute_metrics(mesh)
-            scaled = fc.mesh.reference_scale(mesh.dim) * inverse
-            np.testing.assert_allclose(scaled @ geom.jacobians,
+            scale = fc.mesh.reference_scale(mesh.dim)
+            jacobians = mesh.edge_matrices() / scale
+            np.testing.assert_allclose(scale * inverse @ jacobians,
                                        np.broadcast_to(np.eye(mesh.dim), inverse.shape),
                                        atol=1e-12)
 

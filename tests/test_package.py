@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import importlib.util
 import subprocess
 import sys
@@ -22,6 +23,13 @@ def test_import_loads_no_heavy_scipy_module():
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["mesh", "assembly", "bounds", "spectra", "cli"])
+def test_every_exported_name_resolves(module):
+    # A deletion must take its export with it.
+    mod = importlib.import_module(f"femcond.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 @pytest.fixture(scope="module")
