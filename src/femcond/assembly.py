@@ -147,12 +147,12 @@ class SparseSymmetric:
     """Symmetric sparse matrix over interior vertices.
 
     Stores the full symmetric pattern in CSR for fast row access plus a
-    dense copy of the diagonal.  Construction verifies exact structural and
-    numerical symmetry.
+    dense copy of the diagonal, taken at construction.  Construction
+    verifies exact structural and numerical symmetry.
     """
 
     matrix: sp.csr_matrix
-    diagonal: np.ndarray = dataclass_field(default=None)
+    diagonal: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -161,8 +161,7 @@ class SparseSymmetric:
         diff = (m - m.T).tocoo()
         if diff.nnz and np.abs(diff.data).max() != 0.0:
             raise ValueError("matrix is not exactly symmetric")
-        if self.diagonal is None:
-            object.__setattr__(self, "diagonal", m.diagonal())
+        object.__setattr__(self, "diagonal", m.diagonal())
         self.diagonal.setflags(write=False)
 
     @property

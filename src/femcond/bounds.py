@@ -28,6 +28,7 @@ estimate.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -44,7 +45,8 @@ from .assembly import (
     jacobi_scale,
 )
 from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics, reference_scale
-from .spectra import DENSE_CUTOFF, EigenSolveError, SpectralResult, extreme_eigenvalues
+from .spectra import (DEFAULT_TOL, DENSE_CUTOFF, EigenSolveError, SpectralResult,
+                      extreme_eigenvalues)
 
 __all__ = [
     "AnisotropyMetrics",
@@ -288,33 +290,23 @@ class Calibration:
     dim: int
     constants: Mapping[str, float]
 
-    def constant(self, bound_id: str) -> float:
-        return self.constants[bound_id]
-
-    def to_json(self) -> str:
-        return json.dumps(
+    def save(self, path) -> None:
+        Path(path).write_text(json.dumps(
             {
                 "version": 1,
                 "dim": self.dim,
                 "constants": {k: format(v, ".17g") for k, v in sorted(self.constants.items())},
             },
             indent=2,
-        ) + "\n"
+        ) + "\n")
 
     @staticmethod
-    def from_json(text: str) -> "Calibration":
-        data = json.loads(text)
+    def load(path) -> "Calibration":
+        data = json.loads(Path(path).read_text())
         return Calibration(
             dim=int(data["dim"]),
             constants={k: float(v) for k, v in data["constants"].items()},
         )
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @staticmethod
-    def load(path) -> "Calibration":
-        return Calibration.from_json(Path(path).read_text())
 
 
 def calibrate(reports: Sequence[BoundReport]) -> Calibration:
@@ -426,6 +418,8 @@ class BoundReport:
         return row
 
     def to_json_dict(self) -> dict:
+        """Strict JSON data: a NaN (a bound undefined in this dimension, or
+        an enclosure end whose certificate failed) becomes None."""
         data = {
             "dim": self.dim,
             "n_elements": self.n_elements,
@@ -436,7 +430,7 @@ class BoundReport:
             "exact": {"A": _spectral_json(self.exact_A),
                       "SAS": _spectral_json(self.exact_SAS)},
             "lambda_max_sandwich": [self.lambda_max_lower, self.upper_lambda_max_A],
-            "bounds_raw": dict(self.raw),
+            "bounds_raw": {k: _nan_to_none(v) for k, v in self.raw.items()},
         }
         cal = self.calibrated_bounds()
         if cal is not None:
@@ -444,32 +438,24 @@ class BoundReport:
         return data
 
 
+def _nan_to_none(value):
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def _spectral_json(r: SpectralResult) -> dict:
-    return {
-        "lambda_min": r.lambda_min,
-        "lambda_max": r.lambda_max,
-        "kappa": r.kappa,
-        "method": r.method,
-        "residual": r.residual,
-        "converged": r.converged,
-        "lambda_min_lower": r.lambda_min_lower,
-        "lambda_max_upper": r.lambda_max_upper,
-        "certified": r.certified,
-        "matvecs": r.matvecs,
-        "factor_nnz": r.factor_nnz,
-        "solves": r.solves,
-        "factorizations": r.factorizations,
-    }
+    """Every field of r but its two eigenvectors, in declaration order."""
+    return {f.name: _nan_to_none(getattr(r, f.name)) for f in dataclasses.fields(r)
+            if f.name not in ("v_min", "v_max")}
 
 
 def build_report(
     mesh: SimplicialMesh,
     field: DiffusionField,
     p: float | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     *,
     calibration: Calibration | None = None,
-    dense_cutoff: int | None = None,
+    dense_cutoff: int = DENSE_CUTOFF,
     seed: int = 0,
 ) -> BoundReport:
     """Assemble, solve, and evaluate every bound for one instance.
@@ -486,10 +472,10 @@ def _report_and_stiffness(
     mesh: SimplicialMesh,
     field: DiffusionField,
     p: float | None,
-    tol: float,
+    tol: float = DEFAULT_TOL,
     *,
     calibration: Calibration | None = None,
-    dense_cutoff: int | None = None,
+    dense_cutoff: int = DENSE_CUTOFF,
     seed: int = 0,
 ) -> tuple[BoundReport, SparseSymmetric]:
     """build_report's pass; also returns the stiffness matrix A it assembled."""
@@ -502,9 +488,8 @@ def _report_and_stiffness(
     dk = average_diffusion_all(mesh, field)
     a = _stiffness_from_averages(mesh, dk)
     sas = jacobi_scale(a)
-    cutoff = DENSE_CUTOFF if dense_cutoff is None else dense_cutoff
-    exact_a = extreme_eigenvalues(a, tol, dense_cutoff=cutoff, seed=seed)
-    exact_sas = extreme_eigenvalues(sas, tol, dense_cutoff=cutoff, seed=seed)
+    exact_a = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff, seed=seed)
+    exact_sas = extreme_eigenvalues(sas, tol, dense_cutoff=dense_cutoff, seed=seed)
     # Scaled system sanity: unit diagonal caps the largest eigenvalue at d+1.
     cap = (mesh.dim + 1) * (1 + 100 * max(tol, exact_sas.residual))
     if exact_sas.lambda_max > cap:

@@ -34,7 +34,7 @@ from .mesh import (
     import_mesh,
     max_aspect_ratio,
 )
-from .spectra import EigenSolveError
+from .spectra import DEFAULT_TOL, EigenSolveError
 
 __all__ = ["main", "cmd_generate", "cmd_analyze", "cmd_sweep", "cmd_calibrate",
            "fit_loglog_slope"]
@@ -199,7 +199,8 @@ def cmd_analyze(args) -> int:
     if args.csv:
         _write_csv(args.csv, list(row), [list(row.values())])
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        Path(args.json).write_text(
+            json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
 
     if not (report.exact_A.converged and report.exact_SAS.converged):
         print("warning: eigensolver did not reach the requested tolerance",
@@ -363,7 +364,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                         "triangle, or full row-major)")
     p.add_argument("--p", type=float, default=None,
                    help="exponent for the 3D bounds, in (1, 3); default 2.9")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="eigensolver relative residual tolerance")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for iterative-solver start vectors")

@@ -1,11 +1,13 @@
 """Extreme eigenvalues and condition numbers of symmetric matrices.
 
-Small systems (order <= 300) go through a dense symmetric eigensolver.
-Larger ones use implicitly restarted Lanczos (ARPACK) for both ends, and
-each end is then certified by a shifted Cholesky factorization (below).
-Every returned eigenvalue carries an explicitly computed relative residual
-||A v - lambda v|| / ||lambda v|| on A itself; results that miss the
-requested tolerance or their certificate are flagged, not hidden.
+Every call starts with the band Cholesky factor of A at zero, the SPD test,
+which fixes the band order of every later factor.  Small systems (order <=
+300) then take both eigenpairs from a dense symmetric eigensolver, larger
+ones from implicitly restarted Lanczos (ARPACK); both paths end on the same
+two shifted Cholesky certificates (below).  Every returned eigenvalue
+carries an explicitly computed relative residual ||A v - lambda v|| /
+||lambda v|| on A itself; results that miss the requested tolerance or
+their certificate are flagged, not hidden.
 
 lambda_max: a loose filtered start, then shift-invert above lambda_max.  On
 anisotropic meshes the top of the spectrum is tightly clustered (relative
@@ -53,10 +55,10 @@ is rejected as not SPD.
 One ordering per matrix.  The factor at zero computes the only ordering of
 a call: q = reverse_cuthill_mckee(A), on A's stored pattern, which makes
 A[q][:, q] a band matrix of half-bandwidth kd = max |i - j| over its stored
-entries.  All four factors of a call (at zero, the lambda_min certificate,
-the lambda_max shift and the lambda_max certificate) are LAPACK band
-Cholesky factorizations (dpbtrf) of A[q][:, q] shifted, in that band: a
-shift changes only the diagonal.  Each band is built in Fortran order from
+entries.  Every factor of a call (at zero, the lambda_max shift on the
+iterative path, and the two certificates) is a LAPACK band Cholesky
+factorization (dpbtrf) of A[q][:, q] shifted, in that band: a shift changes
+only the diagonal.  Each band is built in Fortran order from
 the entries of the lower triangle of A[q][:, q], factored in place and
 released before the next one is built, so one (kd + 1) x n array is alive at
 a time.  Cost model: a factor takes about n kd^2 flops, a solve 4 n kd, and
@@ -72,10 +74,12 @@ shifted factorizations:
       of sigma_hi I - A completes, sigma_hi = theta_max (1 + tol 1e-2);
   lambda_min in [sigma_lo - delta, theta_min]: the Cholesky factorization
       of A - sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
-The left end of the first and the right end of the second hold because
-theta_max is a Rayleigh quotient on A and theta_min the inverse of a
-Rayleigh quotient on A^-1.  When sigma_lo - delta <= 0 the lower end is 0,
-which the factor at zero certifies.
+The outer ends are proven by the factorizations.  On the iterative path
+the inner ends hold because theta_max is a Rayleigh quotient on A and
+theta_min the inverse of a Rayleigh quotient on A^-1; on the dense path
+they are the eigensolver's extreme eigenvalues, exact for a matrix within
+a backward error of order u ||A|| of A.  On both paths, when sigma_lo -
+delta <= 0 the lower end is 0, which the factor at zero certifies.
 
 Rounding margin delta.  For a symmetric M of half-bandwidth kd, the
 computed Cholesky factor R (M = R^T R) is the exact one of M + E with
@@ -131,6 +135,9 @@ FILTER_MARGIN = 1e-3
 START_TOL = 1e-3
 SHIFT_GAP = 1e-4
 KRYLOV_VECTORS = 10
+# ARPACK iteration (restart) cap of each of the three iterative solves;
+# None leaves ARPACK's default.
+MAXITER = None
 
 
 class EigenSolveError(RuntimeError):
@@ -143,16 +150,16 @@ class SpectralResult:
 
     residual is the larger of the two achieved relative residuals.
     [lambda_min_lower, lambda_min] and [lambda_max, lambda_max_upper]
-    enclose the extreme eigenvalues; certified is True when both enclosures
-    are proven (on the dense path the whole spectrum is computed, and the
-    enclosures collapse to the computed values).  The converged flag is
-    False when the iteration cap was reached first, a residual misses the
-    tolerance or a certificate fails (the values are then best estimates).
-    On the iterative path, matvecs counts the products with A spent on the
-    filtered lambda_max start, factor_nnz is the size n (kd + 1) of the band
-    that every factor of the call fills, solves counts the applications of a
-    factor's inverse over both shift-invert solves and factorizations the
-    band Cholesky factorizations built; all four are 0 on the dense path.
+    enclose the extreme eigenvalues; certified is True when both outer ends
+    are proven by their shifted factorizations, on either path.  converged
+    is False when the iteration cap was reached first, a residual misses
+    the tolerance or a certificate fails (the values are then best
+    estimates).  factor_nnz is the size n (kd + 1) of the band that every
+    factor of the call fills, factorizations the number of band Cholesky
+    factorizations (3 on the dense path: at zero and the two certificates),
+    matvecs the products with A of the filtered lambda_max start and solves
+    the applications of a factor's inverse in the shift-invert solves (both
+    0 on the dense path).
     """
 
     lambda_min: float
@@ -182,44 +189,19 @@ def _rel_residual(a: SparseSymmetric, lam: float, v: np.ndarray) -> float:
     return float(np.linalg.norm(r) / (abs(lam) * np.linalg.norm(v)))
 
 
-def _dense_extremes(a: SparseSymmetric, tol: float) -> SpectralResult:
-    vals, vecs = np.linalg.eigh(a.toarray())
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
-    if lam_min <= 0:
-        raise EigenSolveError(f"matrix is not SPD (lambda_min = {lam_min:.6g})")
-    res = max(
-        _rel_residual(a, lam_min, vecs[:, 0]),
-        _rel_residual(a, lam_max, vecs[:, -1]),
-    )
-    return SpectralResult(
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        kappa=lam_max / lam_min,
-        method="dense",
-        residual=res,
-        converged=res <= tol,
-        lambda_min_lower=lam_min,
-        lambda_max_upper=lam_max,
-        certified=True,
-        v_min=vecs[:, 0].copy(),
-        v_max=vecs[:, -1].copy(),
-    )
-
-
 def _arpack_tol(tol: float) -> float:
     # Ask ARPACK for extra accuracy; the explicit residual check on A is what
     # decides convergence against the caller's tolerance.
     return max(tol * 1e-2, 1e-14)
 
 
-def _arpack_one(matrix, arp_tol, maxiter, v0, *, sigma=None, which="LA", opinv=None,
-                ncv=None):
-    """One extreme eigenpair via ARPACK at ARPACK tolerance arp_tol; returns
-    (value, vector, converged)."""
+def _arpack_one(matrix, arp_tol, v0, *, sigma=None, which="LA", opinv=None, ncv=None):
+    """One extreme eigenpair via ARPACK at ARPACK tolerance arp_tol, capped
+    at MAXITER iterations; returns (value, vector, converged)."""
     try:
         vals, vecs = spla.eigsh(
             matrix, k=1, which=which, sigma=sigma, tol=arp_tol,
-            maxiter=maxiter, v0=v0, OPinv=opinv, ncv=ncv,
+            maxiter=MAXITER, v0=v0, OPinv=opinv, ncv=ncv,
         )
         return float(vals[0]), vecs[:, 0], True
     except spla.ArpackNoConvergence as exc:
@@ -229,12 +211,12 @@ def _arpack_one(matrix, arp_tol, maxiter, v0, *, sigma=None, which="LA", opinv=N
         try:
             vals, vecs = spla.eigsh(
                 matrix, k=1, which=which, sigma=sigma, tol=0.1,
-                maxiter=maxiter, v0=v0, OPinv=opinv, ncv=ncv,
+                maxiter=MAXITER, v0=v0, OPinv=opinv, ncv=ncv,
             )
             return float(vals[0]), vecs[:, 0], False
         except (spla.ArpackNoConvergence, RuntimeError):
             raise EigenSolveError(
-                f"eigensolver produced no estimate after {maxiter} iterations"
+                f"eigensolver produced no estimate after {MAXITER} iterations"
             ) from exc
     except RuntimeError as exc:
         raise EigenSolveError(f"sparse eigensolve failed: {exc}") from exc
@@ -277,7 +259,7 @@ class _ChebyshevFilter(spla.LinearOperator):
         return cur
 
 
-def _lambda_max_filtered(a: SparseSymmetric, arp_tol, maxiter, v0):
+def _lambda_max_filtered(a: SparseSymmetric, arp_tol, v0):
     """Largest eigenvalue by Lanczos on the Chebyshev-filtered p(A) at ARPACK
     tolerance arp_tol (see the module docstring).  Returns (Rayleigh
     quotient on A, Ritz vector, converged, products with A)."""
@@ -285,14 +267,15 @@ def _lambda_max_filtered(a: SparseSymmetric, arp_tol, maxiter, v0):
     if not b > 0:
         raise EigenSolveError("matrix is not SPD (no positive diagonal entry)")
     op = _ChebyshevFilter(a, b)
-    _, v, ok = _arpack_one(op, arp_tol, maxiter, v0, which="LA")
+    _, v, ok = _arpack_one(op, arp_tol, v0, which="LA")
     return _rayleigh(a, v), v, ok, op.matvecs
 
 
 class _Band:
     """The symmetric A in one reverse Cuthill-McKee order q: the entries on
     and below the diagonal of A[q][:, q] by diagonal offset and column, its
-    diagonal and its half-bandwidth kd (see the module docstring)."""
+    diagonal and its half-bandwidth kd (see the module docstring).  Counts
+    the factorizations it builds and the solves applied with them."""
 
     def __init__(self, matrix):
         n = matrix.shape[0]
@@ -306,6 +289,7 @@ class _Band:
         self.offset, self.col, self.val = row[lower] - col[lower], col[lower], coo.data[lower]
         self.diagonal = matrix.diagonal()[self.q]
         self.n, self.kd = n, int(self.offset.max(initial=0))
+        self.factorizations = self.solves = 0
 
     def shifted_diagonal(self, sigma: float, upper: bool) -> np.ndarray:
         """Diagonal of M = sigma I - A when upper and of M = A - sigma I when
@@ -320,6 +304,7 @@ class _Band:
         ab = np.zeros((self.kd + 1, self.n), order="F")
         ab[self.offset, self.col] = -self.val if upper else self.val
         ab[0] = self.shifted_diagonal(sigma, upper)
+        self.factorizations += 1
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         return factor if info == 0 else None
 
@@ -338,15 +323,14 @@ def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
 
 class _Inverse(spla.LinearOperator):
     """x -> M^-1 x in A's order, from the band Cholesky factor of M[q][:, q]
-    (M = A or a shift of it, q the band's order); counts its solves."""
+    (M = A or a shift of it, q the band's order); counts its solves on band."""
 
     def __init__(self, band: _Band, factor: np.ndarray):
         super().__init__(dtype=np.float64, shape=(band.n, band.n))
         self.band, self.factor = band, factor
-        self.solves = 0
 
     def _matvec(self, x):
-        self.solves += 1
+        self.band.solves += 1
         q = self.band.q
         z, _ = dpbtrs(self.factor, x[q], lower=1, overwrite_b=1)
         y = np.empty_like(z)
@@ -381,11 +365,10 @@ def _shift_above_lambda_max(band: _Band, theta0: float, gershgorin: float):
     """(sigma_1 I - A)^-1 from a band Cholesky factorization that completes,
     with sigma_1 <= lo (1 + SHIFT_GAP) for some lo <= lambda_max (see the
     module docstring).  theta0 <= lambda_max is the Rayleigh quotient of the
-    start, gershgorin = max_i sum_j |a_ij|.  Returns (inverse,
-    factorizations built)."""
+    start, gershgorin = max_i sum_j |a_ij|."""
     if not theta0 > 0:
         raise EigenSolveError(f"matrix is not SPD (Rayleigh quotient {theta0:.6g})")
-    lo, hi, eta, tries = theta0, math.inf, SHIFT_GAP, 0
+    lo, hi, eta = theta0, math.inf, SHIFT_GAP
     factor = None
     while hi > lo * (1 + SHIFT_GAP):
         # Grow the shift above lo until one is shown above lambda_max, then
@@ -393,7 +376,6 @@ def _shift_above_lambda_max(band: _Band, theta0: float, gershgorin: float):
         sigma = lo * (1 + eta) if math.isinf(hi) else math.sqrt(lo * hi)
         factor = None  # release the last factor before building the next
         factor = band.cholesky(sigma, upper=True)
-        tries += 1
         if factor is not None:
             hi = sigma
         elif sigma > gershgorin:
@@ -405,23 +387,20 @@ def _shift_above_lambda_max(band: _Band, theta0: float, gershgorin: float):
             lo, eta = sigma, 10 * eta
     if factor is None:  # the last bisection step fell below lambda_max
         factor = band.cholesky(hi, upper=True)
-        tries += 1
-    return _Inverse(band, factor), tries
+    return _Inverse(band, factor)
 
 
-def _lambda_min_shift_invert(a: SparseSymmetric, inverse, tol, maxiter, v0):
+def _lambda_min_shift_invert(a: SparseSymmetric, inverse, tol, v0):
     """Eigenvalue nearest zero by shift-invert Lanczos with inverse = A^-1.
     Returns (value, vector, converged)."""
-    return _arpack_one(a.matrix, _arpack_tol(tol), maxiter, v0, sigma=0.0, which="LM",
+    return _arpack_one(a.matrix, _arpack_tol(tol), v0, sigma=0.0, which="LM",
                        opinv=inverse, ncv=KRYLOV_VECTORS)
 
 
-def _lambda_max_shift_invert(a: SparseSymmetric, inverse, tol, maxiter, v0):
-    """Largest eigenvalue of A by Lanczos on inverse = (sigma_1 I - A)^-1,
-    sigma_1 shown above lambda_max.  Returns (Rayleigh quotient on A,
-    vector, converged)."""
-    _, v, ok = _arpack_one(inverse, _arpack_tol(tol), maxiter, v0, which="LA",
-                           ncv=KRYLOV_VECTORS)
+def _lambda_max_shift_invert(a: SparseSymmetric, inverse, tol, v0):
+    """Largest eigenvalue of A by Lanczos on inverse = (sigma_1 I - A)^-1, sigma_1
+    shown above lambda_max: (Rayleigh quotient on A, vector, converged)."""
+    _, v, ok = _arpack_one(inverse, _arpack_tol(tol), v0, which="LA", ncv=KRYLOV_VECTORS)
     return _rayleigh(a, v), v, ok
 
 
@@ -430,42 +409,44 @@ def extreme_eigenvalues(
     tol: float = DEFAULT_TOL,
     *,
     dense_cutoff: int = DENSE_CUTOFF,
-    maxiter: int | None = None,
     seed: int = 0,
 ) -> SpectralResult:
     """Smallest and largest eigenvalue of an SPD matrix with condition number.
 
-    maxiter caps the ARPACK iterations (restarts) of each of the three
-    iterative solves: the filtered lambda_max start, whose Lanczos steps
-    apply p(A), i.e. FILTER_DEGREE = 9 products with A, and the two
+    Order <= dense_cutoff takes both eigenpairs from a dense eigensolver.
+    Above it, MAXITER caps the ARPACK iterations (restarts) of each of the
+    three iterative solves: the filtered lambda_max start, whose Lanczos
+    steps apply p(A), i.e. FILTER_DEGREE = 9 products with A, and the two
     shift-invert solves.  The start only supplies a shift and a vector, so
     its own convergence is not required.  A shift-invert solve that hits the
     cap is flagged converged=False; lambda_max is still the Rayleigh
     quotient of the returned vector, so it never exceeds the true lambda_max.
     """
     _check_tol(tol)
-    n = a.order
-    if n <= dense_cutoff:
-        return _dense_extremes(a, tol)
-
-    v0 = np.random.default_rng(seed).standard_normal(n)
     # One factor at a time: each is released before the next is built.  The
     # factor at zero chooses the band order that the others share.
     inverse = _factor_at_zero(a)
     band = inverse.band
-    lam_min, v_min, ok_min = _lambda_min_shift_invert(a, inverse, tol, maxiter, v0)
-    solves = inverse.solves
-    del inverse
-    if lam_min <= 0:
-        raise EigenSolveError(f"matrix is not SPD (lambda_min = {lam_min:.6g})")
+    if a.order <= dense_cutoff:
+        del inverse
+        method, matvecs, ok = "dense", 0, True
+        vals, vecs = np.linalg.eigh(a.toarray())
+        lam_min, lam_max = float(vals[0]), float(vals[-1])
+        v_min, v_max = vecs[:, 0].copy(), vecs[:, -1].copy()
+    else:
+        method = "lanczos_shift_invert"
+        v0 = np.random.default_rng(seed).standard_normal(a.order)
+        lam_min, v_min, ok_min = _lambda_min_shift_invert(a, inverse, tol, v0)
+        del inverse
+        theta0, v_start, _, matvecs = _lambda_max_filtered(a, START_TOL, v0)
+        gershgorin = float(abs(a.matrix).sum(axis=1).max())
+        inverse = _shift_above_lambda_max(band, theta0, gershgorin)
+        lam_max, v_max, ok_max = _lambda_max_shift_invert(a, inverse, tol, v_start)
+        del inverse
+        ok = ok_min and ok_max
+    if lam_min <= 0:  # A passed the factor at zero, so it is numerically singular
+        raise EigenSolveError(f"matrix is numerically singular (lambda_min = {lam_min:.6g})")
     lower = _shifted_bound(band, lam_min * (1 - tol * 1e-2), upper=False)
-
-    theta0, v_start, _, matvecs = _lambda_max_filtered(a, START_TOL, maxiter, v0)
-    gershgorin = float(abs(a.matrix).sum(axis=1).max())
-    inverse, tries = _shift_above_lambda_max(band, theta0, gershgorin)
-    lam_max, v_max, ok_max = _lambda_max_shift_invert(a, inverse, tol, maxiter, v_start)
-    solves += inverse.solves
-    del inverse
     upper = _shifted_bound(band, lam_max * (1 + tol * 1e-2), upper=True)
     certified = upper is not None and lower is not None
 
@@ -474,16 +455,16 @@ def extreme_eigenvalues(
         lambda_min=lam_min,
         lambda_max=lam_max,
         kappa=lam_max / lam_min,
-        method="lanczos_shift_invert",
+        method=method,
         residual=res,
-        converged=ok_min and ok_max and res <= tol and certified,
+        converged=ok and res <= tol and certified,
         lambda_min_lower=max(lower, 0.0) if lower is not None else float("nan"),
         lambda_max_upper=upper if upper is not None else float("nan"),
         certified=certified,
         matvecs=matvecs,
         factor_nnz=band.n * (band.kd + 1),
-        solves=solves,
-        factorizations=tries + 3,
+        solves=band.solves,
+        factorizations=band.factorizations,
         v_min=v_min,
         v_max=v_max,
     )

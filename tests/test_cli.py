@@ -142,6 +142,22 @@ class TestAnalyze:
             assert line == (f"  enclosure: {_fmt(exact['lambda_min_lower'])} <= lambda_min, "
                             f"lambda_max <= {_fmt(exact['lambda_max_upper'])}")
 
+    @pytest.mark.parametrize("flags", [
+        ["--family", "uniform", "--dim", "1", "--n", "8"],
+        ["--family", "boundary_layer_2d", "--n-core", "6", "--aspect", "8"],
+        ["--family", "uniform", "--dim", "3", "--n", "3"],
+    ], ids=["1d", "2d", "3d"])
+    def test_json_is_strict(self, tmp_path, flags):
+        # RFC 8259 has no NaN: a bound undefined in 1D and 3D is null
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        out = tmp_path / "r.json"
+        assert run(["analyze", *flags, "--json", out]) == 0
+        data = json.loads(out.read_text(), parse_constant=reject)
+        conjectured = data["bounds_raw"]["conjectured.kappa.SAS"]
+        assert (conjectured is None) == (data["dim"] != 2)
+
     def test_matrix_out_round_trips_spectra(self, tmp_path):
         mtx = tmp_path / "a.mtx"
         assert run([

@@ -86,13 +86,14 @@ class TestExtremeEigenvalues:
         assert r.lambda_min <= rq_min <= r.lambda_min * (1 + tol)
         assert r.lambda_max * (1 - tol) <= rq_max <= r.lambda_max * (1 + 1e-15)
 
-    def test_nonconvergence_is_flagged(self):
-        # maxiter=1: the lambda_max shift-invert solve stops after its first
+    def test_nonconvergence_is_flagged(self, monkeypatch):
+        # MAXITER = 1: the lambda_max shift-invert solve stops after its first
         # 10-vector Krylov basis, unconverged.  At order 699 one basis
         # converges every solve, so the order is 1 999.
         m = fc.generate_uniform(1, 2000)
         a = fc.assemble_stiffness(m, fc.DiffusionField.identity(1))
-        r = extreme_eigenvalues(a, tol=1e-8, dense_cutoff=10, maxiter=1)
+        monkeypatch.setattr(fc.spectra, "MAXITER", 1)
+        r = extreme_eigenvalues(a, tol=1e-8, dense_cutoff=10)
         assert not r.converged
 
     def test_non_spd_rejected(self):
@@ -161,7 +162,7 @@ class TestFilteredLambdaMax:
         diag = np.concatenate([[-10.0], np.linspace(1.0, 2.0, 2999)])
         a = SparseSymmetric(sp.diags(diag, format="csr"))
         v0 = np.random.default_rng(0).standard_normal(a.order)
-        lam_max, _, ok, _ = _lambda_max_filtered(a, 1e-8, None, v0)
+        lam_max, _, ok, _ = _lambda_max_filtered(a, 1e-8, v0)
         assert ok
         assert lam_max == pytest.approx(2.0, rel=1e-12)
 
@@ -173,23 +174,27 @@ class TestFilteredLambdaMax:
         assert r.lambda_max >= lower
         assert r.lambda_max >= fc.bound_lambda_max(a, 2)[0]
 
-    def test_unconverged_lambda_max_is_a_rayleigh_quotient(self):
+    def test_unconverged_lambda_max_is_a_rayleigh_quotient(self, monkeypatch):
         a = _boundary_layer_a()
         dense = extreme_eigenvalues(a, dense_cutoff=a.order)
-        # maxiter=1 at tol 1e-12 (ARPACK tol 1e-14): the lambda_max
+        # MAXITER = 1 at tol 1e-12 (ARPACK tol 1e-14): the lambda_max
         # shift-invert solve stops after its first Krylov basis, unconverged;
         # at the default tol that one basis already converges.
-        r = extreme_eigenvalues(a, 1e-12, dense_cutoff=10, maxiter=1)
+        monkeypatch.setattr(fc.spectra, "MAXITER", 1)
+        r = extreme_eigenvalues(a, 1e-12, dense_cutoff=10)
         assert not r.converged
         v = r.v_max
         assert r.lambda_max == (v @ (a.matrix @ v)) / (v @ v)
         assert r.lambda_max <= dense.lambda_max * (1 + 1e-14)
 
     def test_counters_zero_on_dense_path(self):
+        # no products or solves; the factor at zero and the two certificates
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=a.order)
         assert r.method == "dense"
-        assert (r.matvecs, r.factor_nnz, r.solves, r.factorizations) == (0, 0, 0, 0)
+        kd = _Band(a.matrix).kd
+        assert (r.matvecs, r.factor_nnz, r.solves, r.factorizations) == (
+            0, a.order * (kd + 1), 0, 3)
 
 
 class TestShiftInvertLambdaMax:
@@ -202,7 +207,7 @@ class TestShiftInvertLambdaMax:
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[-1] > 1e3 * vals[0]
 
-        def smallest(a_, arp_tol, maxiter, v0):
+        def smallest(a_, arp_tol, v0):
             v = vecs[:, 0]
             return float(v @ (a_.matrix @ v)), v, True, 0
 
@@ -302,7 +307,7 @@ class TestCertificate:
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[-2] < vals[-1]
 
-        def second_largest(a_, inverse, tol, maxiter, v0):
+        def second_largest(a_, inverse, tol, v0):
             v = vecs[:, -2]
             return float(v @ (a_.matrix @ v)), v, True
 
@@ -317,7 +322,7 @@ class TestCertificate:
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[0] < vals[1]
 
-        def second_smallest(a_, inverse, tol, maxiter, v0):
+        def second_smallest(a_, inverse, tol, v0):
             return float(vals[1]), vecs[:, 1], True
 
         monkeypatch.setattr(fc.spectra, "_lambda_min_shift_invert", second_smallest)
@@ -387,9 +392,43 @@ class TestCertificate:
 
     def test_dense_path_is_certified_by_the_full_spectrum(self):
         a = _boundary_layer_a()
+        vals = np.linalg.eigvalsh(a.toarray())
         r = extreme_eigenvalues(a, dense_cutoff=a.order)
-        assert r.certified
-        assert (r.lambda_min_lower, r.lambda_max_upper) == (r.lambda_min, r.lambda_max)
+        assert r.certified and r.converged
+        assert 0 < r.lambda_min_lower < vals.min()
+        assert vals.max() < r.lambda_max_upper
+        assert r.lambda_min_lower >= r.lambda_min * (1 - 1e-6)
+        assert r.lambda_max_upper <= r.lambda_max * (1 + 1e-8)
+
+    def test_interior_pair_on_the_dense_path_is_rejected(self, monkeypatch):
+        # the dense eigensolver's top pair swapped for the second-largest one
+        a = _boundary_layer_a()
+        eigh = np.linalg.eigh
+
+        def second_on_top(m):
+            vals, vecs = eigh(m)
+            vals[[-2, -1]], vecs[:, [-2, -1]] = vals[[-1, -2]], vecs[:, [-1, -2]]
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", second_on_top)
+        r = extreme_eigenvalues(a, dense_cutoff=a.order)
+        assert r.method == "dense"
+        assert r.residual <= 1e-8  # the interior pair passes the residual test
+        assert not r.certified
+        assert not r.converged
+
+    @pytest.mark.parametrize("generate, n", [(fc.generate_power2_1d, 24),
+                                             (fc.generate_chebyshev_1d, 256)])
+    def test_ill_conditioned_dense_spectra_are_certified(self, generate, n):
+        # kappa(A) about 9.7e6 and 2.2e6: eigh's lambda_min has to land
+        # within the certificate's relative gap tol 1e-2 of the true one.
+        a = fc.assemble_stiffness(generate(n), fc.DiffusionField.identity(1))
+        results = [extreme_eigenvalues(m) for m in (a, fc.jacobi_scale(a))]
+        for r in results:
+            assert r.method == "dense"
+            assert r.certified and r.converged
+            assert r.factorizations == 3
+        assert results[0].kappa > 1e6
 
 
 class TestInertia:
