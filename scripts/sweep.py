@@ -39,7 +39,7 @@ EXPERIMENTS = {
         ("fixed_aspect.csv", "plots_fixed_aspect",
          ["--values", "20,30,45,70,100", "--aspect", "125"]),
         ("fixed_n.csv", "plots_fixed_n",
-         ["--variable", "aspect", "--values", "5,25,125", "--n-core", "100"]),
+         ["--values", "5,25,125", "--n-core", "100"]),
     ]),
     # Unit cube with pancake-shaped cells at the faces: fixed anisotropy
     # 25:25:1 with growing N, then fixed N with growing anisotropy; the 3D
@@ -48,7 +48,7 @@ EXPERIMENTS = {
         ("fixed_aspect.csv", "plots_fixed_aspect",
          ["--values", "4,6,8,11,14", "--aspect", "25", "--p", "2.9"]),
         ("fixed_n.csv", "plots_fixed_n",
-         ["--variable", "aspect", "--values", "5,10,25,50", "--n-core", "8", "--p", "2.9"]),
+         ["--values", "5,10,25,50", "--n-core", "8", "--p", "2.9"]),
     ]),
 }
 

@@ -8,7 +8,6 @@ from .assembly import (
     assemble_stiffness,
     average_diffusion_all,
     jacobi_scale,
-    read_matrix_market,
     write_matrix_market,
 )
 from .bounds import (

@@ -28,7 +28,6 @@ __all__ = [
     "assemble_stiffness",
     "jacobi_scale",
     "write_matrix_market",
-    "read_matrix_market",
 ]
 
 _SYM_TOL = 1e-12
@@ -257,12 +256,3 @@ def write_matrix_market(a: SparseSymmetric, path) -> None:
     with enough digits to round-trip exactly."""
     with open(path, "wb") as f:
         scipy.io.mmwrite(f, sp.tril(a.matrix), symmetry="symmetric")
-
-
-def read_matrix_market(path) -> SparseSymmetric:
-    n, m, _, fmt, _, symmetry = scipy.io.mminfo(path)
-    if fmt != "coordinate" or symmetry != "symmetric":
-        raise ValueError(f"{path}: not a symmetric MatrixMarket coordinate file")
-    if n != m:
-        raise ValueError(f"{path}: matrix is not square")
-    return SparseSymmetric(sp.csr_matrix(scipy.io.mmread(path), dtype=float))

@@ -302,11 +302,20 @@ class Calibration:
 
     @staticmethod
     def load(path) -> "Calibration":
+        """Read a file written by save; ValueError naming the file if it is not one."""
         data = json.loads(Path(path).read_text())
-        return Calibration(
-            dim=int(data["dim"]),
-            constants={k: float(v) for k, v in data["constants"].items()},
-        )
+        constants = data.get("constants") if isinstance(data, dict) else None
+        if not isinstance(constants, dict) or "dim" not in data:
+            problem = "a calibration needs a dim and a constants object"
+        elif data.get("version", 1) != 1:
+            problem = f"unsupported version {data['version']!r}"
+        elif type(data["dim"]) is not int or not 1 <= data["dim"] <= 3:
+            problem = f"dim must be an integer from 1 to 3, got {data['dim']!r}"
+        elif unknown := sorted(set(constants) - set(BOUND_IDS)):
+            problem = f"unknown bound id {unknown[0]!r}"
+        else:
+            return Calibration(data["dim"], {k: float(v) for k, v in constants.items()})
+        raise ValueError(f"{path}: {problem}")
 
 
 def calibrate(reports: Sequence[BoundReport]) -> Calibration:

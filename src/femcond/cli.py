@@ -1,6 +1,12 @@
 """Command-line front end: mesh generation, single-instance analysis,
 parameter sweeps, and bound calibration.
 
+A mesh path ending in .node or .ele names the Triangle pair base.node and
+base.ele, any other path a native JSON file.  A boundary-layer sweep takes
+exactly one of --n-core and --aspect and sweeps the other; the other
+generators sweep --n, and the imported family the mesh files in --values.
+Eigen-solves run at spectra.DEFAULT_TOL from start vectors of seed 0.
+
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Any command
 exits 2 on a usage error, before any solve.  A sweep member that fails on
 its own (a generator refusing the value, a failed eigen-solve) is reported
@@ -26,6 +32,7 @@ from .bounds import (BOUND_IDS, Calibration, _report_and_stiffness, _resolve_p,
                      build_report, calibrate)
 from .mesh import (
     SimplicialMesh,
+    _triangle_base,
     export_mesh,
     generate_boundary_layer,
     generate_chebyshev_1d,
@@ -34,7 +41,7 @@ from .mesh import (
     import_mesh,
     max_aspect_ratio,
 )
-from .spectra import DEFAULT_TOL, EigenSolveError
+from .spectra import EigenSolveError
 
 __all__ = ["main", "cmd_generate", "cmd_analyze", "cmd_sweep", "cmd_calibrate",
            "fit_loglog_slope"]
@@ -131,9 +138,10 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 def cmd_generate(args) -> int:
     _check_family_flags(args)
     mesh = _make_mesh(args)
-    export_mesh(mesh, args.output, args.format)
+    export_mesh(mesh, args.output)
     print(
-        f"wrote {args.output}: N={mesh.n_elements} N_vi={mesh.n_interior} "
+        f"wrote {_triangle_base(args.output) or args.output}: "
+        f"N={mesh.n_elements} N_vi={mesh.n_interior} "
         f"|K_min|={_fmt(mesh.volumes.min())} "
         f"max_aspect={_fmt(max_aspect_ratio(mesh))}"
     )
@@ -180,16 +188,14 @@ def _print_report(report) -> None:
 
 
 def cmd_analyze(args) -> int:
+    calibration = _load_calibration(args.calibration)
     if args.mesh:
-        mesh = import_mesh(args.mesh, args.format)
+        mesh = import_mesh(args.mesh)
         field = _parse_diffusion(args.diffusion, mesh.dim)
     else:
         field = _parse_diffusion(args.diffusion, _check_family_flags(args))
         mesh = _make_mesh(args)
-    calibration = _load_calibration(args.calibration)
-    report, a = _report_and_stiffness(
-        mesh, field, args.p, args.tol, calibration=calibration, seed=args.seed
-    )
+    report, a = _report_and_stiffness(mesh, field, args.p, calibration=calibration)
 
     if args.matrix_out:
         write_matrix_market(a, args.matrix_out)
@@ -210,22 +216,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.variable == "aspect" and not args.family.startswith("boundary_layer"):
-        raise ValueError("aspect sweeps require a boundary_layer family")
     calibration = _load_calibration(args.calibration)
+    if args.values is None:
+        raise ValueError("--values is required")
+    swept = "n"
     if args.family == "imported":
-        files = [t for t in (args.mesh_files or "").split(",") if t]
+        files = [t for t in args.values.split(",") if t]
         if not files:
-            raise ValueError("--mesh-files is required for the imported family")
+            raise ValueError("empty value list")
         values = list(range(len(files)))
     else:
-        if args.values is None:
-            raise ValueError("--values is required")
         values = _parse_values(args.values)
         if values != sorted(set(values)):
             raise ValueError("sweep values must be strictly increasing")
-        swept = ("aspect" if args.variable == "aspect"
-                 else "n_core" if args.family.startswith("boundary_layer") else "n")
+        if args.family.startswith("boundary_layer"):
+            if (args.n_core is None) == (args.aspect is None):
+                raise ValueError(f"a {args.family} sweep takes exactly one of --n-core "
+                                 "and --aspect; --values sets the other")
+            swept = "aspect" if args.aspect is None else "n_core"
         if swept != "aspect" and any(isinstance(v, float) for v in values):
             raise ValueError(f"sweep values of {swept} must be integers")
         members = [argparse.Namespace(**{**vars(args), swept: v}) for v in values]
@@ -240,12 +248,11 @@ def cmd_sweep(args) -> int:
     for k, value in enumerate(values):
         try:
             if args.family == "imported":
-                mesh = import_mesh(files[k], args.format)
+                mesh = import_mesh(files[k])
                 field = _parse_diffusion(args.diffusion, mesh.dim)
             else:
                 mesh = _make_mesh(members[k])
-            reports.append(build_report(mesh, field, args.p, args.tol,
-                                        calibration=calibration, seed=args.seed))
+            reports.append(build_report(mesh, field, args.p, calibration=calibration))
         except (EigenSolveError, ValueError) as exc:  # MeshError is a ValueError
             print(f"warning: sweep value {value} failed: {exc}", file=sys.stderr)
             reports.append(None)
@@ -266,7 +273,7 @@ def cmd_sweep(args) -> int:
         else:
             row = report.to_row()
             rows.append([value] + [row[k] for k in value_keys])
-            xs.append(value if args.variable == "aspect" else report.n_elements)
+            xs.append(value if swept == "aspect" else report.n_elements)
     if args.csv:
         _write_csv(args.csv, header, rows)
 
@@ -277,7 +284,7 @@ def cmd_sweep(args) -> int:
         ys = [row[1 + value_keys.index(key)] for row in rows]
         slopes[key] = fit_loglog_slope(xs, ys)
 
-    print(f"sweep {args.family} over {args.variable} = {values}")
+    print(f"sweep {args.family} over {'aspect' if swept == 'aspect' else 'n'} = {values}")
     print("fitted log-log slopes (upper half of sweep):")
     for key, slope in slopes.items():
         print(f"  {key}: {_fmt(slope)}")
@@ -296,14 +303,14 @@ def cmd_sweep(args) -> int:
             ["curve", "slope"],
             [[k, s] for k, s in slopes.items()],
         )
-        _write_gnuplot(plot_dir, curve_keys, args.variable)
+        _write_gnuplot(plot_dir, curve_keys, swept)
     return 0
 
 
-def _write_gnuplot(plot_dir: Path, curve_keys, variable: str) -> None:
+def _write_gnuplot(plot_dir: Path, curve_keys, swept: str) -> None:
     lines = [
         "set logscale xy",
-        f'set xlabel "{ "aspect ratio" if variable == "aspect" else "number of elements N"}"',
+        f'set xlabel "{ "aspect ratio" if swept == "aspect" else "number of elements N"}"',
         'set ylabel "value"',
         "set key left top",
         "plot \\",
@@ -321,7 +328,7 @@ def cmd_calibrate(args) -> int:
     reports = []
     for n in _parse_values(args.n_values):
         mesh = generate_uniform(args.dim, int(n))
-        reports.append(build_report(mesh, field, args.p, args.tol, seed=args.seed))
+        reports.append(build_report(mesh, field, args.p))
     cal = calibrate(reports)
     cal.save(args.output)
     print(f"wrote {args.output}: {len(cal.constants)} constants for dim {cal.dim}")
@@ -364,10 +371,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                         "triangle, or full row-major)")
     p.add_argument("--p", type=float, default=None,
                    help="exponent for the 3D bounds, in (1, 3); default 2.9")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="eigensolver relative residual tolerance")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for iterative-solver start vectors")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a mesh file")
     _add_family_args(p)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=("native_json", "triangle_node_ele"),
-                   default="native_json")
+    p.add_argument("-o", "--output", required=True, help=".node or .ele: Triangle pair, else JSON")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="exact spectra and all bounds for one mesh")
@@ -390,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p, source=source)
     _add_common_args(p)
     source.add_argument("--mesh", help="mesh file instead of a generator family")
-    p.add_argument("--format", choices=("native_json", "triangle_node_ele"),
-                   default="native_json")
     p.add_argument("--calibration", help="calibration JSON from the calibrate command")
     p.add_argument("--csv", help="write the report as one CSV row")
     p.add_argument("--json", help="write the report as JSON")
@@ -402,13 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep a family parameter, write CSV and plot data")
     _add_family_args(p, FAMILIES)
     _add_common_args(p)
-    p.add_argument("--variable", choices=("n", "aspect"), default="n")
     p.add_argument("--values",
-                   help="comma-separated strictly increasing values")
-    p.add_argument("--mesh-files", dest="mesh_files",
-                   help="comma-separated mesh files (imported family)")
-    p.add_argument("--format", choices=("native_json", "triangle_node_ele"),
-                   default="native_json")
+                   help="comma-separated strictly increasing values of --n, or of whichever of "
+                        "--n-core and --aspect is not given; mesh files (imported family)")
     p.add_argument("--calibration")
     p.add_argument("--csv", help="output CSV path")
     p.add_argument("--plot-dir", dest="plot_dir",

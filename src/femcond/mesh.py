@@ -94,6 +94,11 @@ class SimplicialMesh:
         if not np.all(np.isfinite(vertices)):
             raise MeshError("vertex coordinates must be finite")
 
+        elements = np.asarray(elements)
+        if elements.dtype.kind not in "iu":
+            whole = np.asarray(elements, dtype=float)
+            if not np.all(np.isfinite(whole) & (whole == np.trunc(whole))):
+                raise MeshError("element vertex indices must be whole numbers")
         elements = np.array(elements, dtype=np.int64)
         if elements.ndim != 2 or elements.shape[1] != dim + 1:
             raise MeshError(
@@ -316,17 +321,6 @@ class MeshMetrics:
 # -- generators ----------------------------------------------------------
 
 
-def _normalize_domain(dim: int, domain) -> np.ndarray:
-    if domain is None:
-        return np.array([[0.0, 1.0]] * dim)
-    box = np.array(domain, dtype=float)
-    if dim == 1 and box.shape == (2,):
-        box = box[None, :]
-    if box.shape != (dim, 2) or not np.all(box[:, 1] > box[:, 0]):
-        raise MeshError(f"domain must be {dim} (lo, hi) pairs with hi > lo")
-    return box
-
-
 def _mesh_from_axis_nodes(dim: int, axes: list[np.ndarray]) -> SimplicialMesh:
     """Tensor-product grid triangulated into simplices.
 
@@ -385,8 +379,8 @@ def _mesh_from_axis_nodes(dim: int, axes: list[np.ndarray]) -> SimplicialMesh:
     return SimplicialMesh(dim, verts, elems)
 
 
-def generate_uniform(dim: int, n_per_axis: int, domain=None) -> SimplicialMesh:
-    """Uniform mesh of an axis-aligned box.
+def generate_uniform(dim: int, n_per_axis: int) -> SimplicialMesh:
+    """Uniform mesh of the unit box.
 
     1D: equal segments; 2D: each grid cell split into two congruent right
     triangles; 3D: each cell split into six tetrahedra.
@@ -395,9 +389,7 @@ def generate_uniform(dim: int, n_per_axis: int, domain=None) -> SimplicialMesh:
         raise MeshError(f"dim must be 1, 2 or 3, got {dim}")
     if n_per_axis < 1:
         raise MeshError("n_per_axis must be >= 1")
-    box = _normalize_domain(dim, domain)
-    axes = [np.linspace(lo, hi, n_per_axis + 1) for lo, hi in box]
-    return _mesh_from_axis_nodes(dim, axes)
+    return _mesh_from_axis_nodes(dim, [np.linspace(0.0, 1.0, n_per_axis + 1)] * dim)
 
 
 def generate_chebyshev_1d(n: int) -> SimplicialMesh:
@@ -627,10 +619,19 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def export_mesh(mesh: SimplicialMesh, path, fmt: str = "native_json") -> None:
-    """Write a mesh to disk; coordinates carry 17 significant digits."""
+def _triangle_base(path) -> Path | None:
+    """The base of the Triangle pair base.node and base.ele that a path
+    ending in .node or .ele names; None for any other path (native JSON)."""
     path = Path(path)
-    if fmt == "native_json":
+    return path.with_suffix("") if path.suffix in (".node", ".ele") else None
+
+
+def export_mesh(mesh: SimplicialMesh, path) -> None:
+    """Write a mesh to disk, as the Triangle pair if the path ends in .node
+    or .ele and as native JSON otherwise; coordinates carry 17 significant
+    digits."""
+    base = _triangle_base(path)
+    if base is None:
         lines = ["{"]
         lines.append(f'  "dim": {mesh.dim},')
         lines.append(f'  "version": {NATIVE_JSON_VERSION},')
@@ -645,9 +646,8 @@ def export_mesh(mesh: SimplicialMesh, path, fmt: str = "native_json") -> None:
         )
         lines.append('  "elements": [\n' + erows + "\n  ]")
         lines.append("}")
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "triangle_node_ele":
-        base = path.with_suffix("") if path.suffix in (".node", ".ele") else path
+        Path(path).write_text("\n".join(lines) + "\n")
+    else:
         with open(base.with_suffix(".node"), "w") as f:
             f.write(f"{mesh.n_vertices} {mesh.dim} 0 1\n")
             for i, v in enumerate(mesh.vertices):
@@ -657,19 +657,14 @@ def export_mesh(mesh: SimplicialMesh, path, fmt: str = "native_json") -> None:
             f.write(f"{mesh.n_elements} {mesh.dim + 1} 0\n")
             for i, e in enumerate(mesh.elements):
                 f.write(f"{i + 1} " + " ".join(str(int(v) + 1) for v in e) + "\n")
-    else:
-        raise MeshError(f"unknown mesh format {fmt!r}")
 
 
-def import_mesh(path, fmt: str = "native_json") -> SimplicialMesh:
-    """Read a mesh; boundary flags are recomputed from facet incidence, not
+def import_mesh(path) -> SimplicialMesh:
+    """Read a mesh written as export_mesh writes it, the format chosen by the
+    same rule; boundary flags are recomputed from facet incidence, not
     trusted from the file."""
-    path = Path(path)
-    if fmt == "native_json":
-        return _import_native_json(path)
-    if fmt == "triangle_node_ele":
-        return _import_triangle(path)
-    raise MeshError(f"unknown mesh format {fmt!r}")
+    base = _triangle_base(path)
+    return _import_native_json(Path(path)) if base is None else _import_triangle(base)
 
 
 def _import_native_json(path: Path) -> SimplicialMesh:
@@ -683,7 +678,9 @@ def _import_native_json(path: Path) -> SimplicialMesh:
             raise MeshFormatError(path, None, f"missing key {key!r}")
     if data.get("version", NATIVE_JSON_VERSION) != NATIVE_JSON_VERSION:
         raise MeshFormatError(path, None, f"unsupported version {data['version']}")
-    return SimplicialMesh(int(data["dim"]), data["vertices"], data["elements"])
+    if type(data["dim"]) is not int:
+        raise MeshFormatError(path, None, f"dim must be an integer, got {data['dim']!r}")
+    return SimplicialMesh(data["dim"], data["vertices"], data["elements"])
 
 
 def _read_rows(path: Path):
@@ -696,8 +693,7 @@ def _read_rows(path: Path):
     return rows
 
 
-def _import_triangle(path: Path) -> SimplicialMesh:
-    base = path.with_suffix("") if path.suffix in (".node", ".ele") else path
+def _import_triangle(base: Path) -> SimplicialMesh:
     node_path = base.with_suffix(".node")
     ele_path = base.with_suffix(".ele")
 
@@ -731,6 +727,8 @@ def _import_triangle(path: Path) -> SimplicialMesh:
         per_ele = int(header[1])
     except (ValueError, IndexError):
         raise MeshFormatError(ele_path, lineno, "bad .ele header") from None
+    if n_ele == 0:
+        raise MeshFormatError(ele_path, lineno, "no elements")
     if per_ele != dim + 1:
         raise MeshFormatError(
             ele_path, lineno, f"expected {dim + 1} vertices per element, got {per_ele}"

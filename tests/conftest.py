@@ -15,6 +15,14 @@ from femcond import (
 from femcond.mesh import MeshError
 
 
+def box_mesh(dim: int, n_per_axis: int, box) -> SimplicialMesh:
+    """generate_uniform's unit-box mesh mapped onto the box of (lo, hi)
+    pairs, one per axis."""
+    lo, hi = np.array(box, dtype=float).reshape(dim, 2).T
+    unit = generate_uniform(dim, n_per_axis)
+    return SimplicialMesh(dim, lo + unit.vertices * (hi - lo), unit.elements)
+
+
 def perturb_interior(mesh: SimplicialMesh, rng: np.random.Generator,
                      frac: float = 0.2) -> SimplicialMesh:
     """Randomly displace interior vertices, keeping the mesh valid.

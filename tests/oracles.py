@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.io
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import roots_legendre
 
@@ -187,6 +189,17 @@ def lambda_max_unfiltered(a, tol: float = 1e-8, seed: int = 0) -> float:
     vals = spla.eigsh(a.matrix, k=1, which="LA", tol=max(tol * 1e-2, 1e-14), v0=v0,
                       return_eigenvectors=False)
     return float(vals[0])
+
+
+def read_matrix_market(path) -> SparseSymmetric:
+    """Read back a file of femcond.write_matrix_market: a square symmetric
+    MatrixMarket coordinate file, or ValueError."""
+    n, m, _, fmt, _, symmetry = scipy.io.mminfo(path)
+    if fmt != "coordinate" or symmetry != "symmetric":
+        raise ValueError(f"{path}: not a symmetric MatrixMarket coordinate file")
+    if n != m:
+        raise ValueError(f"{path}: matrix is not square")
+    return SparseSymmetric(sp.csr_matrix(scipy.io.mmread(path), dtype=float))
 
 
 def check_normalized(mesh: SimplicialMesh, rho: DensityFunction, tol: float = 1e-12) -> bool:

@@ -441,6 +441,27 @@ class TestCalibrate:
         assert back.dim == cal.dim
         assert back.constants == pytest.approx(cal.constants)
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{}', "needs a dim and a constants object"),
+        ('[]', "needs a dim and a constants object"),
+        ('{"version": 1, "constants": {}}', "needs a dim and a constants object"),
+        ('{"version": 1, "dim": 1}', "needs a dim and a constants object"),
+        ('{"version": 1, "dim": 1, "constants": [1.0]}', "needs a dim and a constants object"),
+        ('{"version": 2, "dim": 1, "constants": {}}', "unsupported version 2"),
+        ('{"version": 1, "dim": 4, "constants": {}}', "dim must be an integer from 1 to 3"),
+        ('{"version": 1, "dim": 1.5, "constants": {}}', "dim must be an integer from 1 to 3"),
+        ('{"version": 1, "dim": "1", "constants": {}}', "dim must be an integer from 1 to 3"),
+        ('{"version": 1, "dim": true, "constants": {}}', "dim must be an integer from 1 to 3"),
+        ('{"version": 1, "dim": 1, "constants": {"new.kappa.B": "1"}}',
+         "unknown bound id 'new.kappa.B'"),
+    ], ids=["empty", "list", "no-dim", "no-constants", "constants-list", "version",
+            "dim-range", "dim-float", "dim-string", "dim-bool", "unknown-id"])
+    def test_load_rejects_malformed_file(self, tmp_path, text, reason):
+        path = tmp_path / "cal.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"cal.json: .*{reason}"):
+            Calibration.load(path)
+
 
 class TestPSensitivity:
     def test_continuous_and_vanishing_at_limit(self):

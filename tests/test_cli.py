@@ -7,6 +7,7 @@ import pytest
 
 import femcond as fc
 from femcond.cli import _fmt, fit_loglog_slope, main
+from oracles import read_matrix_market
 
 
 def run(args):
@@ -34,7 +35,7 @@ class TestGenerate:
     def test_chebyshev_file(self, tmp_path, capsys):
         out = tmp_path / "mesh.json"
         assert run(["generate", "--family", "chebyshev", "--n", "64", "-o", out]) == 0
-        mesh = fc.import_mesh(out, "native_json")
+        mesh = fc.import_mesh(out)
         assert mesh.n_elements == 64
         assert "N=64" in capsys.readouterr().out
 
@@ -58,7 +59,7 @@ class TestGenerate:
             "generate", "--family", "boundary_layer_2d",
             "--n-core", "6", "--aspect", "25", "-o", out,
         ]) == 0
-        mesh = fc.import_mesh(out, "native_json")
+        mesh = fc.import_mesh(out)
         text = capsys.readouterr().out
         assert f"|K_min|={format(float(mesh.volumes.min()), '.17g')} " in text
 
@@ -77,13 +78,21 @@ class TestGenerate:
         assert "--family" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
-    def test_triangle_format(self, tmp_path):
-        out = tmp_path / "mesh"
+    @pytest.mark.parametrize("name", ["m.json", "m.node", "m.ele"])
+    def test_mesh_file_analyzes_as_its_family(self, tmp_path, name):
+        family = ["--family", "boundary_layer_2d", "--n-core", "6", "--aspect", "8"]
+        assert run(["generate", *family, "-o", tmp_path / name]) == 0
+        assert run(["analyze", "--mesh", tmp_path / name, "--csv", tmp_path / "file.csv"]) == 0
+        assert run(["analyze", *family, "--csv", tmp_path / "family.csv"]) == 0
+        assert (tmp_path / "file.csv").read_text() == (tmp_path / "family.csv").read_text()
+
+    def test_triangle_format(self, tmp_path, capsys):
+        out = tmp_path / "mesh.node"
         assert run([
-            "generate", "--family", "uniform", "--dim", "2", "--n", "3",
-            "-o", out, "--format", "triangle_node_ele",
+            "generate", "--family", "uniform", "--dim", "2", "--n", "3", "-o", out,
         ]) == 0
-        mesh = fc.import_mesh(out.with_suffix(".node"), "triangle_node_ele")
+        assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'mesh'}: N=18 ")
+        mesh = fc.import_mesh(out)
         assert mesh.n_elements == 18
 
 
@@ -164,7 +173,7 @@ class TestAnalyze:
             "analyze", "--family", "uniform", "--dim", "1", "--n", "16",
             "--matrix-out", mtx,
         ]) == 0
-        back = fc.read_matrix_market(mtx)
+        back = read_matrix_market(mtx)
         mesh = fc.generate_uniform(1, 16)
         a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(1))
         r1 = fc.extreme_eigenvalues(back)
@@ -187,7 +196,7 @@ class TestAnalyze:
             "--matrix-out", mtx,
         ]) == 0
         assert len(calls) == 1
-        assert fc.read_matrix_market(mtx).order == 9
+        assert read_matrix_market(mtx).order == 9
 
     def test_mesh_file_input(self, tmp_path):
         mesh_file = tmp_path / "m.json"
@@ -256,7 +265,7 @@ class TestSweep:
     def test_aspect_sweep(self, tmp_path):
         csv = tmp_path / "aspect.csv"
         assert run([
-            "sweep", "--family", "boundary_layer_2d", "--variable", "aspect",
+            "sweep", "--family", "boundary_layer_2d",
             "--values", "2,4,8", "--n-core", "6", "--csv", csv,
         ]) == 0
         rows = csv.read_text().splitlines()
@@ -267,14 +276,15 @@ class TestSweep:
         assert len(ns) == 1
 
     def test_imported_family_sweep(self, tmp_path):
+        # one native JSON file and one Triangle pair
         files = []
-        for n in (8, 16):
-            path = tmp_path / f"m{n}.json"
+        for n, suffix in ((8, ".json"), (16, ".node")):
+            path = tmp_path / f"m{n}{suffix}"
             fc.export_mesh(fc.generate_chebyshev_1d(n), path)
             files.append(str(path))
         csv = tmp_path / "imported.csv"
         assert run([
-            "sweep", "--family", "imported", "--mesh-files", ",".join(files),
+            "sweep", "--family", "imported", "--values", ",".join(files),
             "--csv", csv,
         ]) == 0
         rows = csv.read_text().splitlines()
@@ -282,14 +292,33 @@ class TestSweep:
         n_col = rows[0].split(",").index("n_elements")
         assert [row.split(",")[n_col] for row in rows[1:]] == ["8", "16"]
 
+    @pytest.mark.parametrize("flags, swept, xlabel", [
+        (["--n-core", "6", "--values", "2,4"], "aspect = [2, 4]", "aspect ratio"),
+        (["--aspect", "4", "--values", "4,6"], "n = [4, 6]", "number of elements N"),
+    ], ids=["aspect", "n-core"])
+    def test_axis_is_the_flag_not_given(self, tmp_path, capsys, flags, swept, xlabel):
+        csv, plots = tmp_path / "s.csv", tmp_path / "plots"
+        assert run(["sweep", "--family", "boundary_layer_2d", *flags, "--csv", csv,
+                    "--plot-dir", plots]) == 0
+        assert f"sweep boundary_layer_2d over {swept}\n" in capsys.readouterr().out
+        assert f'set xlabel "{xlabel}"' in (plots / "plots.gp").read_text()
+        rows = [row.split(",") for row in csv.read_text().splitlines()]
+        n_col = rows[0].index("n_elements")
+        xs = [line.split()[0] for line in (plots / "exact_kappa_A.dat").read_text().splitlines()]
+        if swept.startswith("aspect"):
+            assert xs == ["2", "4"] and rows[1][n_col] == rows[2][n_col]
+        else:
+            assert xs == [row[n_col] for row in rows[1:]] and rows[1][n_col] != rows[2][n_col]
+
     @pytest.mark.parametrize("values", ["8,inf", "nan,8"])
     def test_non_finite_value_exits_2(self, values, capsys):
         assert run(["sweep", "--family", "chebyshev", "--values", values]) == 2
         assert "not finite" in capsys.readouterr().err
 
     def test_spec_validation(self, capsys, no_solve):
-        assert_usage_error(["sweep", "--family", "uniform", "--dim", "1", "--variable",
-                            "aspect", "--values", "1,2"], capsys, "boundary_layer family")
+        assert_usage_error(["sweep", "--family", "boundary_layer_2d", "--n-core", "6",
+                            "--aspect", "4", "--values", "4,6"], capsys,
+                           "exactly one of --n-core and --aspect")
         assert_usage_error(["sweep", "--family", "chebyshev", "--values", "8,8"],
                            capsys, "strictly increasing")
         assert_usage_error(["sweep", "--family", "chebyshev", "--values", ","],
@@ -297,9 +326,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("args, reason", [
         (["--family", "uniform", "--values", "2,4"], "--dim is required"),
-        (["--family", "boundary_layer_2d", "--values", "4,6"], "--aspect is required"),
-        (["--family", "boundary_layer_2d", "--variable", "aspect", "--values", "4,6"],
-         "--n-core is required"),
+        (["--family", "boundary_layer_2d", "--values", "4,6"],
+         "exactly one of --n-core and --aspect"),
+        (["--family", "boundary_layer_3d", "--values", "4,6"],
+         "exactly one of --n-core and --aspect"),
         (["--family", "chebyshev", "--values", "8,16", "--diffusion", "bogus"],
          "unknown diffusion spec"),
         (["--family", "power2", "--values", "8,16", "--diffusion", "const:1,2,3"],
@@ -342,6 +372,41 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.count("warning: sweep value") == 2
         assert "every sweep instance failed" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--family", "uniform", "--dim", "1", "--n", "4", "-o"],
+    ["analyze", "--family", "uniform", "--dim", "1", "--n", "4", "--json"],
+    ["sweep", "--family", "chebyshev", "--values", "8,16", "--csv"],
+    ["calibrate", "--dim", "1", "--n-values", "8,16", "-o"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("flag", [
+    ["--variable", "aspect"], ["--format", "triangle_node_ele"], ["--mesh-files", "m.json"],
+    ["--tol", "1e-8"], ["--seed", "0"],
+], ids=lambda flag: flag[0])
+def test_removed_flag_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as err:
+        run([*command, out, *flag])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--family", "uniform", "--dim", "1", "--n", "4"],
+    ["sweep", "--family", "chebyshev", "--values", "8,16"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("text", ['{}', '{"version": 2, "dim": 1, "constants": {}}'],
+                         ids=["empty", "version-2"])
+def test_malformed_calibration_exits_2(tmp_path, capsys, monkeypatch, no_solve, command, text):
+    def fail(*args):
+        raise AssertionError("mesh built")
+
+    monkeypatch.setattr(fc.cli, "_make_mesh", fail)
+    cal = tmp_path / "cal.json"
+    cal.write_text(text)
+    assert_usage_error([*command, "--calibration", cal], capsys, f"error: {cal}: ")
 
 
 class TestCalibrateCommand:

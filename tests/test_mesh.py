@@ -12,7 +12,7 @@ from femcond.mesh import (
     MeshFormatError,
     NonConformingMeshError,
 )
-from conftest import random_mesh
+from conftest import box_mesh, random_mesh
 from oracles import (
     boundary_distance_brute,
     boundary_facets_unique_rows,
@@ -22,7 +22,7 @@ from oracles import (
 
 class TestGenerateUniform:
     def test_1d_two_elements(self):
-        m = fc.generate_uniform(1, 2, [0, 1])
+        m = fc.generate_uniform(1, 2)
         assert np.allclose(sorted(m.vertices.ravel()), [0.0, 0.5, 1.0])
         assert m.n_interior == 1
 
@@ -48,7 +48,7 @@ class TestGenerateUniform:
             fc.generate_uniform(2, 0)
 
     def test_custom_domain(self):
-        m = fc.generate_uniform(2, 3, domain=[(0, 2), (1, 4)])
+        m = box_mesh(2, 3, [(0, 2), (1, 4)])
         assert m.domain_volume == pytest.approx(6.0, rel=1e-13)
 
 
@@ -152,8 +152,8 @@ class TestImportExport:
     def test_native_roundtrip_bit_exact(self, tmp_path, rng):
         mesh = random_mesh(rng)
         path = tmp_path / "mesh.json"
-        fc.export_mesh(mesh, path, "native_json")
-        back = fc.import_mesh(path, "native_json")
+        fc.export_mesh(mesh, path)
+        back = fc.import_mesh(path)
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.elements, mesh.elements)
 
@@ -164,7 +164,7 @@ class TestImportExport:
             ' "vertices": [[0,0],[1,0],[1,1],[0,1]],'
             ' "elements": [[0,1,2],[0,2,3]]}'
         )
-        m = fc.import_mesh(path, "native_json")
+        m = fc.import_mesh(path)
         assert m.n_vertices == 4
         assert m.n_elements == 2
         assert m.n_interior == 0
@@ -175,14 +175,13 @@ class TestImportExport:
         path = tmp_path / "dup.json"
         fc.export_mesh(SimplicialLike(base.vertices, elements), path)
         with pytest.raises(NonConformingMeshError) as err:
-            fc.import_mesh(path, "native_json")
+            fc.import_mesh(path)
         assert "facet" in str(err.value)
 
     def test_triangle_format_matches_generator(self, tmp_path):
         mesh = fc.generate_uniform(2, 2)
-        base = tmp_path / "square"
-        fc.export_mesh(mesh, base, "triangle_node_ele")
-        back = fc.import_mesh(base.with_suffix(".node"), "triangle_node_ele")
+        fc.export_mesh(mesh, tmp_path / "square.node")
+        back = fc.import_mesh(tmp_path / "square.ele")
         m1, _ = fc.compute_metrics(mesh)
         m2, _ = fc.compute_metrics(back)
         assert m2.k_min_volume == pytest.approx(m1.k_min_volume, rel=1e-15)
@@ -194,7 +193,7 @@ class TestImportExport:
         node.write_text("3 2 0 1\n1 0.0 0.0 1\n2 1.0 zero 1\n3 0.0 1.0 1\n")
         (tmp_path / "bad.ele").write_text("1 3 0\n1 1 2 3\n")
         with pytest.raises(MeshFormatError) as err:
-            fc.import_mesh(node, "triangle_node_ele")
+            fc.import_mesh(node)
         assert "bad.node:3" in str(err.value)
 
     def test_zero_volume_element_reports_id(self, tmp_path):
@@ -205,8 +204,35 @@ class TestImportExport:
             ' "elements": [[0,1,2],[0,1,3]]}'
         )
         with pytest.raises(DegenerateElementError) as err:
-            fc.import_mesh(path, "native_json")
+            fc.import_mesh(path)
         assert err.value.element_id == 0
+
+    @pytest.mark.parametrize("dim", ["2.7", "null", "true", '"2"'])
+    def test_dim_must_be_an_integer(self, tmp_path, dim):
+        path = tmp_path / "square.json"
+        path.write_text(
+            f'{{"dim": {dim}, "version": 1,'
+            ' "vertices": [[0,0],[1,0],[1,1],[0,1]],'
+            ' "elements": [[0,1,2],[0,2,3]]}'
+        )
+        with pytest.raises(MeshFormatError, match="square.json: dim must be an integer"):
+            fc.import_mesh(path)
+
+    def test_fractional_element_index_rejected(self, tmp_path):
+        path = tmp_path / "square.json"
+        path.write_text(
+            '{"dim": 2, "version": 1,'
+            ' "vertices": [[0,0],[1,0],[1,1],[0,1]],'
+            ' "elements": [[0,1,2],[0,2,2.7]]}'
+        )
+        with pytest.raises(MeshError, match="whole numbers"):
+            fc.import_mesh(path)
+
+    def test_ele_file_without_elements(self, tmp_path):
+        (tmp_path / "empty.node").write_text("3 2 0 1\n1 0 0 1\n2 1 0 1\n3 0 1 1\n")
+        (tmp_path / "empty.ele").write_text("0 3 0\n")
+        with pytest.raises(MeshFormatError, match="empty.ele:1: no elements"):
+            fc.import_mesh(tmp_path / "empty.node")
 
 
 class SimplicialLike:
@@ -246,7 +272,7 @@ class TestDistance:
 
 def _l_shaped_mesh() -> fc.SimplicialMesh:
     """[0, 2]^2 without the quadrant (1, 2]^2: a non-convex 2D domain."""
-    square = fc.generate_uniform(2, 8, domain=[(0, 2), (0, 2)])
+    square = box_mesh(2, 8, [(0, 2), (0, 2)])
     c = square.centroids()
     elems = square.elements[~((c[:, 0] > 1) & (c[:, 1] > 1))]
     used = np.unique(elems)
@@ -334,9 +360,9 @@ class TestHalfSpaceDistance:
         fc.generate_boundary_layer(2, 12, 1.0), fc.generate_boundary_layer(2, 20, 125.0),
         fc.generate_boundary_layer(3, 4, 25.0), fc.generate_boundary_layer(3, 5, 4.0),
         fc.generate_uniform(2, 7), fc.generate_uniform(3, 3),
-        fc.generate_uniform(2, 5, domain=[(-1.0, 3.0), (0.5, 0.75)]),
+        box_mesh(2, 5, [(-1.0, 3.0), (0.5, 0.75)]),
         fc.generate_chebyshev_1d(1024), fc.generate_power2_1d(24),
-        fc.generate_uniform(1, 7, (-3.0, 2.5)),
+        box_mesh(1, 7, (-3.0, 2.5)),
     ], ids=lambda m: repr(m))
     def test_equals_brute_force_on_boxes(self, mesh, rng, monkeypatch):
         calls = self._spy_search(monkeypatch)
@@ -535,6 +561,18 @@ class TestMeshInvariants:
             assert m2.k_avg_volume == pytest.approx(m1.k_avg_volume, rel=1e-12)
             assert m2.k_min_volume == pytest.approx(m1.k_min_volume, rel=1e-12)
             assert p_min(reflected) == p_min(mesh)
+
+    @pytest.mark.parametrize("elements", [
+        [[0, 1.7]], [[0.0, 0.5]], [[0, float("nan")]], [[0, float("inf")]], [[0, None]],
+    ])
+    def test_element_indices_must_be_whole(self, elements):
+        with pytest.raises(MeshError, match="whole numbers"):
+            fc.SimplicialMesh(1, [0.0, 1.0], elements)
+
+    def test_whole_float_element_indices_accepted(self):
+        mesh = fc.SimplicialMesh(1, [0.0, 1.0, 2.0], np.array([[0.0, 1.0], [1.0, 2.0]]))
+        assert mesh.elements.dtype == np.int64
+        assert mesh.elements.tolist() == [[0, 1], [1, 2]]
 
     def test_mesh_is_immutable(self):
         mesh = fc.generate_uniform(2, 2)
