@@ -2,7 +2,9 @@
 
 Linear (P1) basis functions on simplicial meshes; the diffusion coefficient
 enters through its per-element average D_K, computed for all elements in one
-batch (`average_diffusion_all`).  Assembly from a given D_K array is split
+batch (`average_diffusion_all`).  In 2D the field is evaluated once per mesh
+edge, at its midpoint, and each triangle averages the values on its three
+edges.  Assembly from a given D_K array is split
 out so that a caller holding D_K already does not average it again.
 Boundary rows and columns are never assembled: the system lives on the
 interior vertices only.  Assembly is deterministic: the same mesh and field
@@ -84,10 +86,11 @@ class DiffusionField:
         return DiffusionField(dim, f, float(d_min), float(d_max))
 
 
-def _check_spectrum(field: DiffusionField, mats: np.ndarray, where: str) -> None:
+def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:
     """Symmetry and declared eigenvalue range of a stack of (d, d) matrices.
 
-    where is formatted with the stack index k of the first offending matrix.
+    locate maps the mask of offending matrices to (stack index, place): the
+    matrix to report and the words naming where it was evaluated.
     """
     scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2)) > _SYM_TOL * scale
@@ -97,43 +100,74 @@ def _check_spectrum(field: DiffusionField, mats: np.ndarray, where: str) -> None
     bad = asym | (eigs[:, 0] < lo) | (eigs[:, -1] > hi)
     if not bad.any():
         return
-    k = int(np.argmax(bad))
-    if asym[k]:
-        raise ValueError(f"diffusion matrix not symmetric at {where.format(k=k)}")
+    i, where = locate(bad)
+    if asym[i]:
+        raise ValueError(f"diffusion matrix not symmetric at {where}")
     raise ValueError(
-        f"diffusion eigenvalues [{eigs[k, 0]:.6g}, {eigs[k, -1]:.6g}] at "
-        f"{where.format(k=k)} leave the declared range "
+        f"diffusion eigenvalues [{eigs[i, 0]:.6g}, {eigs[i, -1]:.6g}] at "
+        f"{where} leave the declared range "
         f"[{field.d_min:.6g}, {field.d_max:.6g}]"
     )
+
+
+def _evaluate(field: DiffusionField, points: np.ndarray) -> np.ndarray:
+    """The field at each point of (m, d), one evaluator call per point,
+    stacked once as (m, d, d)."""
+    d = field.dim
+    return np.array([
+        np.asarray(field.evaluator(x), dtype=float).reshape(d, d) for x in points
+    ])
+
+
+def _first_bad_point(index: np.ndarray, first_q: int = 0):
+    """locate for _check_spectrum when index[k, j] is the stack row of local
+    point first_q + j of element k: the first offending element in element
+    order, and its first offending point."""
+    def locate(bad):
+        bad_points = bad[index]
+        k = int(np.argmax(bad_points.any(axis=1)))
+        j = int(np.argmax(bad_points[k]))
+        return index[k, j], f"element {k}, quadrature point {first_q + j}"
+    return locate
 
 
 def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.ndarray:
     """Element averages of the diffusion matrix, shape (n_elements, d, d).
 
     Uses a rule exact for quadratic integrands, hence exact for constant and
-    affine coefficient fields.  The evaluator is called once per element and
-    quadrature point; every value is checked for symmetry and the declared
-    eigenvalue range, and every average for positive definiteness.
+    affine coefficient fields.  In 2D it is the edge-midpoint rule,
+    D_K = (D(m_0) + D(m_1) + D(m_2)) / 3 with m_j the midpoint of the edge
+    opposite vertex j, and the evaluator is called once per mesh edge: the
+    two triangles of an interior edge share its value.  In 1D and 3D it is
+    called once per element and point of `simplex_average_rule(d, 2)`.
+    Every value is checked for symmetry and the declared eigenvalue range,
+    and every average for positive definiteness; a failure names the first
+    offending element and its local point (in 2D, point q is the midpoint
+    of the edge opposite vertex q).
     """
     d = mesh.dim
     if field.dim != d:
         raise ValueError(f"field dimension {field.dim} does not match mesh {d}")
     n = mesh.n_elements
     if field.constant is not None:
-        _check_spectrum(field, field.constant[None], "constant field")
+        _check_spectrum(field, field.constant[None], lambda bad: (0, "constant field"))
         return np.broadcast_to(field.constant, (n, d, d)).copy()
 
-    ref_pts, ref_w = simplex_average_rule(d, 2)
-    v0 = mesh.vertices[mesh.elements[:, 0]]
-    E = mesh.edge_matrices()
-    out = np.zeros((n, d, d))
-    for q in range(len(ref_w)):
-        mats = np.array([
-            np.asarray(field.evaluator(x), dtype=float).reshape(d, d)
-            for x in v0 + E @ ref_pts[q]
-        ])
-        _check_spectrum(field, mats, f"element {{k}}, quadrature point {q}")
-        out += ref_w[q] * mats
+    if d == 2:
+        ends = mesh.vertices[mesh.facets]  # sorted pairs: neighbours share the point
+        mats = _evaluate(field, 0.5 * (ends[:, 0] + ends[:, 1]))
+        edges = mesh.element_facets
+        _check_spectrum(field, mats, _first_bad_point(edges))
+        out = (mats[edges[:, 0]] + mats[edges[:, 1]] + mats[edges[:, 2]]) / 3.0
+    else:
+        ref_pts, ref_w = simplex_average_rule(d, 2)
+        v0 = mesh.vertices[mesh.elements[:, 0]]
+        E = mesh.edge_matrices()
+        out = np.zeros((n, d, d))
+        for q in range(len(ref_w)):
+            mats = _evaluate(field, v0 + E @ ref_pts[q])
+            _check_spectrum(field, mats, _first_bad_point(np.arange(n)[:, None], q))
+            out += ref_w[q] * mats
     not_spd = np.linalg.eigvalsh(out)[:, 0] <= 0
     if not_spd.any():
         k = int(np.argmax(not_spd))
@@ -207,7 +241,7 @@ def _local_stiffness(mesh: SimplicialMesh, dk: np.ndarray) -> np.ndarray:
     """Per-element stiffness matrices |K| grad(phi_i) . D_K grad(phi_j),
     shape (n, d+1, d+1), from the element averages dk."""
     grads = _p1_gradients(mesh)
-    local = np.einsum("kid,kde,kje->kij", grads, dk, grads)
+    local = grads @ dk @ np.swapaxes(grads, 1, 2)
     local *= mesh.volumes[:, None, None]
     return 0.5 * (local + local.transpose(0, 2, 1))
 

@@ -303,7 +303,10 @@ class Calibration:
     @staticmethod
     def load(path) -> "Calibration":
         """Read a file written by save; ValueError naming the file if it is not one."""
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not a calibration JSON file ({exc})") from exc
         constants = data.get("constants") if isinstance(data, dict) else None
         if not isinstance(constants, dict) or "dim" not in data:
             problem = "a calibration needs a dim and a constants object"

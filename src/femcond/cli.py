@@ -5,6 +5,8 @@ A mesh path ending in .node or .ele names the Triangle pair base.node and
 base.ele, any other path a native JSON file.  A boundary-layer sweep takes
 exactly one of --n-core and --aspect and sweeps the other; the other
 generators sweep --n, and the imported family the mesh files in --values.
+A generator flag that the family (or an analyzed --mesh file) does not
+read, or that --values sets, is a usage error.
 Eigen-solves run at spectra.DEFAULT_TOL from start vectors of seed 0.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Any command
@@ -49,6 +51,11 @@ __all__ = ["main", "cmd_generate", "cmd_analyze", "cmd_sweep", "cmd_calibrate",
 FAMILY_DIM = {"chebyshev": 1, "power2": 1, "boundary_layer_2d": 2, "boundary_layer_3d": 3}
 GENERATORS = ("uniform", *FAMILY_DIM)
 FAMILIES = (*GENERATORS, "imported")
+GENERATOR_FLAGS = ("dim", "n", "n_core", "aspect")
+# The generator flags each family reads; the imported family reads --values.
+FAMILY_FLAGS = {"uniform": ("dim", "n"), "chebyshev": ("n",), "power2": ("n",),
+                "boundary_layer_2d": ("n_core", "aspect"),
+                "boundary_layer_3d": ("n_core", "aspect"), "imported": ()}
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
@@ -61,17 +68,28 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _check_family_flags(args) -> int:
-    """Raise the usage error of a generator family's missing flags; return
-    the family's dimension."""
-    if args.family == "uniform":
-        needed = ("dim", "n")
-    else:
-        needed = ("n",) if FAMILY_DIM[args.family] == 1 else ("n_core", "aspect")
-    missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
+def _flag_names(names) -> str:
+    return " and ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _check_family_flags(args, swept: str | None = None) -> int | None:
+    """Raise the usage error of generator flags that the family (or a mesh
+    file, when args.family is None) never reads, or of its missing flags;
+    return the family's dimension.  swept names the flag that a sweep sets
+    from --values, which must not be given as well."""
+    reads = FAMILY_FLAGS.get(args.family, ())
+    source = f"the {args.family} family" if args.family else "a --mesh file"
+    unread = [name for name in GENERATOR_FLAGS
+              if getattr(args, name) is not None and name not in reads]
+    if unread:
+        raise ValueError(f"{source} does not read {_flag_names(unread)}")
+    if swept is not None and getattr(args, swept) is not None:
+        raise ValueError(f"--values sets {_flag_names([swept])} in a {args.family} sweep; "
+                         f"drop {_flag_names([swept])}")
+    missing = [name for name in reads if name != swept and getattr(args, name) is None]
     if missing:
         verb = "is" if len(missing) == 1 else "are"
-        raise ValueError(f"{' and '.join(missing)} {verb} required for the {args.family} family")
+        raise ValueError(f"{_flag_names(missing)} {verb} required for the {args.family} family")
     return FAMILY_DIM.get(args.family, args.dim)
 
 
@@ -189,11 +207,12 @@ def _print_report(report) -> None:
 
 def cmd_analyze(args) -> int:
     calibration = _load_calibration(args.calibration)
+    dim = _check_family_flags(args)
     if args.mesh:
         mesh = import_mesh(args.mesh)
         field = _parse_diffusion(args.diffusion, mesh.dim)
     else:
-        field = _parse_diffusion(args.diffusion, _check_family_flags(args))
+        field = _parse_diffusion(args.diffusion, dim)
         mesh = _make_mesh(args)
     report, a = _report_and_stiffness(mesh, field, args.p, calibration=calibration)
 
@@ -221,6 +240,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--values is required")
     swept = "n"
     if args.family == "imported":
+        _check_family_flags(args)
         files = [t for t in args.values.split(",") if t]
         if not files:
             raise ValueError("empty value list")
@@ -234,10 +254,10 @@ def cmd_sweep(args) -> int:
                 raise ValueError(f"a {args.family} sweep takes exactly one of --n-core "
                                  "and --aspect; --values sets the other")
             swept = "aspect" if args.aspect is None else "n_core"
+        dim = _check_family_flags(args, swept)
         if swept != "aspect" and any(isinstance(v, float) for v in values):
             raise ValueError(f"sweep values of {swept} must be integers")
         members = [argparse.Namespace(**{**vars(args), swept: v}) for v in values]
-        dim = _check_family_flags(members[0])
         field = _parse_diffusion(args.diffusion, dim)
         _resolve_p(dim, args.p)
         if calibration is not None and calibration.dim != dim:

@@ -77,6 +77,12 @@ class SimplicialMesh:
     verifies conformity (every facet belongs to one or two elements, the
     one-element facets forming a closed boundary) and computes boundary
     flags and the interior index.  Arrays are frozen after construction.
+
+    The facet topology is kept once: `facets` holds every distinct facet as
+    its sorted vertex tuple, (n_facets, d); `element_facets[k, j]` is the
+    row of `facets` opposite vertex j of element k, (n_elements, d + 1);
+    `boundary_facets` are the facets of one element only.  In 2D the facets
+    are the mesh edges.
     """
 
     def __init__(self, dim: int, vertices, elements):
@@ -140,8 +146,8 @@ class SimplicialMesh:
 
         self._build_facets()
 
-        for arr in (self.vertices, self.elements, self.volumes,
-                    self.boundary_facets, self.boundary_vertex_flags,
+        for arr in (self.vertices, self.elements, self.volumes, self.facets,
+                    self.element_facets, self.boundary_facets, self.boundary_vertex_flags,
                     self.interior_index):
             arr.setflags(write=False)
 
@@ -156,9 +162,9 @@ class SimplicialMesh:
         # One integer key per sorted row: its index in an (nv,) * d array, so
         # the keys sort in the rows' lexicographic order.
         nv = len(self.vertices)
-        _, first, counts = np.unique(
+        _, first, inverse, counts = np.unique(
             np.ravel_multi_index(facets.T, (nv,) * d),
-            return_index=True, return_counts=True,
+            return_index=True, return_inverse=True, return_counts=True,
         )
         uniq = facets[first]
         if counts.max(initial=0) > 2:
@@ -202,6 +208,10 @@ class SimplicialMesh:
         interior = np.full(len(self.vertices), -1, dtype=np.int64)
         interior[~flags] = np.arange(int((~flags).sum()))
 
+        self.facets = uniq
+        # Row k of block j of the stacked facets is element k's facet opposite
+        # its vertex j.
+        self.element_facets = inverse.reshape(d + 1, -1).T.copy()
         self.boundary_facets = boundary
         self.boundary_vertex_flags = flags
         self.interior_index = interior

@@ -11,6 +11,7 @@ from oracles import (
     assemble_mass_dense,
     assemble_mass_weighted,
     assemble_stiffness_dense,
+    average_diffusion_dense,
     bound_lambda_min_B,
     check_normalized,
     density_beta_weighted,
@@ -54,6 +55,31 @@ class TestAverageDiffusion:
         field = fc.DiffusionField.from_callable(2, evaluator, 0.5, 2.0)
         with pytest.raises(ValueError, match="not symmetric at element 3, quadrature point 0$"):
             fc.average_diffusion_all(m, field)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_quadratic_field_matches_dense_oracle(self, dim, rng):
+        # every rule used is exact for quadratics, the 3-point oracle rule too
+        field = fc.DiffusionField.from_callable(dim, _quadratic_field, 0.1, dim + 2.0)
+        for _ in range(3):
+            mesh = random_mesh(rng, dim)
+            dk = fc.average_diffusion_all(mesh, field)
+            oracle = np.array([average_diffusion_dense(mesh, field, mesh.vertices[e], 3)
+                               for e in mesh.elements])
+            err = np.abs(dk - oracle).max(axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.abs(oracle).max(axis=(1, 2)))
+
+    def test_variable_field_averages_bit_identical(self, rng):
+        mesh = random_mesh(rng, dim=2)
+        field = fc.DiffusionField.from_callable(2, _quadratic_field, 0.1, 4.0)
+        first = fc.average_diffusion_all(mesh, field)
+        assert np.array_equal(first, fc.average_diffusion_all(mesh, field))
+
+
+def _quadratic_field(x):
+    """D_ii = i + 1 + x_i^2 and D_ij = x_i x_j / 4; in 2D
+    [[1 + x^2, xy/4], [xy/4, 2 + y^2]].  SPD on the unit box."""
+    d = len(x)
+    return np.diag(np.arange(1.0, d + 1) + x**2) + (1 - np.eye(d)) * np.outer(x, x) / 4
 
 
 class TestAssembleStiffness:

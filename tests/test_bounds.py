@@ -515,7 +515,14 @@ class TestBuildReport:
         m = fc.generate_boundary_layer(2, 6, 4.0)
         evaluator = _CountingEvaluator(_varfield)
         fc.build_report(m, fc.DiffusionField.from_callable(2, evaluator, 1.0, 11.0))
-        assert evaluator.calls == m.n_elements * len(simplex_average_rule(2, 2)[1])
+        # edge midpoints: the two triangles of an interior edge share one point
+        assert evaluator.calls == len(m.facets)
+
+    def test_3d_field_evaluated_once_per_element_and_point(self):
+        m = fc.generate_boundary_layer(3, 3, 4.0)
+        evaluator = _CountingEvaluator(_varfield_3d)
+        fc.build_report(m, fc.DiffusionField.from_callable(3, evaluator, 1.0, 11.0))
+        assert evaluator.calls == m.n_elements * len(simplex_average_rule(3, 2)[1])
 
     @pytest.mark.parametrize("dim, p, cutoff", [(2, None, None), (2, None, 10), (3, 2.9, None)])
     def test_row_equals_composed_public_stages(self, dim, p, cutoff):
@@ -554,6 +561,10 @@ class TestBuildReport:
 
 def _varfield(x):
     return np.diag([1.0 + x[0], 1.0 + 10.0 * x[1]])
+
+
+def _varfield_3d(x):
+    return np.diag([1.0 + x[0], 1.0 + 10.0 * x[1], 1.0 + x[2]])
 
 
 class _CountingEvaluator:

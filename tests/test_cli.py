@@ -213,9 +213,34 @@ class TestAnalyze:
         (["--family", "uniform", "--n", "4"], "--dim is required"),
         (["--family", "chebyshev", "--n", "8", "--diffusion", "const:1,2,3"],
          "const diffusion for dim 1"),
+        (["--family", "uniform", "--dim", "2", "--n", "4", "--n-core", "6", "--aspect", "8"],
+         "the uniform family does not read --n-core and --aspect"),
+        (["--family", "boundary_layer_2d", "--dim", "2", "--n-core", "6", "--aspect", "8"],
+         "the boundary_layer_2d family does not read --dim"),
+        (["--family", "chebyshev", "--dim", "1", "--n", "8"],
+         "the chebyshev family does not read --dim"),
     ])
     def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
         assert_usage_error(["analyze", *args], capsys, reason)
+
+    @pytest.mark.parametrize("flags", [["--n", "4"], ["--dim", "1"], ["--aspect", "8"]])
+    def test_generator_flag_next_to_mesh_file_exits_2(self, tmp_path, capsys, flags,
+                                                      monkeypatch):
+        mesh_file = tmp_path / "m.json"
+        fc.export_mesh(fc.generate_chebyshev_1d(8), mesh_file)
+        monkeypatch.setattr(fc.cli, "import_mesh", None)  # fails if a mesh is read
+        assert_usage_error(["analyze", "--mesh", mesh_file, *flags], capsys,
+                           f"a --mesh file does not read {flags[0]}")
+
+    @pytest.mark.parametrize("command", [["analyze", "--family", "chebyshev", "--n", "8"],
+                                         ["sweep", "--family", "chebyshev", "--values", "8,16"]])
+    @pytest.mark.parametrize("content", [b"", b"\xff\xfe\x00\x81"], ids=["empty", "binary"])
+    def test_unreadable_calibration_file_named(self, tmp_path, capsys, no_solve,
+                                               command, content):
+        cal = tmp_path / "cal.json"
+        cal.write_bytes(content)
+        assert_usage_error([*command, "--calibration", cal], capsys,
+                           f"{cal}: not a calibration JSON file")
 
     def test_const_diffusion_flag(self, capsys):
         assert run([
@@ -337,8 +362,23 @@ class TestSweep:
         (["--family", "boundary_layer_3d", "--values", "3,4", "--aspect", "4", "--p", "5"],
          "p must lie in"),
         (["--family", "chebyshev", "--values", "8.2,8.7"], "must be integers"),
+        (["--family", "chebyshev", "--n", "8", "--values", "16,32"],
+         "--values sets --n in a chebyshev sweep"),
+        (["--family", "uniform", "--dim", "2", "--n", "4", "--values", "2,4"],
+         "--values sets --n in a uniform sweep"),
+        (["--family", "uniform", "--dim", "2", "--aspect", "8", "--values", "2,4"],
+         "the uniform family does not read --aspect"),
+        (["--family", "boundary_layer_3d", "--dim", "3", "--aspect", "4", "--values", "3,4"],
+         "the boundary_layer_3d family does not read --dim"),
+        (["--family", "boundary_layer_2d", "--n", "8", "--aspect", "4", "--values", "3,4"],
+         "the boundary_layer_2d family does not read --n"),
+        (["--family", "power2", "--dim", "1", "--values", "8,16"],
+         "the power2 family does not read --dim"),
+        (["--family", "imported", "--n", "8", "--values", "a.json,b.json"],
+         "the imported family does not read --n"),
     ], ids=["no-dim", "no-aspect", "no-n-core", "bogus-diffusion", "diffusion-dim",
-            "p-range", "fractional-n"])
+            "p-range", "fractional-n", "swept-n-given", "uniform-swept-n-given",
+            "uniform-aspect", "layer-dim", "layer-n", "power2-dim", "imported-n"])
     def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
         assert_usage_error(["sweep", *args], capsys, reason)
 

@@ -549,6 +549,19 @@ class TestMeshInvariants:
                 flags[expected.ravel()] = True
                 np.testing.assert_array_equal(m.boundary_vertex_flags, flags)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_element_facets_index_the_facets(self, dim, rng):
+        for mesh in [fc.generate_boundary_layer(dim, 4, 8.0) if dim > 1
+                     else fc.generate_chebyshev_1d(12)] + [random_mesh(rng, dim)]:
+            for j in range(dim + 1):
+                opposite = np.sort(np.delete(mesh.elements, j, axis=1), axis=1)
+                np.testing.assert_array_equal(mesh.facets[mesh.element_facets[:, j]], opposite)
+            assert len(np.unique(mesh.facets, axis=0)) == len(mesh.facets)
+            uses = np.bincount(mesh.element_facets.ravel(), minlength=len(mesh.facets))
+            assert set(uses.tolist()) == {1, 2}  # interior facets twice
+            np.testing.assert_array_equal(mesh.facets[uses == 1], mesh.boundary_facets)
+            assert not (mesh.facets.flags.writeable or mesh.element_facets.flags.writeable)
+
     def test_reflection_symmetry_of_metrics(self):
         for dim in (1, 2, 3):
             mesh = fc.generate_uniform(dim, 3)
