@@ -2,10 +2,11 @@
 
 Linear (P1) basis functions on simplicial meshes; the diffusion coefficient
 enters through its per-element average D_K, computed for all elements in one
-batch (`average_diffusion_all`).  In 2D the field is evaluated once per mesh
-edge, at its midpoint, and each triangle averages the values on its three
-edges.  Assembly from a given D_K array is split
-out so that a caller holding D_K already does not average it again.
+batch (`average_diffusion_all`) with the one degree-2 rule of the dimension
+(`quadrature.DEGREE2_RULES`).  Only 2D shares points between elements: the
+field is evaluated once per mesh edge, at its midpoint, and each triangle
+averages the values on its three edges.  Assembly from a given D_K array is
+split out so that a caller holding D_K already does not average it again.
 Boundary rows and columns are never assembled: the system lives on the
 interior vertices only.  Assembly is deterministic: the same mesh and field
 produce a bit-identical matrix.
@@ -21,7 +22,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import SimplicialMesh
-from .quadrature import simplex_average_rule
+from .quadrature import DEGREE2_RULES
 
 __all__ = [
     "DiffusionField",
@@ -71,6 +72,8 @@ class DiffusionField:
             m = m[None, None]
         if m.shape[0] != m.shape[1]:
             raise ValueError("diffusion matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("diffusion matrix entries must be finite")
         if not np.allclose(m, m.T, rtol=0, atol=_SYM_TOL * max(1, np.abs(m).max())):
             raise ValueError("diffusion matrix must be symmetric")
         m = 0.5 * (m + m.T)
@@ -87,20 +90,26 @@ class DiffusionField:
 
 
 def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:
-    """Symmetry and declared eigenvalue range of a stack of (d, d) matrices.
+    """Finiteness, symmetry and declared eigenvalue range of a stack of
+    (d, d) matrices.  The comparisons are negated, so a NaN fails them.
 
     locate maps the mask of offending matrices to (stack index, place): the
     matrix to report and the words naming where it was evaluated.
     """
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    # LAPACK may fail on NaN or inf: zero those matrices, they are bad anyway
+    mats = np.where(finite[:, None, None], mats, 0.0)
     scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2)) > _SYM_TOL * scale
+    asym = ~(np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2)) <= _SYM_TOL * scale)
     eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2)))
     lo = field.d_min * (1 - _SPECTRUM_SLACK)
     hi = field.d_max * (1 + _SPECTRUM_SLACK)
-    bad = asym | (eigs[:, 0] < lo) | (eigs[:, -1] > hi)
+    bad = ~finite | asym | ~(eigs[:, 0] >= lo) | ~(eigs[:, -1] <= hi)
     if not bad.any():
         return
     i, where = locate(bad)
+    if not finite[i]:
+        raise ValueError(f"diffusion matrix not finite at {where}")
     if asym[i]:
         raise ValueError(f"diffusion matrix not symmetric at {where}")
     raise ValueError(
@@ -119,31 +128,31 @@ def _evaluate(field: DiffusionField, points: np.ndarray) -> np.ndarray:
     ])
 
 
-def _first_bad_point(index: np.ndarray, first_q: int = 0):
+def _first_bad_point(index: np.ndarray):
     """locate for _check_spectrum when index[k, j] is the stack row of local
-    point first_q + j of element k: the first offending element in element
-    order, and its first offending point."""
+    point j of element k: the first offending element in element order, and
+    its first offending point."""
     def locate(bad):
         bad_points = bad[index]
         k = int(np.argmax(bad_points.any(axis=1)))
         j = int(np.argmax(bad_points[k]))
-        return index[k, j], f"element {k}, quadrature point {first_q + j}"
+        return index[k, j], f"element {k}, quadrature point {j}"
     return locate
 
 
 def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.ndarray:
     """Element averages of the diffusion matrix, shape (n_elements, d, d).
 
-    Uses a rule exact for quadratic integrands, hence exact for constant and
-    affine coefficient fields.  In 2D it is the edge-midpoint rule,
-    D_K = (D(m_0) + D(m_1) + D(m_2)) / 3 with m_j the midpoint of the edge
-    opposite vertex j, and the evaluator is called once per mesh edge: the
-    two triangles of an interior edge share its value.  In 1D and 3D it is
-    called once per element and point of `simplex_average_rule(d, 2)`.
-    Every value is checked for symmetry and the declared eigenvalue range,
-    and every average for positive definiteness; a failure names the first
-    offending element and its local point (in 2D, point q is the midpoint
-    of the edge opposite vertex q).
+    Uses the one rule of the dimension in `DEGREE2_RULES`, exact for
+    quadratic integrands, hence for constant and affine coefficient fields:
+    D_K is the mean of the field at the element's m points, and local point
+    j is row j of the table (in 2D, the midpoint of the edge opposite vertex
+    j).  Only 2D points are shared: the evaluator is called once per mesh
+    edge, and the two triangles of an interior edge share its value.  In 1D
+    and 3D it is called once per element and point (2 and 4 per element).
+    Every value is checked for finiteness, symmetry and the declared
+    eigenvalue range, and every average for positive definiteness; a
+    failure names the first offending element and its local point.
     """
     d = mesh.dim
     if field.dim != d:
@@ -155,19 +164,14 @@ def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.nda
 
     if d == 2:
         ends = mesh.vertices[mesh.facets]  # sorted pairs: neighbours share the point
-        mats = _evaluate(field, 0.5 * (ends[:, 0] + ends[:, 1]))
-        edges = mesh.element_facets
-        _check_spectrum(field, mats, _first_bad_point(edges))
-        out = (mats[edges[:, 0]] + mats[edges[:, 1]] + mats[edges[:, 2]]) / 3.0
+        points = 0.5 * (ends[:, 0] + ends[:, 1])
+        index = mesh.element_facets
     else:
-        ref_pts, ref_w = simplex_average_rule(d, 2)
-        v0 = mesh.vertices[mesh.elements[:, 0]]
-        E = mesh.edge_matrices()
-        out = np.zeros((n, d, d))
-        for q in range(len(ref_w)):
-            mats = _evaluate(field, v0 + E @ ref_pts[q])
-            _check_spectrum(field, mats, _first_bad_point(np.arange(n)[:, None], q))
-            out += ref_w[q] * mats
+        points = (DEGREE2_RULES[d] @ mesh.vertices[mesh.elements]).reshape(-1, d)
+        index = np.arange(len(points)).reshape(n, -1)
+    mats = _evaluate(field, points)
+    _check_spectrum(field, mats, _first_bad_point(index))
+    out = mats[index].sum(axis=1) / index.shape[1]
     not_spd = np.linalg.eigvalsh(out)[:, 0] <= 0
     if not_spd.any():
         k = int(np.argmax(not_spd))

@@ -1,69 +1,58 @@
-"""Quadrature on reference simplices via collapsed-coordinate Gauss products.
+"""Degree-2 averaging rules on simplices, one fixed rule per dimension.
 
-The standard simplex here is {x in R^d : x_i >= 0, sum x_i <= 1} with
-volume 1/d!.  Rules are built by mapping a tensor Gauss-Legendre grid on
-[0,1]^d through the collapsing map
+Each rule is a read-only table of barycentric coordinates: row j is local
+point j, and every point carries the weight 1/m (m points).  The average of
+a polynomial of total degree <= 2 over any simplex is exactly the mean of
+its values at the mapped points; that is all element averaging of the
+diffusion tensor needs.  The rules are the classical equal-weight ones:
 
-    x_1 = u_1,  x_2 = u_2 (1 - u_1),  x_3 = u_3 (1 - u_1)(1 - u_2),
+- 1D: 2-point Gauss-Legendre, 1/2 +- 1/(2 sqrt 3) (exact to degree 3);
+- 2D: the three edge midpoints, point j on the edge opposite vertex j;
+- 3D: the 4-point rule with a = (5 + 3 sqrt 5)/20 at vertex j and
+  b = (5 - sqrt 5)/20 at the other three.
 
-whose Jacobian is a polynomial, so exactness for a given total degree is
-obtained by taking enough points per axis.  This avoids hard-coded rule
-tables; exactness is verified against closed-form monomial integrals in
-the test suite.
+All three are in Stroud, Approximate Calculation of Multiple Integrals
+(1971); the 3D rule is also Keast's degree-2 rule (CMAME 55, 1986).
+
+Exactness is verified against closed-form monomial integrals in the test
+suite.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
-
-def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+__all__ = ["DEGREE2_RULES", "simplex_average_rule"]
 
 
-def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points (m, dim) and weights (m,) on the standard simplex.
+def _rule(dim: int, at_vertex: float, elsewhere: float) -> np.ndarray:
+    """(dim + 1, dim + 1) barycentric table: point j has coordinate
+    at_vertex on vertex j and elsewhere on every other vertex."""
+    table = np.where(np.eye(dim + 1, dtype=bool), at_vertex, elsewhere)
+    table.setflags(write=False)
+    return table
 
-    Exact for polynomials of total degree <= `degree`; weights sum to the
-    simplex volume 1/dim!.
-    """
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    # A total-degree-k integrand picks up at most (dim - 1) extra powers per
-    # axis from the collapsing Jacobian; n-point Gauss is exact to 2n - 1.
-    n = max(1, math.ceil((degree + dim) / 2))
-    t, w1 = gauss_legendre_01(n)
-    if dim == 1:
-        return t[:, None].copy(), w1.copy()
 
-    grids = np.meshgrid(*([t] * dim), indexing="ij")
-    u = np.stack([g.ravel() for g in grids], axis=1)  # (n^dim, dim)
-    wgrids = np.meshgrid(*([w1] * dim), indexing="ij")
-    w = np.ones(u.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
+_G = 0.5 / math.sqrt(3.0)
 
-    pts = np.empty_like(u)
-    shrink = np.ones(u.shape[0])
-    jac = np.ones(u.shape[0])
-    for k in range(dim):
-        pts[:, k] = u[:, k] * shrink
-        shrink = shrink * (1.0 - u[:, k])
-        jac = jac * (1.0 - u[:, k]) ** (dim - 1 - k)
-    return pts, w * jac
+DEGREE2_RULES = MappingProxyType({
+    1: _rule(1, 0.5 + _G, 0.5 - _G),
+    2: _rule(2, 0.0, 0.5),
+    3: _rule(3, (5.0 + 3.0 * math.sqrt(5.0)) / 20.0, (5.0 - math.sqrt(5.0)) / 20.0),
+})
 
 
 def simplex_average_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Like simplex_rule but with weights normalized to sum to 1.
-
-    Suitable for computing averages (1/|K|) * integral_K f of a function
-    mapped onto an arbitrary simplex, independent of its volume.
-    """
-    pts, w = simplex_rule(dim, degree)
-    return pts, w * math.factorial(dim)
+    """Points (m, dim) on the standard simplex {x >= 0, sum x <= 1} and
+    equal weights (m,) summing to 1, exact for averages of polynomials of
+    total degree <= `degree` (at most 2): the DEGREE2_RULES table of `dim`
+    with its vertex-0 column dropped."""
+    if dim not in DEGREE2_RULES:
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    if not 0 <= degree <= 2:
+        raise ValueError(f"the averaging rules are exact to degree 2 only, got degree {degree}")
+    table = DEGREE2_RULES[dim]
+    return table[:, 1:].copy(), np.full(len(table), 1.0 / len(table))

@@ -46,7 +46,7 @@ class TestAverageDiffusion:
             fc.average_diffusion_all(m, field)
 
     def test_nonsymmetric_value_names_first_bad_point(self):
-        # only the upper-right grid cell (elements 3 and 7) is non-symmetric
+        # 2D: only the upper-right grid cell (elements 3 and 7) is non-symmetric
         m = fc.generate_uniform(2, 2)
 
         def evaluator(x):
@@ -55,6 +55,33 @@ class TestAverageDiffusion:
         field = fc.DiffusionField.from_callable(2, evaluator, 0.5, 2.0)
         with pytest.raises(ValueError, match="not symmetric at element 3, quadrature point 0$"):
             fc.average_diffusion_all(m, field)
+
+        # 3D, per-element points: tetrahedron 7 is the first with a point
+        # beyond x + y + z = 2.2, and its point 2 the first such point
+        def evaluator_3d(x):
+            return np.eye(3) + np.eye(3, k=1) / 2 if x.sum() > 2.2 else np.eye(3)
+
+        field = fc.DiffusionField.from_callable(3, evaluator_3d, 0.5, 2.0)
+        with pytest.raises(ValueError, match="not symmetric at element 7, quadrature point 2$"):
+            fc.average_diffusion_all(fc.generate_uniform(3, 2), field)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("dim, n, cut, where", [
+        # 2D points are shared edge midpoints; triangle 8 meets x > 0.6 first
+        (2, 4, lambda x: x[0] > 0.6, "element 8, quadrature point 0"),
+        # point 3 of tetrahedron 1 is the first at height z > 0.7
+        (3, 2, lambda x: x[2] > 0.7, "element 1, quadrature point 3"),
+    ], ids=["2d", "3d"])
+    def test_non_finite_value_names_first_bad_point(self, value, dim, n, cut, where):
+        def evaluator(x):
+            return np.diag(np.full(dim, value)) if cut(x) else np.eye(dim)
+
+        field = fc.DiffusionField.from_callable(dim, evaluator, 0.5, 2.0)
+        mesh = fc.generate_uniform(dim, n)
+        with pytest.raises(ValueError, match=f"diffusion matrix not finite at {where}$"):
+            fc.average_diffusion_all(mesh, field)
+        with pytest.raises(ValueError, match=f"not finite at {where}$"):
+            fc.build_report(mesh, field)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_quadratic_field_matches_dense_oracle(self, dim, rng):

@@ -219,6 +219,10 @@ class TestAnalyze:
          "the boundary_layer_2d family does not read --dim"),
         (["--family", "chebyshev", "--dim", "1", "--n", "8"],
          "the chebyshev family does not read --dim"),
+        (["--family", "uniform", "--dim", "2", "--n", "4", "--diffusion", "const:inf,1"],
+         "diffusion matrix entries must be finite"),
+        (["--family", "uniform", "--dim", "2", "--n", "4", "--diffusion", "const:nan,1"],
+         "diffusion matrix entries must be finite"),
     ])
     def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
         assert_usage_error(["analyze", *args], capsys, reason)

@@ -25,7 +25,8 @@ def test_import_loads_no_heavy_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("module", ["mesh", "assembly", "bounds", "spectra", "cli"])
+@pytest.mark.parametrize("module", ["mesh", "assembly", "bounds", "spectra", "cli",
+                                    "quadrature"])
 def test_every_exported_name_resolves(module):
     # A deletion must take its export with it.
     mod = importlib.import_module(f"femcond.{module}")
