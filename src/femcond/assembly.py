@@ -211,7 +211,14 @@ class SparseSymmetric:
 
 def _scatter_symmetric(order: int, rows, cols, vals) -> SparseSymmetric:
     """Deterministic duplicate summation: stable sort by (row, col), then
-    reduce in insertion order within each group."""
+    reduce in insertion order within each group.
+
+    Entries that sum to exactly zero stay stored (on a right-angled grid with
+    D = I the couplings across each cell's diagonal cancel), so the pattern
+    is the vertex graph of the mesh, whose reverse Cuthill-McKee band is the
+    narrower one.  scipy's duplicate summation followed by 0.5 (C + C^T)
+    drops them: on boundary_layer(2, 100, 5 | 25 | 125) the band of the
+    eigen-solves' Cholesky factors widens from kd 100 to 164-166."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)

@@ -6,7 +6,8 @@ base.ele, any other path a native JSON file.  A boundary-layer sweep takes
 exactly one of --n-core and --aspect and sweeps the other; the other
 generators sweep --n, and the imported family the mesh files in --values.
 A generator flag that the family (or an analyzed --mesh file) does not
-read, or that --values sets, is a usage error.
+read, or that --values sets, is a usage error, and so is --p on a 1D or 2D
+problem; an imported sweep applies --p to its 3D files only.
 Eigen-solves run at spectra.DEFAULT_TOL from start vectors of seed 0.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Any command
@@ -91,6 +92,12 @@ def _check_family_flags(args, swept: str | None = None) -> int | None:
         verb = "is" if len(missing) == 1 else "are"
         raise ValueError(f"{_flag_names(missing)} {verb} required for the {args.family} family")
     return FAMILY_DIM.get(args.family, args.dim)
+
+
+def _check_p(p: float | None, dim: int) -> None:
+    """Raise the usage error of --p on a problem below 3D, which never reads it."""
+    if p is not None and dim < 3:
+        raise ValueError(f"--p applies to 3D problems only, not to this {dim}D one")
 
 
 def _make_mesh(args) -> SimplicialMesh:
@@ -210,9 +217,10 @@ def cmd_analyze(args) -> int:
     dim = _check_family_flags(args)
     if args.mesh:
         mesh = import_mesh(args.mesh)
-        field = _parse_diffusion(args.diffusion, mesh.dim)
-    else:
-        field = _parse_diffusion(args.diffusion, dim)
+        dim = mesh.dim
+    _check_p(args.p, dim)
+    field = _parse_diffusion(args.diffusion, dim)
+    if not args.mesh:
         mesh = _make_mesh(args)
     report, a = _report_and_stiffness(mesh, field, args.p, calibration=calibration)
 
@@ -259,6 +267,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"sweep values of {swept} must be integers")
         members = [argparse.Namespace(**{**vars(args), swept: v}) for v in values]
         field = _parse_diffusion(args.diffusion, dim)
+        _check_p(args.p, dim)
         _resolve_p(dim, args.p)
         if calibration is not None and calibration.dim != dim:
             raise ValueError(f"calibration is for dimension {calibration.dim}, "
@@ -344,6 +353,7 @@ def _write_gnuplot(plot_dir: Path, curve_keys, swept: str) -> None:
 
 
 def cmd_calibrate(args) -> int:
+    _check_p(args.p, args.dim)
     field = _parse_diffusion(args.diffusion, args.dim)
     reports = []
     for n in _parse_values(args.n_values):
@@ -390,7 +400,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                    help='"identity" or "const:<entries>" (diagonal, upper '
                         "triangle, or full row-major)")
     p.add_argument("--p", type=float, default=None,
-                   help="exponent for the 3D bounds, in (1, 3); default 2.9")
+                   help="exponent for the 3D bounds, in (1, 3); default 2.9; "
+                        "a usage error on a 1D or 2D problem")
 
 
 def build_parser() -> argparse.ArgumentParser:

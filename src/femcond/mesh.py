@@ -128,11 +128,7 @@ class SimplicialMesh:
         dets = np.linalg.det(edges) if dim > 1 else edges[:, 0, 0]
         flip = dets < 0
         if flip.any():
-            elements = elements.copy()
-            elements[flip, dim - 1], elements[flip, dim] = (
-                elements[flip, dim].copy(),
-                elements[flip, dim - 1].copy(),
-            )
+            elements[flip, dim - 1:] = elements[flip, dim - 1:][:, ::-1]
             dets = np.abs(dets)
         volumes = dets / math.factorial(dim)
         bad = ~(volumes > 0) | ~np.isfinite(volumes)
@@ -153,12 +149,10 @@ class SimplicialMesh:
 
     def _build_facets(self):
         d = self.dim
-        elements = self.elements
-        facet_list = []
-        for drop in range(d + 1):
-            keep = [i for i in range(d + 1) if i != drop]
-            facet_list.append(elements[:, keep])
-        facets = np.sort(np.concatenate(facet_list, axis=0), axis=1)
+        # Block j of the stacked facets: each element's facet opposite vertex j.
+        facets = np.sort(
+            np.concatenate([np.delete(self.elements, j, axis=1) for j in range(d + 1)]), axis=1
+        )
         # One integer key per sorted row: its index in an (nv,) * d array, so
         # the keys sort in the rows' lexicographic order.
         nv = len(self.vertices)
@@ -177,7 +171,9 @@ class SimplicialMesh:
         if len(boundary) == 0:
             raise NonConformingMeshError("mesh has no boundary facets")
 
-        # Watertightness: the boundary facets must form a closed surface.
+        # Watertightness: the boundary facets must form a closed surface, on
+        # which every ridge (a (d - 1)-vertex face of a boundary facet, kept
+        # sorted as the facet rows are) is shared by exactly two facets.
         if d == 1:
             if len(boundary) != 2:
                 raise NonConformingMeshError(
@@ -185,18 +181,12 @@ class SimplicialMesh:
                     f"found {len(boundary)}"
                 )
         else:
-            if d == 2:
-                ridges = boundary.ravel()  # endpoints of boundary edges
-            else:
-                ridges = np.sort(
-                    np.concatenate(
-                        [boundary[:, [0, 1]], boundary[:, [0, 2]],
-                         boundary[:, [1, 2]]]
-                    ),
-                    axis=1,
-                )
-                ridges = np.ravel_multi_index(ridges.T, (nv, nv))
-            _, rcounts = np.unique(ridges, return_counts=True)
+            ridges = np.concatenate(
+                [boundary[:, cols] for cols in itertools.combinations(range(d), d - 1)]
+            )
+            _, rcounts = np.unique(
+                np.ravel_multi_index(ridges.T, (nv,) * (d - 1)), return_counts=True
+            )
             if not np.all(rcounts == 2):
                 raise NonConformingMeshError(
                     "boundary is not watertight: a boundary ridge is shared "
@@ -209,8 +199,6 @@ class SimplicialMesh:
         interior[~flags] = np.arange(int((~flags).sum()))
 
         self.facets = uniq
-        # Row k of block j of the stacked facets is element k's facet opposite
-        # its vertex j.
         self.element_facets = inverse.reshape(d + 1, -1).T.copy()
         self.boundary_facets = boundary
         self.boundary_vertex_flags = flags
@@ -332,61 +320,25 @@ class MeshMetrics:
 
 
 def _mesh_from_axis_nodes(dim: int, axes: list[np.ndarray]) -> SimplicialMesh:
-    """Tensor-product grid triangulated into simplices.
-
-    2D cells split along the (v00, v11) diagonal; 3D cells split into six
-    tetrahedra along the main diagonal (one per axis permutation), which is
-    conforming for any tensor grid.
-    """
-    if dim == 1:
-        nodes = axes[0]
-        elems = np.stack([np.arange(len(nodes) - 1), np.arange(1, len(nodes))], axis=1)
-        return SimplicialMesh(1, nodes, elems)
-
-    shape = [len(a) for a in axes]
-    grids = np.meshgrid(*axes, indexing="ij")
-    verts = np.stack([g.ravel() for g in grids], axis=1)
-
-    def vid(*idx):
-        out = idx[0]
-        for k in range(1, dim):
-            out = out * shape[k] + idx[k]
-        return out
-
+    """Tensor grid of the node arrays axes (vertices in C order), cut by
+    Kuhn's rule (H. W. Kuhn, IBM J. Res. Dev. 4, 1960): one simplex per
+    order in which a path from a cell's lowest corner to its highest steps
+    along the axes, conforming for any tensor grid.  That is the chain of
+    segments in 1D, two triangles split along the (lowest, highest) diagonal
+    in 2D and six tetrahedra around the main diagonal in 3D.  Elements come
+    grouped by path (itertools.permutations order), cells in C order."""
+    shape = tuple(len(a) for a in axes)
+    verts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    lowest = np.indices([n - 1 for n in shape]).reshape(dim, -1)
     elems = []
-    if dim == 2:
-        nx, ny = shape[0] - 1, shape[1] - 1
-        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        ix, iy = ix.ravel(), iy.ravel()
-        v00 = vid(ix, iy)
-        v10 = vid(ix + 1, iy)
-        v01 = vid(ix, iy + 1)
-        v11 = vid(ix + 1, iy + 1)
-        elems = np.concatenate(
-            [
-                np.stack([v00, v10, v11], axis=1),
-                np.stack([v00, v11, v01], axis=1),
-            ]
-        )
-    else:
-        nx, ny, nz = shape[0] - 1, shape[1] - 1, shape[2] - 1
-        ix, iy, iz = np.meshgrid(
-            np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-        )
-        ix, iy, iz = ix.ravel(), iy.ravel(), iz.ravel()
-        base = np.stack([ix, iy, iz], axis=1)
-        tets = []
-        for perm in itertools.permutations(range(3)):
-            steps = np.zeros((4, 3), dtype=np.int64)
-            for s, axis in enumerate(perm):
-                steps[s + 1] = steps[s]
-                steps[s + 1, axis] += 1
-            corners = [
-                vid(*(base + step[None, :]).T) for step in steps
-            ]
-            tets.append(np.stack(corners, axis=1))
-        elems = np.concatenate(tets)
-    return SimplicialMesh(dim, verts, elems)
+    for path in itertools.permutations(range(dim)):
+        corner = lowest.copy()
+        ids = [np.ravel_multi_index(corner, shape)]
+        for axis in path:
+            corner[axis] += 1
+            ids.append(np.ravel_multi_index(corner, shape))
+        elems.append(np.stack(ids, axis=1))
+    return SimplicialMesh(dim, verts, np.concatenate(elems))
 
 
 def generate_uniform(dim: int, n_per_axis: int) -> SimplicialMesh:
@@ -679,10 +631,14 @@ def import_mesh(path) -> SimplicialMesh:
 
 def _import_native_json(path: Path) -> SimplicialMesh:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except json.JSONDecodeError as exc:
         raise MeshFormatError(path, exc.lineno, exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(path, None, f"not a UTF-8 text file ({exc})") from exc
+    if not isinstance(data, dict):
+        raise MeshFormatError(path, None, "not a JSON object")
     for key in ("dim", "vertices", "elements"):
         if key not in data:
             raise MeshFormatError(path, None, f"missing key {key!r}")
@@ -690,75 +646,71 @@ def _import_native_json(path: Path) -> SimplicialMesh:
         raise MeshFormatError(path, None, f"unsupported version {data['version']}")
     if type(data["dim"]) is not int:
         raise MeshFormatError(path, None, f"dim must be an integer, got {data['dim']!r}")
-    return SimplicialMesh(data["dim"], data["vertices"], data["elements"])
+    arrays = []
+    for key in ("vertices", "elements"):
+        try:
+            arrays.append(np.asarray(data[key], dtype=float))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeshFormatError(path, None, f"{key} must be an array of numbers ({exc})") from exc
+    return SimplicialMesh(data["dim"], *arrays)
 
 
-def _read_rows(path: Path):
-    rows = []
+def _read_triangle_table(path: Path, noun: str, parse):
+    """The header line, width, row ids and row values (lists) of one file of
+    a Triangle pair (J. R. Shewchuk, Triangle, 1996).  '#' starts a comment.
+    The header holds a row count >= 1 and a row width >= 0 (dimension or
+    vertices per element), then fields not read.  A row holds an integer id,
+    width values read by parse, then ignored columns (attributes, markers).
+    Errors give file:line and call a row a noun."""
+    kind = path.suffix
+    lines = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                rows.append((lineno, stripped.split()))
-    return rows
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                lines.append((lineno, fields))
+    if not lines:
+        raise MeshFormatError(path, None, f"empty {kind} file")
+    header_line, header = lines.pop(0)
+    try:
+        count, width = int(header[0]), int(header[1])
+    except (ValueError, IndexError):
+        count = width = -1
+    if count < 0 or width < 0:
+        raise MeshFormatError(path, header_line, f"bad {kind} header")
+    if count == 0:
+        raise MeshFormatError(path, header_line, f"no {noun}s")
+    if len(lines) != count:
+        raise MeshFormatError(
+            path, header_line, f"expected {count} {noun} rows, found {len(lines)}"
+        )
+    ids, rows = [], []
+    for lineno, fields in lines:
+        try:
+            if len(fields) <= width:
+                raise ValueError
+            ids.append(int(fields[0]))
+            rows.append([parse(v) for v in fields[1:1 + width]])
+        except ValueError:
+            raise MeshFormatError(path, lineno, f"bad {noun} row") from None
+    return header_line, width, ids, rows
 
 
 def _import_triangle(base: Path) -> SimplicialMesh:
     node_path = base.with_suffix(".node")
     ele_path = base.with_suffix(".ele")
-
-    rows = _read_rows(node_path)
-    if not rows:
-        raise MeshFormatError(node_path, None, "empty .node file")
-    lineno, header = rows[0]
-    try:
-        n_nodes, dim = int(header[0]), int(header[1])
-    except (ValueError, IndexError):
-        raise MeshFormatError(node_path, lineno, "bad .node header") from None
-    if len(rows) - 1 != n_nodes:
-        raise MeshFormatError(
-            node_path, lineno, f"expected {n_nodes} node rows, found {len(rows) - 1}"
-        )
-    ids = np.empty(n_nodes, dtype=np.int64)
-    coords = np.empty((n_nodes, dim))
-    for k, (lineno, parts) in enumerate(rows[1:]):
-        try:
-            ids[k] = int(parts[0])
-            coords[k] = [float(p) for p in parts[1:1 + dim]]
-        except (ValueError, IndexError):
-            raise MeshFormatError(node_path, lineno, "bad node row") from None
-
-    rows = _read_rows(ele_path)
-    if not rows:
-        raise MeshFormatError(ele_path, None, "empty .ele file")
-    lineno, header = rows[0]
-    try:
-        n_ele = int(header[0])
-        per_ele = int(header[1])
-    except (ValueError, IndexError):
-        raise MeshFormatError(ele_path, lineno, "bad .ele header") from None
-    if n_ele == 0:
-        raise MeshFormatError(ele_path, lineno, "no elements")
+    _, dim, ids, coords = _read_triangle_table(node_path, "node", float)
+    header_line, per_ele, _, elements = _read_triangle_table(ele_path, "element", int)
     if per_ele != dim + 1:
         raise MeshFormatError(
-            ele_path, lineno, f"expected {dim + 1} vertices per element, got {per_ele}"
+            ele_path, header_line, f"expected {dim + 1} vertices per element, got {per_ele}"
         )
-    if len(rows) - 1 != n_ele:
-        raise MeshFormatError(
-            ele_path, lineno, f"expected {n_ele} element rows, found {len(rows) - 1}"
-        )
-    elements = np.empty((n_ele, per_ele), dtype=np.int64)
-    for k, (lineno, parts) in enumerate(rows[1:]):
-        try:
-            elements[k] = [int(p) for p in parts[1:1 + per_ele]]
-        except (ValueError, IndexError):
-            raise MeshFormatError(ele_path, lineno, "bad element row") from None
     # Node ids may be 1-based and in arbitrary order; remap to row order.
-    id_to_row = {int(ids[r]): r for r in range(n_nodes)}
-    if len(id_to_row) != n_nodes:
+    id_to_row = {node_id: row for row, node_id in enumerate(ids)}
+    if len(id_to_row) != len(ids):
         raise MeshFormatError(node_path, None, "duplicate node ids")
     try:
-        elements = np.vectorize(id_to_row.__getitem__)(elements)
+        elements = [[id_to_row[v] for v in element] for element in elements]
     except KeyError as exc:
         raise MeshFormatError(ele_path, None, f"unknown node id {exc.args[0]}") from None
     return SimplicialMesh(dim, coords, elements)

@@ -236,6 +236,27 @@ class TestAnalyze:
         assert_usage_error(["analyze", "--mesh", mesh_file, *flags], capsys,
                            f"a --mesh file does not read {flags[0]}")
 
+    @pytest.mark.parametrize("family", [["--family", "uniform", "--dim", "2", "--n", "4"],
+                                        ["--family", "power2", "--n", "8"]],
+                             ids=["uniform-2d", "power2"])
+    def test_p_below_3d_exits_2(self, capsys, no_solve, family):
+        assert_usage_error(["analyze", *family, "--p", "2.5"], capsys,
+                           "--p applies to 3D problems only")
+
+    def test_p_next_to_2d_mesh_file_exits_2(self, tmp_path, capsys, no_solve):
+        mesh_file = tmp_path / "m.json"
+        fc.export_mesh(fc.generate_uniform(2, 2), mesh_file)
+        assert_usage_error(["analyze", "--mesh", mesh_file, "--p", "2.5"], capsys,
+                           "--p applies to 3D problems only, not to this 2D one")
+
+    @pytest.mark.parametrize("content", [b'{"dim": 1, "vertices": [\xff]}',
+                                         b'{"dim": 1, "vertices": "abc", "elements": []}'],
+                             ids=["not-utf8", "string-vertices"])
+    def test_malformed_mesh_file_named(self, tmp_path, capsys, no_solve, content):
+        mesh_file = tmp_path / "m.json"
+        mesh_file.write_bytes(content)
+        assert_usage_error(["analyze", "--mesh", mesh_file], capsys, f"error: {mesh_file}: ")
+
     @pytest.mark.parametrize("command", [["analyze", "--family", "chebyshev", "--n", "8"],
                                          ["sweep", "--family", "chebyshev", "--values", "8,16"]])
     @pytest.mark.parametrize("content", [b"", b"\xff\xfe\x00\x81"], ids=["empty", "binary"])
@@ -321,6 +342,16 @@ class TestSweep:
         n_col = rows[0].split(",").index("n_elements")
         assert [row.split(",")[n_col] for row in rows[1:]] == ["8", "16"]
 
+    def test_imported_sweep_applies_p_to_3d_files(self, tmp_path):
+        files = [tmp_path / "line.json", tmp_path / "cube.json"]
+        fc.export_mesh(fc.generate_chebyshev_1d(8), files[0])
+        fc.export_mesh(fc.generate_uniform(3, 2), files[1])
+        csv = tmp_path / "imported.csv"
+        assert run(["sweep", "--family", "imported", "--values", ",".join(map(str, files)),
+                    "--p", "2.5", "--csv", csv]) == 0
+        header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+        assert [row[header.index("p")] for row in rows] == ["nan", "2.5"]
+
     @pytest.mark.parametrize("flags, swept, xlabel", [
         (["--n-core", "6", "--values", "2,4"], "aspect = [2, 4]", "aspect ratio"),
         (["--aspect", "4", "--values", "4,6"], "n = [4, 6]", "number of elements N"),
@@ -380,9 +411,14 @@ class TestSweep:
          "the power2 family does not read --dim"),
         (["--family", "imported", "--n", "8", "--values", "a.json,b.json"],
          "the imported family does not read --n"),
+        (["--family", "chebyshev", "--values", "8,16", "--p", "2.5"],
+         "--p applies to 3D problems only"),
+        (["--family", "boundary_layer_2d", "--aspect", "4", "--values", "4,6", "--p", "2.5"],
+         "--p applies to 3D problems only"),
     ], ids=["no-dim", "no-aspect", "no-n-core", "bogus-diffusion", "diffusion-dim",
             "p-range", "fractional-n", "swept-n-given", "uniform-swept-n-given",
-            "uniform-aspect", "layer-dim", "layer-n", "power2-dim", "imported-n"])
+            "uniform-aspect", "layer-dim", "layer-n", "power2-dim", "imported-n",
+            "p-1d", "p-2d"])
     def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
         assert_usage_error(["sweep", *args], capsys, reason)
 
@@ -491,6 +527,13 @@ class TestCalibrateCommand:
         with pytest.raises(SystemExit) as err:
             run(["calibrate", "--dim", "1", "-o", "x.json"])  # missing --n-values
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_p_below_3d_exits_2(self, tmp_path, capsys, no_solve, dim):
+        out = tmp_path / "cal.json"
+        assert_usage_error(["calibrate", "--dim", dim, "--n-values", "2,4", "--p", "2.5",
+                            "-o", out], capsys, "--p applies to 3D problems only")
+        assert not out.exists()
 
     def test_unconverged_member_refused(self, tmp_path, capsys, monkeypatch):
         build = fc.cli.build_report

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from femcond.mesh import (
     MeshError,
     MeshFormatError,
     NonConformingMeshError,
+    _mesh_from_axis_nodes,
 )
 from conftest import box_mesh, random_mesh
 from oracles import (
@@ -50,6 +52,28 @@ class TestGenerateUniform:
     def test_custom_domain(self):
         m = box_mesh(2, 3, [(0, 2), (1, 4)])
         assert m.domain_volume == pytest.approx(6.0, rel=1e-13)
+
+
+class TestAxisNodeTriangulation:
+    """The exact element arrays of the tensor-grid triangulation, so that
+    vertex order and element order stay fixed."""
+
+    def test_2d_two_cells(self):
+        m = _mesh_from_axis_nodes(2, [np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])])
+        assert m.vertices.tolist() == [[0, 0], [0, 1], [0.5, 0], [0.5, 1], [1, 0], [1, 1]]
+        assert m.elements.tolist() == [[0, 2, 3], [2, 4, 5], [0, 3, 1], [2, 5, 3]]
+
+    def test_3d_one_cell(self):
+        m = _mesh_from_axis_nodes(3, [np.array([0.0, 1.0])] * 3)
+        assert m.elements.tolist() == [
+            [0, 4, 6, 7], [0, 4, 7, 5], [0, 2, 7, 6],
+            [0, 2, 3, 7], [0, 1, 5, 7], [0, 1, 7, 3],
+        ]
+
+    def test_1d_chain(self):
+        m = _mesh_from_axis_nodes(1, [np.array([0.0, 0.25, 1.0])])
+        assert m.vertices.tolist() == [[0], [0.25], [1]]
+        assert m.elements.tolist() == [[0, 1], [1, 2]]
 
 
 class TestGenerateChebyshev:
@@ -138,6 +162,16 @@ class TestGenerateBoundaryLayer:
         m = fc.generate_boundary_layer(3, 8, 25.0)
         ar = fc.max_aspect_ratio(m)
         assert 25.0 <= ar <= 50.0
+
+    # sha256 of elements.tobytes() for the largest 2D and 3D benchmark instances.
+    @pytest.mark.parametrize("args, digest", [
+        ((2, 100, 125.0), "4bdec1b0d69e3917c911057cae8a477ba7d1cbfe808d942d01b42f36b5bcec8d"),
+        ((3, 11, 25.0), "a364779c4010f53eb73fec7d8f34de3a576b2d14565cbe252d8a2e115cb6449c"),
+    ])
+    def test_elements_are_pinned(self, args, digest):
+        m = fc.generate_boundary_layer(*args)
+        assert m.elements.dtype == np.int64
+        assert hashlib.sha256(m.elements.tobytes()).hexdigest() == digest
 
     def test_aspect_validation(self):
         with pytest.raises(MeshError):
@@ -233,6 +267,54 @@ class TestImportExport:
         (tmp_path / "empty.ele").write_text("0 3 0\n")
         with pytest.raises(MeshFormatError, match="empty.ele:1: no elements"):
             fc.import_mesh(tmp_path / "empty.node")
+
+    # A row shorter than the header's width used to be broadcast: the node
+    # row "2 0.5" read as (0.5, 0.5).
+    @pytest.mark.parametrize("node, ele, where", [
+        ("3 2 0 0\n1 0 0\n2 0.5\n3 0 1\n", "1 3 0\n1 1 2 3\n", "short.node:3: bad node row"),
+        ("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n", "1 3 0\n1 1 2\n", "short.ele:2: bad element row"),
+    ], ids=["node", "element"])
+    def test_short_row_rejected(self, tmp_path, node, ele, where):
+        (tmp_path / "short.node").write_text(node)
+        (tmp_path / "short.ele").write_text(ele)
+        with pytest.raises(MeshFormatError, match=where):
+            fc.import_mesh(tmp_path / "short.node")
+
+    @pytest.mark.parametrize("node, ele, where", [
+        ("3 -2 0 0\n1 0 0\n2 1 0\n3 0 1\n", "1 3 0\n1 1 2 3\n", "bad.node:1: bad .node header"),
+        ("-1 2 0 0\n", "1 3 0\n1 1 2 3\n", "bad.node:1: bad .node header"),
+        ("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n", "-1 3 0\n", "bad.ele:1: bad .ele header"),
+    ], ids=["negative-dim", "negative-node-count", "negative-element-count"])
+    def test_negative_header_field_rejected(self, tmp_path, node, ele, where):
+        (tmp_path / "bad.node").write_text(node)
+        (tmp_path / "bad.ele").write_text(ele)
+        with pytest.raises(MeshFormatError, match=where):
+            fc.import_mesh(tmp_path / "bad.node")
+
+    def test_triangle_pair_with_comments_attributes_and_free_ids(self, tmp_path):
+        # Zero-based ids out of order, attribute and marker columns, comments.
+        (tmp_path / "free.node").write_text(
+            "# unit square\n4 2 2 1  # two attributes, one marker\n\n"
+            "3 0 1 7 8 1\n0 0 0 7 8 1\n2 1 1 7 8 1\n1 1 0 7 8 1\n"
+        )
+        (tmp_path / "free.ele").write_text("2 3 1\n# triangles\n10 0 1 2 5.5\n11 0 2 3 6.5 # last\n")
+        mesh = fc.import_mesh(tmp_path / "free.ele")
+        assert mesh.vertices.tolist() == [[0, 1], [0, 0], [1, 1], [1, 0]]
+        assert mesh.elements.tolist() == [[1, 3, 2], [1, 2, 0]]
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"dim": 2, "vertices": [\xff]}', "raw.json: not a UTF-8 text file"),
+        (b'{"dim": 2, "vertices": "abc", "elements": [[0, 1, 2]]}',
+         "raw.json: vertices must be an array of numbers"),
+        (b'{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "elements": [["a", 1, 2]]}',
+         "raw.json: elements must be an array of numbers"),
+        (b"[1, 2]", "raw.json: not a JSON object"),
+    ], ids=["not-utf8", "string-vertices", "string-element", "not-an-object"])
+    def test_native_json_errors_name_the_file(self, tmp_path, content, reason):
+        path = tmp_path / "raw.json"
+        path.write_bytes(content)
+        with pytest.raises(MeshFormatError, match=reason):
+            fc.import_mesh(path)
 
 
 class SimplicialLike:
@@ -586,6 +668,18 @@ class TestMeshInvariants:
         mesh = fc.SimplicialMesh(1, [0.0, 1.0, 2.0], np.array([[0.0, 1.0], [1.0, 2.0]]))
         assert mesh.elements.dtype == np.int64
         assert mesh.elements.tolist() == [[0, 1], [1, 2]]
+
+    # Two simplices meeting at one vertex (2D) or one edge (3D): each facet
+    # belongs to one element, but that ridge bounds four boundary facets.
+    @pytest.mark.parametrize("dim, vertices, elements", [
+        (2, [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1, 2], [0, 3, 4]]),
+        (3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]],
+         [[0, 1, 2, 3], [0, 1, 4, 5]]),
+    ], ids=["2d", "3d"])
+    def test_boundary_must_be_watertight(self, dim, vertices, elements):
+        with pytest.raises(NonConformingMeshError,
+                           match="a boundary ridge is shared by 4 boundary facets"):
+            fc.SimplicialMesh(dim, vertices, elements)
 
     def test_mesh_is_immutable(self):
         mesh = fc.generate_uniform(2, 2)
