@@ -316,9 +316,24 @@ class Calibration:
             problem = f"dim must be an integer from 1 to 3, got {data['dim']!r}"
         elif unknown := sorted(set(constants) - set(BOUND_IDS)):
             problem = f"unknown bound id {unknown[0]!r}"
+        elif bad := [bid for bid, value in constants.items() if not _is_constant(value)]:
+            problem = f"constant {bad[0]} must be a finite number > 0, got {constants[bad[0]]!r}"
+        elif data["dim"] != 2 and "conjectured.kappa.SAS" in constants:
+            problem = f"conjectured.kappa.SAS is a 2D bound, not one for dim {data['dim']}"
         else:
             return Calibration(data["dim"], {k: float(v) for k, v in constants.items()})
         raise ValueError(f"{path}: {problem}")
+
+
+def _is_constant(value) -> bool:
+    """A JSON number, or a numeric string as Calibration.save writes, that is
+    finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return False
+    try:
+        return 0 < float(value) < math.inf
+    except (ValueError, OverflowError):
+        return False
 
 
 def calibrate(reports: Sequence[BoundReport]) -> Calibration:
@@ -446,7 +461,7 @@ class BoundReport:
         }
         cal = self.calibrated_bounds()
         if cal is not None:
-            data["bounds_calibrated"] = cal
+            data["bounds_calibrated"] = {k: _nan_to_none(v) for k, v in cal.items()}
         return data
 
 

@@ -2,12 +2,13 @@
 parameter sweeps, and bound calibration.
 
 A mesh path ending in .node or .ele names the Triangle pair base.node and
-base.ele, any other path a native JSON file.  A boundary-layer sweep takes
-exactly one of --n-core and --aspect and sweeps the other; the other
-generators sweep --n, and the imported family the mesh files in --values.
-A generator flag that the family (or an analyzed --mesh file) does not
-read, or that --values sets, is a usage error, and so is --p on a 1D or 2D
-problem; an imported sweep applies --p to its 3D files only.
+base.ele, any other path a native JSON file.  A sweep sets, from --values,
+the one flag of its family, other than --dim, that is not given; calibrate
+sweeps the uniform family's --n over --n-values, checked like --values.
+Mesh files are read before any solve, since they give the dimension, so an
+unreadable file is a usage error.  So is a flag that the family (or an
+analyzed --mesh file) does not read or that --values sets, and --p when no
+member is 3D; an imported sweep applies --p to its 3D files only.
 Eigen-solves run at spectra.DEFAULT_TOL from start vectors of seed 0.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Any command
@@ -26,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +51,19 @@ from .spectra import EigenSolveError
 __all__ = ["main", "cmd_generate", "cmd_analyze", "cmd_sweep", "cmd_calibrate",
            "fit_loglog_slope"]
 
-FAMILY_DIM = {"chebyshev": 1, "power2": 1, "boundary_layer_2d": 2, "boundary_layer_3d": 3}
-GENERATORS = ("uniform", *FAMILY_DIM)
-FAMILIES = (*GENERATORS, "imported")
-GENERATOR_FLAGS = ("dim", "n", "n_core", "aspect")
-# The generator flags each family reads; the imported family reads --values.
-FAMILY_FLAGS = {"uniform": ("dim", "n"), "chebyshev": ("n",), "power2": ("n",),
-                "boundary_layer_2d": ("n_core", "aspect"),
-                "boundary_layer_3d": ("n_core", "aspect"), "imported": ()}
+# name: (mesh builder, the flags it reads in call order, the dimension, or None
+# where --dim or the mesh file gives it).  The last row reads mesh files; the
+# others are the generators.
+FAMILIES = {
+    "uniform": (generate_uniform, ("dim", "n"), None),
+    "chebyshev": (generate_chebyshev_1d, ("n",), 1),
+    "power2": (generate_power2_1d, ("n",), 1),
+    "boundary_layer_2d": (partial(generate_boundary_layer, 2), ("n_core", "aspect"), 2),
+    "boundary_layer_3d": (partial(generate_boundary_layer, 3), ("n_core", "aspect"), 3),
+    "imported": (import_mesh, ("mesh",), None),
+}
+GENERATORS = tuple(FAMILIES)[:-1]
+FLAGS = tuple(dict.fromkeys(name for _, reads, _ in FAMILIES.values() for name in reads))
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
@@ -73,42 +80,96 @@ def _flag_names(names) -> str:
     return " and ".join("--" + name.replace("_", "-") for name in names)
 
 
-def _check_family_flags(args, swept: str | None = None) -> int | None:
-    """Raise the usage error of generator flags that the family (or a mesh
-    file, when args.family is None) never reads, or of its missing flags;
-    return the family's dimension.  swept names the flag that a sweep sets
-    from --values, which must not be given as well."""
-    reads = FAMILY_FLAGS.get(args.family, ())
-    source = f"the {args.family} family" if args.family else "a --mesh file"
-    unread = [name for name in GENERATOR_FLAGS
-              if getattr(args, name) is not None and name not in reads]
-    if unread:
+def _check_flags(args, sweep: bool = False) -> str | None:
+    """Raise the usage error of a family flag that the family (or a mesh
+    file, when args.family is None) does not read, or misses; return the
+    flag that a sweep sets from --values: the one flag of the family, other
+    than --dim, that is not given."""
+    family = args.family or "imported"
+    reads = FAMILIES[family][1]
+    given = [name for name in FLAGS if getattr(args, name, None) is not None]
+    if unread := [name for name in given if name not in reads]:
+        source = f"the {family} family" if args.family else "a --mesh file"
         raise ValueError(f"{source} does not read {_flag_names(unread)}")
-    if swept is not None and getattr(args, swept) is not None:
-        raise ValueError(f"--values sets {_flag_names([swept])} in a {args.family} sweep; "
-                         f"drop {_flag_names([swept])}")
-    missing = [name for name in reads if name != swept and getattr(args, name) is None]
-    if missing:
+    swept = None
+    if sweep:
+        free = [name for name in reads if name != "dim"]
+        unset = [name for name in free if name not in given]
+        if len(free) == 1 and not unset:
+            raise ValueError(f"--values sets {_flag_names(free)} in a {family} sweep; "
+                             f"drop {_flag_names(free)}")
+        if len(unset) != 1:
+            raise ValueError(f"a {family} sweep takes exactly one of {_flag_names(free)}; "
+                             "--values sets the other")
+        swept = unset[0]
+    if missing := [name for name in reads if name != swept and name not in given]:
         verb = "is" if len(missing) == 1 else "are"
-        raise ValueError(f"{_flag_names(missing)} {verb} required for the {args.family} family")
-    return FAMILY_DIM.get(args.family, args.dim)
+        raise ValueError(f"{_flag_names(missing)} {verb} required for the {family} family")
+    return swept
 
 
-def _check_p(p: float | None, dim: int) -> None:
-    """Raise the usage error of --p on a problem below 3D, which never reads it."""
-    if p is not None and dim < 3:
-        raise ValueError(f"--p applies to 3D problems only, not to this {dim}D one")
+def _members(args, swept: str, text: str) -> list[argparse.Namespace]:
+    """One copy of args per comma-separated entry of text, with swept set to
+    it: a mesh file as given, else a finite number.  The numbers must be
+    strictly increasing and, except for an aspect, integers."""
+    values = [token for token in map(str.strip, text.split(",")) if token]
+    if not values:
+        raise ValueError("empty value list")
+    if swept != "mesh":
+        numbers = [float(token) for token in values]
+        if infinite := [t for t, v in zip(values, numbers) if not math.isfinite(v)]:
+            raise ValueError(f"value {infinite[0]!r} is not finite")
+        if numbers != sorted(set(numbers)):
+            raise ValueError("sweep values must be strictly increasing")
+        if swept != "aspect" and not all(v.is_integer() for v in numbers):
+            raise ValueError(f"sweep values of {swept} must be integers")
+        values = [int(v) if v.is_integer() else v for v in numbers]
+    return [argparse.Namespace(**{**vars(args), swept: value}) for value in values]
 
 
 def _make_mesh(args) -> SimplicialMesh:
-    """The mesh of the generator flags, checked by _check_family_flags."""
-    if args.family == "uniform":
-        return generate_uniform(args.dim, int(args.n))
-    if args.family == "chebyshev":
-        return generate_chebyshev_1d(int(args.n))
-    if args.family == "power2":
-        return generate_power2_1d(int(args.n))
-    return generate_boundary_layer(FAMILY_DIM[args.family], int(args.n_core), float(args.aspect))
+    """The mesh of the family flags, checked by _check_flags."""
+    builder, reads, _ = FAMILIES[args.family or "imported"]
+    return builder(*(getattr(args, name) for name in reads))
+
+
+def _check_problem(args, dims: set[int]) -> tuple[dict, Calibration | None]:
+    """Raise the usage error of a --diffusion, --p or --calibration that
+    does not fit the members' dimensions; return the diffusion field of
+    each dimension and the calibration, if any."""
+    fields = {dim: _parse_diffusion(args.diffusion, dim) for dim in sorted(dims)}
+    if args.p is not None:
+        if max(dims) < 3:
+            shown = " or ".join(f"{dim}D" for dim in sorted(dims))
+            raise ValueError(f"--p applies to 3D problems only, not to this {shown} one")
+        _resolve_p(3, args.p)
+    path = getattr(args, "calibration", None)
+    calibration = Calibration.load(path) if path else None
+    if calibration is not None and (other := dims - {calibration.dim}):
+        raise ValueError(f"calibration is for dimension {calibration.dim}, "
+                         f"not for a {min(other)}D problem")
+    return fields, calibration
+
+
+def _instances(args, values: str | None = None):
+    """Check a command's flags and problem before any solve; return the
+    swept flag, the members, the calibration and instance(k), member k's
+    mesh and diffusion field.  Mesh files are read here and each is dropped
+    when taken; a generator builds its mesh in instance(k), so a value it
+    refuses fails alone."""
+    swept = _check_flags(args, values is not None)
+    members = [args] if swept is None else _members(args, swept, values)
+    _, reads, dim = FAMILIES[args.family or "imported"]
+    meshes = [_make_mesh(m) if "mesh" in reads else None for m in members]
+    dims = {mesh.dim for mesh in meshes} if "mesh" in reads else {dim or args.dim}
+    fields, calibration = _check_problem(args, dims)
+
+    def instance(k: int) -> tuple[SimplicialMesh, DiffusionField]:
+        mesh = meshes[k] if meshes[k] is not None else _make_mesh(members[k])
+        meshes[k] = None
+        return mesh, fields[mesh.dim]
+
+    return swept, members, calibration, instance
 
 
 def _parse_diffusion(spec: str, dim: int) -> DiffusionField:
@@ -161,7 +222,7 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_generate(args) -> int:
-    _check_family_flags(args)
+    _check_flags(args)
     mesh = _make_mesh(args)
     export_mesh(mesh, args.output)
     print(
@@ -171,10 +232,6 @@ def cmd_generate(args) -> int:
         f"max_aspect={_fmt(max_aspect_ratio(mesh))}"
     )
     return 0
-
-
-def _load_calibration(path) -> Calibration | None:
-    return Calibration.load(path) if path else None
 
 
 def _print_report(report) -> None:
@@ -213,16 +270,8 @@ def _print_report(report) -> None:
 
 
 def cmd_analyze(args) -> int:
-    calibration = _load_calibration(args.calibration)
-    dim = _check_family_flags(args)
-    if args.mesh:
-        mesh = import_mesh(args.mesh)
-        dim = mesh.dim
-    _check_p(args.p, dim)
-    field = _parse_diffusion(args.diffusion, dim)
-    if not args.mesh:
-        mesh = _make_mesh(args)
-    report, a = _report_and_stiffness(mesh, field, args.p, calibration=calibration)
+    _, _, calibration, instance = _instances(args)
+    report, a = _report_and_stiffness(*instance(0), args.p, calibration=calibration)
 
     if args.matrix_out:
         write_matrix_market(a, args.matrix_out)
@@ -243,45 +292,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    calibration = _load_calibration(args.calibration)
     if args.values is None:
         raise ValueError("--values is required")
-    swept = "n"
-    if args.family == "imported":
-        _check_family_flags(args)
-        files = [t for t in args.values.split(",") if t]
-        if not files:
-            raise ValueError("empty value list")
-        values = list(range(len(files)))
-    else:
-        values = _parse_values(args.values)
-        if values != sorted(set(values)):
-            raise ValueError("sweep values must be strictly increasing")
-        if args.family.startswith("boundary_layer"):
-            if (args.n_core is None) == (args.aspect is None):
-                raise ValueError(f"a {args.family} sweep takes exactly one of --n-core "
-                                 "and --aspect; --values sets the other")
-            swept = "aspect" if args.aspect is None else "n_core"
-        dim = _check_family_flags(args, swept)
-        if swept != "aspect" and any(isinstance(v, float) for v in values):
-            raise ValueError(f"sweep values of {swept} must be integers")
-        members = [argparse.Namespace(**{**vars(args), swept: v}) for v in values]
-        field = _parse_diffusion(args.diffusion, dim)
-        _check_p(args.p, dim)
-        _resolve_p(dim, args.p)
-        if calibration is not None and calibration.dim != dim:
-            raise ValueError(f"calibration is for dimension {calibration.dim}, "
-                             f"the {args.family} family is {dim}D")
-
+    swept, members, calibration, instance = _instances(args, args.values)
+    # An imported sweep's parameter numbers its files.
+    values = list(range(len(members))) if swept == "mesh" else [getattr(m, swept) for m in members]
     reports = []
     for k, value in enumerate(values):
         try:
-            if args.family == "imported":
-                mesh = import_mesh(files[k])
-                field = _parse_diffusion(args.diffusion, mesh.dim)
-            else:
-                mesh = _make_mesh(members[k])
-            reports.append(build_report(mesh, field, args.p, calibration=calibration))
+            reports.append(build_report(*instance(k), args.p, calibration=calibration))
         except (EigenSolveError, ValueError) as exc:  # MeshError is a ValueError
             print(f"warning: sweep value {value} failed: {exc}", file=sys.stderr)
             reports.append(None)
@@ -289,29 +308,19 @@ def cmd_sweep(args) -> int:
         print("error: every sweep instance failed", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    header = ["parameter"]
-    first = next(r for r in reports if r is not None)
-    value_keys = list(first.to_row())
-    header += value_keys
-    rows = []
-    xs = []
+    value_keys = list(next(r for r in reports if r is not None).to_row())
+    rows, xs = [], []
     for value, report in zip(values, reports):
-        if report is None:
-            rows.append([value] + [float("nan")] * len(value_keys))
-            xs.append(float("nan"))
-        else:
-            row = report.to_row()
-            rows.append([value] + [row[k] for k in value_keys])
-            xs.append(value if swept == "aspect" else report.n_elements)
+        row = dict.fromkeys(value_keys, float("nan")) if report is None else report.to_row()
+        rows.append([value] + [row[k] for k in value_keys])
+        xs.append(float("nan") if report is None
+                  else value if swept == "aspect" else report.n_elements)
     if args.csv:
-        _write_csv(args.csv, header, rows)
+        _write_csv(args.csv, ["parameter", *value_keys], rows)
 
-    curve_keys = [k for k in value_keys if k.startswith(("exact.kappa", "exact.lambda"))
-                  or k in BOUND_IDS or k.startswith("cal.")]
-    slopes = {}
-    for key in curve_keys:
-        ys = [row[1 + value_keys.index(key)] for row in rows]
-        slopes[key] = fit_loglog_slope(xs, ys)
+    curves = {k: [row[1 + i] for row in rows] for i, k in enumerate(value_keys)
+              if k.startswith(("exact.kappa", "exact.lambda", "cal.")) or k in BOUND_IDS}
+    slopes = {key: fit_loglog_slope(xs, ys) for key, ys in curves.items()}
 
     print(f"sweep {args.family} over {'aspect' if swept == 'aspect' else 'n'} = {values}")
     print("fitted log-log slopes (upper half of sweep):")
@@ -321,8 +330,7 @@ def cmd_sweep(args) -> int:
     if args.plot_dir:
         plot_dir = Path(args.plot_dir)
         plot_dir.mkdir(parents=True, exist_ok=True)
-        for key in curve_keys:
-            ys = [row[1 + value_keys.index(key)] for row in rows]
+        for key, ys in curves.items():
             fname = plot_dir / (key.replace(".", "_") + ".dat")
             with open(fname, "w", newline="\n") as f:
                 for x, y in zip(xs, ys):
@@ -332,7 +340,7 @@ def cmd_sweep(args) -> int:
             ["curve", "slope"],
             [[k, s] for k, s in slopes.items()],
         )
-        _write_gnuplot(plot_dir, curve_keys, swept)
+        _write_gnuplot(plot_dir, curves, swept)
     return 0
 
 
@@ -353,31 +361,12 @@ def _write_gnuplot(plot_dir: Path, curve_keys, swept: str) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    _check_p(args.p, args.dim)
-    field = _parse_diffusion(args.diffusion, args.dim)
-    reports = []
-    for n in _parse_values(args.n_values):
-        mesh = generate_uniform(args.dim, int(n))
-        reports.append(build_report(mesh, field, args.p))
-    cal = calibrate(reports)
+    uniform = argparse.Namespace(**vars(args), family="uniform", n=None)
+    _, members, _, instance = _instances(uniform, args.n_values)
+    cal = calibrate([build_report(*instance(k), args.p) for k in range(len(members))])
     cal.save(args.output)
     print(f"wrote {args.output}: {len(cal.constants)} constants for dim {cal.dim}")
     return 0
-
-
-def _parse_values(text: str) -> list[float]:
-    vals = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        v = float(tok)
-        if not math.isfinite(v):
-            raise ValueError(f"value {tok!r} is not finite")
-        vals.append(int(v) if v == int(v) else v)
-    if not vals:
-        raise ValueError("empty value list")
-    return vals
 
 
 # -- parser ------------------------------------------------------------------
@@ -433,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p, FAMILIES)
     _add_common_args(p)
     p.add_argument("--values",
-                   help="comma-separated strictly increasing values of --n, or of whichever of "
-                        "--n-core and --aspect is not given; mesh files (imported family)")
+                   help="comma-separated values of the one family flag, other than --dim, that "
+                        "is not given: strictly increasing numbers, integers but for --aspect; "
+                        "or mesh files (imported family), read before any solve, so an "
+                        "unreadable one is a usage error")
     p.add_argument("--calibration")
     p.add_argument("--csv", help="output CSV path")
     p.add_argument("--plot-dir", dest="plot_dir",
@@ -444,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit bound constants on uniform meshes")
     p.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--n-values", dest="n_values", required=True,
-                   help="comma-separated uniform mesh sizes")
+                   help="comma-separated uniform mesh sizes --n, checked like sweep --values")
     _add_common_args(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_calibrate)

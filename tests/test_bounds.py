@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -453,13 +454,34 @@ class TestCalibrate:
         ('{"version": 1, "dim": true, "constants": {}}', "dim must be an integer from 1 to 3"),
         ('{"version": 1, "dim": 1, "constants": {"new.kappa.B": "1"}}',
          "unknown bound id 'new.kappa.B'"),
+        ('{"version": 1, "dim": 1, "constants": {"new.kappa.A": null}}',
+         "constant new.kappa.A must be a finite number > 0, got None"),
+        ('{"version": 1, "dim": 1, "constants": {"new.kappa.A": [1]}}',
+         "constant new.kappa.A must be a finite number > 0"),
+        ('{"version": 1, "dim": 1, "constants": {"new.kappa.A": "abc"}}',
+         "constant new.kappa.A must be a finite number > 0"),
+        ('{"version": 1, "dim": 1, "constants": {"new.kappa.A": -1}}',
+         "constant new.kappa.A must be a finite number > 0"),
+        ('{"version": 1, "dim": 1, "constants": {"new.kappa.A": "nan"}}',
+         "constant new.kappa.A must be a finite number > 0"),
+        ('{"version": 1, "dim": 3, "constants": {"conjectured.kappa.SAS": "1"}}',
+         "conjectured.kappa.SAS is a 2D bound, not one for dim 3"),
     ], ids=["empty", "list", "no-dim", "no-constants", "constants-list", "version",
-            "dim-range", "dim-float", "dim-string", "dim-bool", "unknown-id"])
+            "dim-range", "dim-float", "dim-string", "dim-bool", "unknown-id",
+            "constant-null", "constant-list", "constant-text", "constant-negative",
+            "constant-nan", "conjectured-3d"])
     def test_load_rejects_malformed_file(self, tmp_path, text, reason):
         path = tmp_path / "cal.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"cal.json: .*{reason}"):
             Calibration.load(path)
+
+    def test_load_accepts_json_numbers(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text('{"dim": 2, "constants": {"new.kappa.A": 2, '
+                        '"conjectured.kappa.SAS": 0.5}}')
+        assert Calibration.load(path).constants == {"new.kappa.A": 2.0,
+                                                    "conjectured.kappa.SAS": 0.5}
 
 
 class TestPSensitivity:
@@ -500,6 +522,15 @@ class TestBuildReport:
         assert row["cal.new.kappa.SAS"] == pytest.approx(
             cal.constants["new.kappa.SAS"] * row["new.kappa.SAS"], rel=1e-14
         )
+
+    def test_calibrated_bounds_are_strict_json(self):
+        # a conjectured constant outside 2D, which Calibration.load refuses,
+        # scales a NaN raw bound
+        cal = Calibration(dim=3, constants={"new.kappa.A": 2.0, "conjectured.kappa.SAS": 1.0})
+        report = fc.build_report(fc.generate_uniform(3, 2), I3, calibration=cal)
+        data = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert data["bounds_calibrated"] == {
+            "new.kappa.A": 2.0 * report.raw["new.kappa.A"], "conjectured.kappa.SAS": None}
 
     def test_dimension_mismatch_rejected(self):
         m = fc.generate_uniform(1, 4)

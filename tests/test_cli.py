@@ -422,6 +422,23 @@ class TestSweep:
     def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
         assert_usage_error(["sweep", *args], capsys, reason)
 
+    @pytest.mark.parametrize("values, flags, reason", [
+        ("a.json,b.json", ["--diffusion", "foo"], "unknown diffusion spec"),
+        ("b.json", ["--p", "7"], "p must lie in (1, 3.0)"),
+        ("a.json,b.json", ["--calibration", "cal.json"], "calibration is for dimension 2"),
+        ("a.json,missing.json", [], "missing.json"),
+    ], ids=["diffusion", "p-range", "calibration-dim", "missing-file"])
+    def test_imported_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, no_solve,
+                                          values, flags, reason):
+        # every file is read, and every flag checked against it, before any solve
+        monkeypatch.chdir(tmp_path)
+        fc.export_mesh(fc.generate_uniform(2, 2), "a.json")
+        fc.export_mesh(fc.generate_uniform(3, 2), "b.json")
+        fc.Calibration(dim=2, constants={"new.kappa.A": 1.0}).save("cal.json")
+        assert_usage_error(["sweep", "--family", "imported", "--values", values, *flags,
+                            "--csv", "out.csv"], capsys, reason)
+        assert not (tmp_path / "out.csv").exists()
+
     def test_calibration_of_another_dimension_exits_2(self, tmp_path, capsys, no_solve):
         cal = tmp_path / "cal.json"
         fc.Calibration(dim=1, constants={"new.kappa.A": 1.0}).save(cal)
@@ -477,8 +494,9 @@ def test_removed_flag_exits_2(tmp_path, capsys, command, flag):
     ["analyze", "--family", "uniform", "--dim", "1", "--n", "4"],
     ["sweep", "--family", "chebyshev", "--values", "8,16"],
 ], ids=lambda command: command[0])
-@pytest.mark.parametrize("text", ['{}', '{"version": 2, "dim": 1, "constants": {}}'],
-                         ids=["empty", "version-2"])
+@pytest.mark.parametrize("text", ['{}', '{"version": 2, "dim": 1, "constants": {}}',
+                                  '{"dim": 1, "constants": {"new.kappa.A": null}}'],
+                         ids=["empty", "version-2", "null-constant"])
 def test_malformed_calibration_exits_2(tmp_path, capsys, monkeypatch, no_solve, command, text):
     def fail(*args):
         raise AssertionError("mesh built")
@@ -533,6 +551,12 @@ class TestCalibrateCommand:
         out = tmp_path / "cal.json"
         assert_usage_error(["calibrate", "--dim", dim, "--n-values", "2,4", "--p", "2.5",
                             "-o", out], capsys, "--p applies to 3D problems only")
+        assert not out.exists()
+
+    def test_fractional_n_exits_2(self, tmp_path, capsys, no_solve):
+        out = tmp_path / "cal.json"
+        assert_usage_error(["calibrate", "--dim", "1", "--n-values", "8.7,16", "-o", out],
+                           capsys, "must be integers")
         assert not out.exists()
 
     def test_unconverged_member_refused(self, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,10 @@ Every sweep of scripts/sweep.py is rerun into a temporary directory and each
 committed CSV column and calibration constant is compared with the rerun at
 a relative tolerance: 1e-10 for the exact.* columns, whose error the
 eigensolver's tolerance governs, and 1e-13 for everything else (geometry
-and bound formulas, which only reorder rounding).
+and bound formulas, which only reorder rounding).  Each plot directory must
+hold the same files and the same gnuplot script; each .dat file must keep
+its x column exactly and its y column within the tolerance of the CSV
+column it copies.
 """
 
 import csv
@@ -44,6 +47,11 @@ def _read_csv(path: Path) -> dict[str, list[float]]:
     return {col: [float(r[col]) for r in rows] for col in rows[0]}
 
 
+def _read_dat(path: Path) -> tuple[list[str], list[float]]:
+    rows = [line.split() for line in path.read_text().splitlines()]
+    return [x for x, _ in rows], [float(y) for _, y in rows]
+
+
 def _read_constants(path: Path) -> dict[str, float]:
     return {k: float(v) for k, v in json.loads(path.read_text())["constants"].items()}
 
@@ -63,12 +71,22 @@ def test_committed_results_reproduce(family, tmp_path):
     assert list(new) == list(old)
     for bid in old:
         worst[f"{cal_file}:{bid}"] = _drift(new[bid], old[bid])
-    for csv_file, _, _ in sweeps:
+    for csv_file, plot_dir, _ in sweeps:
         old, new = _read_csv(committed / csv_file), _read_csv(rerun / csv_file)
         assert list(new) == list(old)
         for col in old:
             assert len(new[col]) == len(old[col])
             worst[f"{csv_file}:{col}"] = max(map(_drift, new[col], old[col]))
+
+        old_dir, new_dir = committed / plot_dir, rerun / plot_dir
+        names = sorted(f.name for f in old_dir.iterdir())
+        assert sorted(f.name for f in new_dir.iterdir()) == names
+        assert (new_dir / "plots.gp").read_text() == (old_dir / "plots.gp").read_text()
+        copied = {col.replace(".", "_") + ".dat": col for col in old}
+        for dat in sorted(old_dir.glob("*.dat")):
+            (old_x, old_y), (new_x, new_y) = _read_dat(dat), _read_dat(new_dir / dat.name)
+            assert new_x == old_x, dat.name
+            worst[f"{plot_dir}/{dat.name}:{copied[dat.name]}"] = max(map(_drift, new_y, old_y))
 
     print(f"\n{family}: largest relative drift per column")
     for key, value in worst.items():
