@@ -52,8 +52,8 @@ __all__ = ["main", "cmd_generate", "cmd_analyze", "cmd_sweep", "cmd_calibrate",
            "fit_loglog_slope"]
 
 # name: (mesh builder, the flags it reads in call order, the dimension, or None
-# where --dim or the mesh file gives it).  The last row reads mesh files; the
-# others are the generators.
+# where --dim or the mesh file gives it).  A row that reads --mesh imports a
+# file; the others are the generators.
 FAMILIES = {
     "uniform": (generate_uniform, ("dim", "n"), None),
     "chebyshev": (generate_chebyshev_1d, ("n",), 1),
@@ -62,7 +62,7 @@ FAMILIES = {
     "boundary_layer_3d": (partial(generate_boundary_layer, 3), ("n_core", "aspect"), 3),
     "imported": (import_mesh, ("mesh",), None),
 }
-GENERATORS = tuple(FAMILIES)[:-1]
+GENERATORS = tuple(name for name, (_, reads, _) in FAMILIES.items() if "mesh" not in reads)
 FLAGS = tuple(dict.fromkeys(name for _, reads, _ in FAMILIES.values() for name in reads))
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3

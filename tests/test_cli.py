@@ -232,7 +232,11 @@ class TestAnalyze:
                                                       monkeypatch):
         mesh_file = tmp_path / "m.json"
         fc.export_mesh(fc.generate_chebyshev_1d(8), mesh_file)
-        monkeypatch.setattr(fc.cli, "import_mesh", None)  # fails if a mesh is read
+
+        def fail(*args):
+            raise AssertionError("mesh read")
+
+        monkeypatch.setattr(fc.cli, "_make_mesh", fail)
         assert_usage_error(["analyze", "--mesh", mesh_file, *flags], capsys,
                            f"a --mesh file does not read {flags[0]}")
 
@@ -427,13 +431,15 @@ class TestSweep:
         ("b.json", ["--p", "7"], "p must lie in (1, 3.0)"),
         ("a.json,b.json", ["--calibration", "cal.json"], "calibration is for dimension 2"),
         ("a.json,missing.json", [], "missing.json"),
-    ], ids=["diffusion", "p-range", "calibration-dim", "missing-file"])
+        ("a.json,bad.json", [], "bad.json: not a JSON object"),
+    ], ids=["diffusion", "p-range", "calibration-dim", "missing-file", "malformed-file"])
     def test_imported_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, no_solve,
                                           values, flags, reason):
         # every file is read, and every flag checked against it, before any solve
         monkeypatch.chdir(tmp_path)
         fc.export_mesh(fc.generate_uniform(2, 2), "a.json")
         fc.export_mesh(fc.generate_uniform(3, 2), "b.json")
+        (tmp_path / "bad.json").write_text("[1]\n")
         fc.Calibration(dim=2, constants={"new.kappa.A": 1.0}).save("cal.json")
         assert_usage_error(["sweep", "--family", "imported", "--values", values, *flags,
                             "--csv", "out.csv"], capsys, reason)
