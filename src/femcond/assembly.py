@@ -183,9 +183,11 @@ def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.nda
 class SparseSymmetric:
     """Symmetric sparse matrix over interior vertices.
 
-    Stores the full symmetric pattern in CSR for fast row access plus a
-    dense copy of the diagonal, taken at construction.  Construction
-    verifies exact structural and numerical symmetry.
+    Stores the full symmetric pattern as canonical CSR (sorted indices,
+    duplicates summed, explicit zeros kept), so each (i, j) is read once,
+    plus a dense copy of the diagonal, taken at construction.  A matrix not
+    in that form is copied first; the caller's is never modified.
+    Construction verifies exact structural and numerical symmetry.
     """
 
     matrix: sp.csr_matrix
@@ -195,6 +197,10 @@ class SparseSymmetric:
         m = self.matrix
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        if not (sp.issparse(m) and m.format == "csr" and m.has_canonical_format):
+            m = sp.csr_matrix(m, copy=True)
+            m.sum_duplicates()
+            object.__setattr__(self, "matrix", m)
         diff = (m - m.T).tocoo()
         if diff.nnz and np.abs(diff.data).max() != 0.0:
             raise ValueError("matrix is not exactly symmetric")
@@ -209,9 +215,10 @@ class SparseSymmetric:
         return self.matrix.toarray()
 
 
-def _scatter_symmetric(order: int, rows, cols, vals) -> SparseSymmetric:
-    """Deterministic duplicate summation: stable sort by (row, col), then
-    reduce in insertion order within each group.
+def _scatter_symmetric(order: int, key: np.ndarray, vals: np.ndarray) -> SparseSymmetric:
+    """The matrix that adds each vals[i] at (row, col), key[i] = row * order
+    + col in int64.  Deterministic duplicate summation: stable sort by key,
+    that is by (row, col), then reduce in insertion order within each group.
 
     Entries that sum to exactly zero stay stored (on a right-angled grid with
     D = I the couplings across each cell's diagonal cancel), so the pattern
@@ -219,22 +226,13 @@ def _scatter_symmetric(order: int, rows, cols, vals) -> SparseSymmetric:
     narrower one.  scipy's duplicate summation followed by 0.5 (C + C^T)
     drops them: on boundary_layer(2, 100, 5 | 25 | 125) the band of the
     eigen-solves' Cholesky factors widens from kd 100 to 164-166."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    perm = np.lexsort((cols, rows))  # stable: ties keep insertion order
-    rows, cols, vals = rows[perm], cols[perm], vals[perm]
-    if len(rows):
-        new_group = np.empty(len(rows), dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(new_group)
-        summed = np.add.reduceat(vals, starts)
-        rows, cols = rows[starts], cols[starts]
-    else:
-        summed = vals
-    m = sp.csr_matrix((summed, (rows, cols)), shape=(order, order))
-    return SparseSymmetric(m)
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    summed = np.add.reduceat(vals[perm], starts)
+    key = key[starts]
+    indptr = np.searchsorted(key, np.arange(order + 1, dtype=np.int64) * order)
+    return SparseSymmetric(sp.csr_matrix((summed, key % order, indptr), shape=(order, order)))
 
 
 def _p1_gradients(mesh: SimplicialMesh) -> np.ndarray:
@@ -258,15 +256,13 @@ def _local_stiffness(mesh: SimplicialMesh, dk: np.ndarray) -> np.ndarray:
 
 
 def _assemble_from_local(mesh: SimplicialMesh, local: np.ndarray) -> SparseSymmetric:
-    d = mesh.dim
-    if mesh.n_interior == 0:
+    order = mesh.n_interior
+    if order == 0:
         raise ValueError("mesh has no interior vertices (empty system)")
-    ids = mesh.interior_index[mesh.elements]  # (n, d+1)
-    rows = np.repeat(ids, d + 1, axis=1).ravel()
-    cols = np.tile(ids, (1, d + 1)).ravel()
-    vals = local.reshape(len(local), -1).ravel()
+    ids = mesh.interior_index[mesh.elements]  # (n, d+1) int64, -1 on the boundary
+    rows, cols = ids[:, :, None], ids[:, None, :]  # of local[k, i, j]
     keep = (rows >= 0) & (cols >= 0)
-    return _scatter_symmetric(mesh.n_interior, rows[keep], cols[keep], vals[keep])
+    return _scatter_symmetric(order, (rows * order + cols)[keep], local[keep])
 
 
 def _stiffness_from_averages(mesh: SimplicialMesh, dk: np.ndarray) -> SparseSymmetric:
@@ -285,12 +281,12 @@ def jacobi_scale(a: SparseSymmetric) -> SparseSymmetric:
     if np.any(diag <= 0):
         raise ValueError("jacobi scaling needs a strictly positive diagonal")
     s = 1.0 / np.sqrt(diag)
-    coo = a.matrix.tocoo()
+    m = a.matrix
+    rows = np.repeat(np.arange(a.order), np.diff(m.indptr))
     # s_i * s_j first: commutativity keeps the scaled matrix exactly symmetric
-    data = coo.data * (s[coo.row] * s[coo.col])
-    data[coo.row == coo.col] = 1.0
-    m = sp.csr_matrix((data, (coo.row, coo.col)), shape=a.matrix.shape)
-    return SparseSymmetric(m)
+    data = m.data * (s[rows] * s[m.indices])
+    data[rows == m.indices] = 1.0
+    return SparseSymmetric(sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape))
 
 
 # -- MatrixMarket I/O ------------------------------------------------------

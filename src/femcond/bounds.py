@@ -65,15 +65,22 @@ __all__ = [
 
 DEFAULT_P = 2.9
 
-LOWER_BOUND_IDS = ("new.lambda_min.A", "new.lambda_min.SAS", "fried.lambda_min")
-UPPER_BOUND_IDS = (
-    "new.kappa.A",
-    "new.kappa.SAS",
-    "prior.kappa.A",
-    "prior.kappa.SAS",
-    "conjectured.kappa.SAS",
-)
-BOUND_IDS = LOWER_BOUND_IDS + UPPER_BOUND_IDS
+# Every bound id, in CSV column order: the exact column of
+# BoundReport.to_row() it estimates, the side of it that the bound lies on,
+# and the dimensions it is defined in.
+BOUNDS = {
+    "new.lambda_min.A": ("exact.lambda_min.A", "lower", (1, 2, 3)),
+    "new.lambda_min.SAS": ("exact.lambda_min.SAS", "lower", (1, 2, 3)),
+    "fried.lambda_min": ("exact.lambda_min.A", "lower", (1, 2, 3)),
+    "new.kappa.A": ("exact.kappa.A", "upper", (1, 2, 3)),
+    "new.kappa.SAS": ("exact.kappa.SAS", "upper", (1, 2, 3)),
+    "prior.kappa.A": ("exact.kappa.A", "upper", (1, 2, 3)),
+    "prior.kappa.SAS": ("exact.kappa.SAS", "upper", (1, 2, 3)),
+    "conjectured.kappa.SAS": ("exact.kappa.SAS", "upper", (2,)),
+}
+BOUND_IDS = tuple(BOUNDS)
+LOWER_BOUND_IDS = tuple(bid for bid, (_, side, _) in BOUNDS.items() if side == "lower")
+UPPER_BOUND_IDS = tuple(bid for bid, (_, side, _) in BOUNDS.items() if side == "upper")
 
 
 def _resolve_p(dim: int, p: float | None) -> float | None:
@@ -318,8 +325,9 @@ class Calibration:
             problem = f"unknown bound id {unknown[0]!r}"
         elif bad := [bid for bid, value in constants.items() if not _is_constant(value)]:
             problem = f"constant {bad[0]} must be a finite number > 0, got {constants[bad[0]]!r}"
-        elif data["dim"] != 2 and "conjectured.kappa.SAS" in constants:
-            problem = f"conjectured.kappa.SAS is a 2D bound, not one for dim {data['dim']}"
+        elif off := [bid for bid in constants if data["dim"] not in BOUNDS[bid][2]]:
+            dims = " or ".join(f"{d}D" for d in BOUNDS[off[0]][2])
+            problem = f"{off[0]} is a {dims} bound, not one for dim {data['dim']}"
         else:
             return Calibration(data["dim"], {k: float(v) for k, v in constants.items()})
         raise ValueError(f"{path}: {problem}")
@@ -339,8 +347,9 @@ def _is_constant(value) -> bool:
 def calibrate(reports: Sequence[BoundReport]) -> Calibration:
     """Fit the generic constants from the reports of a reference family.
 
-    Reads each report's raw bounds and exact spectra; nothing is solved or
-    evaluated again.  Lower bounds get the min ratio exact/raw, upper bounds
+    Reads each report's to_row(): for each bound, the ratio of its exact
+    column in BOUNDS to its raw value; nothing is solved or evaluated
+    again.  Lower bounds get the min ratio exact/raw, upper bounds
     the max ratio, so calibrated values stay on the correct side of the
     exact ones for every member of the series.  The reports must share one
     dimension and one p, and every spectrum must have converged.
@@ -356,34 +365,19 @@ def calibrate(reports: Sequence[BoundReport]) -> Calibration:
 
     ratios: dict[str, list[float]] = {bid: [] for bid in BOUND_IDS}
     for i, report in enumerate(reports):
-        exact_a, exact_sas, raw = report.exact_A, report.exact_SAS, report.raw
-        if not (exact_a.converged and exact_sas.converged):
+        if not (report.exact_A.converged and report.exact_SAS.converged):
             raise EigenSolveError(
                 f"calibration member {i} (N={report.n_elements}): eigensolver "
                 "did not reach the requested tolerance"
             )
-        exact = {
-            "new.lambda_min.A": exact_a.lambda_min,
-            "new.lambda_min.SAS": exact_sas.lambda_min,
-            "fried.lambda_min": exact_a.lambda_min,
-            "new.kappa.A": exact_a.kappa,
-            "new.kappa.SAS": exact_sas.kappa,
-            "prior.kappa.A": exact_a.kappa,
-            "prior.kappa.SAS": exact_sas.kappa,
-            "conjectured.kappa.SAS": exact_sas.kappa,
-        }
-        for bid in BOUND_IDS:
-            if math.isnan(raw[bid]):
-                continue
-            ratios[bid].append(exact[bid] / raw[bid])
+        row = report.to_row()
+        for bid, (exact, _, _) in BOUNDS.items():
+            if not math.isnan(row[bid]):
+                ratios[bid].append(row[exact] / row[bid])
 
-    constants = {}
-    for bid in LOWER_BOUND_IDS:
-        if ratios[bid]:
-            constants[bid] = min(ratios[bid])
-    for bid in UPPER_BOUND_IDS:
-        if ratios[bid]:
-            constants[bid] = max(ratios[bid])
+    fit = {"lower": min, "upper": max}
+    constants = {bid: fit[side](ratios[bid])
+                 for bid, (_, side, _) in BOUNDS.items() if ratios[bid]}
     return Calibration(dim=dim, constants=constants)
 
 

@@ -200,15 +200,17 @@ def _parse_diffusion(spec: str, dim: int) -> DiffusionField:
 
 def fit_loglog_slope(x, y) -> float:
     """Least-squares slope of log y against log x over the upper half of the
-    sweep (the asymptotic regime)."""
+    sweep (the asymptotic regime); NaN unless that range holds at least two
+    distinct x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(y) & (y > 0)
     x, y = x[keep], y[keep]
-    if len(x) < 2:
-        return float("nan")
     lo = len(x) // 2 if len(x) >= 4 else 0
-    return float(np.polyfit(np.log(x[lo:]), np.log(y[lo:]), 1)[0])
+    x, y = x[lo:], y[lo:]
+    if len(np.unique(x)) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:

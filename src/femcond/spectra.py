@@ -283,7 +283,6 @@ class _Band:
         pos = np.empty(n, dtype=np.intp)
         pos[self.q] = np.arange(n)
         coo = matrix.tocoo()
-        coo.sum_duplicates()
         row, col = pos[coo.row], pos[coo.col]
         lower = row >= col
         self.offset, self.col, self.val = row[lower] - col[lower], col[lower], coo.data[lower]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import femcond as fc
@@ -276,6 +277,46 @@ class TestJacobiScale:
         mat = fc.SparseSymmetric(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         with pytest.raises(ValueError):
             fc.jacobi_scale(mat)
+
+    def test_duplicate_entries_give_unit_diagonal(self):
+        # [[4, 1], [1, 4]] with its (0, 0) entry stored as 2 + 2
+        m = sp.csr_matrix(([2.0, 2.0, 1.0, 1.0, 4.0], [0, 0, 1, 0, 1], [0, 3, 5]),
+                          shape=(2, 2))
+        s = fc.jacobi_scale(fc.SparseSymmetric(m))
+        assert np.array_equal(s.diagonal, [1.0, 1.0])
+        assert np.array_equal(s.toarray(), [[1.0, 0.25], [0.25, 1.0]])
+
+    def test_keeps_stiffness_pattern_with_explicit_zeros(self):
+        mesh = fc.generate_boundary_layer(2, 10, 5.0)
+        a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
+        s = fc.jacobi_scale(a)
+        zeros = a.matrix.data == 0.0
+        assert zeros.any()
+        assert np.array_equal(s.matrix.indptr, a.matrix.indptr)
+        assert np.array_equal(s.matrix.indices, a.matrix.indices)
+        assert np.all(s.matrix.data[zeros] == 0.0)
+
+
+class TestSparseSymmetric:
+    def test_noncanonical_input_summed_into_a_copy(self):
+        # [[4, 0], [0, 4]]: (0, 0) stored as 2 + 2, row 1 unsorted, the
+        # off-diagonal zeros stored explicitly
+        data, indices, indptr = [2.0, 0.0, 2.0, 4.0, 0.0], [0, 1, 0, 1, 0], [0, 3, 5]
+        m = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+        a = fc.SparseSymmetric(m)
+        assert np.array_equal(m.data, data)
+        assert np.array_equal(m.indices, indices)
+        assert np.array_equal(m.indptr, indptr)
+        assert a.matrix.has_canonical_format
+        assert np.array_equal(a.matrix.indptr, [0, 2, 4])
+        assert np.array_equal(a.matrix.indices, [0, 1, 0, 1])
+        assert np.array_equal(a.matrix.data, [4.0, 0.0, 0.0, 4.0])
+        assert np.array_equal(a.diagonal, [4.0, 4.0])
+
+    def test_canonical_input_stored_as_is(self):
+        mesh = fc.generate_uniform(2, 4)
+        a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
+        assert fc.SparseSymmetric(a.matrix).matrix is a.matrix
 
 
 class TestDensities:

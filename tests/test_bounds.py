@@ -8,6 +8,7 @@ import pytest
 import femcond as fc
 from femcond.bounds import (
     BOUND_IDS,
+    BOUNDS,
     Calibration,
     _sym_eigmax,
     evaluate_raw_bounds,
@@ -511,6 +512,12 @@ class TestBuildReport:
         assert row["exact.kappa.A"] == pytest.approx(toeplitz_kappa_1d(8), rel=1e-10)
         assert report.lambda_max_lower <= report.exact_A.lambda_max
         assert report.exact_A.lambda_max <= report.upper_lambda_max_A
+
+    def test_bound_table_names_exact_row_columns(self):
+        row = fc.build_report(fc.generate_uniform(2, 4), fc.DiffusionField.identity(2)).to_row()
+        for bid, (exact, _, _) in BOUNDS.items():
+            assert bid in row
+            assert exact in row and exact.startswith("exact.")
 
     def test_calibrated_row_columns(self):
         m = fc.generate_uniform(2, 4)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -610,3 +611,20 @@ class TestSlopeFit:
 
     def test_nan_for_degenerate_input(self):
         assert math.isnan(fit_loglog_slope([4], [2.0]))
+
+    def test_nan_without_two_distinct_x(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(fit_loglog_slope([5, 5, 5], [1, 2, 3]))
+            # the lower half differs, the fitted upper half does not
+            assert math.isnan(fit_loglog_slope([2, 3, 5, 5], [1, 2, 3, 4]))
+
+    def test_imported_sweep_of_one_mesh_prints_nan_slopes(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        fc.export_mesh(fc.generate_uniform(2, 4), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sweep", "--family", "imported", "--values", f"{path},{path}"]) == 0
+        out = capsys.readouterr().out
+        slopes = out.split("fitted log-log slopes (upper half of sweep):\n")[1].splitlines()
+        assert slopes and all(line.endswith(": nan") for line in slopes)
