@@ -249,7 +249,7 @@ def _print_report(report) -> None:
             f"exact {name}: lambda_min={_fmt(r.lambda_min)} "
             f"lambda_max={_fmt(r.lambda_max)} kappa={_fmt(r.kappa)} "
             f"method={r.method} residual={r.residual:.2e} "
-            f"matvecs={r.matvecs} factor_nnz={r.factor_nnz} solves={r.solves} "
+            f"factor_nnz={r.factor_nnz} solves={r.solves} "
             f"factorizations={r.factorizations}{flag}"
         )
         print(

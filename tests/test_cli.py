@@ -127,9 +127,9 @@ class TestAnalyze:
         for name, line in zip(("A", "SAS"), lines):
             exact = data["exact"][name]
             assert exact["method"] == "lanczos_shift_invert"
-            assert exact["matvecs"] > 0 and exact["factor_nnz"] > 0
+            assert exact["factor_nnz"] > 0
             assert exact["solves"] > 0 and exact["factorizations"] >= 4
-            assert (f"matvecs={exact['matvecs']} factor_nnz={exact['factor_nnz']} "
+            assert (f"factor_nnz={exact['factor_nnz']} "
                     f"solves={exact['solves']} factorizations={exact['factorizations']}"
                     ) in line
 

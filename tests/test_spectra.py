@@ -9,11 +9,13 @@ import scipy.sparse.linalg as spla
 import femcond as fc
 from femcond.assembly import SparseSymmetric
 from femcond.spectra import (
+    SHIFT_GAP,
     EigenSolveError,
     _Band,
-    _interlacing_lower_bound,
-    _lambda_max_filtered,
+    _inverse_above,
+    _rayleigh,
     _rounding_margin,
+    _shift_invert,
     _shifted_bound,
     extreme_eigenvalues,
 )
@@ -23,6 +25,7 @@ from oracles import (
     assemble_mass_weighted,
     density_equidistributed,
     generalized_min_eigenvalue,
+    interlacing_lower_bound,
     lambda_max_unfiltered,
     toeplitz_kappa_1d,
 )
@@ -87,8 +90,8 @@ class TestExtremeEigenvalues:
         assert r.lambda_max * (1 - tol) <= rq_max <= r.lambda_max * (1 + 1e-15)
 
     def test_nonconvergence_is_flagged(self, monkeypatch):
-        # MAXITER = 1: the lambda_max shift-invert solve stops after its first
-        # 10-vector Krylov basis, unconverged.  At order 699 one basis
+        # MAXITER = 1: both lambda_max shift-invert solves stop after their
+        # first 10-vector Krylov basis, unconverged.  At order 699 one basis
         # converges every solve, so the order is 1 999.
         m = fc.generate_uniform(1, 2000)
         a = fc.assemble_stiffness(m, fc.DiffusionField.identity(1))
@@ -119,7 +122,8 @@ def _laplacian_1d(n: int, shift: float = 0.0) -> SparseSymmetric:
 
 
 class TestFilteredLambdaMax:
-    """The iterative lambda_max runs Lanczos on a Chebyshev filter p(A)."""
+    """The iterative lambda_max, shift-invert from above, against dense
+    eigensolvers, plain Lanczos on A and lower bounds."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_clustered_top_matches_dense_and_unfiltered(self, seed):
@@ -129,16 +133,14 @@ class TestFilteredLambdaMax:
         filtered = extreme_eigenvalues(a, tol, dense_cutoff=10, seed=seed)
         assert filtered.method == "lanczos_shift_invert"
         assert filtered.converged
-        assert filtered.matvecs > 0 and filtered.matvecs % fc.spectra.FILTER_DEGREE == 0
         assert filtered.lambda_max == pytest.approx(dense.lambda_max, rel=10 * tol)
         assert filtered.lambda_max == pytest.approx(
             lambda_max_unfiltered(a, tol, seed), rel=10 * tol)
 
     def test_diagonal_matrix_above_cutoff(self, rng):
-        # no off-diagonal entries: the lower bound falls back to max a_ii
+        # no off-diagonal entries: the Gershgorin bound is max a_ii
         diag = rng.uniform(1.0, 2.0, 3000)
         a = SparseSymmetric(sp.diags(diag, format="csr"))
-        assert _interlacing_lower_bound(a) == diag.max()
         r = extreme_eigenvalues(a)
         assert r.method == "lanczos_shift_invert"
         assert r.converged
@@ -152,26 +154,42 @@ class TestFilteredLambdaMax:
         shift = 0.75 * lam1 + 0.25 * lam2
         with pytest.raises(EigenSolveError, match="not SPD"):
             extreme_eigenvalues(_laplacian_1d(n, shift=shift))
-        # no positive diagonal entry: the filter has no interval to damp
+        # no positive diagonal entry: the factor at zero fails
         negated = SparseSymmetric(-_laplacian_1d(n).matrix)
         with pytest.raises(EigenSolveError, match="not SPD"):
             extreme_eigenvalues(negated)
 
     def test_negative_eigenvalue_never_wins(self):
-        # the odd degree maps -10 below -1; an even one would pick it
+        # The Gershgorin shift 10 (1 + 1e-4) lies 8 above 2 and 20 above
+        # -10: shift-invert there finds 2, though |-10| is the largest.
         diag = np.concatenate([[-10.0], np.linspace(1.0, 2.0, 2999)])
         a = SparseSymmetric(sp.diags(diag, format="csr"))
+        gershgorin = float(np.abs(diag).max())
+        inverse = _inverse_above(_Band(a.matrix), gershgorin * (1 + SHIFT_GAP), gershgorin)
         v0 = np.random.default_rng(0).standard_normal(a.order)
-        lam_max, _, ok, _ = _lambda_max_filtered(a, 1e-8, v0)
-        assert ok
+        lam_max, residual, _, ok = _shift_invert(a, inverse, 1e-10, v0)
+        assert ok and residual <= 1e-8
         assert lam_max == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lambda_max_vector_is_accurate(self, seed):
+        # shift-invert mode returns the top vector to working precision
+        a = _boundary_layer_a()
+        r = extreme_eigenvalues(a, dense_cutoff=10, seed=seed)
+        assert r.method == "lanczos_shift_invert" and r.converged
+        assert _rayleigh(a, r.v_max, r.lambda_max)[1] <= 1e-14
+
+    def test_order_one_is_dense(self):
+        # ARPACK needs an order above k = 1
+        r = extreme_eigenvalues(_sparse([[3.0]]), dense_cutoff=0)
+        assert r.method == "dense"
+        assert r.certified and r.converged
+        assert r.lambda_min == r.lambda_max == 3.0 and r.kappa == 1.0
 
     def test_at_least_the_lower_bounds(self):
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=10)
-        lower = _interlacing_lower_bound(a)
-        assert lower >= a.diagonal.max()
-        assert r.lambda_max >= lower
+        assert r.lambda_max >= interlacing_lower_bound(a)
         assert r.lambda_max >= fc.bound_lambda_max(a, 2)[0]
 
     def test_unconverged_lambda_max_is_a_rayleigh_quotient(self, monkeypatch):
@@ -188,34 +206,38 @@ class TestFilteredLambdaMax:
         assert r.lambda_max <= dense.lambda_max * (1 + 1e-14)
 
     def test_counters_zero_on_dense_path(self):
-        # no products or solves; the factor at zero and the two certificates
+        # no solves; the factor at zero and the two certificates
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=a.order)
         assert r.method == "dense"
         kd = _Band(a.matrix).kd
-        assert (r.matvecs, r.factor_nnz, r.solves, r.factorizations) == (
-            0, a.order * (kd + 1), 0, 3)
+        assert (r.factor_nnz, r.solves, r.factorizations) == (a.order * (kd + 1), 0, 3)
 
 
 class TestShiftInvertLambdaMax:
-    """lambda_max is refined by Lanczos on (sigma_1 I - A)^-1, sigma_1 shown
-    above lambda_max by a completed Cholesky factorization, and every factor
-    of a call shares the band order of the factor at zero."""
+    """lambda_max is found by shift-invert Lanczos at shifts shown above
+    lambda_max by completed Cholesky factorizations, and every factor of a
+    call shares the band order of the factor at zero."""
 
     def test_start_far_below_lambda_max_grows_the_shift(self, monkeypatch):
+        # The start returns lambda_min's exact pair: its residual meets tol,
+        # its lambda_max certificate fails, and the shift step takes over.
         a = _boundary_layer_a()
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[-1] > 1e3 * vals[0]
+        start = float(abs(a.matrix).sum(axis=1).max()) * (1 + SHIFT_GAP)
 
-        def smallest(a_, arp_tol, v0):
+        def smallest_at_the_start(a_, inverse, arp_tol, v0):
+            if inverse.sigma != start:
+                return _shift_invert(a_, inverse, arp_tol, v0)
             v = vecs[:, 0]
-            return float(v @ (a_.matrix @ v)), v, True, 0
+            return (*_rayleigh(a_, v), v, True)
 
-        monkeypatch.setattr(fc.spectra, "_lambda_max_filtered", smallest)
+        monkeypatch.setattr(fc.spectra, "_shift_invert", smallest_at_the_start)
         tol = 1e-8
         r = extreme_eigenvalues(a, tol, dense_cutoff=10)
-        # four factors when the first shift holds; its factorization failed here
-        assert r.factorizations > 4
+        # five factors when the first shift holds; its factorization failed here
+        assert r.factorizations > 5
         assert r.certified and r.converged
         assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
         assert r.lambda_min == pytest.approx(vals[0], rel=10 * tol)
@@ -224,7 +246,7 @@ class TestShiftInvertLambdaMax:
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.converged
-        assert r.factorizations == 4
+        assert r.factorizations == 5
         assert r.solves > 0
 
     def test_one_band_order_per_call(self, monkeypatch):
@@ -307,11 +329,13 @@ class TestCertificate:
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[-2] < vals[-1]
 
-        def second_largest(a_, inverse, tol, v0):
+        def second_largest(a_, inverse, arp_tol, v0):
+            if inverse.sigma == 0:
+                return _shift_invert(a_, inverse, arp_tol, v0)
             v = vecs[:, -2]
-            return float(v @ (a_.matrix @ v)), v, True
+            return (*_rayleigh(a_, v), v, True)
 
-        monkeypatch.setattr(fc.spectra, "_lambda_max_shift_invert", second_largest)
+        monkeypatch.setattr(fc.spectra, "_shift_invert", second_largest)
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.residual <= 1e-8  # the interior pair passes the residual test
         assert not r.certified
@@ -322,10 +346,13 @@ class TestCertificate:
         vals, vecs = np.linalg.eigh(a.toarray())
         assert vals[0] < vals[1]
 
-        def second_smallest(a_, inverse, tol, v0):
-            return float(vals[1]), vecs[:, 1], True
+        def second_smallest(a_, inverse, arp_tol, v0):
+            if inverse.sigma != 0:
+                return _shift_invert(a_, inverse, arp_tol, v0)
+            v = vecs[:, 1]
+            return (*_rayleigh(a_, v), v, True)
 
-        monkeypatch.setattr(fc.spectra, "_lambda_min_shift_invert", second_smallest)
+        monkeypatch.setattr(fc.spectra, "_shift_invert", second_smallest)
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.residual <= 1e-8
         assert not r.certified
