@@ -54,13 +54,36 @@ entries.  Every factor of a call (at zero, the lambda_max start and shifts
 on the iterative path, and the two certificates) is a LAPACK band Cholesky
 factorization (dpbtrf) of A[q][:, q] shifted, in that band: a shift changes
 only the diagonal.  Each band is built in Fortran order from the entries of
-the lower triangle of A[q][:, q], factored in place and released before the
-next one is built, so one (kd + 1) x n array is alive at a time.  Cost
-model: a factor takes about n kd^2 flops, a solve 4 n kd, and both work on
-n (kd + 1) doubles.  On a d-dimensional grid kd is about the number of
-vertices in a cross-section, n^((d-1)/d): at large 2D orders a
-fill-reducing sparse factor needs less memory and fewer flops per solve.
-Every shift-invert solve uses a 10-vector Krylov basis.
+the lower triangle of A[q][:, q], scaled by a power of 4 (below), factored
+in place and released before the next one is built, so one (kd + 1) x n
+array is alive at a time.  Cost model: a factor takes about n kd^2 flops, a
+solve 4 n kd, and both work on n (kd + 1) doubles.  On a d-dimensional grid
+kd is about the number of vertices in a cross-section, n^((d-1)/d): at
+large 2D orders a fill-reducing sparse factor needs less memory and fewer
+flops per solve.  The model holds only while the factor's entries are
+normal numbers; arithmetic on subnormal ones is many times slower.  Every
+shift-invert solve uses a 10-vector Krylov basis.
+
+Exact scaling.  The entries of a band Cholesky factor decay away from the
+diagonal, and below 2^-1022 they turn subnormal: unscaled, the factor of
+sigma I - A on a 2D boundary layer of order 10 000 and kd 100 with D =
+diag(1 + x, 1 + 10 y) held 7 748 of them and took three to four times as
+long as the factor at zero.  So each band is factored as 4^e M, with e
+chosen from |sigma| + max |a_ij|, a bound on every entry of M, to put that
+bound in [2^898, 2^900).  A power of two scales exactly and commutes with
+every rounding while no result leaves the normal range (Higham, Accuracy
+and Stability of Numerical Algorithms, Ch. 2): wherever the factor of M is
+normal, the computed factor of 4^e M is exactly 2^e times it, it completes
+exactly when that of M does, and a solve on 4^e x returns the same bits as
+the unscaled one, while the fill below 2^-1022 shrinks (to 299 subnormals
+in the example).  ARPACK then runs on the inverse times 2^s, with 2^(s-1)
+<= max |a_ij| < 2^s, both powers applied by one scaling of the right-hand
+side: its convergence test tol max(eps^(2/3), |Ritz value|) turns absolute
+when the Ritz values of (A - sigma I)^-1 are tiny, and without 2^s it
+stops 4^k A, k >= 50, unconverged at a different lambda_max.  With both
+scalings the operator ARPACK sees is the same for 4^k A as for A, bit for
+bit, so every eigenvalue and bound for 4^k A is 4^k times that for A and
+the vectors and counts are the same.
 
 Certificates.  A small residual only says that (theta, v) is close to some
 eigenpair, possibly an interior one.  Both ends are therefore enclosed by
@@ -91,9 +114,15 @@ rho(|E|) <= max_i sum_j |E_ij| s_j / s_i <= g max_i sum_{|j - i| <= kd}
 m_jj.  Forming M rounds its diagonal by at most u max_j |m_jj|.  So delta =
 g max_i sum_{|j - i| <= kd} m_jj + u max_j |m_jj|: a completed factorization
 proves M + E positive definite with ||E||_2 <= delta, i.e. lambda_min(M) >
--delta.  Underflow, and the rounding in evaluating delta itself (relative,
-below (2 kd + 1) u), are not modelled; the entries here are far above
-underflow.
+-delta.  The factorization actually computed is that of 4^e M, so this
+argument proves 4^e (M + E) positive definite with its margin 4^e delta; the
+margin is linear in the diagonal, and evaluated on M's own diagonal it is
+delta itself.  Underflow is not modelled: the scaled band's entries lie
+below 2^900, and its few remaining subnormal fill entries (299 of 10^6 in
+the example above, none in most factors) each err by under 2^-1074,
+nothing beside the scaled margin, which is at least u 4^e max_j |m_jj|.
+Nor is the rounding in evaluating delta itself (relative, below (2 kd + 1)
+u).
 """
 
 from __future__ import annotations
@@ -128,6 +157,10 @@ KRYLOV_VECTORS = 10
 # ARPACK iteration (restart) cap of each of the three iterative solves;
 # None leaves ARPACK's default.
 MAXITER = None
+# Every shifted band is factored scaled by the power of 4 that puts a bound
+# on its entries just below 2^BAND_TARGET, leaving 2^124 of headroom to the
+# largest double for the scaled right-hand sides and their solves.
+BAND_TARGET = 900
 
 
 class EigenSolveError(RuntimeError):
@@ -193,8 +226,9 @@ def _rayleigh(a: SparseSymmetric, v: np.ndarray,
 class _Band:
     """The symmetric A in one reverse Cuthill-McKee order q: the entries on
     and below the diagonal of A[q][:, q] by diagonal offset and column, its
-    diagonal and its half-bandwidth kd (see the module docstring).  Counts
-    the factorizations it builds and the solves applied with them."""
+    diagonal, its half-bandwidth kd and amax = max |a_ij| (see the module
+    docstring).  Counts the factorizations it builds and the solves applied
+    with them."""
 
     def __init__(self, matrix):
         n = matrix.shape[0]
@@ -207,7 +241,14 @@ class _Band:
         self.offset, self.col, self.val = row[lower] - col[lower], col[lower], coo.data[lower]
         self.diagonal = matrix.diagonal()[self.q]
         self.n, self.kd = n, int(self.offset.max(initial=0))
+        self.amax = float(np.abs(self.val).max(initial=0.0))
         self.factorizations = self.solves = 0
+
+    def exponent(self, sigma: float) -> int:
+        """e with 4^e (|sigma| + amax) in [2^(BAND_TARGET - 2),
+        2^BAND_TARGET), a bound on every entry of the band that cholesky
+        factors at sigma (see the module docstring)."""
+        return (BAND_TARGET - math.frexp(abs(sigma) + self.amax)[1]) // 2
 
     def shifted_diagonal(self, sigma: float, upper: bool) -> np.ndarray:
         """Diagonal of M = sigma I - A when upper and of M = A - sigma I when
@@ -215,13 +256,16 @@ class _Band:
         return sigma - self.diagonal if upper else self.diagonal - sigma
 
     def cholesky(self, sigma: float, upper: bool) -> np.ndarray | None:
-        """Lower band Cholesky factor, in LAPACK band storage, of M[q][:, q]
-        for M as in shifted_diagonal; None when the factorization fails,
-        i.e. M is not positive definite to working precision.  The band is
-        built in Fortran order, so dpbtrf factors it in place."""
+        """Lower band Cholesky factor, in LAPACK band storage, of 4^e
+        M[q][:, q] for M as in shifted_diagonal and e = exponent(sigma),
+        i.e. 2^e times that of M[q][:, q] without its subnormal fill; None
+        when the factorization fails, i.e. M is not positive definite to
+        working precision.  The band is built in Fortran order, so dpbtrf
+        factors it in place."""
+        e2 = 2 * self.exponent(sigma)
         ab = np.zeros((self.kd + 1, self.n), order="F")
-        ab[self.offset, self.col] = -self.val if upper else self.val
-        ab[0] = self.shifted_diagonal(sigma, upper)
+        ab[self.offset, self.col] = np.ldexp(-self.val if upper else self.val, e2)
+        ab[0] = np.ldexp(self.shifted_diagonal(sigma, upper), e2)
         self.factorizations += 1
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         return factor if info == 0 else None
@@ -240,19 +284,23 @@ def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
 
 
 class _Inverse(spla.LinearOperator):
-    """x -> (A - sigma I)^-1 x in A's order, from the band Cholesky factor of
-    M[q][:, q] (q the band's order), with M = sigma I - A when upper, whose
-    solve is negated, and M = A - sigma I when not; counts its solves on
-    band."""
+    """x -> 2^s (A - sigma I)^-1 x in A's order, with 2^(s - 1) <= amax <
+    2^s, from band.cholesky's factor of 4^e M[q][:, q] (q the band's
+    order), with M = sigma I - A when upper, whose solve is negated, and M =
+    A - sigma I when not; counts its solves on band.  One exact scaling of
+    the right-hand side by 2^(2 e + s) applies both powers (see the module
+    docstring)."""
 
     def __init__(self, band: _Band, factor: np.ndarray, sigma: float, upper: bool):
         super().__init__(dtype=np.float64, shape=(band.n, band.n))
         self.band, self.factor, self.sigma, self.upper = band, factor, sigma, upper
+        self.s = math.frexp(band.amax)[1]
+        self.rhs_exponent = 2 * band.exponent(sigma) + self.s
 
     def _matvec(self, x):
         self.band.solves += 1
         q = self.band.q
-        z, _ = dpbtrs(self.factor, x[q], lower=1, overwrite_b=1)
+        z, _ = dpbtrs(self.factor, np.ldexp(x[q], self.rhs_exponent), lower=1, overwrite_b=1)
         y = np.empty_like(z)
         y[q] = -z if self.upper else z
         return y
@@ -321,10 +369,11 @@ def _shift_above_lambda_max(band: _Band, theta0: float, gap: float, gershgorin: 
 
 
 def _shift_invert(a: SparseSymmetric, inverse: _Inverse, arp_tol: float, v0):
-    """Eigenpair of A nearest the shift sigma of inverse = (A - sigma I)^-1,
-    by ARPACK's shift-invert mode at ARPACK tolerance arp_tol from v0,
-    capped at MAXITER iterations.  Returns (Rayleigh quotient on A, its
-    relative residual, vector, converged)."""
+    """Eigenpair of A nearest the shift sigma of inverse = 2^s (A - sigma
+    I)^-1, by ARPACK's shift-invert mode at ARPACK tolerance arp_tol from
+    v0, capped at MAXITER iterations.  Only ARPACK's vector is used, so the
+    positive factor 2^s changes nothing but its convergence test.  Returns
+    (Rayleigh quotient on A, its relative residual, vector, converged)."""
 
     def eigsh(arp_tol):
         return spla.eigsh(a.matrix, k=1, sigma=inverse.sigma, OPinv=inverse, tol=arp_tol,

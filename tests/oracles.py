@@ -451,7 +451,9 @@ def generalized_min_eigenvalue(
 
     The iterative path is shift-invert Lanczos on the pencil at shift zero,
     with the band Cholesky factor of A that extreme_eigenvalues uses (so an
-    A that is not SPD is rejected by its failed factorization).
+    A that is not SPD is rejected by its failed factorization).  That
+    operator is a positive multiple of A^-1, so ARPACK's eigenvalue is not
+    lambda; lambda is the Rayleigh quotient of its vector on the pencil.
     """
     _check_tol(tol)
     if a.order != b.order:
@@ -465,17 +467,17 @@ def generalized_min_eigenvalue(
     v0 = np.random.default_rng(seed).standard_normal(n)
     opinv = spectra._factor_at_zero(a)
     try:
-        vals, vecs = spla.eigsh(
+        v = spla.eigsh(
             a.matrix.tocsc(), k=1, M=b.matrix.tocsc(), sigma=0.0, which="LM",
             tol=max(tol * 1e-2, 1e-14), maxiter=maxiter, v0=v0, OPinv=opinv,
-        )
-        lam, v = float(vals[0]), vecs[:, 0]
+        )[1][:, 0]
     except spla.ArpackNoConvergence as exc:
         if not len(exc.eigenvalues):
             raise EigenSolveError("generalized eigensolve produced no estimate") from exc
-        lam, v = float(exc.eigenvalues[0]), exc.eigenvectors[:, 0]
+        v = exc.eigenvectors[:, 0]
     except RuntimeError as exc:
         raise EigenSolveError(f"generalized eigensolve failed: {exc}") from exc
+    lam = float(v @ (a.matrix @ v) / (v @ (b.matrix @ v)))
     if lam <= 0:
         raise EigenSolveError("generalized problem is not positive definite")
     return lam

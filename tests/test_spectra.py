@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf
 
 import femcond as fc
 from femcond.assembly import SparseSymmetric
@@ -12,6 +13,7 @@ from femcond.spectra import (
     SHIFT_GAP,
     EigenSolveError,
     _Band,
+    _factor_at_zero,
     _inverse_above,
     _rayleigh,
     _rounding_margin,
@@ -402,20 +404,23 @@ class TestCertificate:
         m_diag = band.shifted_diagonal(sigma, upper)
         m = a.toarray()[np.ix_(q, q)] * (-1.0 if upper else 1.0)
         np.fill_diagonal(m, m_diag)  # M as rounded into the band
+        # The factor is that of 4^e M: compare R^T R with 4^e M and the
+        # backward error with 4^e delta, all scaled exactly.
+        e2 = 2 * band.exponent(sigma)
         factor = band.cholesky(sigma, upper)
         assert factor is not None
-        # R^T R - M in extended precision (where numpy has it), so that the
-        # product's own rounding does not swamp the factor's.
-        err = -m.astype(np.longdouble)
+        # R^T R - 4^e M in extended precision (where numpy has it), so that
+        # the product's own rounding does not swamp the factor's.
+        err = -np.ldexp(m, e2).astype(np.longdouble)
         for j in range(n):
             r_j = factor[:min(kd + 1, n - j), j].astype(np.longdouble)
             err[j:j + len(r_j), j:j + len(r_j)] += np.multiply.outer(r_j, r_j)
         backward = float(np.abs(np.linalg.eigvalsh(err.astype(float))).max())
         delta = _rounding_margin(kd, m_diag)
-        assert backward <= delta
+        assert backward <= np.ldexp(delta, e2)
         # The roundoff of M's diagonal alone is exceeded: the margin's
         # gamma term is needed.
-        assert backward > np.finfo(float).eps / 2 * np.abs(m_diag).max()
+        assert backward > np.ldexp(np.finfo(float).eps / 2 * np.abs(m_diag).max(), e2)
 
     def test_dense_path_is_certified_by_the_full_spectrum(self):
         a = _boundary_layer_a()
@@ -456,6 +461,118 @@ class TestCertificate:
             assert r.certified and r.converged
             assert r.factorizations == 3
         assert results[0].kappa > 1e6
+
+
+def _variable_field_a() -> SparseSymmetric:
+    """Order 2 500, kd 50, D = diag(1 + x, 1 + 1e4 y): unscaled, the factor
+    of sigma I - A at the lambda_max start holds subnormal entries."""
+    mesh = fc.generate_boundary_layer(2, 50, 125.0)
+    field = fc.DiffusionField.from_callable(
+        2, lambda x: np.diag([1.0 + x[0], 1.0 + 1e4 * x[1]]), 1.0, 10001.0)
+    return fc.assemble_stiffness(mesh, field)
+
+
+def _unscaled_factor(band: _Band, sigma: float, upper: bool):
+    """(dpbtrf's factor of M[q][:, q] itself, info), M as in
+    band.shifted_diagonal."""
+    ab = np.zeros((band.kd + 1, band.n), order="F")
+    ab[band.offset, band.col] = -band.val if upper else band.val
+    ab[0] = band.shifted_diagonal(sigma, upper)
+    return dpbtrf(ab, lower=1)
+
+
+def _subnormals(x: np.ndarray) -> int:
+    return int(np.count_nonzero((x != 0) & (np.abs(x) < np.finfo(float).tiny)))
+
+
+class TestScaledBand:
+    """Every band is factored scaled by an exact power of 4: the factor is
+    the unscaled one times a power of 2 without its subnormal fill, and the
+    solver's results scale exactly with A."""
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        # (band, sigma, upper, factor or None) of every factorization and
+        # dpbtrf's output of each, completed or not, of one call
+        a = _variable_field_a()
+        built, outputs = [], []
+        cholesky = _Band.cholesky
+
+        def cholesky_spy(band, sigma, upper):
+            factor = cholesky(band, sigma, upper)
+            built.append((band, sigma, upper, None if factor is None else factor.copy()))
+            return factor
+
+        def dpbtrf_spy(*args, **kwargs):
+            factor, info = dpbtrf(*args, **kwargs)
+            outputs.append(factor.copy())
+            return factor, info
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Band, "cholesky", cholesky_spy)
+            mp.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
+            r = extreme_eigenvalues(a)
+        assert r.method == "lanczos_shift_invert" and r.converged
+        assert len(built) == len(outputs) == r.factorizations
+        return built, outputs
+
+    def test_no_factor_holds_a_subnormal(self, factors):
+        built, outputs = factors
+        assert [_subnormals(f) for f in outputs] == [0] * len(outputs)
+        # unscaled, the lambda_max start's factor (the second) has some
+        band, sigma, upper, _ = built[1]
+        assert upper and _subnormals(_unscaled_factor(band, sigma, upper)[0]) > 0
+
+    def test_factor_is_the_unscaled_one_scaled(self, factors):
+        built, _ = factors
+        completed = [b for b in built if b[3] is not None]
+        assert len(completed) >= 4
+        for band, sigma, upper, factor in completed:
+            ref, info = _unscaled_factor(band, sigma, upper)
+            assert info == 0
+            e, tiny = band.exponent(sigma), np.finfo(float).tiny
+            normal = np.abs(ref) >= tiny
+            assert np.array_equal(factor[normal], np.ldexp(ref[normal], e))
+            # elsewhere both are below the normal range, unscaled
+            assert np.all(np.abs(np.ldexp(factor[~normal], -e)) < tiny)
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        a = fc.assemble_stiffness(fc.generate_boundary_layer(2, 40, 125.0),
+                                  fc.DiffusionField.identity(2))
+        r = extreme_eigenvalues(a)
+        assert r.method == "lanczos_shift_invert" and r.converged
+        return a, r
+
+    @pytest.mark.parametrize("k", [-150, -10, 5, 50, 100])
+    def test_results_scale_exactly_with_a(self, unscaled, k):
+        a, r = unscaled
+        m = a.matrix.copy()
+        m.data = np.ldexp(m.data, 2 * k)
+        rk = extreme_eigenvalues(SparseSymmetric(m))
+        assert rk.converged and rk.certified
+        for name in ("lambda_min", "lambda_max", "lambda_min_lower", "lambda_max_upper"):
+            assert getattr(rk, name) == np.ldexp(getattr(r, name), 2 * k), name
+        assert (rk.kappa, rk.residual) == (r.kappa, r.residual)
+        assert np.array_equal(rk.v_min, r.v_min) and np.array_equal(rk.v_max, r.v_max)
+        assert (rk.solves, rk.factorizations) == (r.solves, r.factorizations)
+
+    @pytest.mark.parametrize("k", [-200, 0, 200])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_inverse_solves_the_shifted_system(self, k, upper):
+        m = _boundary_layer_a().matrix.copy()
+        m.data = np.ldexp(m.data, 2 * k)
+        a = SparseSymmetric(m)
+        if upper:  # the lambda_max start's shift, above lambda_max
+            gershgorin = float(abs(a.matrix).sum(axis=1).max())
+            sigma = gershgorin * (1 + SHIFT_GAP)
+            inverse = _inverse_above(_Band(a.matrix), sigma, gershgorin)
+        else:
+            sigma, inverse = 0.0, _factor_at_zero(a)
+        x = np.random.default_rng(1).standard_normal(a.order)
+        expected = np.linalg.solve(a.toarray() - sigma * np.eye(a.order), x)
+        y = np.ldexp(inverse.matvec(x), -inverse.s)
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestInertia:
