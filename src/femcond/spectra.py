@@ -20,12 +20,13 @@ cluster spreads from relative gaps (lambda_1 - lambda_2) / lambda_1 to
 (lambda_1 - lambda_2) / (sigma - lambda_2), and every shift used is shown
 above lambda_max, so the eigenvalue nearest it is lambda_max.  The solve has
 up to three steps.
-  1. Start.  sigma_0 = g (1 + 1e-4), with g = max_i sum_j |a_ij| >=
+  1. Start.  A vector whose Rayleigh quotient theta_0 <= lambda_max has the
+     relative residual r_0 on A: the local start (below) when lambda_max's
+     eigenvector lives on few rows, otherwise one solve to ARPACK tolerance
+     1e-2 at sigma_0 = g (1 + 1e-4), with g = max_i sum_j |a_ij| >=
      lambda_max the Gershgorin bound: sigma_0 I - A is strictly diagonally
      dominant with a positive diagonal, so its factorization completes (a
-     failure raises).  One solve at sigma_0 to ARPACK tolerance 1e-2 gives a
-     vector whose Rayleigh quotient theta_0 <= lambda_max has the relative
-     residual r_0 on A.  When r_0 meets the tolerance and the lambda_max
+     failure raises).  When r_0 meets the tolerance and the lambda_max
      certificate (below) at theta_0 completes, that pair is the answer.
   2. Shift.  Otherwise sigma_1 = theta_0 (1 + eta), eta = max(1e-4, r_0 / 4),
      is accepted when the Cholesky factorization of sigma_1 I - A completes,
@@ -41,28 +42,64 @@ up to three steps.
      eigenvalue, or too few digits) is caught by the lambda_max certificate
      below, which does not depend on how the vector was found.
 
+Local start.  On a stretched boundary layer the top of A's spectrum belongs
+to the thin cells along the boundary, and lambda_max's eigenvector lives on
+the rows near them: 2 604 of 10 000 on a 2D layer of aspect 25 or 125.  The
+seeds are the rows whose Gershgorin disc reaches the interlacing bound l <=
+lambda_max, the largest eigenvalue of any 2 x 2 principal submatrix:
+a_ii + sum_{j != i} |a_ij| >= l.  On any other row the eigen-equation
+(lambda_max - a_ii) v_i = sum_{j != i} a_ij v_j has weights |a_ij| /
+(lambda_max - a_ii) that sum to less than 1, so |v_i| is below the largest
+|v_j| of its neighbours and the eigenvector decays away from the seeds.  S
+is the seeds grown by LOCAL_LAYERS = 6 layers of A's graph: at aspect 25
+the padded vector's residual on A was 1.6e-7 with 4 layers, 7.1e-9 with 5
+and 3.2e-10 with 6, against a tolerance of 1e-8.  When |S| <= n / 2
+(LOCAL_SHARE), the start is the top eigenvector of A[S][:, S], padded with
+zeros: from the dense eigensolver when |S| is at most the dense cutoff, and
+otherwise from steps 1-3 on the submatrix in its own band, whose final
+solve needs only ARPACK tolerance tol, since A's own tests judge the
+result.  The padded vector's Rayleigh quotient on A is its Rayleigh
+quotient on A[S][:, S], so at most lambda_max by Cauchy interlacing, and
+everything after the start runs on A: its residual on A and the
+certificate on A decide, and a start that misses because S is too small
+only costs A's steps 2 and 3 from the padded vector.  So S changes the
+speed, never what is certified.  When the seeds alone exceed n / 2 (every
+Jacobi-scaled matrix of the committed sweeps, whose top eigenvectors cover
+every row, and a 2D layer of aspect 5), the start is the Gershgorin one,
+decided before any growing; so it is when S exceeds n / 2 after growing
+(3D layers of aspect 25).
+
 lambda_min: one solve at shift zero, with the Cholesky factor of A.
 Shift-invert finds the eigenvalue nearest zero, which is the smallest one
 only if A is positive definite; a Cholesky factorization completes only on a
 matrix that is positive definite to working precision, so a failed one is
-rejected as not SPD.
+rejected as not SPD.  Its solve, and A's final lambda_max solve, ask ARPACK
+for tol 1e-2.
 
-One ordering per matrix.  The factor at zero computes the only ordering of
-a call: q = reverse_cuthill_mckee(A), on A's stored pattern, which makes
+One ordering for A, one for S.  The factor at zero computes A's only
+ordering: q = reverse_cuthill_mckee(A), on A's stored pattern, which makes
 A[q][:, q] a band matrix of half-bandwidth kd = max |i - j| over its stored
-entries.  Every factor of a call (at zero, the lambda_max start and shifts
-on the iterative path, and the two certificates) is a LAPACK band Cholesky
+entries.  Every factor of A (at zero, the lambda_max start and shifts on
+the iterative path, and the two certificates) is a LAPACK band Cholesky
 factorization (dpbtrf) of A[q][:, q] shifted, in that band: a shift changes
-only the diagonal.  Each band is built in Fortran order from the entries of
-the lower triangle of A[q][:, q], scaled by a power of 4 (below), factored
-in place and released before the next one is built, so one (kd + 1) x n
-array is alive at a time.  Cost model: a factor takes about n kd^2 flops, a
-solve 4 n kd, and both work on n (kd + 1) doubles.  On a d-dimensional grid
-kd is about the number of vertices in a cross-section, n^((d-1)/d): at
-large 2D orders a fill-reducing sparse factor needs less memory and fewer
-flops per solve.  The model holds only while the factor's entries are
-normal numbers; arithmetic on subnormal ones is many times slower.  Every
-shift-invert solve uses a 10-vector Krylov basis.
+only the diagonal.  The local start's submatrix is ordered the same way
+once, into its own band of half-bandwidth kd_S, which all of its factors
+share.  Each band is built in Fortran order from the entries of the lower
+triangle of the ordered matrix, scaled by a power of 4 (below), factored in
+place and released before the next one is built, so one (kd + 1) x n or
+(kd_S + 1) x |S| array is alive at a time.  Cost model: a factor takes
+about n kd^2 flops, a solve 4 n kd, and both work on n (kd + 1) doubles.
+On a d-dimensional grid kd is about the number of vertices in a
+cross-section, n^((d-1)/d): at large 2D orders a fill-reducing sparse
+factor needs less memory and fewer flops per solve.  The submatrix of a
+boundary layer is a strip along the boundary, so kd_S is about the strip's
+width in vertices: on a 2D layer of order 40 000 and kd 200, S holds 5 404
+rows with kd_S 15, so a factor of S costs about 1/1 300 of one of A and a
+solve 1/100.  A local start that is the answer leaves A with three
+factors (at zero and the two certificates) and lambda_min's solves.
+The model holds only while the factor's entries are normal numbers;
+arithmetic on subnormal ones is many times slower.  Every shift-invert
+solve uses a 10-vector Krylov basis.
 
 Exact scaling.  The entries of a band Cholesky factor decay away from the
 diagonal, and below 2^-1022 they turn subnormal: unscaled, the factor of
@@ -154,9 +191,14 @@ DEFAULT_TOL = 1e-8
 START_TOL = 1e-2
 SHIFT_GAP = 1e-4
 KRYLOV_VECTORS = 10
-# ARPACK iteration (restart) cap of each of the three iterative solves;
-# None leaves ARPACK's default.
+# ARPACK iteration (restart) cap of each iterative solve; None leaves
+# ARPACK's default.
 MAXITER = None
+# The lambda_max start's submatrix: the rows whose Gershgorin disc reaches
+# the interlacing bound, grown by LOCAL_LAYERS layers of A's graph, and
+# taken only while they are at most LOCAL_SHARE of A's rows.
+LOCAL_LAYERS = 6
+LOCAL_SHARE = 0.5
 # Every shifted band is factored scaled by the power of 4 that puts a bound
 # on its entries just below 2^BAND_TARGET, leaving 2^124 of headroom to the
 # largest double for the scaled right-hand sides and their solves.
@@ -179,11 +221,13 @@ class SpectralResult:
     shifted factorizations, on either path.  converged is False when the
     iteration cap was reached first, a residual misses the tolerance or a
     certificate fails (the values are then best estimates).  factor_nnz is
-    the size n (kd + 1) of the band that every factor of the call fills,
-    factorizations the number of band Cholesky factorizations (3 on the
-    dense path: at zero and the two certificates) and solves the
-    applications of a factor's inverse in the shift-invert solves (0 on the
-    dense path).
+    the size n (kd + 1) of A's band, which every factor of A fills;
+    local_rows is the order |S| of the submatrix that lambda_max's start
+    came from, 0 when the start ran on A or on the dense path.
+    factorizations counts the band Cholesky factorizations (3 on the dense
+    path: at zero and the two certificates) and solves the applications of
+    a factor's inverse in the shift-invert solves (0 on the dense path),
+    both of A's band and of the submatrix's.
     """
 
     lambda_min: float
@@ -198,6 +242,7 @@ class SpectralResult:
     factor_nnz: int = 0
     solves: int = 0
     factorizations: int = 0
+    local_rows: int = 0
     v_min: np.ndarray | None = None
     v_max: np.ndarray | None = None
 
@@ -398,6 +443,83 @@ def _shift_invert(a: SparseSymmetric, inverse: _Inverse, arp_tol: float, v0):
     return (*_rayleigh(a, v), v, ok)
 
 
+def _certify_max(band: _Band, theta: float, tol: float) -> float | None:
+    """The lambda_max certificate at theta (1 + tol 1e-2) (see the module
+    docstring)."""
+    return _shifted_bound(band, theta * (1 + tol * 1e-2), upper=True)
+
+
+def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
+                arp_tol: float, v0: np.ndarray, start=None):
+    """Top eigenpair of A by shift-invert from above (see the module
+    docstring), on band, with gershgorin = max_i sum_j |a_ij| and ARPACK
+    tolerance arp_tol in the final solve.  start is (Rayleigh quotient on A,
+    its residual, vector, converged) of a given start, or None for the solve
+    at the Gershgorin shift from v0.  Returns (Rayleigh quotient, residual,
+    vector, converged, certified upper end or None)."""
+    if start is None:
+        inverse = _inverse_above(band, gershgorin * (1 + SHIFT_GAP), gershgorin)
+        start = _shift_invert(a, inverse, START_TOL, v0)
+        del inverse
+    lam, res, v, ok = start
+    upper = _certify_max(band, lam, tol) if res <= tol else None
+    if upper is None:  # the start is not the answer: shift, then solve
+        inverse = _shift_above_lambda_max(band, lam, max(SHIFT_GAP, res / 4), gershgorin)
+        lam, res, v, ok = _shift_invert(a, inverse, arp_tol, v)
+        del inverse
+        upper = _certify_max(band, lam, tol)
+    return lam, res, v, ok, upper
+
+
+def _interlacing_lower_bound(a: SparseSymmetric) -> float:
+    """Largest eigenvalue of any 2x2 principal submatrix [[a_ii, a_ij],
+    [a_ij, a_jj]] over the off-diagonal nonzeros, or max a_ii without them:
+    a lower bound of lambda_max by Cauchy interlacing."""
+    coo = a.matrix.tocoo()
+    upper = coo.row < coo.col
+    d = a.diagonal
+    ai, aj = d[coo.row[upper]], d[coo.col[upper]]
+    pair = 0.5 * (ai + aj) + np.hypot(0.5 * (ai - aj), coo.data[upper])
+    return float(max(d.max(), pair.max(initial=-np.inf)))
+
+
+def _local_rows(a: SparseSymmetric, abs_a, row_sums: np.ndarray) -> np.ndarray | None:
+    """The rows S of the lambda_max start's submatrix (see the module
+    docstring), from abs_a = |A| and its row sums: those whose Gershgorin
+    disc reaches the interlacing bound, grown by LOCAL_LAYERS layers of A's
+    graph; None as soon as they exceed LOCAL_SHARE of A's rows."""
+    limit = LOCAL_SHARE * a.order
+    rows = row_sums >= _interlacing_lower_bound(a)
+    for _ in range(LOCAL_LAYERS):
+        if np.count_nonzero(rows) > limit:
+            return None
+        rows = abs_a @ rows > 0
+    return np.flatnonzero(rows) if np.count_nonzero(rows) <= limit else None
+
+
+def _dense(order: int, dense_cutoff: int) -> bool:
+    return order <= dense_cutoff or order < 2  # ARPACK needs k = 1 < order
+
+
+def _local_start(a: SparseSymmetric, rows: np.ndarray, tol: float, dense_cutoff: int,
+                 v0: np.ndarray):
+    """(start, band): start = (Rayleigh quotient on A, its residual, vector,
+    converged) of the top eigenvector of A[rows][:, rows] padded with
+    zeros, from the dense eigensolver or from _lambda_max on the
+    submatrix's own band, which is returned (None on the dense path)."""
+    sub = SparseSymmetric(a.matrix[rows][:, rows])
+    band, ok = None, True
+    if _dense(sub.order, dense_cutoff):
+        v_sub = np.linalg.eigh(sub.toarray())[1][:, -1]
+    else:
+        band = _Band(sub.matrix)
+        gershgorin = float(abs(sub.matrix).sum(axis=1).max())
+        _, _, v_sub, ok, _ = _lambda_max(sub, band, gershgorin, tol, tol, v0[rows])
+    v = np.zeros(a.order)
+    v[rows] = v_sub
+    return (*_rayleigh(a, v), v, ok), band
+
+
 def extreme_eigenvalues(
     a: SparseSymmetric,
     tol: float = DEFAULT_TOL,
@@ -408,51 +530,49 @@ def extreme_eigenvalues(
     """Smallest and largest eigenvalue of an SPD matrix with condition number.
 
     Order <= dense_cutoff, or below 2, takes both eigenpairs from a dense
-    eigensolver.  Above it, up to three shift-invert solves run (see the
-    module docstring): lambda_min at zero, the lambda_max start at the
-    Gershgorin shift and, unless the start is already certified to tol,
-    lambda_max at a shift shown above it.  MAXITER caps the ARPACK
-    iterations (restarts) of each.  A start that is not the answer only
-    supplies a shift and a vector, so its own convergence is then not
-    required.  A reported solve that hits the cap is flagged
-    converged=False; its eigenvalue is still the Rayleigh quotient of the
-    returned vector on A, so lambda_max never exceeds the true lambda_max
-    and lambda_min never falls below the true lambda_min.
+    eigensolver.  Above it, shift-invert solves run (see the module
+    docstring): lambda_min at zero, the lambda_max start (on the submatrix
+    where lambda_max's eigenvector lives, which takes the same dense or
+    shift-invert path by its own order, or on A at the Gershgorin shift)
+    and, unless the start is already certified to tol on A, lambda_max at a
+    shift shown above it.  MAXITER caps the ARPACK iterations (restarts) of
+    each.  A start that is not the answer only supplies a shift and a
+    vector, so its own convergence is then not required.  A reported solve
+    that hits the cap is flagged converged=False; its eigenvalue is still
+    the Rayleigh quotient of the returned vector on A, so lambda_max never
+    exceeds the true lambda_max and lambda_min never falls below the true
+    lambda_min.
     """
     _check_tol(tol)
     # One factor at a time: each is released before the next is built.  The
-    # factor at zero chooses the band order that the others share.
+    # factor at zero chooses the band order that A's other factors share.
     inverse = _factor_at_zero(a)
     band = inverse.band
+    local_band, local_rows = None, 0
 
-    def certify_max(theta):
-        return _shifted_bound(band, theta * (1 + tol * 1e-2), upper=True)
-
-    if a.order <= dense_cutoff or a.order < 2:  # ARPACK needs k = 1 < order
+    if _dense(a.order, dense_cutoff):
         del inverse
         method, ok = "dense", True
         vals, vecs = np.linalg.eigh(a.toarray())
         v_min, v_max = vecs[:, 0].copy(), vecs[:, -1].copy()
         lam_min, res_min = _rayleigh(a, v_min, float(vals[0]))
         lam_max, res_max = _rayleigh(a, v_max, float(vals[-1]))
-        upper = certify_max(lam_max)
+        upper = _certify_max(band, lam_max, tol)
     else:
         method = "lanczos_shift_invert"
         v0 = np.random.default_rng(seed).standard_normal(a.order)
         lam_min, res_min, v_min, ok_min = _shift_invert(a, inverse, _arpack_tol(tol), v0)
-        gershgorin = float(abs(a.matrix).sum(axis=1).max())
-        inverse = None  # release the factor at zero before the start's
-        inverse = _inverse_above(band, gershgorin * (1 + SHIFT_GAP), gershgorin)
-        lam_max, res_max, v_max, ok_max = _shift_invert(a, inverse, START_TOL, v0)
-        inverse = None
-        upper = certify_max(lam_max) if res_max <= tol else None
-        if upper is None:  # the start is not the answer: shift, then solve
-            inverse = _shift_above_lambda_max(
-                band, lam_max, max(SHIFT_GAP, res_max / 4), gershgorin)
-            lam_max, res_max, v_max, ok_max = _shift_invert(
-                a, inverse, _arpack_tol(tol), v_max)
-            del inverse
-            upper = certify_max(lam_max)
+        del inverse  # release the factor at zero before the next is built
+        abs_a = abs(a.matrix)
+        row_sums = np.asarray(abs_a.sum(axis=1)).ravel()
+        rows = _local_rows(a, abs_a, row_sums)
+        del abs_a
+        start = None
+        if rows is not None:
+            local_rows = len(rows)
+            start, local_band = _local_start(a, rows, tol, dense_cutoff, v0)
+        lam_max, res_max, v_max, ok_max, upper = _lambda_max(
+            a, band, float(row_sums.max()), tol, _arpack_tol(tol), v0, start)
         ok = ok_min and ok_max
     if lam_min <= 0:  # A passed the factor at zero, so it is numerically singular
         raise EigenSolveError(f"matrix is numerically singular (lambda_min = {lam_min:.6g})")
@@ -471,8 +591,9 @@ def extreme_eigenvalues(
         lambda_max_upper=upper if upper is not None else float("nan"),
         certified=certified,
         factor_nnz=band.n * (band.kd + 1),
-        solves=band.solves,
-        factorizations=band.factorizations,
+        solves=band.solves + (local_band.solves if local_band else 0),
+        factorizations=band.factorizations + (local_band.factorizations if local_band else 0),
+        local_rows=local_rows,
         v_min=v_min,
         v_max=v_max,
     )

@@ -191,18 +191,6 @@ def lambda_max_unfiltered(a, tol: float = 1e-8, seed: int = 0) -> float:
     return float(vals[0])
 
 
-def interlacing_lower_bound(a) -> float:
-    """Largest eigenvalue of any 2x2 principal submatrix [[a_ii, a_ij],
-    [a_ij, a_jj]] over the off-diagonal nonzeros, or max a_ii without them:
-    a lower bound of lambda_max by Cauchy interlacing."""
-    coo = a.matrix.tocoo()
-    upper = coo.row < coo.col
-    d = a.diagonal
-    ai, aj = d[coo.row[upper]], d[coo.col[upper]]
-    pair = 0.5 * (ai + aj) + np.hypot(0.5 * (ai - aj), coo.data[upper])
-    return float(max(d.max(), pair.max(initial=-np.inf)))
-
-
 def read_matrix_market(path) -> SparseSymmetric:
     """Read back a file of femcond.write_matrix_market: a square symmetric
     MatrixMarket coordinate file, or ValueError."""

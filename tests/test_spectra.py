@@ -10,10 +10,13 @@ from scipy.linalg.lapack import dpbtrf
 import femcond as fc
 from femcond.assembly import SparseSymmetric
 from femcond.spectra import (
+    DENSE_CUTOFF,
+    LOCAL_SHARE,
     SHIFT_GAP,
     EigenSolveError,
     _Band,
     _factor_at_zero,
+    _interlacing_lower_bound,
     _inverse_above,
     _rayleigh,
     _rounding_margin,
@@ -27,7 +30,6 @@ from oracles import (
     assemble_mass_weighted,
     density_equidistributed,
     generalized_min_eigenvalue,
-    interlacing_lower_bound,
     lambda_max_unfiltered,
     toeplitz_kappa_1d,
 )
@@ -116,6 +118,15 @@ def _boundary_layer_a() -> SparseSymmetric:
     return fc.assemble_stiffness(mesh, fc.DiffusionField.identity(2))
 
 
+def _local_a() -> SparseSymmetric:
+    """Order 400, aspect 125, D = diag(1 + x, 1 + 10 y): lambda_max's
+    eigenvector lives on 139 rows along the boundary layer."""
+    mesh = fc.generate_boundary_layer(2, 20, 125.0)
+    field = fc.DiffusionField.from_callable(
+        2, lambda x: np.diag([1.0 + x[0], 1.0 + 10.0 * x[1]]), 1.0, 11.0)
+    return fc.assemble_stiffness(mesh, field)
+
+
 def _laplacian_1d(n: int, shift: float = 0.0) -> SparseSymmetric:
     """tridiag(-1, 2 - shift, -1) of order n."""
     return SparseSymmetric(
@@ -140,12 +151,14 @@ class TestFilteredLambdaMax:
             lambda_max_unfiltered(a, tol, seed), rel=10 * tol)
 
     def test_diagonal_matrix_above_cutoff(self, rng):
-        # no off-diagonal entries: the Gershgorin bound is max a_ii
+        # no off-diagonal entries: the Gershgorin bound is max a_ii, and
+        # the lambda_max start is the dense 1 x 1 submatrix on its row
         diag = rng.uniform(1.0, 2.0, 3000)
         a = SparseSymmetric(sp.diags(diag, format="csr"))
         r = extreme_eigenvalues(a)
         assert r.method == "lanczos_shift_invert"
         assert r.converged
+        assert r.local_rows == 1
         assert r.lambda_max == pytest.approx(diag.max(), rel=1e-12)
         assert r.lambda_min == pytest.approx(diag.min(), rel=1e-12)
 
@@ -191,7 +204,7 @@ class TestFilteredLambdaMax:
     def test_at_least_the_lower_bounds(self):
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=10)
-        assert r.lambda_max >= interlacing_lower_bound(a)
+        assert r.lambda_max >= _interlacing_lower_bound(a)
         assert r.lambda_max >= fc.bound_lambda_max(a, 2)[0]
 
     def test_unconverged_lambda_max_is_a_rayleigh_quotient(self, monkeypatch):
@@ -252,8 +265,8 @@ class TestShiftInvertLambdaMax:
         assert r.solves > 0
 
     def test_one_band_order_per_call(self, monkeypatch):
-        a = fc.assemble_stiffness(fc.generate_boundary_layer(3, 11, 25.0),
-                                  fc.DiffusionField.identity(3))
+        # One ordering for A and, when the lambda_max start runs on the
+        # submatrix, one for it: the 3D layer falls back, the 2D one does not.
         orders, bands = [], []
         rcm, dpbtrf = fc.spectra.reverse_cuthill_mckee, fc.spectra.dpbtrf
 
@@ -270,14 +283,23 @@ class TestShiftInvertLambdaMax:
 
         monkeypatch.setattr(fc.spectra, "reverse_cuthill_mckee", rcm_spy)
         monkeypatch.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
-        r = extreme_eigenvalues(a, dense_cutoff=10)
-        assert r.converged
-        assert len(orders) == 1
-        assert len(bands) == r.factorizations
-        (shape, f_order, in_place), = set(bands)
-        assert f_order and in_place
-        kd = shape[0] - 1
-        assert shape == (kd + 1, a.order) and r.factor_nnz == a.order * (kd + 1)
+        a3 = fc.assemble_stiffness(fc.generate_boundary_layer(3, 11, 25.0),
+                                   fc.DiffusionField.identity(3))
+        for a, n_orders in ((a3, 1), (_local_a(), 2)):
+            orders.clear()
+            bands.clear()
+            r = extreme_eigenvalues(a, dense_cutoff=10)
+            assert r.converged
+            assert (r.local_rows > 0) == (n_orders == 2)
+            assert len(bands) == r.factorizations
+            assert {(f_order, in_place) for _, f_order, in_place in bands} == {(True, True)}
+            # A's band, which factor_nnz reports, and the submatrix's
+            shapes = {shape for shape, _, _ in bands}
+            sizes = [a.order, r.local_rows][:n_orders]
+            assert [len(q) for q in orders] == sizes
+            assert len(shapes) == n_orders and {n for _, n in shapes} == set(sizes)
+            kd = r.factor_nnz // a.order - 1
+            assert (kd + 1, a.order) in shapes and r.factor_nnz == a.order * (kd + 1)
 
     def test_band_stays_narrow_under_relabelled_vertices(self):
         # An imported mesh (say from Triangle) numbers its vertices in no
@@ -319,6 +341,76 @@ class TestShiftInvertLambdaMax:
             tracemalloc.stop()
         assert r.converged
         assert peak <= 2.0 * 8 * r.factor_nnz
+
+
+class TestLocalStart:
+    """lambda_max's start from the submatrix on the rows where its
+    eigenvector lives, certified on the full A, against dense eigh."""
+
+    @pytest.fixture(scope="class")
+    def local(self):
+        a = _local_a()
+        return a, np.linalg.eigvalsh(a.toarray())
+
+    @pytest.fixture
+    def shifted_on(self, monkeypatch):
+        # the order of every band that the lambda_max shift step runs on
+        orders = []
+        shift = fc.spectra._shift_above_lambda_max
+
+        def shift_spy(band, *args):
+            orders.append(band.n)
+            return shift(band, *args)
+
+        monkeypatch.setattr(fc.spectra, "_shift_above_lambda_max", shift_spy)
+        return orders
+
+    @pytest.mark.parametrize("dense_cutoff", [10, DENSE_CUTOFF])
+    def test_stretched_layer_takes_the_local_path(self, local, shifted_on, dense_cutoff):
+        # The submatrix goes through the iterative path at dense_cutoff 10
+        # and the dense one at DENSE_CUTOFF; A is iterative either way.  The
+        # padded vector is the answer, so A's band has no shift step.
+        a, vals = local
+        tol = 1e-8
+        r = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff)
+        assert r.method == "lanczos_shift_invert"
+        assert 0 < r.local_rows <= a.order / 2
+        assert (r.local_rows <= dense_cutoff) == (dense_cutoff == DENSE_CUTOFF)
+        assert a.order not in shifted_on
+        assert r.converged and r.certified
+        assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
+        assert r.lambda_max <= vals[-1] * (1 + 1e-14)
+        assert vals[-1] <= r.lambda_max_upper
+        assert np.count_nonzero(r.v_max) == r.local_rows
+
+    @pytest.mark.parametrize("case", ["aspect-5", "SAS"])
+    def test_spread_eigenvector_falls_back(self, case):
+        # The Gershgorin seed rows alone exceed half the rows: the start
+        # stays on A at the Gershgorin shift.
+        if case == "aspect-5":
+            a = fc.assemble_stiffness(fc.generate_boundary_layer(2, 20, 5.0),
+                                      fc.DiffusionField.identity(2))
+        else:
+            a = fc.jacobi_scale(_local_a())
+        vals = np.linalg.eigvalsh(a.toarray())
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.local_rows == 0
+        assert r.converged and r.certified
+        assert r.lambda_max == pytest.approx(vals[-1], rel=1e-7)
+        assert np.count_nonzero(r.v_max) == a.order
+
+    def test_forced_miss_ends_certified(self, local, shifted_on, monkeypatch):
+        # Without the 6 layers the padded vector misses tol on A, and A's
+        # own shift step and final solve take over from it.
+        a, vals = local
+        monkeypatch.setattr(fc.spectra, "LOCAL_LAYERS", 0)
+        tol = 1e-8
+        r = extreme_eigenvalues(a, tol, dense_cutoff=10)
+        assert 0 < r.local_rows < 139
+        assert a.order in shifted_on
+        assert r.converged and r.certified
+        assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
+        assert r.lambda_max_upper >= vals[-1]
 
 
 class TestCertificate:
@@ -493,7 +585,9 @@ class TestScaledBand:
     @pytest.fixture(scope="class")
     def factors(self):
         # (band, sigma, upper, factor or None) of every factorization and
-        # dpbtrf's output of each, completed or not, of one call
+        # dpbtrf's output of each, completed or not, of two calls: one with
+        # the lambda_max start on the submatrix, one with it on A at the
+        # Gershgorin shift
         a = _variable_field_a()
         built, outputs = [], []
         cholesky = _Band.cholesky
@@ -511,20 +605,27 @@ class TestScaledBand:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Band, "cholesky", cholesky_spy)
             mp.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
-            r = extreme_eigenvalues(a)
-        assert r.method == "lanczos_shift_invert" and r.converged
-        assert len(built) == len(outputs) == r.factorizations
-        return built, outputs
+            for share in (LOCAL_SHARE, 0.0):
+                mp.setattr(fc.spectra, "LOCAL_SHARE", share)
+                before = len(built)
+                r = extreme_eigenvalues(a)
+                assert r.method == "lanczos_shift_invert" and r.converged
+                assert (r.local_rows > 0) == (share > 0)
+                assert len(built) - before == r.factorizations
+        assert len(built) == len(outputs)
+        return a, built, outputs
 
     def test_no_factor_holds_a_subnormal(self, factors):
-        built, outputs = factors
+        a, built, outputs = factors
         assert [_subnormals(f) for f in outputs] == [0] * len(outputs)
-        # unscaled, the lambda_max start's factor (the second) has some
-        band, sigma, upper, _ = built[1]
-        assert upper and _subnormals(_unscaled_factor(band, sigma, upper)[0]) > 0
+        # unscaled, the factor at the lambda_max start on A has some
+        start = float(abs(a.matrix).sum(axis=1).max()) * (1 + SHIFT_GAP)
+        (band, sigma, upper), = [b[:3] for b in built if b[0].n == a.order and b[1] == start]
+        assert upper
+        assert _subnormals(_unscaled_factor(band, sigma, upper)[0]) > 0
 
     def test_factor_is_the_unscaled_one_scaled(self, factors):
-        built, _ = factors
+        _, built, _ = factors
         completed = [b for b in built if b[3] is not None]
         assert len(completed) >= 4
         for band, sigma, upper, factor in completed:
