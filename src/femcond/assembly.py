@@ -3,10 +3,12 @@
 Linear (P1) basis functions on simplicial meshes; the diffusion coefficient
 enters through its per-element average D_K, computed for all elements in one
 batch (`average_diffusion_all`) with the one degree-2 rule of the dimension
-(`quadrature.DEGREE2_RULES`).  Only 2D shares points between elements: the
-field is evaluated once per mesh edge, at its midpoint, and each triangle
-averages the values on its three edges.  Assembly from a given D_K array is
-split out so that a caller holding D_K already does not average it again.
+(`quadrature.DEGREE2_RULES`) and one call of the field's batch evaluator (a
+pointwise function is looped over only inside `DiffusionField.from_callable`).
+Only 2D shares points between elements: the field is evaluated once per mesh
+edge, at its midpoint, and each triangle averages the values on its three
+edges.  Assembly from a given D_K array is split out so that a caller holding
+D_K already does not average it again.
 Boundary rows and columns are never assembled: the system lives on the
 interior vertices only.  Assembly is deterministic: the same mesh and field
 produce a bit-identical matrix.
@@ -41,18 +43,21 @@ _SPECTRUM_SLACK = 1e-9
 class DiffusionField:
     """Matrix-valued diffusion coefficient with known spectral bounds.
 
-    evaluator maps a point (d,) to a symmetric positive definite (d, d)
-    matrix whose eigenvalues lie in [d_min, d_max].  constant is set for
-    spatially constant fields, letting element averaging short-circuit.
+    Exactly one of evaluator and constant is set.  evaluator, for a variable
+    field, maps an (m, d) array of points to the (m, d, d) array of SPD
+    matrices at them, with eigenvalues in [d_min, d_max].  constant, for a
+    spatially constant field, lets element averaging short-circuit.
     """
 
     dim: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray], np.ndarray] | None
     d_min: float
     d_max: float
     constant: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.evaluator is None) == (self.constant is None):
+            raise ValueError("a diffusion field needs exactly one of evaluator and constant")
         if not (0 < self.d_min <= self.d_max):
             raise ValueError("need 0 < d_min <= d_max")
         if self.constant is not None:
@@ -62,8 +67,7 @@ class DiffusionField:
 
     @staticmethod
     def identity(dim: int) -> "DiffusionField":
-        eye = np.eye(dim)
-        return DiffusionField(dim, lambda x: eye, 1.0, 1.0, constant=eye)
+        return DiffusionField.constant_matrix(np.eye(dim))
 
     @staticmethod
     def constant_matrix(matrix) -> "DiffusionField":
@@ -80,13 +84,16 @@ class DiffusionField:
         eigs = np.linalg.eigvalsh(m)
         if eigs[0] <= 0:
             raise ValueError("diffusion matrix must be positive definite")
-        return DiffusionField(
-            m.shape[0], lambda x: m, float(eigs[0]), float(eigs[-1]), constant=m
-        )
+        return DiffusionField(m.shape[0], None, float(eigs[0]), float(eigs[-1]), constant=m)
 
     @staticmethod
     def from_callable(dim: int, f, d_min: float, d_max: float) -> "DiffusionField":
-        return DiffusionField(dim, f, float(d_min), float(d_max))
+        """Variable field from a pointwise f: (d,) -> (d, d), which the batch
+        evaluator calls once per point, in order: the one per-point loop."""
+        def evaluator(points: np.ndarray) -> np.ndarray:
+            return np.array([np.asarray(f(x), dtype=float).reshape(dim, dim) for x in points])
+
+        return DiffusionField(dim, evaluator, float(d_min), float(d_max))
 
 
 def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:
@@ -119,15 +126,6 @@ def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:
     )
 
 
-def _evaluate(field: DiffusionField, points: np.ndarray) -> np.ndarray:
-    """The field at each point of (m, d), one evaluator call per point,
-    stacked once as (m, d, d)."""
-    d = field.dim
-    return np.array([
-        np.asarray(field.evaluator(x), dtype=float).reshape(d, d) for x in points
-    ])
-
-
 def _first_bad_point(index: np.ndarray):
     """locate for _check_spectrum when index[k, j] is the stack row of local
     point j of element k: the first offending element in element order, and
@@ -147,9 +145,10 @@ def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.nda
     quadratic integrands, hence for constant and affine coefficient fields:
     D_K is the mean of the field at the element's m points, and local point
     j is row j of the table (in 2D, the midpoint of the edge opposite vertex
-    j).  Only 2D points are shared: the evaluator is called once per mesh
-    edge, and the two triangles of an interior edge share its value.  In 1D
-    and 3D it is called once per element and point (2 and 4 per element).
+    j).  The batch evaluator is called once, on every point at once.  Only
+    2D points are shared: one point per mesh edge, whose value the two
+    triangles of an interior edge share.  In 1D and 3D there is one point
+    per element and local point (2 and 4 per element).
     Every value is checked for finiteness, symmetry and the declared
     eigenvalue range, and every average for positive definiteness; a
     failure names the first offending element and its local point.
@@ -169,7 +168,9 @@ def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.nda
     else:
         points = (DEGREE2_RULES[d] @ mesh.vertices[mesh.elements]).reshape(-1, d)
         index = np.arange(len(points)).reshape(n, -1)
-    mats = _evaluate(field, points)
+    mats = np.asarray(field.evaluator(points), dtype=float)
+    if mats.shape != points.shape + (d,):
+        raise ValueError(f"diffusion evaluator gave shape {mats.shape}, not {points.shape + (d,)}")
     _check_spectrum(field, mats, _first_bad_point(index))
     out = mats[index].sum(axis=1) / index.shape[1]
     not_spd = np.linalg.eigvalsh(out)[:, 0] <= 0
@@ -187,7 +188,7 @@ class SparseSymmetric:
     duplicates summed, explicit zeros kept), so each (i, j) is read once,
     plus a dense copy of the diagonal, taken at construction.  A matrix not
     in that form is copied first; the caller's is never modified.
-    Construction verifies exact structural and numerical symmetry.
+    An empty matrix is refused; so is one that is not exactly symmetric.
     """
 
     matrix: sp.csr_matrix
@@ -197,6 +198,8 @@ class SparseSymmetric:
         m = self.matrix
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        if m.shape[0] == 0:
+            raise ValueError("matrix has order 0 (empty system)")
         if not (sp.issparse(m) and m.format == "csr" and m.has_canonical_format):
             m = sp.csr_matrix(m, copy=True)
             m.sum_duplicates()

@@ -227,8 +227,8 @@ class SimplicialMesh:
         """Facet planes (normals, offsets) of a convex domain, else None.
 
         Each boundary facet spans a plane n . x = c with unit normal n
-        pointing away from the volume centroid of the mesh; coplanar facets
-        are merged into one plane (normal and offset rounded to 12 digits of
+        pointing away from the mean of the vertices; coplanar facets are
+        merged into one plane (normal and offset rounded to 12 digits of
         the coordinate scale).  The domain is called convex when every
         boundary vertex v satisfies every plane, n . v <= c + slack with the
         slack 1e-10 times the coordinate scale.  Every facet then lies on a
@@ -238,6 +238,12 @@ class SimplicialMesh:
         domain.  In 1D the boundary is the two end points of one interval
         (SimplicialMesh refuses any other count), whose planes have the
         normals -1 and +1.
+
+        Any point strictly inside a convex domain is strictly inside every
+        facet plane, so it turns them all outward, and the vertex mean (every
+        vertex with a positive weight) is one.  A non-convex domain has a
+        facet plane with boundary vertices beyond it on both sides, so it
+        fails the test however that plane is turned.
         """
         corners = self.vertices[self.boundary_facets]  # facet, corner, coordinate
         edges = corners[:, 1:] - corners[:, :1]
@@ -249,8 +255,7 @@ class SimplicialMesh:
             normal = np.cross(edges[:, 0], edges[:, 1])
         normal /= np.linalg.norm(normal, axis=1)[:, None]
         offset = (normal * corners[:, 0]).sum(axis=1)
-        centre = self.volumes @ self.centroids() / self.volumes.sum()
-        outward = np.where(offset >= normal @ centre, 1.0, -1.0)
+        outward = np.where(offset >= normal @ self.vertices.mean(axis=0), 1.0, -1.0)
         normal *= outward[:, None]
         offset *= outward
         scale = float(np.abs(self.vertices).max()) or 1.0

@@ -45,12 +45,14 @@ up to three steps.
 Local start.  On a stretched boundary layer the top of A's spectrum belongs
 to the thin cells along the boundary, and lambda_max's eigenvector lives on
 the rows near them: 2 604 of 10 000 on a 2D layer of aspect 25 or 125.  The
-seeds are the rows whose Gershgorin disc reaches the interlacing bound l <=
-lambda_max, the largest eigenvalue of any 2 x 2 principal submatrix:
-a_ii + sum_{j != i} |a_ij| >= l.  On any other row the eigen-equation
-(lambda_max - a_ii) v_i = sum_{j != i} a_ij v_j has weights |a_ij| /
-(lambda_max - a_ii) that sum to less than 1, so |v_i| is below the largest
-|v_j| of its neighbours and the eigenvector decays away from the seeds.  S
+seeds are the rows whose Gershgorin disc reaches l = max_i a_ii <= lambda_max
+(a Rayleigh quotient): a_ii + sum_{j != i} |a_ij| >= l.  On any other row
+that sum is below l, so the eigen-equation (lambda_max - a_ii) v_i =
+sum_{j != i} a_ij v_j has weights |a_ij| / (lambda_max - a_ii) that sum to
+less than 1, |v_i| is below the largest |v_j| of its neighbours and the
+eigenvector decays away from the seeds.  Any lower bound of lambda_max
+would do; the larger interlacing bound (2 x 2 principal submatrices) gave
+the same S on every iterative matrix of the committed sweeps.  S
 is the seeds grown by LOCAL_LAYERS = 6 layers of A's graph: at aspect 25
 the padded vector's residual on A was 1.6e-7 with 4 layers, 7.1e-9 with 5
 and 3.2e-10 with 6, against a tolerance of 1e-8.  When |S| <= n / 2
@@ -195,7 +197,7 @@ KRYLOV_VECTORS = 10
 # ARPACK's default.
 MAXITER = None
 # The lambda_max start's submatrix: the rows whose Gershgorin disc reaches
-# the interlacing bound, grown by LOCAL_LAYERS layers of A's graph, and
+# max_i a_ii, grown by LOCAL_LAYERS layers of A's graph, and
 # taken only while they are at most LOCAL_SHARE of A's rows.
 LOCAL_LAYERS = 6
 LOCAL_SHARE = 0.5
@@ -471,25 +473,13 @@ def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
     return lam, res, v, ok, upper
 
 
-def _interlacing_lower_bound(a: SparseSymmetric) -> float:
-    """Largest eigenvalue of any 2x2 principal submatrix [[a_ii, a_ij],
-    [a_ij, a_jj]] over the off-diagonal nonzeros, or max a_ii without them:
-    a lower bound of lambda_max by Cauchy interlacing."""
-    coo = a.matrix.tocoo()
-    upper = coo.row < coo.col
-    d = a.diagonal
-    ai, aj = d[coo.row[upper]], d[coo.col[upper]]
-    pair = 0.5 * (ai + aj) + np.hypot(0.5 * (ai - aj), coo.data[upper])
-    return float(max(d.max(), pair.max(initial=-np.inf)))
-
-
 def _local_rows(a: SparseSymmetric, abs_a, row_sums: np.ndarray) -> np.ndarray | None:
     """The rows S of the lambda_max start's submatrix (see the module
     docstring), from abs_a = |A| and its row sums: those whose Gershgorin
-    disc reaches the interlacing bound, grown by LOCAL_LAYERS layers of A's
-    graph; None as soon as they exceed LOCAL_SHARE of A's rows."""
+    disc reaches max_i a_ii, grown by LOCAL_LAYERS layers of A's graph; None
+    as soon as they exceed LOCAL_SHARE of A's rows."""
     limit = LOCAL_SHARE * a.order
-    rows = row_sums >= _interlacing_lower_bound(a)
+    rows = row_sums >= a.diagonal.max()
     for _ in range(LOCAL_LAYERS):
         if np.count_nonzero(rows) > limit:
             return None

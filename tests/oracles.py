@@ -122,10 +122,8 @@ def average_diffusion_dense(mesh, field: DiffusionField, verts: np.ndarray,
     pts, wts = duffy_rule(d, quad_points)
     v0 = verts[0]
     edges = (verts[1:] - v0).T
-    out = np.zeros((d, d))
-    for q in range(len(wts)):
-        out += wts[q] * np.asarray(field.evaluator(v0 + edges @ pts[q]))
-    return out * math.factorial(d)
+    mats = field.evaluator(v0 + pts @ edges.T)  # one batch call per element
+    return np.tensordot(wts, mats, axes=1) * math.factorial(d)
 
 
 def assemble_mass_dense(mesh: SimplicialMesh, rho_k: np.ndarray) -> np.ndarray:
@@ -189,6 +187,18 @@ def lambda_max_unfiltered(a, tol: float = 1e-8, seed: int = 0) -> float:
     vals = spla.eigsh(a.matrix, k=1, which="LA", tol=max(tol * 1e-2, 1e-14), v0=v0,
                       return_eigenvectors=False)
     return float(vals[0])
+
+
+def interlacing_lower_bound(a) -> float:
+    """Largest eigenvalue of any 2x2 principal submatrix [[a_ii, a_ij],
+    [a_ij, a_jj]] over the off-diagonal nonzeros, or max a_ii without them:
+    a lower bound of lambda_max by Cauchy interlacing."""
+    coo = a.matrix.tocoo()
+    upper = coo.row < coo.col
+    d = a.diagonal
+    ai, aj = d[coo.row[upper]], d[coo.col[upper]]
+    pair = 0.5 * (ai + aj) + np.hypot(0.5 * (ai - aj), coo.data[upper])
+    return float(max(d.max(), pair.max(initial=-np.inf)))
 
 
 def read_matrix_market(path) -> SparseSymmetric:
@@ -277,6 +287,33 @@ def boundary_facets_unique_rows(mesh: SimplicialMesh) -> np.ndarray:
         [np.delete(mesh.elements, drop, axis=1) for drop in range(d + 1)]), axis=1)
     uniq, counts = np.unique(facets, axis=0, return_counts=True)
     return uniq[counts == 1]
+
+
+def half_spaces_from_volume_centroid(mesh: SimplicialMesh):
+    """SimplicialMesh.convex_half_spaces with every plane oriented away from
+    the volume centroid sum_K |K| c_K / |domain| instead of the vertex mean."""
+    corners = mesh.vertices[mesh.boundary_facets]
+    edges = corners[:, 1:] - corners[:, :1]
+    if mesh.dim == 1:
+        normal = np.ones((len(corners), 1))
+    elif mesh.dim == 2:
+        normal = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
+    else:
+        normal = np.cross(edges[:, 0], edges[:, 1])
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    offset = (normal * corners[:, 0]).sum(axis=1)
+    centre = mesh.volumes @ mesh.centroids() / mesh.volumes.sum()
+    outward = np.where(offset >= normal @ centre, 1.0, -1.0)
+    normal *= outward[:, None]
+    offset *= outward
+    scale = float(np.abs(mesh.vertices).max()) or 1.0
+    key = np.round(np.column_stack([normal, offset / scale]), 12)
+    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    normal, offset = normal[first], offset[first]
+    b = mesh.vertices[mesh.boundary_vertex_flags]
+    if np.any(b @ normal.T > offset + 1e-10 * scale):
+        return None
+    return normal, offset
 
 
 def _point_segment_distance(points, a, b):

@@ -96,6 +96,35 @@ class TestAverageDiffusion:
             err = np.abs(dk - oracle).max(axis=(1, 2))
             assert np.all(err <= 1e-13 * np.abs(oracle).max(axis=(1, 2)))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_batch_evaluator_called_once(self, dim, rng):
+        # one call on every point of the mesh, and the same D_K bits as the
+        # pointwise twin that from_callable loops over
+        calls = []
+
+        def batch(points):
+            calls.append(points.shape)
+            return _quadratic_field_batch(points)
+
+        batch_field = fc.DiffusionField(dim, batch, 0.1, dim + 2.0)
+        pointwise = fc.DiffusionField.from_callable(dim, _quadratic_field, 0.1, dim + 2.0)
+        mesh = random_mesh(rng, dim)
+        dk = fc.average_diffusion_all(mesh, batch_field)
+        n_points = len(mesh.facets) if dim == 2 else mesh.n_elements * (dim + 1)
+        assert calls == [(n_points, dim)]
+        assert np.array_equal(dk, fc.average_diffusion_all(mesh, pointwise))
+
+    def test_field_needs_exactly_one_of_evaluator_and_constant(self):
+        with pytest.raises(ValueError, match="exactly one of evaluator and constant"):
+            fc.DiffusionField(2, None, 1.0, 1.0)
+        with pytest.raises(ValueError, match="exactly one of evaluator and constant"):
+            fc.DiffusionField(2, _quadratic_field_batch, 1.0, 1.0, constant=np.eye(2))
+
+    def test_wrong_batch_shape_rejected(self):
+        field = fc.DiffusionField(2, lambda p: np.ones((len(p), 2)), 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"gave shape \(16, 2\), not \(16, 2, 2\)"):
+            fc.average_diffusion_all(fc.generate_uniform(2, 2), field)
+
     def test_variable_field_averages_bit_identical(self, rng):
         mesh = random_mesh(rng, dim=2)
         field = fc.DiffusionField.from_callable(2, _quadratic_field, 0.1, 4.0)
@@ -108,6 +137,14 @@ def _quadratic_field(x):
     [[1 + x^2, xy/4], [xy/4, 2 + y^2]].  SPD on the unit box."""
     d = len(x)
     return np.diag(np.arange(1.0, d + 1) + x**2) + (1 - np.eye(d)) * np.outer(x, x) / 4
+
+
+def _quadratic_field_batch(points):
+    """_quadratic_field at each row of points (m, d), as (m, d, d)."""
+    d = points.shape[1]
+    diag = np.arange(1.0, d + 1) + points**2
+    outer = points[:, :, None] * points[:, None, :]
+    return diag[:, :, None] * np.eye(d) + (1 - np.eye(d)) * outer / 4
 
 
 class TestAssembleStiffness:

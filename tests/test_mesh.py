@@ -18,6 +18,7 @@ from conftest import box_mesh, random_mesh
 from oracles import (
     boundary_distance_brute,
     boundary_facets_unique_rows,
+    half_spaces_from_volume_centroid,
     p_min,
 )
 
@@ -488,6 +489,53 @@ class TestHalfSpaceDistance:
         d = fc.mesh._boundary_distance_batch(mesh, pts)
         assert calls == [mesh]
         assert np.array_equal(d, boundary_distance_brute(mesh, pts))
+
+
+def _graded_sheared(dim: int, n: int) -> fc.SimplicialMesh:
+    """The unit-box mesh with every coordinate cubed (cells crowd towards
+    the origin), then sheared: a convex domain whose vertex mean lies far
+    from its volume centroid."""
+    base = fc.generate_uniform(dim, n)
+    shear = np.eye(dim)
+    shear[0, 1:] = 0.7
+    return fc.SimplicialMesh(dim, base.vertices**3 @ shear.T, base.elements)
+
+
+class TestConvexHalfSpaces:
+    """The facet planes are oriented from the vertex mean; any interior
+    point gives the same planes as the volume centroid."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 12), (2, 12), (3, 5)])
+    def test_vertex_mean_orients_like_the_volume_centroid(self, dim, n):
+        mesh = _graded_sheared(dim, n)
+        centre = mesh.volumes @ mesh.centroids() / mesh.volumes.sum()
+        assert np.linalg.norm(mesh.vertices.mean(axis=0) - centre) > 0.15 * math.sqrt(dim)
+        planes = mesh.convex_half_spaces
+        expected = half_spaces_from_volume_centroid(mesh)
+        assert planes is not None and expected is not None
+        assert len(planes[1]) == 2 * dim
+        for got, want in zip(planes, expected):
+            assert np.array_equal(got, want)
+
+    def test_l_shape_is_none_from_either_point(self):
+        mesh = _l_shaped_mesh()
+        assert mesh.convex_half_spaces is None
+        assert half_spaces_from_volume_centroid(mesh) is None
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_centroids_once_per_report(self, dim, monkeypatch):
+        # d_K's sample points are the only element centroids an instance needs
+        calls = []
+        centroids = fc.SimplicialMesh.centroids
+
+        def spy(mesh):
+            calls.append(mesh)
+            return centroids(mesh)
+
+        monkeypatch.setattr(fc.SimplicialMesh, "centroids", spy)
+        mesh = fc.generate_boundary_layer(dim, 4, 8.0)
+        fc.build_report(mesh, fc.DiffusionField.identity(dim))
+        assert calls == [mesh]
 
 
 def _random_interior_points(mesh, rng, count):

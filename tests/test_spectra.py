@@ -11,13 +11,14 @@ import femcond as fc
 from femcond.assembly import SparseSymmetric
 from femcond.spectra import (
     DENSE_CUTOFF,
+    LOCAL_LAYERS,
     LOCAL_SHARE,
     SHIFT_GAP,
     EigenSolveError,
     _Band,
     _factor_at_zero,
-    _interlacing_lower_bound,
     _inverse_above,
+    _local_rows,
     _rayleigh,
     _rounding_margin,
     _shift_invert,
@@ -30,6 +31,7 @@ from oracles import (
     assemble_mass_weighted,
     density_equidistributed,
     generalized_min_eigenvalue,
+    interlacing_lower_bound,
     lambda_max_unfiltered,
     toeplitz_kappa_1d,
 )
@@ -110,6 +112,11 @@ class TestExtremeEigenvalues:
     def test_tol_validated(self):
         with pytest.raises(ValueError):
             extreme_eigenvalues(_sparse(np.eye(3)), tol=1e-2)
+
+    def test_empty_matrix_rejected(self):
+        # refused before any factorization is attempted
+        with pytest.raises(ValueError, match="order 0"):
+            extreme_eigenvalues(SparseSymmetric(sp.csr_matrix((0, 0))))
 
 
 def _boundary_layer_a() -> SparseSymmetric:
@@ -204,7 +211,7 @@ class TestFilteredLambdaMax:
     def test_at_least_the_lower_bounds(self):
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=10)
-        assert r.lambda_max >= _interlacing_lower_bound(a)
+        assert r.lambda_max >= interlacing_lower_bound(a)
         assert r.lambda_max >= fc.bound_lambda_max(a, 2)[0]
 
     def test_unconverged_lambda_max_is_a_rayleigh_quotient(self, monkeypatch):
@@ -411,6 +418,42 @@ class TestLocalStart:
         assert r.converged and r.certified
         assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
         assert r.lambda_max_upper >= vals[-1]
+
+
+def _rows_from_interlacing(a: SparseSymmetric):
+    """_local_rows with the seeds taken at the oracle's interlacing bound
+    instead of max a_ii."""
+    abs_a = abs(a.matrix)
+    rows = np.asarray(abs_a.sum(axis=1)).ravel() >= interlacing_lower_bound(a)
+    for _ in range(LOCAL_LAYERS):
+        if np.count_nonzero(rows) > LOCAL_SHARE * a.order:
+            return None
+        rows = abs_a @ rows > 0
+    return np.flatnonzero(rows) if np.count_nonzero(rows) <= LOCAL_SHARE * a.order else None
+
+
+class TestLocalRows:
+    """The seeds at max a_ii select the same S as the larger interlacing
+    bound on stretched layers, and both fall back on spread eigenvectors."""
+
+    @pytest.mark.parametrize("case", ["local", "boundary-layer", "SAS", "3d"])
+    def test_same_rows_as_the_interlacing_bound(self, case):
+        a = {
+            "local": _local_a,
+            "boundary-layer": _boundary_layer_a,
+            "SAS": lambda: fc.jacobi_scale(_local_a()),
+            "3d": lambda: fc.assemble_stiffness(fc.generate_boundary_layer(3, 11, 25.0),
+                                                fc.DiffusionField.identity(3)),
+        }[case]()
+        abs_a = abs(a.matrix)
+        rows = _local_rows(a, abs_a, np.asarray(abs_a.sum(axis=1)).ravel())
+        expected = _rows_from_interlacing(a)
+        # at order 400 only the anisotropic field keeps S within n / 2
+        assert (rows is None) == (case != "local")
+        if rows is None:
+            assert expected is None
+        else:
+            assert np.array_equal(rows, expected)
 
 
 class TestCertificate:
