@@ -42,11 +42,9 @@ from .assembly import (
     SparseSymmetric,
     _stiffness_from_averages,
     average_diffusion_all,
-    jacobi_scale,
 )
 from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics, reference_scale
-from .spectra import (DEFAULT_TOL, DENSE_CUTOFF, EigenSolveError, SpectralResult,
-                      extreme_eigenvalues)
+from .spectra import DEFAULT_TOL, DENSE_CUTOFF, EigenSolveError, SpectralResult, _spectra
 
 __all__ = [
     "AnisotropyMetrics",
@@ -482,8 +480,9 @@ def build_report(
     """Assemble, solve, and evaluate every bound for one instance.
 
     One pass: geometry and metrics, the element averages D_K, A from those
-    averages and then SAS, both spectra, beta from the same D_K, and the raw
-    bounds.  Each stage runs once and hands its result to the next.
+    averages, the spectra of A and SAS on one band order and A's factor at
+    zero, beta from the same D_K, and the raw bounds.  Each stage runs once
+    and hands its result to the next.
     """
     return _report_and_stiffness(mesh, field, p, tol, calibration=calibration,
                                  dense_cutoff=dense_cutoff, seed=seed)[0]
@@ -508,9 +507,7 @@ def _report_and_stiffness(
     metrics, geometry = compute_metrics(mesh)
     dk = average_diffusion_all(mesh, field)
     a = _stiffness_from_averages(mesh, dk)
-    sas = jacobi_scale(a)
-    exact_a = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff, seed=seed)
-    exact_sas = extreme_eigenvalues(sas, tol, dense_cutoff=dense_cutoff, seed=seed)
+    exact_a, exact_sas = _spectra(a, tol, dense_cutoff=dense_cutoff, seed=seed)
     # Scaled system sanity: unit diagonal caps the largest eigenvalue at d+1.
     cap = (mesh.dim + 1) * (1 + 100 * max(tol, exact_sas.residual))
     if exact_sas.lambda_max > cap:

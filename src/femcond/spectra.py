@@ -1,17 +1,20 @@
 """Extreme eigenvalues and condition numbers of symmetric matrices.
 
-Every call starts with the band Cholesky factor of A at zero, the SPD test,
-which fixes the band order of every later factor.  Small systems (order <=
-300, and any order below 2) then take both eigenpairs from a dense symmetric
-eigensolver.  Larger ones take them from implicitly restarted Lanczos
-(ARPACK) in its shift-invert mode: each solve applies (A - sigma I)^-1 from a
-band Cholesky factor, whose eigenvalues 1 / (lambda - sigma) are largest in
-magnitude for the eigenvalue of A nearest sigma, and reports the Rayleigh
-quotient of its vector on A.  Both paths end on the same two shifted
-Cholesky certificates (below).  Every returned eigenvalue carries an
-explicitly computed relative residual ||A v - lambda v|| / ||lambda v|| on A
-itself; results that miss the requested tolerance or their certificate are
-flagged, not hidden.
+An instance has two matrices: A and its Jacobi scaling S A S, S =
+diag(A)^(-1/2), stored on A's own index arrays.  Both are solved on A's
+band order and A's factor at zero (below); extreme_eigenvalues solves one
+matrix by the same steps.  Every call starts with the band Cholesky factor
+of A at zero, the SPD test, which fixes the band order of every later
+factor.  Small systems (order <= 300, and any order below 2) then take both
+eigenpairs from a dense symmetric eigensolver.  Larger ones take them from
+implicitly restarted Lanczos (ARPACK) in its shift-invert mode: each solve
+applies (A - sigma I)^-1 from a band Cholesky factor, whose eigenvalues 1 /
+(lambda - sigma) are largest in magnitude for the eigenvalue of A nearest
+sigma, and reports the Rayleigh quotient of its vector on A.  Both paths end
+on the same two shifted Cholesky certificates (below).  Every returned
+eigenvalue carries an explicitly computed relative residual ||A v - lambda
+v|| / ||lambda v|| on A itself; results that miss the requested tolerance
+or their certificate are flagged, not hidden.
 
 lambda_max: shift-invert from above.  On anisotropic meshes the top of the
 spectrum is tightly clustered (relative gaps near 1e-8), so Lanczos on A
@@ -75,21 +78,28 @@ lambda_min: one solve at shift zero, with the Cholesky factor of A.
 Shift-invert finds the eigenvalue nearest zero, which is the smallest one
 only if A is positive definite; a Cholesky factorization completes only on a
 matrix that is positive definite to working precision, so a failed one is
-rejected as not SPD.  Its solve, and A's final lambda_max solve, ask ARPACK
+rejected as not SPD.  S A S is congruent to A, so the same factorization is
+its SPD test, and its lambda_min certificate at sigma_lo > 0 (below) proves
+the computed S A S positive definite again.  Its solve runs on A's factor
+too, right after A's and before any other factor is built: (S A S)^-1 =
+S^-1 A^-1 S^-1.  Both solves, and the final lambda_max solves, ask ARPACK
 for tol 1e-2.
 
-One ordering for A, one for S.  The factor at zero computes A's only
-ordering: q = reverse_cuthill_mckee(A), on A's stored pattern, which makes
-A[q][:, q] a band matrix of half-bandwidth kd = max |i - j| over its stored
-entries.  Every factor of A (at zero, the lambda_max start and shifts on
-the iterative path, and the two certificates) is a LAPACK band Cholesky
-factorization (dpbtrf) of A[q][:, q] shifted, in that band: a shift changes
-only the diagonal.  The local start's submatrix is ordered the same way
-once, into its own band of half-bandwidth kd_S, which all of its factors
-share.  Each band is built in Fortran order from the entries of the lower
-triangle of the ordered matrix, scaled by a power of 4 (below), factored in
-place and released before the next one is built, so one (kd + 1) x n or
-(kd_S + 1) x |S| array is alive at a time.  Cost model: a factor takes
+One ordering per instance.  The factor at zero computes A's only ordering:
+q = reverse_cuthill_mckee(A), on A's stored pattern, which makes A[q][:, q]
+a band matrix of half-bandwidth kd = max |i - j| over its stored entries.
+S A S has A's stored pattern, so q is its ordering too: its band takes its
+own stored values through the positions of A's band entries, and holds
+exactly the computed S A S.  Every other factor of either matrix (the
+lambda_max start and shifts on the iterative path, and the two
+certificates) is a LAPACK band Cholesky factorization (dpbtrf) of the
+matrix ordered by q and shifted, in that band: a shift changes only the
+diagonal.  The local start's submatrix is ordered the same way once, into
+its own band of half-bandwidth kd_S, which all of its factors share.  Each
+band is built in Fortran order from the entries of the lower triangle of
+the ordered matrix, scaled by a power of 4 (below), factored in place and
+released before the next one is built, so one (kd + 1) x n or (kd_S + 1) x
+|S| array is alive at a time.  Cost model: a factor takes
 about n kd^2 flops, a solve 4 n kd, and both work on n (kd + 1) doubles.
 On a d-dimensional grid kd is about the number of vertices in a
 cross-section, n^((d-1)/d): at large 2D orders a fill-reducing sparse
@@ -99,6 +109,7 @@ width in vertices: on a 2D layer of order 40 000 and kd 200, S holds 5 404
 rows with kd_S 15, so a factor of S costs about 1/1 300 of one of A and a
 solve 1/100.  A local start that is the answer leaves A with three
 factors (at zero and the two certificates) and lambda_min's solves.
+Solved with A, S A S builds no factor at zero.
 The model holds only while the factor's entries are normal numbers;
 arithmetic on subnormal ones is many times slower.  Every shift-invert
 solve uses a 10-vector Krylov basis.
@@ -122,7 +133,10 @@ when the Ritz values of (A - sigma I)^-1 are tiny, and without 2^s it
 stops 4^k A, k >= 50, unconverged at a different lambda_max.  With both
 scalings the operator ARPACK sees is the same for 4^k A as for A, bit for
 bit, so every eigenvalue and bound for 4^k A is 4^k times that for A and
-the vectors and counts are the same.
+the vectors and counts are the same.  S A S of 4^k A is that of A, and so
+is its lambda_min operator on the factor of 4^e A: it is 2^s (S A S)^-1 =
+2^s T (4^e A)^-1 T with T = 2^e S^-1 = diag(4^e A)^(1/2), both exact, and
+2^s from S A S's own max |a_ij|.
 
 Certificates.  A small residual only says that (theta, v) is close to some
 eigenpair, possibly an interior one.  Both ends are therefore enclosed by
@@ -174,7 +188,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .assembly import SparseSymmetric
+from .assembly import SparseSymmetric, jacobi_scale
 
 __all__ = [
     "EigenSolveError",
@@ -229,7 +243,10 @@ class SpectralResult:
     factorizations counts the band Cholesky factorizations (3 on the dense
     path: at zero and the two certificates) and solves the applications of
     a factor's inverse in the shift-invert solves (0 on the dense path),
-    both of A's band and of the submatrix's.
+    both of A's band and of the submatrix's.  Each factorization is counted
+    once, on the result it was built for: S A S solved with A counts no
+    factor at zero, whose solves on A's factor are its own, so its
+    factorizations and A's add up to those of the instance.
     """
 
     lambda_min: float
@@ -272,22 +289,30 @@ def _rayleigh(a: SparseSymmetric, v: np.ndarray,
 
 class _Band:
     """The symmetric A in one reverse Cuthill-McKee order q: the entries on
-    and below the diagonal of A[q][:, q] by diagonal offset and column, its
-    diagonal, its half-bandwidth kd and amax = max |a_ij| (see the module
-    docstring).  Counts the factorizations it builds and the solves applied
-    with them."""
+    and below the diagonal of A[q][:, q] by diagonal offset and column, their
+    positions lower among A's stored entries, its diagonal, its
+    half-bandwidth kd and amax = max |a_ij| (see the module docstring).
+    Counts the factorizations it builds and the solves applied with them.
+    Given like, the band of a matrix on the same index arrays (A's, for S A
+    S from jacobi_scale), it takes like's q and positions instead: its own
+    values through them give the band that its own ordering, q, would."""
 
-    def __init__(self, matrix):
-        n = matrix.shape[0]
-        self.q = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-        pos = np.empty(n, dtype=np.intp)
-        pos[self.q] = np.arange(n)
-        coo = matrix.tocoo()
-        row, col = pos[coo.row], pos[coo.col]
-        lower = row >= col
-        self.offset, self.col, self.val = row[lower] - col[lower], col[lower], coo.data[lower]
+    def __init__(self, matrix, like: _Band | None = None):
+        if like is None:
+            n = matrix.shape[0]
+            self.q = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+            pos = np.empty(n, dtype=np.intp)
+            pos[self.q] = np.arange(n)
+            coo = matrix.tocoo()
+            row, col = pos[coo.row], pos[coo.col]
+            self.lower = np.flatnonzero(row >= col)
+            self.offset, self.col = row[self.lower] - col[self.lower], col[self.lower]
+            self.n, self.kd = n, int(self.offset.max(initial=0))
+        else:
+            self.q, self.lower, self.offset, self.col, self.n, self.kd = (
+                like.q, like.lower, like.offset, like.col, like.n, like.kd)
+        self.val = matrix.data[self.lower]
         self.diagonal = matrix.diagonal()[self.q]
-        self.n, self.kd = n, int(self.offset.max(initial=0))
         self.amax = float(np.abs(self.val).max(initial=0.0))
         self.factorizations = self.solves = 0
 
@@ -325,9 +350,10 @@ def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
     u = np.finfo(float).eps / 2
     w = kd + 2
     gamma = w * u / (1 - w * u)
-    window = np.lib.stride_tricks.sliding_window_view(np.pad(m_diag, kd), 2 * kd + 1)
-    return (gamma / (1 - gamma) * float(window.sum(axis=1).max())
-            + u * float(np.abs(m_diag).max()))
+    # Every window sum, and partial sums of the end windows, which are no
+    # larger: a completed factorization has a positive diagonal.
+    windows = np.convolve(m_diag, np.ones(2 * kd + 1))
+    return gamma / (1 - gamma) * float(windows.max()) + u * float(np.abs(m_diag).max())
 
 
 class _Inverse(spla.LinearOperator):
@@ -336,20 +362,32 @@ class _Inverse(spla.LinearOperator):
     order), with M = sigma I - A when upper, whose solve is negated, and M =
     A - sigma I when not; counts its solves on band.  One exact scaling of
     the right-hand side by 2^(2 e + s) applies both powers (see the module
-    docstring)."""
+    docstring).  congruent gives S A S's inverse on the same factor."""
 
-    def __init__(self, band: _Band, factor: np.ndarray, sigma: float, upper: bool):
+    def __init__(self, band: _Band, factor: np.ndarray, sigma: float, upper: bool,
+                 scale: np.ndarray | None = None):
         super().__init__(dtype=np.float64, shape=(band.n, band.n))
         self.band, self.factor, self.sigma, self.upper = band, factor, sigma, upper
+        self.scale = scale
         self.s = math.frexp(band.amax)[1]
-        self.rhs_exponent = 2 * band.exponent(sigma) + self.s
+        self.rhs_exponent = self.s if scale is not None else 2 * band.exponent(sigma) + self.s
+
+    def congruent(self, band: _Band) -> _Inverse:
+        """x -> 2^s (S A S)^-1 x = 2^s S^-1 A^-1 S^-1 x, S = diag(A)^(-1/2),
+        from this factor of 4^e A at zero, with s from band, S A S's band
+        in A's order, which counts its solves.  scale = 2^e S^-1 (in the
+        order q) applies the factor's 2^e: S A S = (2^-e S) (4^e A) (2^-e
+        S), so the operator is the same for 4^k A as for A."""
+        scale = np.ldexp(np.sqrt(self.band.diagonal), self.band.exponent(0.0))
+        return _Inverse(band, self.factor, 0.0, upper=False, scale=scale)
 
     def _matvec(self, x):
         self.band.solves += 1
-        q = self.band.q
-        z, _ = dpbtrs(self.factor, np.ldexp(x[q], self.rhs_exponent), lower=1, overwrite_b=1)
+        q, scale = self.band.q, self.scale
+        b = x[q] if scale is None else scale * x[q]
+        z, _ = dpbtrs(self.factor, np.ldexp(b, self.rhs_exponent), lower=1, overwrite_b=1)
         y = np.empty_like(z)
-        y[q] = -z if self.upper else z
+        y[q] = -z if self.upper else z if scale is None else scale * z
         return y
 
 
@@ -533,15 +571,46 @@ def extreme_eigenvalues(
     exceeds the true lambda_max and lambda_min never falls below the true
     lambda_min.
     """
+    return _solve([a], tol, dense_cutoff, seed)[0]
+
+
+def _spectra(a: SparseSymmetric, tol: float = DEFAULT_TOL, *, dense_cutoff: int = DENSE_CUTOFF,
+             seed: int = 0) -> tuple[SpectralResult, SpectralResult]:
+    """(extreme_eigenvalues of A, of S A S = jacobi_scale(A)) on one band
+    order and one factor at zero, A's (see the module docstring).  S A S's
+    result is extreme_eigenvalues' on it but for its lambda_min solve, which
+    runs on A's factor, and its factorizations, one fewer."""
+    return tuple(_solve([a, jacobi_scale(a)], tol, dense_cutoff, seed))
+
+
+def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
+           seed: int) -> list[SpectralResult]:
+    """The results of matrices = [A] or [A, S A S], S A S on A's index
+    arrays: A's factor at zero, the SPD test of both by congruence, and on
+    the iterative path the lambda_min solves of both on it, then the rest
+    of each in turn."""
     _check_tol(tol)
     # One factor at a time: each is released before the next is built.  The
-    # factor at zero chooses the band order that A's other factors share.
-    inverse = _factor_at_zero(a)
-    band = inverse.band
-    local_band, local_rows = None, 0
+    # factor at zero chooses the band order that every other factor shares.
+    inverse = _factor_at_zero(matrices[0])
+    bands = [inverse.band, *(_Band(m.matrix, like=inverse.band) for m in matrices[1:])]
+    minima, v0 = [None] * len(matrices), None
+    if not _dense(inverse.band.n, dense_cutoff):
+        v0 = np.random.default_rng(seed).standard_normal(inverse.band.n)
+        minima = [_shift_invert(m, inv, _arpack_tol(tol), v0) for m, inv in
+                  zip(matrices, [inverse, *(inverse.congruent(b) for b in bands[1:])])]
+    del inverse  # release the factor at zero before the next is built
+    return [_complete(m, band, minimum, tol, dense_cutoff, v0)
+            for m, band, minimum in zip(matrices, bands, minima)]
 
-    if _dense(a.order, dense_cutoff):
-        del inverse
+
+def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff: int,
+              v0: np.ndarray | None) -> SpectralResult:
+    """A's result from its band and its lambda_min solve minimum =
+    (Rayleigh quotient, residual, vector, converged) on the iterative path,
+    or both eigenpairs from the dense eigensolver when minimum is None."""
+    local_band, local_rows = None, 0
+    if minimum is None:
         method, ok = "dense", True
         vals, vecs = np.linalg.eigh(a.toarray())
         v_min, v_max = vecs[:, 0].copy(), vecs[:, -1].copy()
@@ -550,9 +619,7 @@ def extreme_eigenvalues(
         upper = _certify_max(band, lam_max, tol)
     else:
         method = "lanczos_shift_invert"
-        v0 = np.random.default_rng(seed).standard_normal(a.order)
-        lam_min, res_min, v_min, ok_min = _shift_invert(a, inverse, _arpack_tol(tol), v0)
-        del inverse  # release the factor at zero before the next is built
+        lam_min, res_min, v_min, ok_min = minimum
         abs_a = abs(a.matrix)
         row_sums = np.asarray(abs_a.sum(axis=1)).ravel()
         rows = _local_rows(a, abs_a, row_sums)
@@ -564,7 +631,7 @@ def extreme_eigenvalues(
         lam_max, res_max, v_max, ok_max, upper = _lambda_max(
             a, band, float(row_sums.max()), tol, _arpack_tol(tol), v0, start)
         ok = ok_min and ok_max
-    if lam_min <= 0:  # A passed the factor at zero, so it is numerically singular
+    if lam_min <= 0:  # the factor at zero completed, so it is numerically singular
         raise EigenSolveError(f"matrix is numerically singular (lambda_min = {lam_min:.6g})")
     lower = _shifted_bound(band, lam_min * (1 - tol * 1e-2), upper=False)
     certified = upper is not None and lower is not None

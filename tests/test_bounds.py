@@ -14,6 +14,7 @@ from femcond.bounds import (
     evaluate_raw_bounds,
 )
 from femcond.cli import fit_loglog_slope
+from femcond.spectra import _spectra
 from conftest import random_mesh
 from oracles import (
     DensityFunction,
@@ -573,8 +574,7 @@ class TestBuildReport:
         row = fc.build_report(m, field, p, **kwargs).to_row()
 
         a = fc.assemble_stiffness(m, field)
-        exact_a = fc.extreme_eigenvalues(a, **kwargs)
-        exact_sas = fc.extreme_eigenvalues(fc.jacobi_scale(a), **kwargs)
+        exact_a, exact_sas = _spectra(a, **kwargs)
         lo, hi = fc.bound_lambda_max(a, dim)
         expected = {
             "dim": dim,

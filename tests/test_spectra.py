@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from femcond.spectra import (
     _rounding_margin,
     _shift_invert,
     _shifted_bound,
+    _spectra,
     extreme_eigenvalues,
 )
 from conftest import random_mesh, random_spd_field
@@ -336,18 +338,109 @@ class TestShiftInvertLambdaMax:
 
     def test_one_band_alive_at_a_time(self):
         # Order 10 000: the band, n (kd + 1) doubles, dominates the memory of
-        # the call.  Two bands alive at once, or a band in C order that
-        # LAPACK would copy, each take the peak above twice its size.
+        # the call, and of the pair's.  Two bands alive at once, or a band in
+        # C order that LAPACK would copy, each take the peak above twice its
+        # size.
         a = fc.assemble_stiffness(fc.generate_boundary_layer(2, 100, 125.0),
                                   fc.DiffusionField.identity(2))
-        tracemalloc.start()
-        try:
-            r = extreme_eigenvalues(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert r.converged
-        assert peak <= 2.0 * 8 * r.factor_nnz
+        for solve in (lambda: [extreme_eigenvalues(a)], lambda: _spectra(a)):
+            tracemalloc.start()
+            try:
+                results = solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            for r in results:
+                assert r.converged
+                assert peak <= 2.0 * 8 * r.factor_nnz
+
+
+def _stiffness(mesh: fc.SimplicialMesh) -> SparseSymmetric:
+    return fc.assemble_stiffness(mesh, fc.DiffusionField.identity(mesh.dim))
+
+
+class TestSharedBand:
+    """The pair computes both spectra of an instance on A's band order and
+    A's factor at zero: one ordering and one factorization fewer than A and
+    S A S solved apart, with S A S's own results otherwise unchanged."""
+
+    CASES = {
+        "2d-5": lambda: _stiffness(fc.generate_boundary_layer(2, 100, 5.0)),
+        "2d-25": lambda: _stiffness(fc.generate_boundary_layer(2, 100, 25.0)),
+        "2d-125": lambda: _stiffness(fc.generate_boundary_layer(2, 100, 125.0)),
+        "3d-25": lambda: _stiffness(fc.generate_boundary_layer(3, 11, 25.0)),
+        "chebyshev": lambda: _stiffness(fc.generate_chebyshev_1d(1024)),
+        "dense": lambda: _stiffness(fc.generate_boundary_layer(2, 15, 25.0)),
+    }
+
+    @pytest.fixture(scope="class", params=list(CASES))
+    def solved(self, request):
+        # ((A's, S A S's result), ordering calls, dpbtrf calls) of the pair,
+        # then the same of A alone and of S A S alone
+        a = self.CASES[request.param]()
+        counts = {"rcm": 0, "dpbtrf": 0}
+        rcm, factor = fc.spectra.reverse_cuthill_mckee, fc.spectra.dpbtrf
+
+        def rcm_spy(*args, **kwargs):
+            counts["rcm"] += 1
+            return rcm(*args, **kwargs)
+
+        def dpbtrf_spy(*args, **kwargs):
+            counts["dpbtrf"] += 1
+            return factor(*args, **kwargs)
+
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fc.spectra, "reverse_cuthill_mckee", rcm_spy)
+            mp.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
+            for solve in (lambda: _spectra(a), lambda: extreme_eigenvalues(a),
+                          lambda: extreme_eigenvalues(fc.jacobi_scale(a))):
+                counts.update(rcm=0, dpbtrf=0)
+                runs.append((solve(), counts["rcm"], counts["dpbtrf"]))
+        return a, runs
+
+    def test_one_ordering_and_one_factorization_fewer(self, solved):
+        _, ((pair, rcm, dpbtrf), (_, rcm_a, dpbtrf_a), (_, rcm_s, dpbtrf_s)) = solved
+        assert rcm == rcm_a + rcm_s - 1
+        assert dpbtrf == dpbtrf_a + dpbtrf_s - 1
+        # each factorization is counted once, on the result it was built for
+        assert sum(r.factorizations for r in pair) == dpbtrf
+
+    def test_scaled_result_as_when_solved_alone(self, solved):
+        a, ((pair, _, _), (alone_a, _, _), (alone_s, _, _)) = solved
+        (pair_a, pair_s) = pair
+        for name in ("lambda_min", "lambda_max", "lambda_min_lower", "lambda_max_upper"):
+            assert getattr(pair_a, name) == getattr(alone_a, name), name
+        assert pair_s.lambda_max == alone_s.lambda_max
+        assert pair_s.lambda_max_upper == alone_s.lambda_max_upper
+        assert pair_s.lambda_min == pytest.approx(alone_s.lambda_min, rel=1e-13, abs=0)
+        assert (pair_s.converged, pair_s.certified) == (alone_s.converged, alone_s.certified)
+        assert pair_s.certified and pair_s.converged
+        assert pair_s.factorizations == alone_s.factorizations - 1
+        assert (pair_s.method == "dense") == (a.order <= DENSE_CUTOFF)
+
+    def test_dense_path_scaled_result_is_bit_identical(self):
+        a = self.CASES["dense"]()
+        pair_s, alone_s = _spectra(a)[1], extreme_eigenvalues(fc.jacobi_scale(a))
+        assert pair_s.method == "dense"
+        for field in dataclasses.fields(alone_s):
+            if field.name != "factorizations":
+                assert np.array_equal(getattr(pair_s, field.name),
+                                      getattr(alone_s, field.name)), field.name
+
+    @pytest.mark.parametrize("k", [-50, 50])
+    def test_scaled_result_is_the_same_for_a_power_of_4(self, k):
+        # S A S of 4^k A is S A S of A, bit for bit, and so is everything
+        # solved on it: the operator on A's factor carries S A S's 2^s.  With
+        # A's, ARPACK's test turns absolute on this matrix at k = -50 and
+        # stops after 22 solves instead of 27.
+        a = _stiffness(fc.generate_boundary_layer(3, 11, 25.0))
+        m = a.matrix.copy()
+        m.data = np.ldexp(m.data, 2 * k)
+        r, rk = _spectra(a)[1], _spectra(SparseSymmetric(m))[1]
+        assert r.method == "lanczos_shift_invert" and r.converged
+        for field in dataclasses.fields(r):
+            assert np.array_equal(getattr(rk, field.name), getattr(r, field.name)), field.name
 
 
 class TestLocalStart:
@@ -556,6 +649,20 @@ class TestCertificate:
         # The roundoff of M's diagonal alone is exceeded: the margin's
         # gamma term is needed.
         assert backward > np.ldexp(np.finfo(float).eps / 2 * np.abs(m_diag).max(), e2)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 100])
+    def test_rounding_margin_is_the_padded_window_sum(self, n):
+        # The largest sum of m_jj over |j - i| <= kd, against the windows of
+        # the zero-padded diagonal; each side errs by under (2 kd + 1) u.
+        u = np.finfo(float).eps / 2
+        m_diag = np.random.default_rng(n).uniform(0.5, 2.0, n) ** 8
+        for kd in range(n):
+            gamma = (kd + 2) * u / (1 - (kd + 2) * u)
+            padded = np.pad(m_diag, kd)
+            windows = [padded[i:i + 2 * kd + 1].sum() for i in range(n)]
+            expected = gamma / (1 - gamma) * max(windows) + u * m_diag.max()
+            assert _rounding_margin(kd, m_diag) == pytest.approx(
+                expected, rel=(2 * kd + 1) * 2 * u, abs=0)
 
     def test_dense_path_is_certified_by_the_full_spectrum(self):
         a = _boundary_layer_a()
