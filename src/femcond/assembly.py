@@ -7,8 +7,11 @@ batch (`average_diffusion_all`) with the one degree-2 rule of the dimension
 pointwise function is looped over only inside `DiffusionField.from_callable`).
 Only 2D shares points between elements: the field is evaluated once per mesh
 edge, at its midpoint, and each triangle averages the values on its three
-edges.  Assembly from a given D_K array is split out so that a caller holding
-D_K already does not average it again.
+edges.  D_K enters only through the element metric M_K = G_K D_K G_K^T,
+G_K the inverse of the element's edge matrix, whose rows are the gradients
+of the basis functions of vertices 1..d: `_element_metric` forms it, the
+one place the edge matrices are inverted, and a caller holding M_K (the
+anisotropy factors beta_K read it too) assembles from it directly.
 Boundary rows and columns are never assembled: the system lives on the
 interior vertices only.  Assembly is deterministic: the same mesh and field
 produce a bit-identical matrix.
@@ -238,24 +241,28 @@ def _scatter_symmetric(order: int, key: np.ndarray, vals: np.ndarray) -> SparseS
     return SparseSymmetric(sp.csr_matrix((summed, key % order, indptr), shape=(order, order)))
 
 
-def _p1_gradients(mesh: SimplicialMesh) -> np.ndarray:
-    """Constant gradients of the d+1 barycentric basis functions per
-    element, shape (n, d+1, d)."""
-    d = mesh.dim
-    inv_e = mesh.inverse_edge_matrices
-    grads = np.empty((mesh.n_elements, d + 1, d))
-    grads[:, 1:, :] = inv_e
-    grads[:, 0, :] = -inv_e.sum(axis=1)
-    return grads
+def _element_metric(mesh: SimplicialMesh, dk: np.ndarray) -> np.ndarray:
+    """M_K = G D_K G^T per element, shape (n, d, d), from the element averages
+    dk, with G = inv(edge matrix): entry (i, j) is grad(phi_i) . D_K
+    grad(phi_j) for the local vertices 1..d.  Symmetrized once, so exactly
+    symmetric."""
+    g = np.linalg.inv(mesh.edge_matrices())
+    m = g @ dk @ np.swapaxes(g, 1, 2)
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
-def _local_stiffness(mesh: SimplicialMesh, dk: np.ndarray) -> np.ndarray:
+def _local_stiffness(mesh: SimplicialMesh, metric: np.ndarray) -> np.ndarray:
     """Per-element stiffness matrices |K| grad(phi_i) . D_K grad(phi_j),
-    shape (n, d+1, d+1), from the element averages dk."""
-    grads = _p1_gradients(mesh)
-    local = grads @ dk @ np.swapaxes(grads, 1, 2)
+    shape (n, d+1, d+1), from the element metric: |K| P M P^T with P = [-1^T;
+    I], since grad(phi_0) = -sum_i grad(phi_i).  Exactly symmetric."""
+    n, d = metric.shape[:2]
+    row_sums = metric.sum(axis=2)
+    local = np.empty((n, d + 1, d + 1))
+    local[:, 1:, 1:] = metric
+    local[:, 0, 1:] = local[:, 1:, 0] = -row_sums
+    local[:, 0, 0] = row_sums.sum(axis=1)
     local *= mesh.volumes[:, None, None]
-    return 0.5 * (local + local.transpose(0, 2, 1))
+    return local
 
 
 def _assemble_from_local(mesh: SimplicialMesh, local: np.ndarray) -> SparseSymmetric:
@@ -268,14 +275,14 @@ def _assemble_from_local(mesh: SimplicialMesh, local: np.ndarray) -> SparseSymme
     return _scatter_symmetric(order, (rows * order + cols)[keep], local[keep])
 
 
-def _stiffness_from_averages(mesh: SimplicialMesh, dk: np.ndarray) -> SparseSymmetric:
-    return _assemble_from_local(mesh, _local_stiffness(mesh, dk))
+def _stiffness_from_metric(mesh: SimplicialMesh, metric: np.ndarray) -> SparseSymmetric:
+    return _assemble_from_local(mesh, _local_stiffness(mesh, metric))
 
 
 def assemble_stiffness(mesh: SimplicialMesh, field: DiffusionField) -> SparseSymmetric:
     """Stiffness matrix of the diffusion bilinear form on interior vertices:
     entries sum |K| grad(phi_i) . D_K grad(phi_j) over shared elements."""
-    return _stiffness_from_averages(mesh, average_diffusion_all(mesh, field))
+    return _stiffness_from_metric(mesh, _element_metric(mesh, average_diffusion_all(mesh, field)))
 
 
 def jacobi_scale(a: SparseSymmetric) -> SparseSymmetric:

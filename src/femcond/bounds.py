@@ -17,13 +17,13 @@ values omit the unknown generic constant; `calibrate` fits one constant per
 for lower bounds and max-ratio for upper bounds, so calibrated bounds remain
 valid on the whole calibration series by construction.
 
-`evaluate_raw_bounds` is the single entry point for the eight values.  One
-pass over the geometry computes, once each: the weights |K| beta_K, the
-largest patch sum of those weights over an interior vertex, the
-volume-nonuniformity factors of A and of SAS (the lambda_min bound of each
-is the reciprocal of the factor in its kappa bound), the prior and Fried
-factors, and in 3D the exponents q, expo and prefactor of the p-dependent
-estimate.
+`evaluate_raw_bounds` and `build_report` both get the eight values from
+`_raw_bounds`, the one pass over the geometry, which computes, once each:
+the weights |K| beta_K, the largest patch sum of those weights over an
+interior vertex, the volume-nonuniformity factors of A and of SAS (the
+lambda_min bound of each is the reciprocal of the factor in its kappa
+bound), the prior and Fried factors, and in 3D the exponents q, expo and
+prefactor of the p-dependent estimate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import numpy as np
 from .assembly import (
     DiffusionField,
     SparseSymmetric,
-    _stiffness_from_averages,
+    _element_metric,
+    _stiffness_from_metric,
     average_diffusion_all,
 )
 from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics, reference_scale
@@ -154,17 +155,17 @@ def compute_beta(
     p: float | None = None,
     *,
     geometry: ElementGeometry | None = None,
-    element_averages: np.ndarray | None = None,
+    metric: np.ndarray | None = None,
 ) -> AnisotropyMetrics:
     """Per-element anisotropy factors and their normalized maximum; of
-    geometry only the volumes are read (the mesh's own when it is None)."""
+    geometry only the volumes are read (the mesh's own when it is None).
+    With F = E / s_d, E the edge matrix and s_d = reference_scale(d),
+    inv(F) D_K inv(F)^T = s_d^2 M_K for the element metric M_K that A is
+    assembled from; metric is M_K, formed from the field when None."""
     volumes = mesh.volumes if geometry is None else geometry.volumes
-    dk = element_averages if element_averages is not None else average_diffusion_all(mesh, field)
-    # inv(E / scale) = scale inv(E), E the edge matrices the mesh inverts once.
-    finv = reference_scale(mesh.dim) * mesh.inverse_edge_matrices
-    m = finv @ dk @ np.swapaxes(finv, 1, 2)
-    m = 0.5 * (m + np.swapaxes(m, 1, 2))
-    beta = _sym_eigmax(m) / field.d_min
+    if metric is None:
+        metric = _element_metric(mesh, average_diffusion_all(mesh, field))
+    beta = _sym_eigmax(reference_scale(mesh.dim) ** 2 * metric) / field.d_min
     gamma_h = float(beta.max() / (volumes @ beta))
     return AnisotropyMetrics(beta_k=beta, gamma_h=gamma_h, p=_resolve_p(mesh.dim, p))
 
@@ -479,10 +480,10 @@ def build_report(
 ) -> BoundReport:
     """Assemble, solve, and evaluate every bound for one instance.
 
-    One pass: geometry and metrics, the element averages D_K, A from those
-    averages, the spectra of A and SAS on one band order and A's factor at
-    zero, beta from the same D_K, and the raw bounds.  Each stage runs once
-    and hands its result to the next.
+    One pass: geometry and metrics, the element averages D_K, the element
+    metric M_K from them, A from M_K, the spectra of A and SAS on one band
+    order and A's factor at zero, beta from the same M_K, and the raw
+    bounds.  Each stage runs once and hands its result to the next.
     """
     return _report_and_stiffness(mesh, field, p, tol, calibration=calibration,
                                  dense_cutoff=dense_cutoff, seed=seed)[0]
@@ -505,8 +506,8 @@ def _report_and_stiffness(
         )
     p = _resolve_p(mesh.dim, p)
     metrics, geometry = compute_metrics(mesh)
-    dk = average_diffusion_all(mesh, field)
-    a = _stiffness_from_averages(mesh, dk)
+    metric = _element_metric(mesh, average_diffusion_all(mesh, field))
+    a = _stiffness_from_metric(mesh, metric)
     exact_a, exact_sas = _spectra(a, tol, dense_cutoff=dense_cutoff, seed=seed)
     # Scaled system sanity: unit diagonal caps the largest eigenvalue at d+1.
     cap = (mesh.dim + 1) * (1 + 100 * max(tol, exact_sas.residual))
@@ -516,7 +517,7 @@ def _report_and_stiffness(
             f"its dimensional cap {mesh.dim + 1}"
         )
     lam_lo, lam_hi = bound_lambda_max(a, mesh.dim)
-    beta = compute_beta(mesh, field, geometry=geometry, element_averages=dk)
+    beta = compute_beta(mesh, field, geometry=geometry, metric=metric)
     report = BoundReport(
         dim=mesh.dim,
         n_elements=mesh.n_elements,

@@ -281,15 +281,6 @@ class SimplicialMesh:
             1, 2,
         )
 
-    @cached_property
-    def inverse_edge_matrices(self) -> np.ndarray:
-        """Inverses of edge_matrices(), shape (n, d, d), computed once per
-        mesh (read-only): assembly's basis gradients and the anisotropy
-        factors beta_k both read them."""
-        inverse = np.linalg.inv(self.edge_matrices())
-        inverse.setflags(write=False)
-        return inverse
-
     def __repr__(self):
         return (
             f"SimplicialMesh(dim={self.dim}, vertices={self.n_vertices}, "

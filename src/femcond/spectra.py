@@ -6,15 +6,15 @@ band order and A's factor at zero (below); extreme_eigenvalues solves one
 matrix by the same steps.  Every call starts with the band Cholesky factor
 of A at zero, the SPD test, which fixes the band order of every later
 factor.  Small systems (order <= 300, and any order below 2) then take both
-eigenpairs from a dense symmetric eigensolver.  Larger ones take them from
+eigenvectors from a dense symmetric eigensolver.  Larger ones take them from
 implicitly restarted Lanczos (ARPACK) in its shift-invert mode: each solve
 applies (A - sigma I)^-1 from a band Cholesky factor, whose eigenvalues 1 /
 (lambda - sigma) are largest in magnitude for the eigenvalue of A nearest
-sigma, and reports the Rayleigh quotient of its vector on A.  Both paths end
-on the same two shifted Cholesky certificates (below).  Every returned
-eigenvalue carries an explicitly computed relative residual ||A v - lambda
-v|| / ||lambda v|| on A itself; results that miss the requested tolerance
-or their certificate are flagged, not hidden.
+sigma.  On both paths a returned eigenvalue is the Rayleigh quotient of its
+vector on A, and both end on the same two shifted Cholesky certificates
+(below).  Every returned eigenvalue carries an explicitly computed relative
+residual ||A v - lambda v|| / ||lambda v|| on A itself; results that miss
+the requested tolerance or their certificate are flagged, not hidden.
 
 lambda_max: shift-invert from above.  On anisotropic meshes the top of the
 spectrum is tightly clustered (relative gaps near 1e-8), so Lanczos on A
@@ -82,8 +82,9 @@ rejected as not SPD.  S A S is congruent to A, so the same factorization is
 its SPD test, and its lambda_min certificate at sigma_lo > 0 (below) proves
 the computed S A S positive definite again.  Its solve runs on A's factor
 too, right after A's and before any other factor is built: (S A S)^-1 =
-S^-1 A^-1 S^-1.  Both solves, and the final lambda_max solves, ask ARPACK
-for tol 1e-2.
+S^-1 A^-1 S^-1.  Both solves, and each matrix's own final lambda_max solve,
+ask ARPACK for max(tol 1e-2, 1e-14) (`_arpack_tol`); the final solve on the
+local start's submatrix asks for tol (Local start).
 
 One ordering per instance.  The factor at zero computes A's only ordering:
 q = reverse_cuthill_mckee(A), on A's stored pattern, which makes A[q][:, q]
@@ -145,12 +146,10 @@ shifted factorizations:
       of sigma_hi I - A completes, sigma_hi = theta_max (1 + tol 1e-2);
   lambda_min in [sigma_lo - delta, theta_min]: the Cholesky factorization
       of A - sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
-The outer ends are proven by the factorizations.  On the iterative path
-the inner ends hold because theta_max and theta_min are Rayleigh quotients
-on A; on the dense path they are the eigensolver's extreme eigenvalues,
-exact for a matrix within a backward error of order u ||A|| of A.  On
-both paths, when sigma_lo - delta <= 0 the lower end is 0, which the factor
-at zero certifies.
+The outer ends are proven by the factorizations, the inner ends because
+theta_max and theta_min are Rayleigh quotients on A, on both paths.  When
+sigma_lo - delta <= 0 the lower end is 0, which the factor at zero
+certifies.
 
 Rounding margin delta.  For a symmetric M of half-bandwidth kd, the
 computed Cholesky factor R (M = R^T R) is the exact one of M + E with
@@ -229,24 +228,24 @@ class EigenSolveError(RuntimeError):
 class SpectralResult:
     """Extreme eigenvalues of an SPD matrix with certificates.
 
-    On the iterative path lambda_min and lambda_max are Rayleigh quotients
-    on A, on the dense path the dense eigensolver's values.  residual is the
-    larger of the two achieved relative residuals.  [lambda_min_lower,
-    lambda_min] and [lambda_max, lambda_max_upper] enclose the extreme
-    eigenvalues; certified is True when both outer ends are proven by their
-    shifted factorizations, on either path.  converged is False when the
-    iteration cap was reached first, a residual misses the tolerance or a
-    certificate fails (the values are then best estimates).  factor_nnz is
-    the size n (kd + 1) of A's band, which every factor of A fills;
-    local_rows is the order |S| of the submatrix that lambda_max's start
-    came from, 0 when the start ran on A or on the dense path.
-    factorizations counts the band Cholesky factorizations (3 on the dense
-    path: at zero and the two certificates) and solves the applications of
-    a factor's inverse in the shift-invert solves (0 on the dense path),
-    both of A's band and of the submatrix's.  Each factorization is counted
-    once, on the result it was built for: S A S solved with A counts no
-    factor at zero, whose solves on A's factor are its own, so its
-    factorizations and A's add up to those of the instance.
+    lambda_min and lambda_max are the Rayleigh quotients of v_min and v_max
+    on A, on either path.  residual is the larger of the two achieved
+    relative residuals.  [lambda_min_lower, lambda_min] and [lambda_max,
+    lambda_max_upper] enclose the extreme eigenvalues; certified is True
+    when both outer ends are proven by their shifted factorizations, on
+    either path.  converged is False when the iteration cap was reached
+    first, a residual misses the tolerance or a certificate fails (the
+    values are then best estimates).  factor_nnz is the size n (kd + 1) of
+    A's band, which every factor of A fills; local_rows is the order |S| of
+    the submatrix that lambda_max's start came from, 0 when the start ran on
+    A or on the dense path.  factorizations counts the band Cholesky
+    factorizations (3 on the dense path: at zero and the two certificates)
+    and solves the applications of a factor's inverse in the shift-invert
+    solves (0 on the dense path), both of A's band and of the
+    submatrix's.  Each factorization is counted once, on the result it was
+    built for: S A S solved with A counts no factor at zero, whose solves on
+    A's factor are its own, so its factorizations and A's add up to those of
+    the instance.
     """
 
     lambda_min: float
@@ -277,13 +276,11 @@ def _arpack_tol(tol: float) -> float:
     return max(tol * 1e-2, 1e-14)
 
 
-def _rayleigh(a: SparseSymmetric, v: np.ndarray,
-              lam: float | None = None) -> tuple[float, float]:
-    """(lam, ||A v - lam v|| / ||lam v||) from one product with A; lam
-    defaults to the Rayleigh quotient of v on A."""
+def _rayleigh(a: SparseSymmetric, v: np.ndarray) -> tuple[float, float]:
+    """(lam, ||A v - lam v|| / ||lam v||) from one product with A, lam the
+    Rayleigh quotient of v on A."""
     av = a.matrix @ v
-    if lam is None:
-        lam = float(v @ av / (v @ v))
+    lam = float(v @ av / (v @ v))
     return lam, float(np.linalg.norm(av - lam * v) / (abs(lam) * np.linalg.norm(v)))
 
 
@@ -566,10 +563,10 @@ def extreme_eigenvalues(
     shift shown above it.  MAXITER caps the ARPACK iterations (restarts) of
     each.  A start that is not the answer only supplies a shift and a
     vector, so its own convergence is then not required.  A reported solve
-    that hits the cap is flagged converged=False; its eigenvalue is still
-    the Rayleigh quotient of the returned vector on A, so lambda_max never
-    exceeds the true lambda_max and lambda_min never falls below the true
-    lambda_min.
+    that hits the cap is flagged converged=False.  On either path, and
+    converged or not, each eigenvalue is the Rayleigh quotient of its
+    returned vector on A, so lambda_max never exceeds the true lambda_max
+    and lambda_min never falls below the true lambda_min.
     """
     return _solve([a], tol, dense_cutoff, seed)[0]
 
@@ -612,10 +609,10 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
     local_band, local_rows = None, 0
     if minimum is None:
         method, ok = "dense", True
-        vals, vecs = np.linalg.eigh(a.toarray())
+        vecs = np.linalg.eigh(a.toarray())[1]
         v_min, v_max = vecs[:, 0].copy(), vecs[:, -1].copy()
-        lam_min, res_min = _rayleigh(a, v_min, float(vals[0]))
-        lam_max, res_max = _rayleigh(a, v_max, float(vals[-1]))
+        lam_min, res_min = _rayleigh(a, v_min)
+        lam_max, res_max = _rayleigh(a, v_max)
         upper = _certify_max(band, lam_max, tol)
     else:
         method = "lanczos_shift_invert"

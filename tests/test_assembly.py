@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import femcond as fc
-from femcond.assembly import _local_stiffness
+from femcond.assembly import _element_metric, _local_stiffness
 from conftest import random_mesh, random_spd_field
 from oracles import (
     DensityFunction,
@@ -187,7 +187,7 @@ class TestAssembleStiffness:
         for dim in (1, 2, 3):
             mesh = random_mesh(rng, dim=dim)
             dk = fc.average_diffusion_all(mesh, fc.DiffusionField.identity(dim))
-            local = _local_stiffness(mesh, dk)
+            local = _local_stiffness(mesh, _element_metric(mesh, dk))
             sums = np.abs(local.sum(axis=2))
             scale = np.abs(np.diagonal(local, axis1=1, axis2=2)).max(axis=1)
             assert np.all(sums <= 1e-10 * scale[:, None])

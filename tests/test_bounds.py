@@ -563,6 +563,29 @@ class TestBuildReport:
         # the 4-point degree-2 rule, points not shared between tetrahedra
         assert evaluator.calls == m.n_elements * 4
 
+    @pytest.mark.parametrize("dim, n, variable", [(2, 20, False), (3, 4, False), (2, 20, True)])
+    def test_one_element_metric_per_report(self, monkeypatch, dim, n, variable):
+        # A and beta_K read one M_K = G D_K G^T, and G is the only inverse
+        m = fc.generate_boundary_layer(dim, n, 25.0)
+        field = (fc.DiffusionField.from_callable(2, _varfield, 1.0, 11.0) if variable
+                 else fc.DiffusionField.identity(dim))
+        calls = {"metric": 0, "inv": 0}
+        element_metric, inv = fc.assembly._element_metric, np.linalg.inv
+
+        def counting_metric(*args):
+            calls["metric"] += 1
+            return element_metric(*args)
+
+        def counting_inv(*args):
+            calls["inv"] += 1
+            return inv(*args)
+
+        for module in (fc.assembly, fc.bounds):
+            monkeypatch.setattr(module, "_element_metric", counting_metric)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        fc.build_report(m, field, 2.9 if dim == 3 else None)
+        assert calls == {"metric": 1, "inv": 1}
+
     @pytest.mark.parametrize("dim, p, cutoff", [(2, None, None), (2, None, 10), (3, 2.9, None)])
     def test_row_equals_composed_public_stages(self, dim, p, cutoff):
         m = fc.generate_boundary_layer(dim, 5, 4.0)

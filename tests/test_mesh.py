@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import femcond as fc
+from femcond.assembly import _element_metric
 from femcond.mesh import (
     DegenerateElementError,
     MeshError,
@@ -14,11 +15,12 @@ from femcond.mesh import (
     NonConformingMeshError,
     _mesh_from_axis_nodes,
 )
-from conftest import box_mesh, random_mesh
+from conftest import box_mesh, random_mesh, random_spd_field
 from oracles import (
     boundary_distance_brute,
     boundary_facets_unique_rows,
     half_spaces_from_volume_centroid,
+    p1_gradient,
     p_min,
 )
 
@@ -624,18 +626,26 @@ class TestComputeMetrics:
             )
             assert np.allclose(dets, geom.volumes, rtol=1e-12)
 
-    def test_inverse_edge_matrices_once_per_mesh(self, rng):
-        for _ in range(3):
-            mesh = random_mesh(rng)
-            inverse = mesh.inverse_edge_matrices
-            assert inverse is mesh.inverse_edge_matrices
-            assert not inverse.flags.writeable
-            np.testing.assert_array_equal(inverse, np.linalg.inv(mesh.edge_matrices()))
-            scale = fc.mesh.reference_scale(mesh.dim)
-            jacobians = mesh.edge_matrices() / scale
-            np.testing.assert_allclose(scale * inverse @ jacobians,
-                                       np.broadcast_to(np.eye(mesh.dim), inverse.shape),
-                                       atol=1e-12)
+    def test_element_metric_matches_oracle_gradients(self, rng):
+        # M_K = G D_K G^T, the rows of G the gradients of the basis functions
+        # of local vertices 1..d, and s_d G J = I for the jacobian J = E / s_d
+        for dim in (1, 2, 3):
+            for _ in range(3):
+                mesh = random_mesh(rng, dim=dim)
+                dk = fc.average_diffusion_all(mesh, random_spd_field(rng, dim))
+                dk *= rng.uniform(0.5, 2.0, mesh.n_elements)[:, None, None]
+                metric = _element_metric(mesh, dk)
+                np.testing.assert_array_equal(metric, np.swapaxes(metric, 1, 2))
+                scale = fc.mesh.reference_scale(dim)
+                jacobians = mesh.edge_matrices() / scale
+                for k, elem in enumerate(mesh.elements):
+                    verts = mesh.vertices[elem]
+                    g = np.array([p1_gradient(verts, i) for i in range(1, dim + 1)])
+                    np.testing.assert_allclose(scale * g @ jacobians[k], np.eye(dim),
+                                               rtol=0, atol=1e-12)
+                    oracle = g @ dk[k] @ g.T
+                    np.testing.assert_allclose(metric[k], oracle, rtol=0,
+                                               atol=1e-12 * np.abs(oracle).max())
 
 
 class TestMeshInvariants:

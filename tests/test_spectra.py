@@ -97,6 +97,19 @@ class TestExtremeEigenvalues:
         assert r.lambda_min <= rq_min <= r.lambda_min * (1 + tol)
         assert r.lambda_max * (1 - tol) <= rq_max <= r.lambda_max * (1 + 1e-15)
 
+    @pytest.mark.parametrize("dense_cutoff", [DENSE_CUTOFF, 1])
+    def test_eigenvalues_are_rayleigh_quotients(self, dense_cutoff):
+        # both ends on both paths, bit for bit: order 1 takes the dense path
+        # at any cutoff, every other order here the iterative one at 1
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            mesh = random_mesh(rng, dim=2)
+            a = fc.assemble_stiffness(mesh, random_spd_field(rng, 2))
+            r = extreme_eigenvalues(a, dense_cutoff=dense_cutoff)
+            assert r.method == ("dense" if a.order <= dense_cutoff else "lanczos_shift_invert")
+            for lam, v in ((r.lambda_min, r.v_min), (r.lambda_max, r.v_max)):
+                assert lam == float(v @ (a.matrix @ v) / (v @ v))
+
     def test_nonconvergence_is_flagged(self, monkeypatch):
         # MAXITER = 1: both lambda_max shift-invert solves stop after their
         # first 10-vector Krylov basis, unconverged.  At order 699 one basis
@@ -201,7 +214,7 @@ class TestFilteredLambdaMax:
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=10, seed=seed)
         assert r.method == "lanczos_shift_invert" and r.converged
-        assert _rayleigh(a, r.v_max, r.lambda_max)[1] <= 1e-14
+        assert _rayleigh(a, r.v_max)[1] <= 1e-14
 
     def test_order_one_is_dense(self):
         # ARPACK needs an order above k = 1
