@@ -174,12 +174,9 @@ def compute_beta(
 
 
 def _patch_weighted_sums(geometry: ElementGeometry, weights: np.ndarray, n_interior: int) -> np.ndarray:
-    out = np.zeros(n_interior)
     mask = geometry.patch_ids >= 0
-    rows = geometry.patch_ids[mask]
     vals = np.broadcast_to(weights[:, None], geometry.patch_ids.shape)[mask]
-    np.add.at(out, rows, vals)
-    return out
+    return np.bincount(geometry.patch_ids[mask], weights=vals, minlength=n_interior)
 
 
 def bound_lambda_max(a: SparseSymmetric, dim: int) -> tuple[float, float]:
@@ -389,7 +386,9 @@ class BoundReport:
 
     raw maps every bound id to its value without the generic constant, in
     CSV column order; calibrated values are raw values scaled by the fitted
-    constants when a calibration is attached.
+    constants when a calibration is attached.  stiffness is the matrix A
+    that build_report assembled and solved; it is left out of the repr, of
+    equality and of every row, JSON and printout.
     """
 
     dim: int
@@ -403,6 +402,8 @@ class BoundReport:
     upper_lambda_max_A: float
     raw: dict[str, float]
     calibration: Calibration | None = None
+    stiffness: SparseSymmetric | None = dataclasses.field(default=None, repr=False,
+                                                           compare=False)
 
     def calibrated_bounds(self) -> dict[str, float] | None:
         if self.calibration is None:
@@ -485,21 +486,6 @@ def build_report(
     order and A's factor at zero, beta from the same M_K, and the raw
     bounds.  Each stage runs once and hands its result to the next.
     """
-    return _report_and_stiffness(mesh, field, p, tol, calibration=calibration,
-                                 dense_cutoff=dense_cutoff, seed=seed)[0]
-
-
-def _report_and_stiffness(
-    mesh: SimplicialMesh,
-    field: DiffusionField,
-    p: float | None,
-    tol: float = DEFAULT_TOL,
-    *,
-    calibration: Calibration | None = None,
-    dense_cutoff: int = DENSE_CUTOFF,
-    seed: int = 0,
-) -> tuple[BoundReport, SparseSymmetric]:
-    """build_report's pass; also returns the stiffness matrix A it assembled."""
     if calibration is not None and calibration.dim != mesh.dim:
         raise ValueError(
             f"calibration is for dimension {calibration.dim}, mesh is {mesh.dim}D"
@@ -518,7 +504,7 @@ def _report_and_stiffness(
         )
     lam_lo, lam_hi = bound_lambda_max(a, mesh.dim)
     beta = compute_beta(mesh, field, geometry=geometry, metric=metric)
-    report = BoundReport(
+    return BoundReport(
         dim=mesh.dim,
         n_elements=mesh.n_elements,
         n_interior=mesh.n_interior,
@@ -530,5 +516,5 @@ def _report_and_stiffness(
         upper_lambda_max_A=lam_hi,
         raw=_raw_bounds(mesh, field, p, geometry, metrics, beta),
         calibration=calibration,
+        stiffness=a,
     )
-    return report, a

@@ -33,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import DiffusionField, write_matrix_market
-from .bounds import (BOUND_IDS, Calibration, _report_and_stiffness, _resolve_p,
-                     build_report, calibrate)
+from .bounds import BOUND_IDS, Calibration, _resolve_p, build_report, calibrate
 from .mesh import (
     SimplicialMesh,
     _triangle_base,
@@ -273,10 +272,10 @@ def _print_report(report) -> None:
 
 def cmd_analyze(args) -> int:
     _, _, calibration, instance = _instances(args)
-    report, a = _report_and_stiffness(*instance(0), args.p, calibration=calibration)
+    report = build_report(*instance(0), args.p, calibration=calibration)
 
     if args.matrix_out:
-        write_matrix_market(a, args.matrix_out)
+        write_matrix_market(report.stiffness, args.matrix_out)
 
     _print_report(report)
     row = report.to_row()

@@ -507,22 +507,12 @@ def _boundary_distance_search(mesh: SimplicialMesh, points: np.ndarray) -> np.nd
 
     out = np.empty(len(points))
     chunk = max(1, _BLOCK // len(bf))
-    near_buf = np.empty((min(chunk, len(points)), len(bf)))
-    diff_buf = np.empty_like(near_buf)
-    keep_buf = np.empty(near_buf.shape, dtype=bool)
     for s in range(0, len(points), chunk):
         p = points[s:s + chunk]
-        near, diff, keep = near_buf[:len(p)], diff_buf[:len(p)], keep_buf[:len(p)]
-        near.fill(0.0)
-        for k in range(mesh.dim):
-            np.subtract.outer(p[:, k], centre[:, k], out=diff)
-            near += np.multiply(diff, diff, out=diff)
-        np.sqrt(near, out=near)
+        near = np.sqrt(sum((p[:, k, None] - centre[:, k]) ** 2 for k in range(mesh.dim)))
         r_up = near.min(axis=1)
-        near -= rho
         # Negated so that a NaN point keeps every facet (and stays NaN).
-        np.logical_not(np.greater(near, (r_up + slack)[:, None], out=keep), out=keep)
-        rows, cols = np.nonzero(keep)
+        rows, cols = np.nonzero(~(near - rho > (r_up + slack)[:, None]))
         dist = kernel(p[rows], *(e[cols] for e in ends))
         out[s:s + chunk] = np.minimum.reduceat(dist, np.flatnonzero(np.diff(rows, prepend=-1)))
     return out

@@ -96,12 +96,15 @@ lambda_max start and shifts on the iterative path, and the two
 certificates) is a LAPACK band Cholesky factorization (dpbtrf) of the
 matrix ordered by q and shifted, in that band: a shift changes only the
 diagonal.  The local start's submatrix is ordered the same way once, into
-its own band of half-bandwidth kd_S, which all of its factors share.  Each
-band is built in Fortran order from the entries of the lower triangle of
-the ordered matrix, scaled by a power of 4 (below), factored in place and
-released before the next one is built, so one (kd + 1) x n or (kd_S + 1) x
-|S| array is alive at a time.  Cost model: a factor takes
-about n kd^2 flops, a solve 4 n kd, and both work on n (kd + 1) doubles.
+its own band of half-bandwidth kd_S, which all of its factors share.  Every
+factorization, of either band, is built and counted by _Band.factor, which
+returns it as the shift-invert operator or None when it fails;
+_Band.certify turns one into a certified end of the spectrum
+(Certificates).  Each band is built in Fortran order from the entries of
+the lower triangle of the ordered matrix, scaled by a power of 4 (below),
+factored in place and released before the next one is built, so one (kd +
+1) x n or (kd_S + 1) x |S| array is alive at a time.  Cost model: a factor
+takes about n kd^2 flops, a solve 4 n kd, and both work on n (kd + 1) doubles.
 On a d-dimensional grid kd is about the number of vertices in a
 cross-section, n^((d-1)/d): at large 2D orders a fill-reducing sparse
 factor needs less memory and fewer flops per solve.  The submatrix of a
@@ -146,8 +149,9 @@ shifted factorizations:
       of sigma_hi I - A completes, sigma_hi = theta_max (1 + tol 1e-2);
   lambda_min in [sigma_lo - delta, theta_min]: the Cholesky factorization
       of A - sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
-The outer ends are proven by the factorizations, the inner ends because
-theta_max and theta_min are Rayleigh quotients on A, on both paths.  When
+_Band.certify writes both shifts and adds or subtracts delta.  The outer
+ends are proven by the factorizations, the inner ends because theta_max and
+theta_min are Rayleigh quotients on A, on both paths.  When
 sigma_lo - delta <= 0 the lower end is 0, which the factor at zero
 certifies.
 
@@ -241,11 +245,11 @@ class SpectralResult:
     A or on the dense path.  factorizations counts the band Cholesky
     factorizations (3 on the dense path: at zero and the two certificates)
     and solves the applications of a factor's inverse in the shift-invert
-    solves (0 on the dense path), both of A's band and of the
-    submatrix's.  Each factorization is counted once, on the result it was
-    built for: S A S solved with A counts no factor at zero, whose solves on
-    A's factor are its own, so its factorizations and A's add up to those of
-    the instance.
+    solves (0 on the dense path), both on A's band, to which the local
+    start adds its submatrix's.  Each factorization is counted once, on the
+    result it was built for: S A S solved with A counts no factor at zero,
+    whose solves on A's factor are its own, so its factorizations and A's
+    add up to those of the instance.
     """
 
     lambda_min: float
@@ -289,7 +293,9 @@ class _Band:
     and below the diagonal of A[q][:, q] by diagonal offset and column, their
     positions lower among A's stored entries, its diagonal, its
     half-bandwidth kd and amax = max |a_ij| (see the module docstring).
-    Counts the factorizations it builds and the solves applied with them.
+    Every factorization of the matrix is built here, by factor (a
+    shift-invert operator) or certify (a certified end of the spectrum);
+    counts them and the solves applied with them.
     Given like, the band of a matrix on the same index arrays (A's, for S A
     S from jacobi_scale), it takes like's q and positions instead: its own
     values through them give the band that its own ordering, q, would."""
@@ -315,7 +321,7 @@ class _Band:
 
     def exponent(self, sigma: float) -> int:
         """e with 4^e (|sigma| + amax) in [2^(BAND_TARGET - 2),
-        2^BAND_TARGET), a bound on every entry of the band that cholesky
+        2^BAND_TARGET), a bound on every entry of the band that factor
         factors at sigma (see the module docstring)."""
         return (BAND_TARGET - math.frexp(abs(sigma) + self.amax)[1]) // 2
 
@@ -324,20 +330,33 @@ class _Band:
         not, in the order q."""
         return sigma - self.diagonal if upper else self.diagonal - sigma
 
-    def cholesky(self, sigma: float, upper: bool) -> np.ndarray | None:
-        """Lower band Cholesky factor, in LAPACK band storage, of 4^e
-        M[q][:, q] for M as in shifted_diagonal and e = exponent(sigma),
-        i.e. 2^e times that of M[q][:, q] without its subnormal fill; None
-        when the factorization fails, i.e. M is not positive definite to
-        working precision.  The band is built in Fortran order, so dpbtrf
-        factors it in place."""
+    def factor(self, sigma: float, upper: bool) -> _Inverse | None:
+        """The operator _Inverse, 2^s (A - sigma I)^-1, on the lower band
+        Cholesky factor of 4^e M[q][:, q], M as in shifted_diagonal and e =
+        exponent(sigma), i.e. 2^e times that of M[q][:, q] without its
+        subnormal fill; None when the factorization fails, i.e. M is not
+        positive definite to working precision.  The band is built in
+        Fortran order, so dpbtrf factors it in place."""
         e2 = 2 * self.exponent(sigma)
         ab = np.zeros((self.kd + 1, self.n), order="F")
         ab[self.offset, self.col] = np.ldexp(-self.val if upper else self.val, e2)
         ab[0] = np.ldexp(self.shifted_diagonal(sigma, upper), e2)
         self.factorizations += 1
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-        return factor if info == 0 else None
+        return _Inverse(self, factor, sigma, upper) if info == 0 else None
+
+    def certify(self, theta: float, tol: float, upper: bool) -> float | None:
+        """Certified end of the spectrum from one shifted factorization (see
+        the module docstring): the lambda_max certificate sigma + delta >=
+        lambda_max at sigma = theta (1 + tol 1e-2) when upper, the lambda_min
+        certificate sigma - delta <= lambda_min at sigma = theta (1 - tol
+        1e-2) when not; None when the factorization fails.  The factor is
+        released on return."""
+        sigma = theta * (1 + tol * 1e-2 if upper else 1 - tol * 1e-2)
+        if self.factor(sigma, upper) is None:
+            return None
+        delta = _rounding_margin(self.kd, self.shifted_diagonal(sigma, upper))
+        return sigma + delta if upper else sigma - delta
 
 
 def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
@@ -355,9 +374,9 @@ def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
 
 class _Inverse(spla.LinearOperator):
     """x -> 2^s (A - sigma I)^-1 x in A's order, with 2^(s - 1) <= amax <
-    2^s, from band.cholesky's factor of 4^e M[q][:, q] (q the band's
-    order), with M = sigma I - A when upper, whose solve is negated, and M =
-    A - sigma I when not; counts its solves on band.  One exact scaling of
+    2^s, from band.factor's factor of 4^e M[q][:, q] (q the band's order),
+    with M = sigma I - A when upper, whose solve is negated, and M = A -
+    sigma I when not; counts its solves on band.  One exact scaling of
     the right-hand side by 2^(2 e + s) applies both powers (see the module
     docstring).  congruent gives S A S's inverse on the same factor."""
 
@@ -388,42 +407,17 @@ class _Inverse(spla.LinearOperator):
         return y
 
 
-def _factor_at_zero(a: SparseSymmetric) -> _Inverse:
-    """A^-1 for shift-invert at zero, from the band Cholesky factor of A in
-    its reverse Cuthill-McKee order; a failed factorization is rejected as
-    not SPD."""
-    band = _Band(a.matrix)
-    factor = band.cholesky(0.0, upper=False)
-    if factor is None:
-        raise EigenSolveError("matrix is not SPD (its Cholesky factorization failed)")
-    return _Inverse(band, factor, 0.0, upper=False)
-
-
-def _shifted_bound(band: _Band, sigma: float, upper: bool) -> float | None:
-    """Certified end of the spectrum of the symmetric A from one shifted
-    band Cholesky factorization (see the module docstring): sigma + delta >=
-    lambda_max when upper and the factorization of sigma I - A completes,
-    sigma - delta <= lambda_min when not upper and that of A - sigma I
-    does; None when it fails.  The factor is released on return."""
-    if band.cholesky(sigma, upper) is None:
-        return None
-    delta = _rounding_margin(band.kd, band.shifted_diagonal(sigma, upper))
-    return sigma + delta if upper else sigma - delta
-
-
 def _inverse_above(band: _Band, sigma: float, gershgorin: float) -> _Inverse | None:
-    """(A - sigma I)^-1 from the band Cholesky factor of sigma I - A, or None
-    when that factorization fails, which shows lambda_max >= sigma; a
-    failure above the Gershgorin bound gershgorin >= lambda_max raises."""
-    factor = band.cholesky(sigma, upper=True)
-    if factor is not None:
-        return _Inverse(band, factor, sigma, upper=True)
-    if sigma > gershgorin:
+    """band.factor(sigma, upper=True), whose failure shows lambda_max >=
+    sigma; a failure above the Gershgorin bound gershgorin >= lambda_max
+    raises."""
+    inverse = band.factor(sigma, upper=True)
+    if inverse is None and sigma > gershgorin:
         raise EigenSolveError(
             f"the Cholesky factorization of sigma I - A fails at sigma = "
             f"{sigma:.6g}, above the Gershgorin bound {gershgorin:.6g} of lambda_max"
         )
-    return None
+    return inverse
 
 
 def _shift_above_lambda_max(band: _Band, theta0: float, gap: float, gershgorin: float):
@@ -480,12 +474,6 @@ def _shift_invert(a: SparseSymmetric, inverse: _Inverse, arp_tol: float, v0):
     return (*_rayleigh(a, v), v, ok)
 
 
-def _certify_max(band: _Band, theta: float, tol: float) -> float | None:
-    """The lambda_max certificate at theta (1 + tol 1e-2) (see the module
-    docstring)."""
-    return _shifted_bound(band, theta * (1 + tol * 1e-2), upper=True)
-
-
 def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
                 arp_tol: float, v0: np.ndarray, start=None):
     """Top eigenpair of A by shift-invert from above (see the module
@@ -499,12 +487,12 @@ def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
         start = _shift_invert(a, inverse, START_TOL, v0)
         del inverse
     lam, res, v, ok = start
-    upper = _certify_max(band, lam, tol) if res <= tol else None
+    upper = band.certify(lam, tol, upper=True) if res <= tol else None
     if upper is None:  # the start is not the answer: shift, then solve
         inverse = _shift_above_lambda_max(band, lam, max(SHIFT_GAP, res / 4), gershgorin)
         lam, res, v, ok = _shift_invert(a, inverse, arp_tol, v)
         del inverse
-        upper = _certify_max(band, lam, tol)
+        upper = band.certify(lam, tol, upper=True)
     return lam, res, v, ok, upper
 
 
@@ -526,23 +514,25 @@ def _dense(order: int, dense_cutoff: int) -> bool:
     return order <= dense_cutoff or order < 2  # ARPACK needs k = 1 < order
 
 
-def _local_start(a: SparseSymmetric, rows: np.ndarray, tol: float, dense_cutoff: int,
-                 v0: np.ndarray):
-    """(start, band): start = (Rayleigh quotient on A, its residual, vector,
-    converged) of the top eigenvector of A[rows][:, rows] padded with
-    zeros, from the dense eigensolver or from _lambda_max on the
-    submatrix's own band, which is returned (None on the dense path)."""
+def _local_start(a: SparseSymmetric, band: _Band, rows: np.ndarray, tol: float,
+                 dense_cutoff: int, v0: np.ndarray):
+    """(Rayleigh quotient on A, its residual, vector, converged) of the top
+    eigenvector of A[rows][:, rows] padded with zeros, from the dense
+    eigensolver or from _lambda_max on the submatrix's own band, whose
+    factorizations and solves are added to band, A's."""
     sub = SparseSymmetric(a.matrix[rows][:, rows])
-    band, ok = None, True
+    ok = True
     if _dense(sub.order, dense_cutoff):
         v_sub = np.linalg.eigh(sub.toarray())[1][:, -1]
     else:
-        band = _Band(sub.matrix)
+        sub_band = _Band(sub.matrix)
         gershgorin = float(abs(sub.matrix).sum(axis=1).max())
-        _, _, v_sub, ok, _ = _lambda_max(sub, band, gershgorin, tol, tol, v0[rows])
+        _, _, v_sub, ok, _ = _lambda_max(sub, sub_band, gershgorin, tol, tol, v0[rows])
+        band.factorizations += sub_band.factorizations
+        band.solves += sub_band.solves
     v = np.zeros(a.order)
     v[rows] = v_sub
-    return (*_rayleigh(a, v), v, ok), band
+    return (*_rayleigh(a, v), v, ok)
 
 
 def extreme_eigenvalues(
@@ -589,11 +579,14 @@ def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
     _check_tol(tol)
     # One factor at a time: each is released before the next is built.  The
     # factor at zero chooses the band order that every other factor shares.
-    inverse = _factor_at_zero(matrices[0])
-    bands = [inverse.band, *(_Band(m.matrix, like=inverse.band) for m in matrices[1:])]
+    band = _Band(matrices[0].matrix)
+    inverse = band.factor(0.0, upper=False)
+    if inverse is None:
+        raise EigenSolveError("matrix is not SPD (its Cholesky factorization failed)")
+    bands = [band, *(_Band(m.matrix, like=band) for m in matrices[1:])]
     minima, v0 = [None] * len(matrices), None
-    if not _dense(inverse.band.n, dense_cutoff):
-        v0 = np.random.default_rng(seed).standard_normal(inverse.band.n)
+    if not _dense(band.n, dense_cutoff):
+        v0 = np.random.default_rng(seed).standard_normal(band.n)
         minima = [_shift_invert(m, inv, _arpack_tol(tol), v0) for m, inv in
                   zip(matrices, [inverse, *(inverse.congruent(b) for b in bands[1:])])]
     del inverse  # release the factor at zero before the next is built
@@ -606,14 +599,14 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
     """A's result from its band and its lambda_min solve minimum =
     (Rayleigh quotient, residual, vector, converged) on the iterative path,
     or both eigenpairs from the dense eigensolver when minimum is None."""
-    local_band, local_rows = None, 0
+    local_rows = 0
     if minimum is None:
         method, ok = "dense", True
         vecs = np.linalg.eigh(a.toarray())[1]
         v_min, v_max = vecs[:, 0].copy(), vecs[:, -1].copy()
         lam_min, res_min = _rayleigh(a, v_min)
         lam_max, res_max = _rayleigh(a, v_max)
-        upper = _certify_max(band, lam_max, tol)
+        upper = band.certify(lam_max, tol, upper=True)
     else:
         method = "lanczos_shift_invert"
         lam_min, res_min, v_min, ok_min = minimum
@@ -624,13 +617,13 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
         start = None
         if rows is not None:
             local_rows = len(rows)
-            start, local_band = _local_start(a, rows, tol, dense_cutoff, v0)
+            start = _local_start(a, band, rows, tol, dense_cutoff, v0)
         lam_max, res_max, v_max, ok_max, upper = _lambda_max(
             a, band, float(row_sums.max()), tol, _arpack_tol(tol), v0, start)
         ok = ok_min and ok_max
     if lam_min <= 0:  # the factor at zero completed, so it is numerically singular
         raise EigenSolveError(f"matrix is numerically singular (lambda_min = {lam_min:.6g})")
-    lower = _shifted_bound(band, lam_min * (1 - tol * 1e-2), upper=False)
+    lower = band.certify(lam_min, tol, upper=False)
     certified = upper is not None and lower is not None
 
     res = max(res_min, res_max)
@@ -645,8 +638,8 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
         lambda_max_upper=upper if upper is not None else float("nan"),
         certified=certified,
         factor_nnz=band.n * (band.kd + 1),
-        solves=band.solves + (local_band.solves if local_band else 0),
-        factorizations=band.factorizations + (local_band.factorizations if local_band else 0),
+        solves=band.solves,
+        factorizations=band.factorizations,
         local_rows=local_rows,
         v_min=v_min,
         v_max=v_max,

@@ -8,9 +8,8 @@ The density-function lemma helpers at the end are different: no package code
 path calls them, and they check the paper's density-function lemma
 numerically (weighted mass matrix, its patch bound, the weighted Dirichlet
 eigenvalue bound and the stiffness/mass pencil).  They reuse the package's
-_patch_weighted_sums, _sobolev_exponents and _factor_at_zero; the last is
-looked up through femcond.spectra at call time, so that a test can
-substitute it.
+_patch_weighted_sums, _sobolev_exponents and the band Cholesky factor at
+zero, spectra._Band.factor.
 """
 
 from __future__ import annotations
@@ -379,6 +378,17 @@ def boundary_distance_brute(mesh: SimplicialMesh, points: np.ndarray) -> np.ndar
     return out
 
 
+def patch_weighted_sums_add_at(geometry: ElementGeometry, weights: np.ndarray,
+                               n_interior: int) -> np.ndarray:
+    """Sum of weights[k] over the elements k of each interior vertex's patch,
+    by np.add.at over every (element, vertex) entry of patch_ids in order;
+    the entries -1 (boundary vertices) land in one extra bin, dropped."""
+    out = np.zeros(n_interior + 1)
+    np.add.at(out, geometry.patch_ids,
+              np.broadcast_to(weights[:, None], geometry.patch_ids.shape))
+    return out[:-1]
+
+
 # -- density-function lemma helpers ------------------------------------------
 
 
@@ -490,7 +500,9 @@ def generalized_min_eigenvalue(
         return float(vals[0])
 
     v0 = np.random.default_rng(seed).standard_normal(n)
-    opinv = spectra._factor_at_zero(a)
+    opinv = spectra._Band(a.matrix).factor(0.0, upper=False)
+    if opinv is None:
+        raise EigenSolveError("matrix is not SPD (its Cholesky factorization failed)")
     try:
         v = spla.eigsh(
             a.matrix.tocsc(), k=1, M=b.matrix.tocsc(), sigma=0.0, which="LM",

@@ -10,6 +10,7 @@ from femcond.bounds import (
     BOUND_IDS,
     BOUNDS,
     Calibration,
+    _patch_weighted_sums,
     _sym_eigmax,
     evaluate_raw_bounds,
 )
@@ -25,6 +26,7 @@ from oracles import (
     h_domain_pairwise,
     kappa_bounds_1d,
     p_min,
+    patch_weighted_sums_add_at,
     toeplitz_kappa_1d,
 )
 
@@ -586,6 +588,33 @@ class TestBuildReport:
         fc.build_report(m, field, 2.9 if dim == 3 else None)
         assert calls == {"metric": 1, "inv": 1}
 
+    @pytest.mark.parametrize("mesh, variable", [
+        (fc.generate_chebyshev_1d(64), False), (fc.generate_boundary_layer(2, 20, 25.0), False),
+        (fc.generate_boundary_layer(3, 4, 25.0), False),
+        (fc.generate_boundary_layer(2, 20, 125.0), True),
+    ], ids=["1d", "2d", "3d", "varfield-2d"])
+    def test_report_holds_the_assembled_stiffness(self, mesh, variable):
+        field = (fc.DiffusionField.from_callable(2, _varfield, 1.0, 11.0) if variable
+                 else fc.DiffusionField.identity(mesh.dim))
+        p = 2.9 if mesh.dim == 3 else None
+        report = fc.build_report(mesh, field, p)
+        got, expected = report.stiffness.matrix, fc.assemble_stiffness(mesh, field).matrix
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        # A is in no row, JSON or repr, and not compared
+        bare = dataclasses.replace(report, stiffness=None)
+        assert bare == report and repr(bare) == repr(report)
+        assert "stiffness" not in repr(report)
+        assert list(report.to_row()) == [
+            "dim", "n_elements", "n_interior", "p", "domain_volume",
+            *(f"exact.{q}.{m}" for m in ("A", "SAS") for q in ("lambda_min", "lambda_max", "kappa")),
+            "diag.lambda_max.lower", "diag.lambda_max.upper", "new.lambda_min.A",
+            "new.lambda_min.SAS", "new.kappa.A", "new.kappa.SAS", "prior.kappa.A",
+            "prior.kappa.SAS", "fried.lambda_min", "conjectured.kappa.SAS"]
+        assert list(report.to_json_dict()) == [
+            "dim", "n_elements", "n_interior", "p", "domain_volume", "nonunit_domain",
+            "exact", "lambda_max_sandwich", "bounds_raw"]
+
     @pytest.mark.parametrize("dim, p, cutoff", [(2, None, None), (2, None, 10), (3, 2.9, None)])
     def test_row_equals_composed_public_stages(self, dim, p, cutoff):
         m = fc.generate_boundary_layer(dim, 5, 4.0)
@@ -618,6 +647,23 @@ class TestBuildReport:
         assert list(row) == list(expected)
         # exact equality, NaN matching NaN
         np.testing.assert_array_equal(list(row.values()), list(expected.values()))
+
+
+class TestPatchWeightedSums:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_add_at_oracle(self, dim, rng):
+        checked = 0
+        while checked < 4:
+            mesh = random_mesh(rng, dim=dim)
+            if mesh.n_interior == 0:
+                continue
+            geometry = fc.compute_metrics(mesh)[1]
+            # weights over many binades, so that the order of the sums shows
+            weights = geometry.volumes * np.exp(rng.uniform(-20.0, 20.0, mesh.n_elements))
+            sums = _patch_weighted_sums(geometry, weights, mesh.n_interior)
+            assert np.array_equal(sums, patch_weighted_sums_add_at(
+                geometry, weights, mesh.n_interior))
+            checked += 1
 
 
 def _varfield(x):

@@ -355,15 +355,19 @@ class TestDistance:
             assert np.all(np.abs(d - d[perm]) <= gap + 1e-12)
 
 
-def _l_shaped_mesh() -> fc.SimplicialMesh:
-    """[0, 2]^2 without the quadrant (1, 2]^2: a non-convex 2D domain."""
-    square = box_mesh(2, 8, [(0, 2), (0, 2)])
-    c = square.centroids()
-    elems = square.elements[~((c[:, 0] > 1) & (c[:, 1] > 1))]
+def _corner_removed(dim: int, n_per_axis: int) -> fc.SimplicialMesh:
+    """[0, 2]^dim without the corner (1, 2]^dim: a non-convex domain."""
+    box = box_mesh(dim, n_per_axis, [(0, 2)] * dim)
+    elems = box.elements[~np.all(box.centroids() > 1, axis=1)]
     used = np.unique(elems)
-    renumber = np.full(square.n_vertices, -1)
+    renumber = np.full(box.n_vertices, -1)
     renumber[used] = np.arange(len(used))
-    return fc.SimplicialMesh(2, square.vertices[used], renumber[elems])
+    return fc.SimplicialMesh(dim, box.vertices[used], renumber[elems])
+
+
+def _l_shaped_mesh() -> fc.SimplicialMesh:
+    """[0, 2]^2 without the quadrant (1, 2]^2."""
+    return _corner_removed(2, 8)
 
 
 def _boundary_points(mesh):
@@ -410,6 +414,24 @@ class TestBoundaryDistanceSearch:
         near_corner = 1.0 + rng.uniform(-0.3, 0.0, size=(200, 2))
         d = self._assert_exact(mesh, near_corner)
         assert d == pytest.approx(np.hypot(*(1.0 - near_corner).T), abs=1e-14)
+
+    def test_non_convex_cube_without_an_octant(self, rng):
+        mesh = _corner_removed(3, 4)
+        assert mesh.convex_half_spaces is None
+        assert mesh.domain_volume == pytest.approx(7.0, rel=1e-14)
+        self._assert_exact_on_mesh(mesh, rng)
+        # Below the re-entrant corner (1, 1, 1) it is the nearest boundary point.
+        near_corner = 1.0 + rng.uniform(-0.3, 0.0, size=(200, 3))
+        d = self._assert_exact(mesh, near_corner)
+        assert d == pytest.approx(np.linalg.norm(1.0 - near_corner, axis=1), abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nan_point_stays_nan(self, dim):
+        mesh = _corner_removed(dim, 4)
+        pts = np.array([[np.nan] * dim, [0.5] * dim, [0.25, np.nan, 0.5][:dim]])
+        fast = fc.mesh._boundary_distance_search(mesh, pts)
+        assert np.array_equal(fast, boundary_distance_brute(mesh, pts), equal_nan=True)
+        assert np.isnan(fast[[0, 2]]).all() and fast[1] == 0.5
 
     def test_points_on_the_boundary(self):
         for mesh in (fc.generate_boundary_layer(2, 6, 8.0),

@@ -17,13 +17,11 @@ from femcond.spectra import (
     SHIFT_GAP,
     EigenSolveError,
     _Band,
-    _factor_at_zero,
     _inverse_above,
     _local_rows,
     _rayleigh,
     _rounding_margin,
     _shift_invert,
-    _shifted_bound,
     _spectra,
     extreme_eigenvalues,
 )
@@ -249,6 +247,38 @@ class TestFilteredLambdaMax:
         assert r.method == "dense"
         kd = _Band(a.matrix).kd
         assert (r.factor_nnz, r.solves, r.factorizations) == (a.order * (kd + 1), 0, 3)
+
+
+class TestOneFactorDoor:
+    """Every band Cholesky factorization is built by _Band.factor and counted
+    on the result it was built for."""
+
+    @pytest.mark.parametrize("dim, n, aspect, local, method", [
+        (2, 100, 25.0, True, "lanczos_shift_invert"),
+        (2, 100, 5.0, False, "lanczos_shift_invert"),
+        (3, 11, 25.0, False, "lanczos_shift_invert"),
+        (2, 10, 25.0, False, "dense"),
+    ])
+    def test_factorizations_are_counted(self, monkeypatch, dim, n, aspect, local, method):
+        a = fc.assemble_stiffness(fc.generate_boundary_layer(dim, n, aspect),
+                                  fc.DiffusionField.identity(dim))
+        calls = {"factor": 0, "dpbtrf": 0}
+        factor, lapack = _Band.factor, fc.spectra.dpbtrf
+
+        def factor_spy(*args, **kwargs):
+            calls["factor"] += 1
+            return factor(*args, **kwargs)
+
+        def dpbtrf_spy(*args, **kwargs):
+            calls["dpbtrf"] += 1
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(_Band, "factor", factor_spy)
+        monkeypatch.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
+        r_a, r_sas = _spectra(a)
+        assert (r_a.method, r_sas.method) == (method, method)
+        assert (r_a.local_rows > 0) == local
+        assert calls["factor"] == calls["dpbtrf"] == r_a.factorizations + r_sas.factorizations
 
 
 class TestShiftInvertLambdaMax:
@@ -623,14 +653,15 @@ class TestCertificate:
     def test_shift_inside_the_spectrum_is_rejected(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
         band = _Band(a.matrix)
-        assert _shifted_bound(band, vals[-1] * (1 - 1e-6), upper=True) is None
-        assert _shifted_bound(band, vals[0] * (1 + 1e-6), upper=False) is None
+        assert band.factor(vals[-1] * (1 - 1e-6), upper=True) is None
+        assert band.factor(vals[0] * (1 + 1e-6), upper=False) is None
 
     def test_shift_just_outside_the_spectrum_is_accepted(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
         band = _Band(a.matrix)
-        hi = _shifted_bound(band, vals[-1] * (1 + 1e-10), upper=True)
-        lo = _shifted_bound(band, vals[0] * (1 - 1e-10), upper=False)
+        # certify shifts by tol 1e-2 = 1e-10
+        hi = band.certify(vals[-1], 1e-8, upper=True)
+        lo = band.certify(vals[0], 1e-8, upper=False)
         assert vals[-1] < hi <= vals[-1] * (1 + 1e-9)
         assert vals[0] * (1 - 1e-6) <= lo < vals[0]
 
@@ -648,8 +679,9 @@ class TestCertificate:
         # The factor is that of 4^e M: compare R^T R with 4^e M and the
         # backward error with 4^e delta, all scaled exactly.
         e2 = 2 * band.exponent(sigma)
-        factor = band.cholesky(sigma, upper)
-        assert factor is not None
+        inverse = band.factor(sigma, upper)
+        assert inverse is not None
+        factor = inverse.factor
         # R^T R - 4^e M in extended precision (where numpy has it), so that
         # the product's own rounding does not swamp the factor's.
         err = -np.ldexp(m, e2).astype(np.longdouble)
@@ -753,12 +785,12 @@ class TestScaledBand:
         # Gershgorin shift
         a = _variable_field_a()
         built, outputs = [], []
-        cholesky = _Band.cholesky
+        factor = _Band.factor
 
-        def cholesky_spy(band, sigma, upper):
-            factor = cholesky(band, sigma, upper)
-            built.append((band, sigma, upper, None if factor is None else factor.copy()))
-            return factor
+        def factor_spy(band, sigma, upper):
+            inverse = factor(band, sigma, upper)
+            built.append((band, sigma, upper, None if inverse is None else inverse.factor.copy()))
+            return inverse
 
         def dpbtrf_spy(*args, **kwargs):
             factor, info = dpbtrf(*args, **kwargs)
@@ -766,7 +798,7 @@ class TestScaledBand:
             return factor, info
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Band, "cholesky", cholesky_spy)
+            mp.setattr(_Band, "factor", factor_spy)
             mp.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
             for share in (LOCAL_SHARE, 0.0):
                 mp.setattr(fc.spectra, "LOCAL_SHARE", share)
@@ -832,7 +864,7 @@ class TestScaledBand:
             sigma = gershgorin * (1 + SHIFT_GAP)
             inverse = _inverse_above(_Band(a.matrix), sigma, gershgorin)
         else:
-            sigma, inverse = 0.0, _factor_at_zero(a)
+            sigma, inverse = 0.0, _Band(a.matrix).factor(0.0, upper=False)
         x = np.random.default_rng(1).standard_normal(a.order)
         expected = np.linalg.solve(a.toarray() - sigma * np.eye(a.order), x)
         y = np.ldexp(inverse.matvec(x), -inverse.s)
@@ -899,13 +931,13 @@ class TestGeneralizedMinEigenvalue:
         b = assemble_mass_weighted(mesh, density_equidistributed(mesh))
         dense = generalized_min_eigenvalue(a, b, dense_cutoff=a.order)
         calls = []
-        factor = fc.spectra._factor_at_zero
+        factor = _Band.factor
 
-        def counting(m):
-            calls.append(m)
-            return factor(m)
+        def counting(band, sigma, upper):
+            calls.append((band, sigma, upper))
+            return factor(band, sigma, upper)
 
-        monkeypatch.setattr(fc.spectra, "_factor_at_zero", counting)
+        monkeypatch.setattr(_Band, "factor", counting)
         solves = []
         dpbtrs = fc.spectra.dpbtrs
 
@@ -915,7 +947,8 @@ class TestGeneralizedMinEigenvalue:
 
         monkeypatch.setattr(fc.spectra, "dpbtrs", solve_spy)
         iterative = generalized_min_eigenvalue(a, b, dense_cutoff=10)
-        assert len(calls) == 1 and calls[0] is a
+        (band, sigma, upper), = calls
+        assert (sigma, upper) == (0.0, False) and band.n == a.order
         kd = _Band(a.matrix).kd
         assert solves and set(solves) == {(kd + 1, a.order)}
         assert iterative == pytest.approx(dense, rel=1e-10)
