@@ -10,8 +10,13 @@ edge, at its midpoint, and each triangle averages the values on its three
 edges.  D_K enters only through the element metric M_K = G_K D_K G_K^T,
 G_K the inverse of the element's edge matrix, whose rows are the gradients
 of the basis functions of vertices 1..d: `_element_metric` forms it, the
-one place the edge matrices are inverted, and a caller holding M_K (the
-anisotropy factors beta_K read it too) assembles from it directly.
+one place the edge matrices are inverted (with the closed-form `mesh._inv`),
+and a caller holding M_K (the anisotropy factors beta_K read it too)
+assembles from it directly.  The range check of every field value and the
+SPD test of every D_K take 2D eigenvalues in closed form,
+half -+ hypot((a - c) / 2, b); 3D keeps LAPACK's eigvalsh, since the
+trigonometric closed form loses about half the digits of a smallest
+eigenvalue close to a double one, too coarse against the check's 1e-9 slack.
 Boundary rows and columns are never assembled: the system lives on the
 interior vertices only.  Assembly is deterministic: the same mesh and field
 produce a bit-identical matrix.
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, _inv
 from .quadrature import DEGREE2_RULES
 
 __all__ = [
@@ -92,11 +97,31 @@ class DiffusionField:
     @staticmethod
     def from_callable(dim: int, f, d_min: float, d_max: float) -> "DiffusionField":
         """Variable field from a pointwise f: (d,) -> (d, d), which the batch
-        evaluator calls once per point, in order: the one per-point loop."""
+        evaluator calls once per point, in order: the one per-point loop.
+        The values are converted once, into one float array reshaped to
+        (m, d, d); f may return anything numpy reads as d * d numbers (an
+        array, a nested list), and a value of another size raises
+        ValueError."""
         def evaluator(points: np.ndarray) -> np.ndarray:
-            return np.array([np.asarray(f(x), dtype=float).reshape(dim, dim) for x in points])
+            return np.array([f(x) for x in points], dtype=float).reshape(len(points), dim, dim)
 
         return DiffusionField(dim, evaluator, float(d_min), float(d_max))
+
+
+def _sym_eig_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues of symmetric (n, d, d) matrices.
+
+    2D in closed form, half -+ hypot((a - c) / 2, b).  Other dimensions go
+    through LAPACK: the trigonometric 3 x 3 form loses about half the digits
+    of a smallest eigenvalue close to a double one (an error of about 1e-8
+    times the spread), too coarse against the 1e-9 slack of the range check.
+    """
+    if mats.shape[-1] == 2:
+        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+        half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+        return half - radius, half + radius
+    eigs = np.linalg.eigvalsh(mats)
+    return eigs[:, 0], eigs[:, -1]
 
 
 def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:
@@ -111,10 +136,10 @@ def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:
     mats = np.where(finite[:, None, None], mats, 0.0)
     scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     asym = ~(np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2)) <= _SYM_TOL * scale)
-    eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2)))
+    smallest, largest = _sym_eig_range(0.5 * (mats + np.swapaxes(mats, 1, 2)))
     lo = field.d_min * (1 - _SPECTRUM_SLACK)
     hi = field.d_max * (1 + _SPECTRUM_SLACK)
-    bad = ~finite | asym | ~(eigs[:, 0] >= lo) | ~(eigs[:, -1] <= hi)
+    bad = ~finite | asym | ~(smallest >= lo) | ~(largest <= hi)
     if not bad.any():
         return
     i, where = locate(bad)
@@ -123,7 +148,7 @@ def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:
     if asym[i]:
         raise ValueError(f"diffusion matrix not symmetric at {where}")
     raise ValueError(
-        f"diffusion eigenvalues [{eigs[i, 0]:.6g}, {eigs[i, -1]:.6g}] at "
+        f"diffusion eigenvalues [{smallest[i]:.6g}, {largest[i]:.6g}] at "
         f"{where} leave the declared range "
         f"[{field.d_min:.6g}, {field.d_max:.6g}]"
     )
@@ -176,7 +201,7 @@ def average_diffusion_all(mesh: SimplicialMesh, field: DiffusionField) -> np.nda
         raise ValueError(f"diffusion evaluator gave shape {mats.shape}, not {points.shape + (d,)}")
     _check_spectrum(field, mats, _first_bad_point(index))
     out = mats[index].sum(axis=1) / index.shape[1]
-    not_spd = np.linalg.eigvalsh(out)[:, 0] <= 0
+    not_spd = _sym_eig_range(out)[0] <= 0
     if not_spd.any():
         k = int(np.argmax(not_spd))
         raise ValueError(f"averaged diffusion matrix on element {k} is not SPD")
@@ -246,7 +271,7 @@ def _element_metric(mesh: SimplicialMesh, dk: np.ndarray) -> np.ndarray:
     dk, with G = inv(edge matrix): entry (i, j) is grad(phi_i) . D_K
     grad(phi_j) for the local vertices 1..d.  Symmetrized once, so exactly
     symmetric."""
-    g = np.linalg.inv(mesh.edge_matrices())
+    g = _inv(mesh.edge_matrices())
     m = g @ dk @ np.swapaxes(g, 1, 2)
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 

@@ -44,7 +44,14 @@ from .assembly import (
     _stiffness_from_metric,
     average_diffusion_all,
 )
-from .mesh import ElementGeometry, MeshMetrics, SimplicialMesh, compute_metrics, reference_scale
+from .mesh import (
+    ElementGeometry,
+    MeshMetrics,
+    SimplicialMesh,
+    _det,
+    compute_metrics,
+    reference_scale,
+)
 from .spectra import DEFAULT_TOL, DENSE_CUTOFF, EigenSolveError, SpectralResult, _spectra
 
 __all__ = [
@@ -64,9 +71,10 @@ __all__ = [
 
 DEFAULT_P = 2.9
 
-# Every bound id, in CSV column order: the exact column of
-# BoundReport.to_row() it estimates, the side of it that the bound lies on,
-# and the dimensions it is defined in.
+# Every bound id: the exact column of BoundReport.to_row() it estimates, the
+# side of it that the bound lies on, and the dimensions it is defined in.
+# This is the order of to_row()'s cal.* columns; its raw columns follow
+# _raw_bounds' order instead, in which fried.lambda_min comes seventh.
 BOUNDS = {
     "new.lambda_min.A": ("exact.lambda_min.A", "lower", (1, 2, 3)),
     "new.lambda_min.SAS": ("exact.lambda_min.SAS", "lower", (1, 2, 3)),
@@ -116,7 +124,8 @@ class AnisotropyMetrics:
 
 def _sym_eigmax(mats: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of symmetric (n, d, d) matrices, closed form for
-    d <= 3 (cross-checked against LAPACK in the tests)."""
+    d <= 3 (cross-checked against LAPACK in the tests); the 3D branch takes
+    its determinant from the shared closed-form `mesh._det`."""
     d = mats.shape[-1]
     if d == 1:
         return mats[:, 0, 0].copy()
@@ -143,7 +152,7 @@ def _sym_eigmax(mats: np.ndarray) -> np.ndarray:
     rest = ~diag_like
     if rest.any():
         b = (a[rest] - q[rest, None, None] * np.eye(3)) / pp[rest, None, None]
-        r = np.clip(np.linalg.det(b) / 2.0, -1.0, 1.0)
+        r = np.clip(_det(b) / 2.0, -1.0, 1.0)
         phi = np.arccos(r) / 3.0
         out[rest] = q[rest] + 2.0 * pp[rest] * np.cos(phi)
     return out

@@ -49,6 +49,18 @@ def perturb_interior(mesh: SimplicialMesh, rng: np.random.Generator,
     return mesh
 
 
+def stretched_matrices(rng: np.random.Generator, dim: int, count: int,
+                       aspect: float) -> np.ndarray:
+    """Random sheared matrices squeezed by 1 / aspect along their last axis
+    and rotated, shape (count, dim, dim): the edge matrices of stretched
+    elements."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+    squeeze = np.ones(dim)
+    squeeze[-1] = 1.0 / aspect
+    shear = np.eye(dim) + 0.3 * rng.standard_normal((count, dim, dim))
+    return q @ (squeeze[:, None] * shear)
+
+
 def random_spd_field(rng: np.random.Generator, dim: int,
                      cond_max: float = 100.0) -> DiffusionField:
     """Constant SPD diffusion matrix with condition number <= cond_max."""

@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import femcond as fc
-from femcond.assembly import _element_metric, _local_stiffness
-from conftest import random_mesh, random_spd_field
+from femcond.assembly import _element_metric, _local_stiffness, _sym_eig_range
+from conftest import random_mesh, random_spd_field, stretched_matrices
 from oracles import (
     DensityFunction,
     assemble_mass_dense,
@@ -130,6 +130,93 @@ class TestAverageDiffusion:
         field = fc.DiffusionField.from_callable(2, _quadratic_field, 0.1, 4.0)
         first = fc.average_diffusion_all(mesh, field)
         assert np.array_equal(first, fc.average_diffusion_all(mesh, field))
+
+
+class TestFromCallable:
+    def test_one_call_per_point_in_order(self, rng):
+        seen = []
+
+        def spy(x):
+            seen.append(np.array(x))
+            return _quadratic_field(x)
+
+        field = fc.DiffusionField.from_callable(2, spy, 0.1, 4.0)
+        points = rng.uniform(size=(37, 2))
+        values = field.evaluator(points)
+        assert np.array_equal(np.array(seen), points)
+        assert np.array_equal(values, _quadratic_field_batch(points))
+        # through the mesh: one call per edge midpoint, in the order of the edges
+        seen.clear()
+        mesh = random_mesh(rng, dim=2)
+        fc.average_diffusion_all(mesh, field)
+        ends = mesh.vertices[mesh.facets]
+        assert np.array_equal(np.array(seen), 0.5 * (ends[:, 0] + ends[:, 1]))
+
+    def test_nested_list_values(self):
+        field = fc.DiffusionField.from_callable(
+            2, lambda x: [[1.0 + x[0], 0.0], [0.0, 2.0]], 1.0, 3.0)
+        values = field.evaluator(np.array([[0.0, 0.0], [0.5, 1.0]]))
+        assert values.dtype == float
+        assert np.array_equal(values, [[[1.0, 0.0], [0.0, 2.0]], [[1.5, 0.0], [0.0, 2.0]]])
+        dk = fc.average_diffusion_all(fc.generate_uniform(2, 2), field)
+        assert dk.shape == (8, 2, 2)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: np.eye(3),
+        lambda x: np.eye(3) if x[0] > 0.5 else np.eye(2),
+    ], ids=["every-point", "one-point"])
+    def test_value_of_another_size_raises(self, f):
+        field = fc.DiffusionField.from_callable(2, f, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            field.evaluator(np.array([[0.25, 0.25], [0.75, 0.25]]))
+        with pytest.raises(ValueError):
+            fc.average_diffusion_all(fc.generate_uniform(2, 2), field)
+
+
+def _stretched_metrics(rng, count: int, aspect: float) -> np.ndarray:
+    """G G^T for the inverse G of stretched 2D edge matrices: element metrics
+    whose eigenvalues spread by up to about aspect^2."""
+    g = np.linalg.inv(stretched_matrices(rng, 2, count, aspect))
+    m = g @ np.swapaxes(g, 1, 2)
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
+class TestSymEigRange:
+    """The closed-form 2D eigenvalue range against numpy.linalg.eigvalsh."""
+
+    @staticmethod
+    def _stacks(rng) -> list[np.ndarray]:
+        r = rng.standard_normal((500, 2, 2))
+        stacks = [r + np.swapaxes(r, 1, 2)]
+        stacks += [_stretched_metrics(rng, 500, aspect) for aspect in (10.0, 1e3)]
+        # the benchmark's element metrics (D = I, D = diag(1 + x, 1 + 10 y))
+        # and its field values at the edge midpoints
+        mesh = fc.generate_boundary_layer(2, 100, 125.0)
+        field = fc.DiffusionField.from_callable(
+            2, lambda x: np.diag([1.0 + x[0], 1.0 + 10.0 * x[1]]), 1.0, 11.0)
+        ends = mesh.vertices[mesh.facets]
+        stacks += [_element_metric(mesh, np.broadcast_to(np.eye(2), (mesh.n_elements, 2, 2))),
+                   _element_metric(mesh, fc.average_diffusion_all(mesh, field)),
+                   field.evaluator(0.5 * (ends[:, 0] + ends[:, 1]))]
+        return stacks
+
+    def test_2d_matches_lapack(self, rng):
+        # a relative tolerance of eps times the condition number |lambda|max / |lambda|
+        eps = np.finfo(float).eps
+        for m in self._stacks(rng):
+            ref = np.linalg.eigvalsh(m)
+            tol = 8 * eps * np.abs(ref).max(axis=1)
+            low, high = _sym_eig_range(m)
+            assert np.all(np.abs(low - ref[:, 0]) <= tol)
+            assert np.all(np.abs(high - ref[:, 1]) <= tol)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_other_dimensions_are_lapack(self, dim, rng):
+        r = rng.standard_normal((200, dim, dim))
+        m = r + np.swapaxes(r, 1, 2)
+        low, high = _sym_eig_range(m)
+        ref = np.linalg.eigvalsh(m)
+        assert np.array_equal(low, ref[:, 0]) and np.array_equal(high, ref[:, -1])
 
 
 def _quadratic_field(x):

@@ -13,9 +13,11 @@ from femcond.mesh import (
     MeshError,
     MeshFormatError,
     NonConformingMeshError,
+    _det,
+    _inv,
     _mesh_from_axis_nodes,
 )
-from conftest import box_mesh, random_mesh, random_spd_field
+from conftest import box_mesh, random_mesh, random_spd_field, stretched_matrices
 from oracles import (
     boundary_distance_brute,
     boundary_facets_unique_rows,
@@ -765,3 +767,46 @@ class TestMeshInvariants:
         mesh = fc.generate_uniform(2, 2)
         with pytest.raises(ValueError):
             mesh.vertices[0, 0] = 9.9
+
+
+# The meshes of the benchmark's bl2d-aspect and bl3d-n workloads.
+BENCHMARK_MESHES = {2: [(2, 100, a) for a in (5.0, 25.0, 125.0)],
+                    3: [(3, n, 25.0) for n in (4, 6, 8, 11)]}
+
+
+def _kernel_stacks(dim: int, source: str, rng) -> list[np.ndarray]:
+    """(n, d, d) stacks to check the closed-form kernels on: random normal
+    matrices, stretched ones (aspect 10 and 1e3), or the edge matrices of
+    the benchmark's meshes (in 1D, which the benchmark lacks, of
+    chebyshev_1d(1024))."""
+    if source == "random":
+        return [rng.standard_normal((500, dim, dim))]
+    if source == "stretched":
+        return [stretched_matrices(rng, dim, 500, aspect) for aspect in (10.0, 1e3)]
+    if dim == 1:
+        return [fc.generate_chebyshev_1d(1024).edge_matrices()]
+    return [fc.generate_boundary_layer(*args).edge_matrices() for args in BENCHMARK_MESHES[dim]]
+
+
+class TestClosedFormKernels:
+    """mesh._det and mesh._inv against numpy.linalg, at a relative tolerance
+    of a few eps times each matrix's condition number."""
+
+    @pytest.mark.parametrize("source", ["random", "stretched", "benchmark"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_det_and_inv_match_lapack(self, dim, source, rng):
+        eps = np.finfo(float).eps
+        for m in _kernel_stacks(dim, source, rng):
+            tol = 8 * dim * eps * np.linalg.cond(m)
+            det = np.linalg.det(m)
+            assert np.all(np.abs(_det(m) - det) <= tol * np.abs(det))
+            inv = np.linalg.inv(m)
+            err = np.abs(_inv(m) - inv).max(axis=(1, 2))
+            assert np.all(err <= tol * np.abs(inv).max(axis=(1, 2)))
+
+    @pytest.mark.parametrize("source", ["random", "stretched", "benchmark"])
+    def test_1d_is_bit_identical(self, source, rng):
+        # the entries themselves, and LAPACK's 1 x 1 inverse bit for bit
+        for m in _kernel_stacks(1, source, rng):
+            assert np.array_equal(_det(m), m[:, 0, 0])
+            assert np.array_equal(_inv(m), np.linalg.inv(m))

@@ -33,6 +33,16 @@ def test_every_exported_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+def test_element_stacks_use_the_closed_form_kernels():
+    # mesh._det and mesh._inv are the one path for stacks of element
+    # matrices; batched LAPACK costs 7 to 50 times as much on them.
+    src = Path(fc.__file__).resolve().parent
+    calls = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "np.linalg.inv(" in line or "np.linalg.det(" in line]
+    assert calls == []
+
+
 @pytest.fixture(scope="module")
 def bench():
     """The benchmark's workload module, loaded from its file."""
