@@ -31,7 +31,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .mesh import SimplicialMesh, _inv
+from .mesh import SimplicialMesh, _inv, _sym_eig_range
 from .quadrature import DEGREE2_RULES
 
 __all__ = [
@@ -106,22 +106,6 @@ class DiffusionField:
             return np.array([f(x) for x in points], dtype=float).reshape(len(points), dim, dim)
 
         return DiffusionField(dim, evaluator, float(d_min), float(d_max))
-
-
-def _sym_eig_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalues of symmetric (n, d, d) matrices.
-
-    2D in closed form, half -+ hypot((a - c) / 2, b).  Other dimensions go
-    through LAPACK: the trigonometric 3 x 3 form loses about half the digits
-    of a smallest eigenvalue close to a double one (an error of about 1e-8
-    times the spread), too coarse against the 1e-9 slack of the range check.
-    """
-    if mats.shape[-1] == 2:
-        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-        half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-        return half - radius, half + radius
-    eigs = np.linalg.eigvalsh(mats)
-    return eigs[:, 0], eigs[:, -1]
 
 
 def _check_spectrum(field: DiffusionField, mats: np.ndarray, locate) -> None:

@@ -48,7 +48,7 @@ from .mesh import (
     ElementGeometry,
     MeshMetrics,
     SimplicialMesh,
-    _det,
+    _sym_eigmax,
     compute_metrics,
     reference_scale,
 )
@@ -120,42 +120,6 @@ class AnisotropyMetrics:
         if not np.all(self.beta_k > 0):
             raise ValueError("beta values must be positive")
         self.beta_k.setflags(write=False)
-
-
-def _sym_eigmax(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric (n, d, d) matrices, closed form for
-    d <= 3 (cross-checked against LAPACK in the tests); the 3D branch takes
-    its determinant from the shared closed-form `mesh._det`."""
-    d = mats.shape[-1]
-    if d == 1:
-        return mats[:, 0, 0].copy()
-    if d == 2:
-        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-        half = 0.5 * (a + c)
-        return half + np.sqrt((0.5 * (a - c)) ** 2 + b**2)
-    a = mats
-    p1 = a[:, 0, 1] ** 2 + a[:, 0, 2] ** 2 + a[:, 1, 2] ** 2
-    q = np.trace(a, axis1=1, axis2=2) / 3.0
-    p2 = (
-        (a[:, 0, 0] - q) ** 2
-        + (a[:, 1, 1] - q) ** 2
-        + (a[:, 2, 2] - q) ** 2
-        + 2.0 * p1
-    )
-    pp = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    out = np.empty(len(a))
-    diag_like = pp <= 0
-    out[diag_like] = np.max(
-        np.stack([a[diag_like, 0, 0], a[diag_like, 1, 1], a[diag_like, 2, 2]], axis=1),
-        axis=1,
-    )
-    rest = ~diag_like
-    if rest.any():
-        b = (a[rest] - q[rest, None, None] * np.eye(3)) / pp[rest, None, None]
-        r = np.clip(_det(b) / 2.0, -1.0, 1.0)
-        phi = np.arccos(r) / 3.0
-        out[rest] = q[rest] + 2.0 * pp[rest] * np.cos(phi)
-    return out
 
 
 def compute_beta(

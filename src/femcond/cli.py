@@ -249,7 +249,7 @@ def _print_report(report) -> None:
             f"lambda_max={_fmt(r.lambda_max)} kappa={_fmt(r.kappa)} "
             f"method={r.method} residual={r.residual:.2e} "
             f"factor_nnz={r.factor_nnz} solves={r.solves} "
-            f"factorizations={r.factorizations}{flag}"
+            f"factorizations={r.factorizations} start={r.start}{flag}"
         )
         print(
             f"  enclosure: {_fmt(r.lambda_min_lower)} <= lambda_min, "

@@ -334,6 +334,44 @@ def _inv(m: np.ndarray) -> np.ndarray:
     return adj / _det(m)[:, None, None]
 
 
+
+def _sym_eig_range(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues of a symmetric (n, d, d) stack,
+    d <= 3: the entries in 1D, half -+ hypot((a - c) / 2, b) in 2D, and in
+    3D LAPACK's smallest and _sym_eigmax's largest.  The trigonometric 3 x 3
+    form loses about half the digits of a smallest eigenvalue close to a
+    double one (an error of about 1e-8 times the spread), too coarse against
+    the 1e-9 slack of the diffusion range check; its largest keeps them."""
+    d = m.shape[-1]
+    if d == 1:
+        return m[:, 0, 0], m[:, 0, 0]
+    if d == 2:
+        a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+        half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+        return half - radius, half + radius
+    return np.linalg.eigvalsh(m)[:, 0], _sym_eigmax(m)
+
+
+def _sym_eigmax(m: np.ndarray) -> np.ndarray:
+    """Largest eigenvalues of a symmetric (n, d, d) stack, d <= 3, in closed
+    form: _sym_eig_range's in 1D and 2D, and in 3D the trigonometric form
+    (Smith, CACM 4, 1961), its determinant from _det."""
+    if m.shape[-1] < 3:
+        return _sym_eig_range(m)[1]
+    p1 = m[:, 0, 1] ** 2 + m[:, 0, 2] ** 2 + m[:, 1, 2] ** 2
+    q = np.trace(m, axis1=1, axis2=2) / 3.0
+    p2 = (m[:, 0, 0] - q) ** 2 + (m[:, 1, 1] - q) ** 2 + (m[:, 2, 2] - q) ** 2 + 2.0 * p1
+    pp = np.sqrt(np.maximum(p2 / 6.0, 0.0))
+    out = np.empty(len(m))
+    diag_like = pp <= 0
+    out[diag_like] = np.diagonal(m[diag_like], axis1=1, axis2=2).max(axis=1)
+    rest = ~diag_like
+    if rest.any():
+        b = (m[rest] - q[rest, None, None] * np.eye(3)) / pp[rest, None, None]
+        phi = np.arccos(np.clip(_det(b) / 2.0, -1.0, 1.0)) / 3.0
+        out[rest] = q[rest] + 2.0 * pp[rest] * np.cos(phi)
+    return out
+
 @dataclass(frozen=True)
 class ElementGeometry:
     """Per-element geometry, stored as arrays indexed by element.

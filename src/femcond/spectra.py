@@ -24,13 +24,15 @@ cluster spreads from relative gaps (lambda_1 - lambda_2) / lambda_1 to
 above lambda_max, so the eigenvalue nearest it is lambda_max.  The solve has
 up to three steps.
   1. Start.  A vector whose Rayleigh quotient theta_0 <= lambda_max has the
-     relative residual r_0 on A: the local start (below) when lambda_max's
-     eigenvector lives on few rows, otherwise one solve to ARPACK tolerance
-     1e-2 at sigma_0 = g (1 + 1e-4), with g = max_i sum_j |a_ij| >=
-     lambda_max the Gershgorin bound: sigma_0 I - A is strictly diagonally
-     dominant with a positive diagonal, so its factorization completes (a
-     failure raises).  When r_0 meets the tolerance and the lambda_max
-     certificate (below) at theta_0 completes, that pair is the answer.
+     relative residual r_0 on A: the mirror start (below) when A's spectrum
+     is symmetric about its diagonal, else the local start (below) when
+     lambda_max's eigenvector lives on few rows, otherwise one solve to
+     ARPACK tolerance 1e-2 at sigma_0 = g (1 + 1e-4), with g = max_i sum_j
+     |a_ij| >= lambda_max the Gershgorin bound: sigma_0 I - A is strictly
+     diagonally dominant with a positive diagonal, so its factorization
+     completes (a failure raises).  When r_0 meets the tolerance and the
+     lambda_max certificate (below) at theta_0 completes, that pair is the
+     answer.
   2. Shift.  Otherwise sigma_1 = theta_0 (1 + eta), eta = max(1e-4, r_0 / 4),
      is accepted when the Cholesky factorization of sigma_1 I - A completes,
      which shows sigma_1 I - A positive definite to working precision, i.e.
@@ -45,34 +47,62 @@ up to three steps.
      eigenvalue, or too few digits) is caught by the lambda_max certificate
      below, which does not depend on how the vector was found.
 
+Mirror start.  Let A have a constant diagonal c, A = c I + N, and let the
+graph of N's entries be 2-colourable, with signs s_i = +-1 that differ
+across every edge (the parity of each row's distance from the first row of
+its connected component, from one unweighted shortest-path search).
+Then S N S = -N for S = diag(s), so S A S = 2 c I - A: the spectrum is
+symmetric about c, lambda_max = 2 c - lambda_min and s v_min is
+lambda_max's eigenvector, at the cost of one product with A once
+lambda_min is solved.  Every Jacobi-scaled matrix has c = 1 exactly, and
+on the Kuhn-split tensor grids of the committed sweeps the graph is the 5-
+or 7-point stencil, which is bipartite; a uniform mesh's A qualifies too.
+Before the test, entries at most MIRROR_NEGLIGIBLE = 1e-12 times max
+|a_ij| are dropped, and so is a spread of the diagonal that small: 3D Kuhn
+tetrahedra leave couplings of about 1e-16 max |a_ij| where 2D leaves 0.0,
+and a uniform 2D A's diagonal spreads by 4e-16 relative.  Such a dropped
+E moves the mirrored pair's residual by about ||E|| / lambda_max, far below
+any tolerance.  The vector is taken as the start only when its Rayleigh
+quotient is 2 c - lambda_min and its residual meets the tolerance, both to
+tol (v_min itself, with the signs lost, fails the first); then the residual
+test and the lambda_max certificate of step 1 judge it like any other start,
+and a failed certificate sends it on to steps 2 and 3.  On a sheared mesh
+the colouring fails and the next start runs; the test costs the search,
+about 2 ms at order 10 000, and no product or factorization.
+
 Local start.  On a stretched boundary layer the top of A's spectrum belongs
 to the thin cells along the boundary, and lambda_max's eigenvector lives on
-the rows near them: 2 604 of 10 000 on a 2D layer of aspect 25 or 125.  The
-seeds are the rows whose Gershgorin disc reaches l = max_i a_ii <= lambda_max
-(a Rayleigh quotient): a_ii + sum_{j != i} |a_ij| >= l.  On any other row
-that sum is below l, so the eigen-equation (lambda_max - a_ii) v_i =
-sum_{j != i} a_ij v_j has weights |a_ij| / (lambda_max - a_ii) that sum to
-less than 1, |v_i| is below the largest |v_j| of its neighbours and the
-eigenvector decays away from the seeds.  Any lower bound of lambda_max
-would do; the larger interlacing bound (2 x 2 principal submatrices) gave
-the same S on every iterative matrix of the committed sweeps.  S
-is the seeds grown by LOCAL_LAYERS = 6 layers of A's graph: at aspect 25
+the rows near them: 2 604 of 10 000 on a 2D layer of aspect 5, 25 or 125.
+The seeds are the rows whose Gershgorin disc reaches l = max(max_i a_ii,
+theta) <= lambda_max: a_ii + sum_{j != i} |a_ij| >= l, with theta the
+Rayleigh quotient of the top Ritz vector of a short Lanczos run on A
+(ARPACK at tolerance 1e-2 from the start vector, 11-21 products), and max_i
+a_ii a Rayleigh quotient too.  On any other row that sum is below l, so the
+eigen-equation (lambda_max - a_ii) v_i = sum_{j != i} a_ij v_j has weights
+|a_ij| / (lambda_max - a_ii) that sum to less than 1, |v_i| is below the
+largest |v_j| of its neighbours and the eigenvector decays away from the
+seeds.  Any lower bound of lambda_max would do, and the larger it is the
+fewer the seeds: on a 2D layer of aspect 5, max_i a_ii = 7.25 against
+lambda_max = 8.852 makes every row a seed, while theta = 8.83 leaves 392.
+S is the seeds grown by LOCAL_LAYERS = 6 layers of A's graph: at aspect 25
 the padded vector's residual on A was 1.6e-7 with 4 layers, 7.1e-9 with 5
 and 3.2e-10 with 6, against a tolerance of 1e-8.  When |S| <= n / 2
 (LOCAL_SHARE), the start is the top eigenvector of A[S][:, S], padded with
 zeros: from the dense eigensolver when |S| is at most the dense cutoff, and
-otherwise from steps 1-3 on the submatrix in its own band, whose final
-solve needs only ARPACK tolerance tol, since A's own tests judge the
-result.  The padded vector's Rayleigh quotient on A is its Rayleigh
-quotient on A[S][:, S], so at most lambda_max by Cauchy interlacing, and
-everything after the start runs on A: its residual on A and the
-certificate on A decide, and a start that misses because S is too small
-only costs A's steps 2 and 3 from the padded vector.  So S changes the
-speed, never what is certified.  When the seeds alone exceed n / 2 (every
-Jacobi-scaled matrix of the committed sweeps, whose top eigenvectors cover
-every row, and a 2D layer of aspect 5), the start is the Gershgorin one,
-decided before any growing; so it is when S exceeds n / 2 after growing
-(3D layers of aspect 25).
+otherwise from steps 1-3 on the submatrix in its own band, without a
+certificate, whose final solve needs only ARPACK tolerance tol, since A's
+own tests judge the result.  The padded vector's Rayleigh quotient on A is
+its Rayleigh quotient on A[S][:, S], so at most lambda_max by Cauchy
+interlacing, and everything after the start runs on A: its residual on A
+and the certificate on A decide, and a start that misses because S is too
+small only costs A's steps 2 and 3 from the padded vector.  So S changes
+the speed, never what is certified.  At aspect 5 the padded vector's
+residual is 4.6e-4, so A still shifts and solves, from a start close enough
+that the first shift holds.  When the seeds alone exceed n / 2 (the
+Jacobi-scaled matrix of a sheared layer, which the mirror does not take and
+whose top eigenvector covers every row), the start is the Gershgorin one,
+decided before any growing; so it is when S exceeds n / 2 after growing (3D
+layers of aspect 25).
 
 lambda_min: one solve at shift zero, with the Cholesky factor of A.
 Shift-invert finds the eigenvalue nearest zero, which is the smallest one
@@ -112,8 +142,11 @@ boundary layer is a strip along the boundary, so kd_S is about the strip's
 width in vertices: on a 2D layer of order 40 000 and kd 200, S holds 5 404
 rows with kd_S 15, so a factor of S costs about 1/1 300 of one of A and a
 solve 1/100.  A local start that is the answer leaves A with three
-factors (at zero and the two certificates) and lambda_min's solves.
-Solved with A, S A S builds no factor at zero.
+factors (at zero and the two certificates) and lambda_min's solves; one
+that misses adds the shift step's factor, and the submatrix adds its own
+start's and shift step's factors.  Solved with A, S A S builds no factor
+at zero, and a mirror start that is the answer leaves it only its two
+certificates and lambda_min's solves on A's factor.
 The model holds only while the factor's entries are normal numbers;
 arithmetic on subnormal ones is many times slower.  Every shift-invert
 solve uses a 10-vector Krylov basis.
@@ -187,9 +220,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
 from .assembly import SparseSymmetric, jacobi_scale
 
@@ -214,10 +248,13 @@ KRYLOV_VECTORS = 10
 # ARPACK's default.
 MAXITER = None
 # The lambda_max start's submatrix: the rows whose Gershgorin disc reaches
-# max_i a_ii, grown by LOCAL_LAYERS layers of A's graph, and
-# taken only while they are at most LOCAL_SHARE of A's rows.
+# max(max_i a_ii, a Ritz value), grown by LOCAL_LAYERS layers of A's graph,
+# and taken only while they are at most LOCAL_SHARE of A's rows.
 LOCAL_LAYERS = 6
 LOCAL_SHARE = 0.5
+# The mirror start drops the entries of A at most MIRROR_NEGLIGIBLE max |a_ij|,
+# on the diagonal's spread and off it, before it tests the structure.
+MIRROR_NEGLIGIBLE = 1e-12
 # Every shifted band is factored scaled by the power of 4 that puts a bound
 # on its entries just below 2^BAND_TARGET, leaving 2^124 of headroom to the
 # largest double for the scaled right-hand sides and their solves.
@@ -240,16 +277,19 @@ class SpectralResult:
     either path.  converged is False when the iteration cap was reached
     first, a residual misses the tolerance or a certificate fails (the
     values are then best estimates).  factor_nnz is the size n (kd + 1) of
-    A's band, which every factor of A fills; local_rows is the order |S| of
-    the submatrix that lambda_max's start came from, 0 when the start ran on
-    A or on the dense path.  factorizations counts the band Cholesky
-    factorizations (3 on the dense path: at zero and the two certificates)
-    and solves the applications of a factor's inverse in the shift-invert
-    solves (0 on the dense path), both on A's band, to which the local
-    start adds its submatrix's.  Each factorization is counted once, on the
-    result it was built for: S A S solved with A counts no factor at zero,
-    whose solves on A's factor are its own, so its factorizations and A's
-    add up to those of the instance.
+    A's band, which every factor of A fills; start names lambda_max's start
+    (module docstring): "dense" on the dense path, else "mirror", "local" or
+    "gershgorin"; local_rows is the order |S| of the submatrix that the
+    local start came from, 0 for any other start.  factorizations counts
+    the band Cholesky factorizations (3 on the dense path and after a mirror
+    or local start that is the answer: at zero and the two certificates;
+    the Gershgorin start adds its own and a shift's) and solves the
+    applications of a factor's inverse in the shift-invert solves (0 on the
+    dense path), both on A's band, to which the local start adds its
+    submatrix's (its start's and a shift's factors, no certificate).  Each
+    factorization is counted once, on the result it was built for: S A S
+    solved with A counts no factor at zero, whose solves on A's factor are
+    its own, so its factorizations and A's add up to those of the instance.
     """
 
     lambda_min: float
@@ -265,6 +305,7 @@ class SpectralResult:
     solves: int = 0
     factorizations: int = 0
     local_rows: int = 0
+    start: str = "dense"  # "dense", "mirror", "local" or "gershgorin"
     v_min: np.ndarray | None = None
     v_max: np.ndarray | None = None
 
@@ -474,35 +515,103 @@ def _shift_invert(a: SparseSymmetric, inverse: _Inverse, arp_tol: float, v0):
     return (*_rayleigh(a, v), v, ok)
 
 
+def _gershgorin_start(a: SparseSymmetric, band: _Band, gershgorin: float, v0: np.ndarray):
+    """The lambda_max start on A itself: one solve at ARPACK tolerance
+    START_TOL from v0 at the shift gershgorin (1 + SHIFT_GAP), gershgorin =
+    max_i sum_j |a_ij|, as (Rayleigh quotient on A, its residual, vector,
+    converged)."""
+    inverse = _inverse_above(band, gershgorin * (1 + SHIFT_GAP), gershgorin)
+    return _shift_invert(a, inverse, START_TOL, v0)
+
+
+def _solve_above(a: SparseSymmetric, band: _Band, start, gershgorin: float, arp_tol: float):
+    """Steps 2 and 3 of lambda_max (see the module docstring): the solve at
+    ARPACK tolerance arp_tol, from the vector of start = (Rayleigh quotient
+    on A, its residual, vector, converged), at a shift shown above
+    lambda_max.  Returns (Rayleigh quotient, residual, vector, converged)."""
+    lam, res, v, _ = start
+    inverse = _shift_above_lambda_max(band, lam, max(SHIFT_GAP, res / 4), gershgorin)
+    return _shift_invert(a, inverse, arp_tol, v)
+
+
 def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
-                arp_tol: float, v0: np.ndarray, start=None):
-    """Top eigenpair of A by shift-invert from above (see the module
-    docstring), on band, with gershgorin = max_i sum_j |a_ij| and ARPACK
-    tolerance arp_tol in the final solve.  start is (Rayleigh quotient on A,
-    its residual, vector, converged) of a given start, or None for the solve
-    at the Gershgorin shift from v0.  Returns (Rayleigh quotient, residual,
+                arp_tol: float, start):
+    """Certified top eigenpair of A by shift-invert from above (see the
+    module docstring), on band, with gershgorin = max_i sum_j |a_ij|: the
+    start (Rayleigh quotient on A, its residual, vector, converged) when its
+    residual meets tol and its lambda_max certificate completes, otherwise
+    _solve_above from it, certified.  Returns (Rayleigh quotient, residual,
     vector, converged, certified upper end or None)."""
-    if start is None:
-        inverse = _inverse_above(band, gershgorin * (1 + SHIFT_GAP), gershgorin)
-        start = _shift_invert(a, inverse, START_TOL, v0)
-        del inverse
-    lam, res, v, ok = start
-    upper = band.certify(lam, tol, upper=True) if res <= tol else None
-    if upper is None:  # the start is not the answer: shift, then solve
-        inverse = _shift_above_lambda_max(band, lam, max(SHIFT_GAP, res / 4), gershgorin)
-        lam, res, v, ok = _shift_invert(a, inverse, arp_tol, v)
-        del inverse
-        upper = band.certify(lam, tol, upper=True)
-    return lam, res, v, ok, upper
+    upper = band.certify(start[0], tol, upper=True) if start[1] <= tol else None
+    if upper is not None:
+        return (*start, upper)
+    top = _solve_above(a, band, start, gershgorin, arp_tol)
+    return (*top, band.certify(top[0], tol, upper=True))
 
 
-def _local_rows(a: SparseSymmetric, abs_a, row_sums: np.ndarray) -> np.ndarray | None:
+def _mirror_signs(a: SparseSymmetric) -> tuple[float, np.ndarray] | None:
+    """(c, s) with S A S = 2 c I - A, S = diag(s), s_i = +-1, once entries of
+    A at most MIRROR_NEGLIGIBLE max |a_ij| are dropped (see the module
+    docstring): c the middle of A's diagonal, s the parity of each row's
+    distance in A's off-diagonal pattern from the first row of its
+    connected component; None unless the diagonal is constant and the
+    pattern is 2-colourable.  The search runs on the pattern, never on A's
+    signed values; the pattern is symmetric, so directed searches find its
+    undirected components and distances."""
+    m, diag = a.matrix, a.diagonal
+    negligible = MIRROR_NEGLIGIBLE * float(np.abs(m.data).max(initial=0.0))
+    if diag.max() - diag.min() > negligible:
+        return None
+    rows = np.repeat(np.arange(a.order), np.diff(m.indptr))
+    edges = (rows != m.indices) & (np.abs(m.data) > negligible)
+    pattern = sp.csr_matrix((edges.astype(float), m.indices, m.indptr), shape=m.shape,
+                            copy=True)
+    pattern.eliminate_zeros()  # in place, on the copy of A's index arrays
+    components = connected_components(pattern, connection="weak")[1]
+    roots = np.unique(components, return_index=True)[1]
+    signs = 1.0 - 2.0 * (dijkstra(pattern, unweighted=True, indices=roots, min_only=True) % 2)
+    # 2-coloured when every neighbour of every row has the other sign
+    if np.any(signs * (pattern @ signs) != -np.diff(pattern.indptr)):
+        return None
+    return 0.5 * (diag.max() + diag.min()), signs
+
+
+def _mirror_start(a: SparseSymmetric, minimum, tol: float):
+    """The lambda_max start s v_min (see the module docstring) as (Rayleigh
+    quotient on A, its residual, vector, converged), from minimum, the same
+    of lambda_min's solve; None when _mirror_signs finds no mirror, or the
+    Rayleigh quotient misses the mirrored 2 c - lambda_min or the residual
+    misses tol."""
+    mirror = _mirror_signs(a)
+    if mirror is None:
+        return None
+    c, signs = mirror
+    lam_min, _, v_min, ok = minimum
+    v = signs * v_min
+    lam, res = _rayleigh(a, v)
+    mirrored = 2 * c - lam_min
+    if not (res <= tol and abs(lam - mirrored) <= tol * mirrored):
+        return None
+    return lam, res, v, ok
+
+
+def _ritz_value(a: SparseSymmetric, v0: np.ndarray) -> float:
+    """The Rayleigh quotient on A of the top Ritz vector of a short Lanczos
+    run (ARPACK at START_TOL from v0), a lower bound on lambda_max."""
+    v = spla.eigsh(a.matrix, k=1, which="LA", tol=START_TOL, ncv=KRYLOV_VECTORS,
+                   v0=v0)[1][:, 0]
+    return _rayleigh(a, v)[0]
+
+
+def _local_rows(a: SparseSymmetric, abs_a, row_sums: np.ndarray,
+                theta: float) -> np.ndarray | None:
     """The rows S of the lambda_max start's submatrix (see the module
-    docstring), from abs_a = |A| and its row sums: those whose Gershgorin
-    disc reaches max_i a_ii, grown by LOCAL_LAYERS layers of A's graph; None
-    as soon as they exceed LOCAL_SHARE of A's rows."""
+    docstring), from abs_a = |A|, its row sums and a lower bound theta on
+    lambda_max: those whose Gershgorin disc reaches max(max_i a_ii, theta),
+    grown by LOCAL_LAYERS layers of A's graph; None as soon as they exceed
+    LOCAL_SHARE of A's rows."""
     limit = LOCAL_SHARE * a.order
-    rows = row_sums >= a.diagonal.max()
+    rows = row_sums >= max(a.diagonal.max(), theta)
     for _ in range(LOCAL_LAYERS):
         if np.count_nonzero(rows) > limit:
             return None
@@ -518,8 +627,8 @@ def _local_start(a: SparseSymmetric, band: _Band, rows: np.ndarray, tol: float,
                  dense_cutoff: int, v0: np.ndarray):
     """(Rayleigh quotient on A, its residual, vector, converged) of the top
     eigenvector of A[rows][:, rows] padded with zeros, from the dense
-    eigensolver or from _lambda_max on the submatrix's own band, whose
-    factorizations and solves are added to band, A's."""
+    eigensolver or from the uncertified lambda_max solve on the submatrix's
+    own band, whose factorizations and solves are added to band, A's."""
     sub = SparseSymmetric(a.matrix[rows][:, rows])
     ok = True
     if _dense(sub.order, dense_cutoff):
@@ -527,7 +636,10 @@ def _local_start(a: SparseSymmetric, band: _Band, rows: np.ndarray, tol: float,
     else:
         sub_band = _Band(sub.matrix)
         gershgorin = float(abs(sub.matrix).sum(axis=1).max())
-        _, _, v_sub, ok, _ = _lambda_max(sub, sub_band, gershgorin, tol, tol, v0[rows])
+        start = _gershgorin_start(sub, sub_band, gershgorin, v0[rows])
+        if start[1] > tol:
+            start = _solve_above(sub, sub_band, start, gershgorin, tol)
+        _, _, v_sub, ok = start
         band.factorizations += sub_band.factorizations
         band.solves += sub_band.solves
     v = np.zeros(a.order)
@@ -601,7 +713,7 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
     or both eigenpairs from the dense eigensolver when minimum is None."""
     local_rows = 0
     if minimum is None:
-        method, ok = "dense", True
+        method, start, ok = "dense", "dense", True
         vecs = np.linalg.eigh(a.toarray())[1]
         v_min, v_max = vecs[:, 0].copy(), vecs[:, -1].copy()
         lam_min, res_min = _rayleigh(a, v_min)
@@ -612,14 +724,18 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
         lam_min, res_min, v_min, ok_min = minimum
         abs_a = abs(a.matrix)
         row_sums = np.asarray(abs_a.sum(axis=1)).ravel()
-        rows = _local_rows(a, abs_a, row_sums)
+        gershgorin = float(row_sums.max())
+        start, pair = "mirror", _mirror_start(a, minimum, tol)
+        if pair is None:
+            rows = _local_rows(a, abs_a, row_sums, _ritz_value(a, v0))
+            if rows is not None:
+                start, local_rows = "local", len(rows)
+                pair = _local_start(a, band, rows, tol, dense_cutoff, v0)
+            else:
+                start, pair = "gershgorin", _gershgorin_start(a, band, gershgorin, v0)
         del abs_a
-        start = None
-        if rows is not None:
-            local_rows = len(rows)
-            start = _local_start(a, band, rows, tol, dense_cutoff, v0)
         lam_max, res_max, v_max, ok_max, upper = _lambda_max(
-            a, band, float(row_sums.max()), tol, _arpack_tol(tol), v0, start)
+            a, band, gershgorin, tol, _arpack_tol(tol), pair)
         ok = ok_min and ok_max
     if lam_min <= 0:  # the factor at zero completed, so it is numerically singular
         raise EigenSolveError(f"matrix is numerically singular (lambda_min = {lam_min:.6g})")
@@ -641,6 +757,7 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
         solves=band.solves,
         factorizations=band.factorizations,
         local_rows=local_rows,
+        start=start,
         v_min=v_min,
         v_max=v_max,
     )

@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import femcond as fc
-from femcond.assembly import _element_metric, _local_stiffness, _sym_eig_range
+from femcond.assembly import _element_metric, _local_stiffness
+from femcond.mesh import _sym_eig_range, _sym_eigmax
 from conftest import random_mesh, random_spd_field, stretched_matrices
 from oracles import (
     DensityFunction,
@@ -182,7 +183,8 @@ def _stretched_metrics(rng, count: int, aspect: float) -> np.ndarray:
 
 
 class TestSymEigRange:
-    """The closed-form 2D eigenvalue range against numpy.linalg.eigvalsh."""
+    """mesh._sym_eig_range against numpy.linalg.eigvalsh: closed form in 2D,
+    LAPACK's smallest and the closed-form largest in 3D."""
 
     @staticmethod
     def _stacks(rng) -> list[np.ndarray]:
@@ -216,7 +218,11 @@ class TestSymEigRange:
         m = r + np.swapaxes(r, 1, 2)
         low, high = _sym_eig_range(m)
         ref = np.linalg.eigvalsh(m)
-        assert np.array_equal(low, ref[:, 0]) and np.array_equal(high, ref[:, -1])
+        # the smallest is LAPACK's; the largest is _sym_eigmax's, which in 3D
+        # is the trigonometric closed form
+        assert np.array_equal(low, ref[:, 0]) and np.array_equal(high, _sym_eigmax(m))
+        assert high == pytest.approx(ref[:, -1], rel=1e-12, abs=1e-12)
+        assert np.array_equal(high, ref[:, -1]) == (dim == 1)
 
 
 def _quadratic_field(x):

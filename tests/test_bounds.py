@@ -11,10 +11,10 @@ from femcond.bounds import (
     BOUNDS,
     Calibration,
     _patch_weighted_sums,
-    _sym_eigmax,
     evaluate_raw_bounds,
 )
 from femcond.cli import fit_loglog_slope
+from femcond.mesh import _sym_eigmax
 from femcond.spectra import _spectra
 from conftest import random_mesh
 from oracles import (

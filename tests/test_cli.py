@@ -140,8 +140,11 @@ class TestAnalyze:
             assert exact["factor_nnz"] > 0
             assert exact["solves"] > 0
             assert (f"factor_nnz={exact['factor_nnz']} "
-                    f"solves={exact['solves']} factorizations={exact['factorizations']}"
-                    ) in line
+                    f"solves={exact['solves']} factorizations={exact['factorizations']} "
+                    f"start={exact['start']}") in line
+        # A's top eigenvector lives along the boundary layer; S A S has a
+        # constant diagonal on a bipartite graph
+        assert [data["exact"][name]["start"] for name in ("A", "SAS")] == ["local", "mirror"]
 
     def test_certificate_reported(self, tmp_path, capsys):
         # order 400, above the dense cutoff

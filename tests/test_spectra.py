@@ -14,12 +14,15 @@ from femcond.spectra import (
     DENSE_CUTOFF,
     LOCAL_LAYERS,
     LOCAL_SHARE,
+    MIRROR_NEGLIGIBLE,
     SHIFT_GAP,
     EigenSolveError,
     _Band,
     _inverse_above,
     _local_rows,
+    _mirror_signs,
     _rayleigh,
+    _ritz_value,
     _rounding_margin,
     _shift_invert,
     _spectra,
@@ -111,10 +114,13 @@ class TestExtremeEigenvalues:
     def test_nonconvergence_is_flagged(self, monkeypatch):
         # MAXITER = 1: both lambda_max shift-invert solves stop after their
         # first 10-vector Krylov basis, unconverged.  At order 699 one basis
-        # converges every solve, so the order is 1 999.
+        # converges every solve, so the order is 1 999.  The mirror start is
+        # off: it would take lambda_max from lambda_min's vector, which one
+        # basis converges, and run no lambda_max solve.
         m = fc.generate_uniform(1, 2000)
         a = fc.assemble_stiffness(m, fc.DiffusionField.identity(1))
         monkeypatch.setattr(fc.spectra, "MAXITER", 1)
+        monkeypatch.setattr(fc.spectra, "_mirror_start", lambda *args: None)
         r = extreme_eigenvalues(a, tol=1e-8, dense_cutoff=10)
         assert not r.converged
 
@@ -247,6 +253,7 @@ class TestFilteredLambdaMax:
         assert r.method == "dense"
         kd = _Band(a.matrix).kd
         assert (r.factor_nnz, r.solves, r.factorizations) == (a.order * (kd + 1), 0, 3)
+        assert r.start == "dense"
 
 
 class TestOneFactorDoor:
@@ -255,7 +262,7 @@ class TestOneFactorDoor:
 
     @pytest.mark.parametrize("dim, n, aspect, local, method", [
         (2, 100, 25.0, True, "lanczos_shift_invert"),
-        (2, 100, 5.0, False, "lanczos_shift_invert"),
+        (2, 100, 5.0, True, "lanczos_shift_invert"),
         (3, 11, 25.0, False, "lanczos_shift_invert"),
         (2, 10, 25.0, False, "dense"),
     ])
@@ -454,9 +461,13 @@ class TestSharedBand:
         (pair_a, pair_s) = pair
         for name in ("lambda_min", "lambda_max", "lambda_min_lower", "lambda_max_upper"):
             assert getattr(pair_a, name) == getattr(alone_a, name), name
-        assert pair_s.lambda_max == alone_s.lambda_max
-        assert pair_s.lambda_max_upper == alone_s.lambda_max_upper
-        assert pair_s.lambda_min == pytest.approx(alone_s.lambda_min, rel=1e-13, abs=0)
+        # S A S's lambda_min solve runs on A's factor in the pair and on its
+        # own alone, so v_min's bits differ, and with them lambda_max's and
+        # its certificate's wherever the mirror start takes v_min across.
+        for name in ("lambda_min", "lambda_max", "lambda_max_upper"):
+            assert getattr(pair_s, name) == pytest.approx(
+                getattr(alone_s, name), rel=1e-13, abs=0), name
+        assert pair_s.start == alone_s.start
         assert (pair_s.converged, pair_s.certified) == (alone_s.converged, alone_s.certified)
         assert pair_s.certified and pair_s.converged
         assert pair_s.factorizations == alone_s.factorizations - 1
@@ -516,7 +527,7 @@ class TestLocalStart:
         a, vals = local
         tol = 1e-8
         r = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff)
-        assert r.method == "lanczos_shift_invert"
+        assert (r.method, r.start) == ("lanczos_shift_invert", "local")
         assert 0 < r.local_rows <= a.order / 2
         assert (r.local_rows <= dense_cutoff) == (dense_cutoff == DENSE_CUTOFF)
         assert a.order not in shifted_on
@@ -538,9 +549,26 @@ class TestLocalStart:
         vals = np.linalg.eigvalsh(a.toarray())
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.local_rows == 0
+        assert r.start == {"aspect-5": "gershgorin", "SAS": "mirror"}[case]
         assert r.converged and r.certified
         assert r.lambda_max == pytest.approx(vals[-1], rel=1e-7)
         assert np.count_nonzero(r.v_max) == a.order
+
+    def test_submatrix_builds_no_certificate(self, local, monkeypatch):
+        # The submatrix's solve only supplies the start: A's own residual
+        # and certificates judge the padded vector.
+        a, _ = local
+        certified_on = []
+        certify = _Band.certify
+
+        def certify_spy(band, *args, **kwargs):
+            certified_on.append(band.n)
+            return certify(band, *args, **kwargs)
+
+        monkeypatch.setattr(_Band, "certify", certify_spy)
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.start == "local" and r.local_rows > 10
+        assert r.certified and certified_on == [a.order, a.order]
 
     def test_forced_miss_ends_certified(self, local, shifted_on, monkeypatch):
         # Without the 6 layers the padded vector misses tol on A, and A's
@@ -556,6 +584,119 @@ class TestLocalStart:
         assert r.lambda_max_upper >= vals[-1]
 
 
+def _sheared_layer() -> SparseSymmetric:
+    """boundary_layer(2, 40, 25) mapped by x' = x + y, order 1 600: its
+    triangles are no longer right-angled, so no coupling vanishes and A's
+    graph holds triangles."""
+    mesh = fc.generate_boundary_layer(2, 40, 25.0)
+    vertices = mesh.vertices.copy()
+    vertices[:, 0] += vertices[:, 1]
+    return _stiffness(fc.SimplicialMesh(2, vertices, mesh.elements))
+
+
+def _mirror_off(monkeypatch) -> None:
+    monkeypatch.setattr(fc.spectra, "_mirror_start", lambda *args: None)
+
+
+class TestMirrorStart:
+    """On a matrix with a constant diagonal and a 2-colourable off-diagonal
+    pattern, lambda_max's start is v_min with its signs flipped on one
+    colour; the residual test and the certificate judge it, and every other
+    matrix starts as before."""
+
+    CASES = {
+        "2d-25": lambda: _stiffness(fc.generate_boundary_layer(2, 100, 25.0)),
+        "3d-25": lambda: _stiffness(fc.generate_boundary_layer(3, 11, 25.0)),
+        "chebyshev": lambda: _stiffness(fc.generate_chebyshev_1d(1024)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_signs_mirror_the_scaled_matrix(self, case):
+        # exactly in 2D and 1D; in 3D up to the couplings of about 1e-16
+        # that the Kuhn tetrahedra leave where 2D leaves 0.0
+        m = fc.jacobi_scale(self.CASES[case]()).matrix
+        c, signs = _mirror_signs(SparseSymmetric(m))
+        assert c == 1.0 and set(np.unique(signs)) == {-1.0, 1.0}
+        flipped = sp.diags(signs) @ m @ sp.diags(signs)
+        gap = abs(flipped - (2 * sp.identity(m.shape[0]) - m)).max()
+        assert gap <= MIRROR_NEGLIGIBLE * abs(m).max()
+        assert (gap == 0) == (case != "3d-25")
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_scaled_matrix_takes_the_mirror(self, case, monkeypatch):
+        a = self.CASES[case]()
+        r = _spectra(a)[1]
+        _mirror_off(monkeypatch)
+        off = _spectra(a)[1]
+        assert (r.start, off.start) == ("mirror", "gershgorin")
+        assert r.certified and r.converged
+        # only the two certificates, against the Gershgorin start's factor
+        # besides them (and on chebyshev a shift's too)
+        assert r.factorizations == 2 < off.factorizations
+        assert r.lambda_max == pytest.approx(off.lambda_max, rel=1e-13, abs=0)
+        assert r.lambda_max == pytest.approx(2 - r.lambda_min, rel=1e-13, abs=0)
+
+    def test_uniform_stiffness_takes_the_mirror(self):
+        # A itself: its diagonal is constant to rounding
+        a = _stiffness(fc.generate_uniform(2, 50))
+        vals = spla.eigsh(a.matrix, k=1, which="LA", return_eigenvectors=False, tol=1e-12)
+        r = extreme_eigenvalues(a)
+        assert r.start == "mirror" and r.certified and r.converged
+        assert r.lambda_max == pytest.approx(vals[0], rel=1e-10)
+
+    def test_sheared_layer_falls_back(self, monkeypatch):
+        # The colouring fails on both matrices, before any product or
+        # factorization: the counts are those without the mirror.
+        a = _sheared_layer()
+        assert _mirror_signs(a) is None and _mirror_signs(fc.jacobi_scale(a)) is None
+        pair = _spectra(a)
+        _mirror_off(monkeypatch)
+        for r, off in zip(pair, _spectra(a)):
+            assert r.certified and r.converged
+            assert (r.start, r.factorizations, r.solves, r.local_rows, r.lambda_max) == (
+                off.start, off.factorizations, off.solves, off.local_rows, off.lambda_max)
+        assert [r.start for r in pair] == ["local", "gershgorin"]
+
+    def test_unflipped_signs_are_rejected(self, monkeypatch):
+        # All signs +1 give v_min itself: a pair whose residual meets tol,
+        # at the wrong end of the spectrum, 2 - lambda_min away from the
+        # mirrored eigenvalue.  The start falls back to the Gershgorin one.
+        sas = fc.jacobi_scale(self.CASES["chebyshev"]())
+        _mirror_off(monkeypatch)
+        off = extreme_eigenvalues(sas)
+        monkeypatch.undo()
+        monkeypatch.setattr(fc.spectra, "_mirror_signs", lambda a: (1.0, np.ones(a.order)))
+        r = extreme_eigenvalues(sas)
+        assert r.start == "gershgorin" and r.certified and r.converged
+        assert (r.factorizations, r.solves, r.lambda_max) == (
+            off.factorizations, off.solves, off.lambda_max)
+
+    def test_failed_certificate_sends_the_start_to_the_shift_step(self, monkeypatch):
+        sas = fc.jacobi_scale(self.CASES["chebyshev"]())
+        mirrored = extreme_eigenvalues(sas)
+        certify, shift = _Band.certify, fc.spectra._shift_above_lambda_max
+        tops, shifts = [], []
+
+        def fail_first_top(band, theta, tol, upper):
+            if upper:
+                tops.append(theta)
+                if len(tops) == 1:
+                    return None
+            return certify(band, theta, tol, upper)
+
+        def shift_spy(band, theta0, *args):
+            shifts.append(theta0)
+            return shift(band, theta0, *args)
+
+        monkeypatch.setattr(_Band, "certify", fail_first_top)
+        monkeypatch.setattr(fc.spectra, "_shift_above_lambda_max", shift_spy)
+        r = extreme_eigenvalues(sas)
+        assert r.start == "mirror"
+        assert tops[0] == shifts[0] == mirrored.lambda_max
+        assert len(tops) == 2 and r.certified and r.converged
+        assert r.lambda_max == pytest.approx(mirrored.lambda_max, rel=1e-12)
+
+
 def _rows_from_interlacing(a: SparseSymmetric):
     """_local_rows with the seeds taken at the oracle's interlacing bound
     instead of max a_ii."""
@@ -569,7 +710,7 @@ def _rows_from_interlacing(a: SparseSymmetric):
 
 
 class TestLocalRows:
-    """The seeds at max a_ii select the same S as the larger interlacing
+    """The seeds at the Ritz value select the same S as the interlacing
     bound on stretched layers, and both fall back on spread eigenvectors."""
 
     @pytest.mark.parametrize("case", ["local", "boundary-layer", "SAS", "3d"])
@@ -582,7 +723,8 @@ class TestLocalRows:
                                                 fc.DiffusionField.identity(3)),
         }[case]()
         abs_a = abs(a.matrix)
-        rows = _local_rows(a, abs_a, np.asarray(abs_a.sum(axis=1)).ravel())
+        theta = _ritz_value(a, np.random.default_rng(0).standard_normal(a.order))
+        rows = _local_rows(a, abs_a, np.asarray(abs_a.sum(axis=1)).ravel(), theta)
         expected = _rows_from_interlacing(a)
         # at order 400 only the anisotropic field keeps S within n / 2
         assert (rows is None) == (case != "local")
