@@ -14,9 +14,10 @@ one place the edge matrices are inverted (with the closed-form `mesh._inv`),
 and a caller holding M_K (the anisotropy factors beta_K read it too)
 assembles from it directly.  The range check of every field value and the
 SPD test of every D_K take 2D eigenvalues in closed form,
-half -+ hypot((a - c) / 2, b); 3D keeps LAPACK's eigvalsh, since the
-trigonometric closed form loses about half the digits of a smallest
-eigenvalue close to a double one, too coarse against the check's 1e-9 slack.
+half -+ hypot((a - c) / 2, b) (`mesh._sym_eig_range`); 3D keeps LAPACK's
+eigvalsh, since the trigonometric closed form loses about half the digits
+of an eigenvalue close to a double one, too coarse against the check's 1e-9
+slack.
 Boundary rows and columns are never assembled: the system lives on the
 interior vertices only.  Assembly is deterministic: the same mesh and field
 produce a bit-identical matrix.

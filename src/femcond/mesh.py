@@ -9,12 +9,14 @@ queries are safe to call concurrently.
 Stacks of per-element d x d matrices go through two closed-form kernels,
 `_det` (cofactor expansion) and `_inv` (adjugate over determinant): the
 element volumes and orientation here, the element metric in `assembly` and
-the 3 x 3 eigenvalue formula in `bounds`.  On the benchmark meshes' 2 x 2
-and 3 x 3 stacks they run 7 to 50 times faster than batched LAPACK; in 1D
-they are the entries and their reciprocals, bit for bit LAPACK's results.
-Symmetric eigenvalue ranges in 3D stay with LAPACK (see `assembly`): the
-trigonometric closed form is too coarse near a double eigenvalue for the
-range check.
+the 3 x 3 largest-eigenvalue formula `_sym_eigmax` of beta_K in `bounds`.
+On the benchmark meshes' 2 x 2 and 3 x 3 stacks they run 7 to 50 times
+faster than batched LAPACK; in 1D they are the entries and their
+reciprocals, bit for bit LAPACK's results.  Symmetric eigenvalue ranges
+(`_sym_eig_range`, the range check and SPD test in `assembly`) are closed
+form in 2D, the same form as `_sym_eigmax`'s, and stay with LAPACK in 3D:
+the trigonometric closed form is too coarse near a double eigenvalue for
+the range check.
 """
 
 from __future__ import annotations
@@ -334,14 +336,13 @@ def _inv(m: np.ndarray) -> np.ndarray:
     return adj / _det(m)[:, None, None]
 
 
-
 def _sym_eig_range(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalues of a symmetric (n, d, d) stack,
-    d <= 3: the entries in 1D, half -+ hypot((a - c) / 2, b) in 2D, and in
-    3D LAPACK's smallest and _sym_eigmax's largest.  The trigonometric 3 x 3
-    form loses about half the digits of a smallest eigenvalue close to a
-    double one (an error of about 1e-8 times the spread), too coarse against
-    the 1e-9 slack of the diffusion range check; its largest keeps them."""
+    d <= 3: the entries in 1D, half -+ hypot((a - c) / 2, b) in 2D, and
+    LAPACK's in 3D.  The trigonometric 3 x 3 form of _sym_eigmax loses about
+    half the digits of an eigenvalue close to a double one (an error of about
+    1e-8 times the spread), too coarse against the 1e-9 slack of the
+    diffusion range check."""
     d = m.shape[-1]
     if d == 1:
         return m[:, 0, 0], m[:, 0, 0]
@@ -349,13 +350,15 @@ def _sym_eig_range(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
         half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
         return half - radius, half + radius
-    return np.linalg.eigvalsh(m)[:, 0], _sym_eigmax(m)
+    eigs = np.linalg.eigvalsh(m)
+    return eigs[:, 0], eigs[:, -1]
 
 
 def _sym_eigmax(m: np.ndarray) -> np.ndarray:
     """Largest eigenvalues of a symmetric (n, d, d) stack, d <= 3, in closed
     form: _sym_eig_range's in 1D and 2D, and in 3D the trigonometric form
-    (Smith, CACM 4, 1961), its determinant from _det."""
+    (Smith, CACM 4, 1961), its determinant from _det, which is accurate to
+    about 1e-8 relative of the spread where the largest is near double."""
     if m.shape[-1] < 3:
         return _sym_eig_range(m)[1]
     p1 = m[:, 0, 1] ** 2 + m[:, 0, 2] ** 2 + m[:, 1, 2] ** 2
@@ -371,6 +374,7 @@ def _sym_eigmax(m: np.ndarray) -> np.ndarray:
         phi = np.arccos(np.clip(_det(b) / 2.0, -1.0, 1.0)) / 3.0
         out[rest] = q[rest] + 2.0 * pp[rest] * np.cos(phi)
     return out
+
 
 @dataclass(frozen=True)
 class ElementGeometry:

@@ -48,15 +48,15 @@ up to three steps.
      below, which does not depend on how the vector was found.
 
 Mirror start.  Let A have a constant diagonal c, A = c I + N, and let the
-graph of N's entries be 2-colourable, with signs s_i = +-1 that differ
-across every edge (the parity of each row's distance from the first row of
-its connected component, from one unweighted shortest-path search).
-Then S N S = -N for S = diag(s), so S A S = 2 c I - A: the spectrum is
-symmetric about c, lambda_max = 2 c - lambda_min and s v_min is
-lambda_max's eigenvector, at the cost of one product with A once
-lambda_min is solved.  Every Jacobi-scaled matrix has c = 1 exactly, and
-on the Kuhn-split tensor grids of the committed sweeps the graph is the 5-
-or 7-point stencil, which is bipartite; a uniform mesh's A qualifies too.
+graph of N's entries be connected and 2-colourable, with signs s_i = +-1
+that differ across every edge (the parity of each row's depth in one
+breadth-first search from row 0).  Then S N S = -N for S = diag(s), so S A
+S = 2 c I - A: the spectrum is symmetric about c, lambda_max = 2 c -
+lambda_min and s v_min is lambda_max's eigenvector, at the cost of one
+product with A once lambda_min is solved.  Every Jacobi-scaled matrix has
+c = 1 exactly, and on the Kuhn-split tensor grids of the committed sweeps
+the graph is the 5- or 7-point stencil, which is bipartite; a uniform
+mesh's A qualifies too.
 Before the test, entries at most MIRROR_NEGLIGIBLE = 1e-12 times max
 |a_ij| are dropped, and so is a spread of the diagonal that small: 3D Kuhn
 tetrahedra leave couplings of about 1e-16 max |a_ij| where 2D leaves 0.0,
@@ -68,22 +68,29 @@ tol (v_min itself, with the signs lost, fails the first); then the residual
 test and the lambda_max certificate of step 1 judge it like any other start,
 and a failed certificate sends it on to steps 2 and 3.  On a sheared mesh
 the colouring fails and the next start runs; the test costs the search,
-about 2 ms at order 10 000, and no product or factorization.
+under 1 ms at order 10 000, and no product or factorization, and a matrix
+whose diagonal varies (A off a uniform mesh) is turned away before it.
 
 Local start.  On a stretched boundary layer the top of A's spectrum belongs
 to the thin cells along the boundary, and lambda_max's eigenvector lives on
 the rows near them: 2 604 of 10 000 on a 2D layer of aspect 5, 25 or 125.
-The seeds are the rows whose Gershgorin disc reaches l = max(max_i a_ii,
-theta) <= lambda_max: a_ii + sum_{j != i} |a_ij| >= l, with theta the
-Rayleigh quotient of the top Ritz vector of a short Lanczos run on A
-(ARPACK at tolerance 1e-2 from the start vector, 11-21 products), and max_i
-a_ii a Rayleigh quotient too.  On any other row that sum is below l, so the
-eigen-equation (lambda_max - a_ii) v_i = sum_{j != i} a_ij v_j has weights
-|a_ij| / (lambda_max - a_ii) that sum to less than 1, |v_i| is below the
-largest |v_j| of its neighbours and the eigenvector decays away from the
-seeds.  Any lower bound of lambda_max would do, and the larger it is the
-fewer the seeds: on a 2D layer of aspect 5, max_i a_ii = 7.25 against
-lambda_max = 8.852 makes every row a seed, while theta = 8.83 leaves 392.
+The seeds are the rows whose Gershgorin disc reaches a lower bound l <=
+lambda_max: a_ii + sum_{j != i} |a_ij| >= l.  On any other row that sum is
+below l, so the eigen-equation (lambda_max - a_ii) v_i = sum_{j != i} a_ij
+v_j has weights |a_ij| / (lambda_max - a_ii) that sum to less than 1, |v_i|
+is below the largest |v_j| of its neighbours and the eigenvector decays
+away from the seeds.  Any lower bound would do, and the larger it is the
+fewer the seeds.  The first is l = max_i a_ii, a Rayleigh quotient, which
+costs nothing: at aspects 25 and 125 it leaves 396 seeds and S as above.
+When its S exceeds n / 2 (below), l = max(max_i a_ii, theta), with theta
+the Rayleigh quotient of the top Ritz vector of a short Lanczos run on A
+(ARPACK at tolerance 1e-2 from the start vector, 11-21 products, 2-4 ms at
+order 10 000): at aspect 5, max_i a_ii = 7.25 against lambda_max = 8.852
+makes every row a seed, while theta = 8.83 leaves 392.  A constant
+diagonal, as in every Jacobi-scaled matrix, makes every row a seed at
+max_i a_ii and takes no Ritz value: on the Jacobi-scaled matrices of
+sheared layers of order 1 331 to 10 000, the rows that reach lambda_max
+itself, the fewest that any lower bound can seed, were 53-92 % of them.
 S is the seeds grown by LOCAL_LAYERS = 6 layers of A's graph: at aspect 25
 the padded vector's residual on A was 1.6e-7 with 4 layers, 7.1e-9 with 5
 and 3.2e-10 with 6, against a tolerance of 1e-8.  When |S| <= n / 2
@@ -98,11 +105,9 @@ and the certificate on A decide, and a start that misses because S is too
 small only costs A's steps 2 and 3 from the padded vector.  So S changes
 the speed, never what is certified.  At aspect 5 the padded vector's
 residual is 4.6e-4, so A still shifts and solves, from a start close enough
-that the first shift holds.  When the seeds alone exceed n / 2 (the
-Jacobi-scaled matrix of a sheared layer, which the mirror does not take and
-whose top eigenvector covers every row), the start is the Gershgorin one,
-decided before any growing; so it is when S exceeds n / 2 after growing (3D
-layers of aspect 25).
+that the first shift holds.  When the seeds alone exceed n / 2, S is
+given up before any growing.  When S exceeds n / 2 at both bounds, before
+or after growing (3D layers of aspect 25), the start is the Gershgorin one.
 
 lambda_min: one solve at shift zero, with the Cholesky factor of A.
 Shift-invert finds the eigenvalue nearest zero, which is the smallest one
@@ -223,7 +228,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
 
 from .assembly import SparseSymmetric, jacobi_scale
 
@@ -248,8 +253,9 @@ KRYLOV_VECTORS = 10
 # ARPACK's default.
 MAXITER = None
 # The lambda_max start's submatrix: the rows whose Gershgorin disc reaches
-# max(max_i a_ii, a Ritz value), grown by LOCAL_LAYERS layers of A's graph,
-# and taken only while they are at most LOCAL_SHARE of A's rows.
+# max_i a_ii, or a Ritz value when those are too many, grown by LOCAL_LAYERS
+# layers of A's graph, and taken only while they are at most LOCAL_SHARE of
+# A's rows.
 LOCAL_LAYERS = 6
 LOCAL_SHARE = 0.5
 # The mirror start drops the entries of A at most MIRROR_NEGLIGIBLE max |a_ij|,
@@ -553,11 +559,11 @@ def _mirror_signs(a: SparseSymmetric) -> tuple[float, np.ndarray] | None:
     """(c, s) with S A S = 2 c I - A, S = diag(s), s_i = +-1, once entries of
     A at most MIRROR_NEGLIGIBLE max |a_ij| are dropped (see the module
     docstring): c the middle of A's diagonal, s the parity of each row's
-    distance in A's off-diagonal pattern from the first row of its
-    connected component; None unless the diagonal is constant and the
-    pattern is 2-colourable.  The search runs on the pattern, never on A's
-    signed values; the pattern is symmetric, so directed searches find its
-    undirected components and distances."""
+    depth in one breadth-first search of A's off-diagonal pattern from row
+    0; None unless the diagonal is constant and the pattern is connected and
+    2-coloured by s.  The search runs on the pattern, never on A's signed
+    values; the pattern is symmetric, so a directed search finds its
+    undirected tree."""
     m, diag = a.matrix, a.diagonal
     negligible = MIRROR_NEGLIGIBLE * float(np.abs(m.data).max(initial=0.0))
     if diag.max() - diag.min() > negligible:
@@ -567,9 +573,18 @@ def _mirror_signs(a: SparseSymmetric) -> tuple[float, np.ndarray] | None:
     pattern = sp.csr_matrix((edges.astype(float), m.indices, m.indptr), shape=m.shape,
                             copy=True)
     pattern.eliminate_zeros()  # in place, on the copy of A's index arrays
-    components = connected_components(pattern, connection="weak")[1]
-    roots = np.unique(components, return_index=True)[1]
-    signs = 1.0 - 2.0 * (dijkstra(pattern, unweighted=True, indices=roots, min_only=True) % 2)
+    reached, parent = breadth_first_order(pattern, 0, return_predecessors=True)
+    if len(reached) < a.order:
+        return None
+    # Depth parity by pointer jumping: odd[i] is the parity of the tree path
+    # from i up to parent[i], and each pass doubles that path, until every
+    # path ends at the root.
+    parent[0] = 0
+    odd = parent != np.arange(a.order)
+    while parent.any():
+        odd ^= odd.take(parent)
+        parent = parent.take(parent)
+    signs = np.where(odd, -1.0, 1.0)
     # 2-coloured when every neighbour of every row has the other sign
     if np.any(signs * (pattern @ signs) != -np.diff(pattern.indptr)):
         return None
@@ -597,9 +612,17 @@ def _mirror_start(a: SparseSymmetric, minimum, tol: float):
 
 def _ritz_value(a: SparseSymmetric, v0: np.ndarray) -> float:
     """The Rayleigh quotient on A of the top Ritz vector of a short Lanczos
-    run (ARPACK at START_TOL from v0), a lower bound on lambda_max."""
-    v = spla.eigsh(a.matrix, k=1, which="LA", tol=START_TOL, ncv=KRYLOV_VECTORS,
-                   v0=v0)[1][:, 0]
+    run (ARPACK at START_TOL from v0, capped at MAXITER iterations), a lower
+    bound on lambda_max; -inf, no bound, when ARPACK returns no vector."""
+    try:
+        v = spla.eigsh(a.matrix, k=1, which="LA", tol=START_TOL, ncv=KRYLOV_VECTORS,
+                       maxiter=MAXITER, v0=v0)[1][:, 0]
+    except spla.ArpackNoConvergence as exc:
+        if not len(exc.eigenvalues):
+            return -math.inf
+        v = exc.eigenvectors[:, 0]
+    except RuntimeError as exc:
+        raise EigenSolveError(f"sparse eigensolve failed: {exc}") from exc
     return _rayleigh(a, v)[0]
 
 
@@ -658,12 +681,14 @@ def extreme_eigenvalues(
 
     Order <= dense_cutoff, or below 2, takes both eigenpairs from a dense
     eigensolver.  Above it, shift-invert solves run (see the module
-    docstring): lambda_min at zero, the lambda_max start (on the submatrix
-    where lambda_max's eigenvector lives, which takes the same dense or
-    shift-invert path by its own order, or on A at the Gershgorin shift)
-    and, unless the start is already certified to tol on A, lambda_max at a
-    shift shown above it.  MAXITER caps the ARPACK iterations (restarts) of
-    each.  A start that is not the answer only supplies a shift and a
+    docstring): lambda_min at zero, the lambda_max start (v_min with its
+    signs flipped on one colour when A's spectrum mirrors about its constant
+    diagonal, on the submatrix where lambda_max's eigenvector lives, which
+    takes the same dense or shift-invert path by its own order, or on A at
+    the Gershgorin shift) and, unless the start is already certified to tol
+    on A, lambda_max at a shift shown above it.  MAXITER caps the ARPACK
+    iterations (restarts) of each, and of the Lanczos run that seeds the
+    local start.  A start that is not the answer only supplies a shift and a
     vector, so its own convergence is then not required.  A reported solve
     that hits the cap is flagged converged=False.  On either path, and
     converged or not, each eigenvalue is the Rayleigh quotient of its
@@ -727,7 +752,11 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
         gershgorin = float(row_sums.max())
         start, pair = "mirror", _mirror_start(a, minimum, tol)
         if pair is None:
-            rows = _local_rows(a, abs_a, row_sums, _ritz_value(a, v0))
+            # seeds at max a_ii, then at a Ritz value unless the diagonal is
+            # constant (see the module docstring)
+            rows = _local_rows(a, abs_a, row_sums, -math.inf)
+            if rows is None and a.diagonal.min() < a.diagonal.max():
+                rows = _local_rows(a, abs_a, row_sums, _ritz_value(a, v0))
             if rows is not None:
                 start, local_rows = "local", len(rows)
                 pair = _local_start(a, band, rows, tol, dense_cutoff, v0)

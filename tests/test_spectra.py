@@ -696,6 +696,96 @@ class TestMirrorStart:
         assert len(tops) == 2 and r.certified and r.converged
         assert r.lambda_max == pytest.approx(mirrored.lambda_max, rel=1e-12)
 
+    def test_disconnected_pattern_is_not_mirrored(self):
+        # Two copies of a mirrored matrix side by side: one search from row 0
+        # reaches only the first, so no signs are claimed for the second.
+        sas = fc.jacobi_scale(_stiffness(fc.generate_chebyshev_1d(400))).matrix
+        twice = SparseSymmetric(sp.block_diag([sas, sas], format="csr"))
+        assert _mirror_signs(twice) is None
+        r = extreme_eigenvalues(twice)
+        assert r.start == "gershgorin" and r.certified and r.converged
+
+
+class TestRitzSeeds:
+    """The local start seeds at a Ritz value only when the seeds at max a_ii
+    are too many and the diagonal varies; a Lanczos run that returns no
+    vector leaves the seeds at max a_ii, and one that fails raises."""
+
+    @pytest.fixture
+    def ritz_on(self, monkeypatch):
+        # the order of every matrix that a Ritz value is sought on
+        orders = []
+        ritz = fc.spectra._ritz_value
+
+        def ritz_spy(a, v0):
+            orders.append(a.order)
+            return ritz(a, v0)
+
+        monkeypatch.setattr(fc.spectra, "_ritz_value", ritz_spy)
+        return orders
+
+    @pytest.mark.parametrize("aspect, sought", [(5.0, True), (25.0, False)])
+    def test_sought_only_when_max_diagonal_seeds_are_too_many(self, aspect, sought, ritz_on):
+        # At aspect 5 every row is a seed at max a_ii; at aspect 25 the
+        # seeds at max a_ii already give S.
+        a = _stiffness(fc.generate_boundary_layer(2, 100, aspect))
+        pair = _spectra(a)
+        assert [(r.start, r.local_rows) for r in pair] == [("local", 2604), ("mirror", 0)]
+        assert ritz_on == ([a.order] if sought else [])
+
+    def test_not_sought_on_a_constant_diagonal(self, ritz_on):
+        # The sheared layer's A localizes at max a_ii; its S A S, diagonal
+        # 1, is not mirrored and not seeded at a Ritz value.
+        pair = _spectra(_sheared_layer())
+        assert [r.start for r in pair] == ["local", "gershgorin"]
+        assert ritz_on == []
+
+    @staticmethod
+    def _failing_lanczos(monkeypatch, exc):
+        # eigsh raises exc on the Ritz run (which="LA") and runs otherwise
+        eigsh, kwargs_seen = spla.eigsh, []
+
+        def eigsh_spy(*args, **kwargs):
+            if kwargs.get("which") == "LA":
+                kwargs_seen.append(kwargs)
+                if exc is not None:
+                    raise exc
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(fc.spectra.spla, "eigsh", eigsh_spy)
+        return kwargs_seen
+
+    def test_run_is_capped_at_maxiter(self, monkeypatch):
+        a = _stiffness(fc.generate_boundary_layer(2, 20, 5.0))
+        monkeypatch.setattr(fc.spectra, "MAXITER", 7)
+        seen = self._failing_lanczos(monkeypatch, None)
+        _ritz_value(a, np.ones(a.order))
+        assert [kwargs["maxiter"] for kwargs in seen] == [7]
+
+    def test_no_vector_leaves_the_max_diagonal_seeds(self, monkeypatch):
+        a = _stiffness(fc.generate_boundary_layer(2, 20, 5.0))
+        ok = extreme_eigenvalues(a, dense_cutoff=10)
+        self._failing_lanczos(monkeypatch, spla.ArpackNoConvergence(
+            "no convergence", np.empty(0), np.empty((a.order, 0))))
+        assert _ritz_value(a, np.ones(a.order)) == -math.inf
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.start == "gershgorin" and r.certified and r.converged
+        assert (r.factorizations, r.solves, r.lambda_max) == (
+            ok.factorizations, ok.solves, ok.lambda_max)
+
+    def test_partial_vector_is_used(self, monkeypatch):
+        a = _stiffness(fc.generate_boundary_layer(2, 20, 5.0))
+        v = np.linalg.eigh(a.toarray())[1][:, -2:-1]
+        self._failing_lanczos(monkeypatch, spla.ArpackNoConvergence(
+            "no convergence", np.ones(1), v))
+        assert _ritz_value(a, np.ones(a.order)) == _rayleigh(a, v[:, 0])[0]
+
+    def test_failed_run_raises(self, monkeypatch):
+        a = _stiffness(fc.generate_boundary_layer(2, 20, 5.0))
+        self._failing_lanczos(monkeypatch, RuntimeError("ARPACK error -9999"))
+        with pytest.raises(EigenSolveError, match="sparse eigensolve failed"):
+            extreme_eigenvalues(a, dense_cutoff=10)
+
 
 def _rows_from_interlacing(a: SparseSymmetric):
     """_local_rows with the seeds taken at the oracle's interlacing bound
