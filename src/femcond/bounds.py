@@ -65,7 +65,6 @@ __all__ = [
     "build_report",
     "BOUND_IDS",
     "LOWER_BOUND_IDS",
-    "UPPER_BOUND_IDS",
     "DEFAULT_P",
 ]
 
@@ -87,7 +86,6 @@ BOUNDS = {
 }
 BOUND_IDS = tuple(BOUNDS)
 LOWER_BOUND_IDS = tuple(bid for bid, (_, side, _) in BOUNDS.items() if side == "lower")
-UPPER_BOUND_IDS = tuple(bid for bid, (_, side, _) in BOUNDS.items() if side == "upper")
 
 
 def _resolve_p(dim: int, p: float | None) -> float | None:
@@ -378,6 +376,12 @@ class BoundReport:
     stiffness: SparseSymmetric | None = dataclasses.field(default=None, repr=False,
                                                            compare=False)
 
+    @property
+    def nonunit_domain(self) -> bool:
+        """True when |Omega| differs from 1 by more than 1e-9: the 2D
+        logarithmic terms of the bounds are then scale-sensitive."""
+        return abs(self.domain_volume - 1.0) > 1e-9
+
     def calibrated_bounds(self) -> dict[str, float] | None:
         if self.calibration is None:
             return None
@@ -420,7 +424,7 @@ class BoundReport:
             "n_interior": self.n_interior,
             "p": self.p_used,
             "domain_volume": self.domain_volume,
-            "nonunit_domain": abs(self.domain_volume - 1.0) > 1e-9,
+            "nonunit_domain": self.nonunit_domain,
             "exact": {"A": _spectral_json(self.exact_A),
                       "SAS": _spectral_json(self.exact_SAS)},
             "lambda_max_sandwich": [self.lambda_max_lower, self.upper_lambda_max_A],

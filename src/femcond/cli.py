@@ -239,8 +239,8 @@ def _print_report(report) -> None:
     print(
         f"mesh: dim={report.dim} N={report.n_elements} N_vi={report.n_interior} "
         f"|Omega|={_fmt(report.domain_volume)}"
-        + ("" if abs(report.domain_volume - 1.0) <= 1e-9
-           else "  (warning: non-unit domain, 2D log terms are scale-sensitive)")
+        + ("  (warning: non-unit domain, 2D log terms are scale-sensitive)"
+           if report.nonunit_domain else "")
     )
     for name, r in (("A", report.exact_A), ("SAS", report.exact_SAS)):
         flag = "" if r.converged else "  [NOT CONVERGED]"

@@ -39,11 +39,14 @@ up to three steps.
      sigma_1 > lambda_max up to the rounding margin below.  A failed one
      instead shows lambda_max >= sigma_1; the next shift is then sigma_1 (1 +
      eta) with eta doubled, at most until the shift passes g (a failure
-     there raises).  A shift that had to grow is brought back by geometric
-     bisection between the largest shift shown below lambda_max and the
-     smallest shown above it, until they are within the first eta relative.
-  3. Solve.  One more solve at sigma_1, from the vector of step 1.  The
-     vector only has to be good: a misconverged pair (an interior
+     there raises).  The first shift whose factorization completes is
+     accepted.  The shift before it failed (or was theta_0), so after k
+     failures the accepted one lies at most 2^k eta relative above
+     lambda_max.  Bisecting back towards lambda_max would cost more
+     factors, each about n kd^2 flops against 4 n kd for a solve, and on the
+     stretched and sheared layers measured it saved no full-band solve.
+  3. Solve.  One more solve at the accepted shift, from the vector of step
+     1.  The vector only has to be good: a misconverged pair (an interior
      eigenvalue, or too few digits) is caught by the lambda_max certificate
      below, which does not depend on how the vector was found.
 
@@ -85,8 +88,9 @@ costs nothing: at aspects 25 and 125 it leaves 396 seeds and S as above.
 When its S exceeds n / 2 (below), l = max(max_i a_ii, theta), with theta
 the Rayleigh quotient of the top Ritz vector of a short Lanczos run on A
 (ARPACK at tolerance 1e-2 from the start vector, 11-21 products, 2-4 ms at
-order 10 000): at aspect 5, max_i a_ii = 7.25 against lambda_max = 8.852
-makes every row a seed, while theta = 8.83 leaves 392.  A constant
+order 10 000; the start vector's own when the run returns none, see ARPACK
+below): at aspect 5, max_i a_ii = 7.25 against lambda_max = 8.852 makes
+every row a seed, while theta = 8.83 leaves 392.  A constant
 diagonal, as in every Jacobi-scaled matrix, makes every row a seed at
 max_i a_ii and takes no Ritz value: on the Jacobi-scaled matrices of
 sheared layers of order 1 331 to 10 000, the rows that reach lambda_max
@@ -120,6 +124,15 @@ too, right after A's and before any other factor is built: (S A S)^-1 =
 S^-1 A^-1 S^-1.  Both solves, and each matrix's own final lambda_max solve,
 ask ARPACK for max(tol 1e-2, 1e-14) (`_arpack_tol`); the final solve on the
 local start's submatrix asks for tol (Local start).
+
+ARPACK.  Every Lanczos run, the shift-invert solves and the plain run
+behind the local start's Ritz value, is one call of the same function
+with one failure rule: a run that stops unconverged (at the MAXITER cap)
+returns ARPACK's partial vector, or its own start vector when ARPACK has
+none, flagged unconverged, and an ARPACK error raises EigenSolveError.  A
+returned eigenvalue is always the Rayleigh quotient of the returned vector
+on A, so an unconverged Ritz value is still a lower bound on lambda_max,
+and an unconverged end is still judged by its residual and certificate.
 
 One ordering per instance.  The factor at zero computes A's only ordering:
 q = reverse_cuthill_mckee(A), on A's stored pattern, which makes A[q][:, q]
@@ -468,54 +481,39 @@ def _inverse_above(band: _Band, sigma: float, gershgorin: float) -> _Inverse | N
 
 
 def _shift_above_lambda_max(band: _Band, theta0: float, gap: float, gershgorin: float):
-    """(A - sigma_1 I)^-1 from a band Cholesky factorization of sigma_1 I - A
-    that completes, with sigma_1 <= lo (1 + gap) for some lo <= lambda_max
-    (see the module docstring).  theta0 <= lambda_max is the Rayleigh
-    quotient of the start, gap the first relative gap of the shift above it
-    and gershgorin = max_i sum_j |a_ij|."""
+    """2^s (A - sigma I)^-1 from the first band Cholesky factorization of
+    sigma I - A that completes (see the module docstring), sigma = theta0 (1
+    + gap) and, after each failed one, sigma (1 + eta) with eta doubled from
+    gap.  theta0 <= lambda_max is the Rayleigh quotient of the start, gap
+    the first relative gap of the shift above it and gershgorin = max_i
+    sum_j |a_ij|, above which a failure raises."""
     if not theta0 > 0:
         raise EigenSolveError(f"matrix is not SPD (Rayleigh quotient {theta0:.6g})")
-    lo, hi, eta = theta0, math.inf, gap
-    inverse = None
-    while hi > lo * (1 + gap):
-        # Grow the shift above lo until one is shown above lambda_max, then
-        # bisect [lo, hi] geometrically.
-        sigma = lo * (1 + eta) if math.isinf(hi) else math.sqrt(lo * hi)
-        inverse = None  # release the last factor before building the next
-        inverse = _inverse_above(band, sigma, gershgorin)
-        if inverse is not None:
-            hi = sigma
-        else:  # sigma I - A is not positive definite: lambda_max >= sigma
-            lo, eta = sigma, 2 * eta
-    # None when the last bisection step fell below lambda_max
-    return inverse if inverse is not None else _inverse_above(band, hi, gershgorin)
+    sigma, eta = theta0 * (1 + gap), gap
+    while (inverse := _inverse_above(band, sigma, gershgorin)) is None:
+        # sigma I - A is not positive definite: lambda_max >= sigma
+        eta *= 2
+        sigma *= 1 + eta
+    return inverse
 
 
-def _shift_invert(a: SparseSymmetric, inverse: _Inverse, arp_tol: float, v0):
-    """Eigenpair of A nearest the shift sigma of inverse = 2^s (A - sigma
-    I)^-1, by ARPACK's shift-invert mode at ARPACK tolerance arp_tol from
-    v0, capped at MAXITER iterations.  Only ARPACK's vector is used, so the
-    positive factor 2^s changes nothing but its convergence test.  Returns
-    (Rayleigh quotient on A, its relative residual, vector, converged)."""
-
-    def eigsh(arp_tol):
-        return spla.eigsh(a.matrix, k=1, sigma=inverse.sigma, OPinv=inverse, tol=arp_tol,
-                          maxiter=MAXITER, v0=v0, ncv=KRYLOV_VECTORS)[1][:, 0]
-
-    ok = True
+def _arpack(a: SparseSymmetric, inverse: _Inverse | None, arp_tol: float, v0):
+    """An eigenpair of A by ARPACK at tolerance arp_tol from v0, capped at
+    MAXITER iterations: the top one by plain Lanczos (which="LA") when
+    inverse is None, else the one nearest the shift sigma of inverse = 2^s
+    (A - sigma I)^-1 by its shift-invert mode.  Only ARPACK's vector is
+    used, so the positive factor 2^s changes nothing but its convergence
+    test.  Returns (Rayleigh quotient on A, its relative residual, vector,
+    converged); a run that stops unconverged returns ARPACK's partial
+    vector, or v0 when it has none, with converged False, and one that fails
+    raises (see the module docstring)."""
+    sigma, which = (None, "LA") if inverse is None else (inverse.sigma, "LM")
     try:
-        v = eigsh(arp_tol)
+        v = spla.eigsh(a.matrix, k=1, sigma=sigma, which=which, OPinv=inverse, tol=arp_tol,
+                       maxiter=MAXITER, v0=v0, ncv=KRYLOV_VECTORS)[1][:, 0]
+        ok = True
     except spla.ArpackNoConvergence as exc:
-        ok = False
-        if len(exc.eigenvalues):
-            v = exc.eigenvectors[:, 0]
-        else:  # no converged pair at all: salvage a crude estimate to report
-            try:
-                v = eigsh(0.1)
-            except (spla.ArpackNoConvergence, RuntimeError):
-                raise EigenSolveError(
-                    f"eigensolver produced no estimate after {MAXITER} iterations"
-                ) from exc
+        v, ok = (exc.eigenvectors[:, 0] if len(exc.eigenvalues) else v0), False
     except RuntimeError as exc:
         raise EigenSolveError(f"sparse eigensolve failed: {exc}") from exc
     return (*_rayleigh(a, v), v, ok)
@@ -527,7 +525,7 @@ def _gershgorin_start(a: SparseSymmetric, band: _Band, gershgorin: float, v0: np
     max_i sum_j |a_ij|, as (Rayleigh quotient on A, its residual, vector,
     converged)."""
     inverse = _inverse_above(band, gershgorin * (1 + SHIFT_GAP), gershgorin)
-    return _shift_invert(a, inverse, START_TOL, v0)
+    return _arpack(a, inverse, START_TOL, v0)
 
 
 def _solve_above(a: SparseSymmetric, band: _Band, start, gershgorin: float, arp_tol: float):
@@ -537,7 +535,7 @@ def _solve_above(a: SparseSymmetric, band: _Band, start, gershgorin: float, arp_
     lambda_max.  Returns (Rayleigh quotient, residual, vector, converged)."""
     lam, res, v, _ = start
     inverse = _shift_above_lambda_max(band, lam, max(SHIFT_GAP, res / 4), gershgorin)
-    return _shift_invert(a, inverse, arp_tol, v)
+    return _arpack(a, inverse, arp_tol, v)
 
 
 def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
@@ -610,22 +608,6 @@ def _mirror_start(a: SparseSymmetric, minimum, tol: float):
     return lam, res, v, ok
 
 
-def _ritz_value(a: SparseSymmetric, v0: np.ndarray) -> float:
-    """The Rayleigh quotient on A of the top Ritz vector of a short Lanczos
-    run (ARPACK at START_TOL from v0, capped at MAXITER iterations), a lower
-    bound on lambda_max; -inf, no bound, when ARPACK returns no vector."""
-    try:
-        v = spla.eigsh(a.matrix, k=1, which="LA", tol=START_TOL, ncv=KRYLOV_VECTORS,
-                       maxiter=MAXITER, v0=v0)[1][:, 0]
-    except spla.ArpackNoConvergence as exc:
-        if not len(exc.eigenvalues):
-            return -math.inf
-        v = exc.eigenvectors[:, 0]
-    except RuntimeError as exc:
-        raise EigenSolveError(f"sparse eigensolve failed: {exc}") from exc
-    return _rayleigh(a, v)[0]
-
-
 def _local_rows(a: SparseSymmetric, abs_a, row_sums: np.ndarray,
                 theta: float) -> np.ndarray | None:
     """The rows S of the lambda_max start's submatrix (see the module
@@ -690,7 +672,9 @@ def extreme_eigenvalues(
     iterations (restarts) of each, and of the Lanczos run that seeds the
     local start.  A start that is not the answer only supplies a shift and a
     vector, so its own convergence is then not required.  A reported solve
-    that hits the cap is flagged converged=False.  On either path, and
+    that stops unconverged returns ARPACK's partial vector, or its start
+    vector when ARPACK has none, and is flagged converged=False; an ARPACK
+    error raises EigenSolveError.  On either path, and
     converged or not, each eigenvalue is the Rayleigh quotient of its
     returned vector on A, so lambda_max never exceeds the true lambda_max
     and lambda_min never falls below the true lambda_min.
@@ -724,7 +708,7 @@ def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
     minima, v0 = [None] * len(matrices), None
     if not _dense(band.n, dense_cutoff):
         v0 = np.random.default_rng(seed).standard_normal(band.n)
-        minima = [_shift_invert(m, inv, _arpack_tol(tol), v0) for m, inv in
+        minima = [_arpack(m, inv, _arpack_tol(tol), v0) for m, inv in
                   zip(matrices, [inverse, *(inverse.congruent(b) for b in bands[1:])])]
     del inverse  # release the factor at zero before the next is built
     return [_complete(m, band, minimum, tol, dense_cutoff, v0)
@@ -756,7 +740,7 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
             # constant (see the module docstring)
             rows = _local_rows(a, abs_a, row_sums, -math.inf)
             if rows is None and a.diagonal.min() < a.diagonal.max():
-                rows = _local_rows(a, abs_a, row_sums, _ritz_value(a, v0))
+                rows = _local_rows(a, abs_a, row_sums, _arpack(a, None, START_TOL, v0)[0])
             if rows is not None:
                 start, local_rows = "local", len(rows)
                 pair = _local_start(a, band, rows, tol, dense_cutoff, v0)

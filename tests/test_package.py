@@ -43,6 +43,16 @@ def test_element_stacks_use_the_closed_form_kernels():
     assert calls == []
 
 
+def test_one_arpack_call_site():
+    # spectra._arpack is the one ARPACK call, with one rule for a run that
+    # stops unconverged.
+    src = Path(fc.__file__).resolve().parent
+    calls = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "spla.eigsh(" in line]
+    assert len(calls) == 1, calls
+
+
 @pytest.fixture(scope="module")
 def bench():
     """The benchmark's workload module, loaded from its file."""

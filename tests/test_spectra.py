@@ -16,15 +16,15 @@ from femcond.spectra import (
     LOCAL_SHARE,
     MIRROR_NEGLIGIBLE,
     SHIFT_GAP,
+    START_TOL,
     EigenSolveError,
     _Band,
+    _arpack,
     _inverse_above,
     _local_rows,
     _mirror_signs,
     _rayleigh,
-    _ritz_value,
     _rounding_margin,
-    _shift_invert,
     _spectra,
     extreme_eigenvalues,
 )
@@ -208,7 +208,7 @@ class TestFilteredLambdaMax:
         gershgorin = float(np.abs(diag).max())
         inverse = _inverse_above(_Band(a.matrix), gershgorin * (1 + SHIFT_GAP), gershgorin)
         v0 = np.random.default_rng(0).standard_normal(a.order)
-        lam_max, residual, _, ok = _shift_invert(a, inverse, 1e-10, v0)
+        lam_max, residual, _, ok = _arpack(a, inverse, 1e-10, v0)
         assert ok and residual <= 1e-8
         assert lam_max == pytest.approx(2.0, rel=1e-12)
 
@@ -245,6 +245,22 @@ class TestFilteredLambdaMax:
         v = r.v_max
         assert r.lambda_max == (v @ (a.matrix @ v)) / (v @ v)
         assert r.lambda_max <= dense.lambda_max * (1 + 1e-14)
+
+    def test_no_arpack_vector_is_reported_unconverged(self, monkeypatch):
+        # ARPACK stops every run without a vector: each solve returns its
+        # start vector, flagged, and the result is reported, not raised.
+        a = _stiffness(fc.generate_boundary_layer(2, 20, 5.0))
+
+        def no_vector(A, k, *args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                           np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(fc.spectra.spla, "eigsh", no_vector)
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert r.method == "lanczos_shift_invert"
+        assert not r.converged and not r.certified
+        for lam, v in ((r.lambda_min, r.v_min), (r.lambda_max, r.v_max)):
+            assert lam == _rayleigh(a, v)[0]
 
     def test_counters_zero_on_dense_path(self):
         # no solves; the factor at zero and the two certificates
@@ -302,12 +318,12 @@ class TestShiftInvertLambdaMax:
         start = float(abs(a.matrix).sum(axis=1).max()) * (1 + SHIFT_GAP)
 
         def smallest_at_the_start(a_, inverse, arp_tol, v0):
-            if inverse.sigma != start:
-                return _shift_invert(a_, inverse, arp_tol, v0)
+            if inverse is None or inverse.sigma != start:
+                return _arpack(a_, inverse, arp_tol, v0)
             v = vecs[:, 0]
             return (*_rayleigh(a_, v), v, True)
 
-        monkeypatch.setattr(fc.spectra, "_shift_invert", smallest_at_the_start)
+        monkeypatch.setattr(fc.spectra, "_arpack", smallest_at_the_start)
         tol = 1e-8
         r = extreme_eigenvalues(a, tol, dense_cutoff=10)
         # five factors when the first shift holds; its factorization failed here
@@ -322,6 +338,35 @@ class TestShiftInvertLambdaMax:
         assert r.converged
         assert r.factorizations == 5
         assert r.solves > 0
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_shift_step_stops_at_the_first_completed_factor(self, monkeypatch, seed):
+        # On the 3D layer (order 1 331, Gershgorin start) the first shift
+        # fails once; the step grows it and keeps the first factor that
+        # completes, without bisecting back towards lambda_max.
+        a = _stiffness(fc.generate_boundary_layer(3, 11, 25.0))
+        completed, inside = [], []
+        inverse_above, shift = fc.spectra._inverse_above, fc.spectra._shift_above_lambda_max
+
+        def inverse_spy(*args):
+            inverse = inverse_above(*args)
+            if inside:
+                completed.append(inverse is not None)
+            return inverse
+
+        def shift_spy(*args):
+            inside.append(True)
+            try:
+                return shift(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(fc.spectra, "_inverse_above", inverse_spy)
+        monkeypatch.setattr(fc.spectra, "_shift_above_lambda_max", shift_spy)
+        r = extreme_eigenvalues(a, seed=seed)
+        assert (a.order, r.start) == (1331, "gershgorin")
+        assert completed == [False, True]
+        assert r.converged and r.certified
 
     def test_one_band_order_per_call(self, monkeypatch):
         # One ordering for A and, when the lambda_max start runs on the
@@ -709,19 +754,21 @@ class TestMirrorStart:
 class TestRitzSeeds:
     """The local start seeds at a Ritz value only when the seeds at max a_ii
     are too many and the diagonal varies; a Lanczos run that returns no
-    vector leaves the seeds at max a_ii, and one that fails raises."""
+    vector seeds at the start vector's Rayleigh quotient, and one that fails
+    raises."""
 
     @pytest.fixture
     def ritz_on(self, monkeypatch):
         # the order of every matrix that a Ritz value is sought on
         orders = []
-        ritz = fc.spectra._ritz_value
+        arpack = fc.spectra._arpack
 
-        def ritz_spy(a, v0):
-            orders.append(a.order)
-            return ritz(a, v0)
+        def ritz_spy(a, inverse, arp_tol, v0):
+            if inverse is None:
+                orders.append(a.order)
+            return arpack(a, inverse, arp_tol, v0)
 
-        monkeypatch.setattr(fc.spectra, "_ritz_value", ritz_spy)
+        monkeypatch.setattr(fc.spectra, "_arpack", ritz_spy)
         return orders
 
     @pytest.mark.parametrize("aspect, sought", [(5.0, True), (25.0, False)])
@@ -759,7 +806,7 @@ class TestRitzSeeds:
         a = _stiffness(fc.generate_boundary_layer(2, 20, 5.0))
         monkeypatch.setattr(fc.spectra, "MAXITER", 7)
         seen = self._failing_lanczos(monkeypatch, None)
-        _ritz_value(a, np.ones(a.order))
+        _arpack(a, None, START_TOL, np.ones(a.order))
         assert [kwargs["maxiter"] for kwargs in seen] == [7]
 
     def test_no_vector_leaves_the_max_diagonal_seeds(self, monkeypatch):
@@ -767,7 +814,11 @@ class TestRitzSeeds:
         ok = extreme_eigenvalues(a, dense_cutoff=10)
         self._failing_lanczos(monkeypatch, spla.ArpackNoConvergence(
             "no convergence", np.empty(0), np.empty((a.order, 0))))
-        assert _ritz_value(a, np.ones(a.order)) == -math.inf
+        # the seed is R(v0), a Rayleigh quotient, below max a_ii here
+        v0 = np.ones(a.order)
+        lam, _, v, converged = _arpack(a, None, START_TOL, v0)
+        assert (lam, converged) == (_rayleigh(a, v0)[0], False) and v is v0
+        assert lam < a.diagonal.max()
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.start == "gershgorin" and r.certified and r.converged
         assert (r.factorizations, r.solves, r.lambda_max) == (
@@ -778,7 +829,7 @@ class TestRitzSeeds:
         v = np.linalg.eigh(a.toarray())[1][:, -2:-1]
         self._failing_lanczos(monkeypatch, spla.ArpackNoConvergence(
             "no convergence", np.ones(1), v))
-        assert _ritz_value(a, np.ones(a.order)) == _rayleigh(a, v[:, 0])[0]
+        assert _arpack(a, None, START_TOL, np.ones(a.order))[0] == _rayleigh(a, v[:, 0])[0]
 
     def test_failed_run_raises(self, monkeypatch):
         a = _stiffness(fc.generate_boundary_layer(2, 20, 5.0))
@@ -813,7 +864,7 @@ class TestLocalRows:
                                                 fc.DiffusionField.identity(3)),
         }[case]()
         abs_a = abs(a.matrix)
-        theta = _ritz_value(a, np.random.default_rng(0).standard_normal(a.order))
+        theta = _arpack(a, None, START_TOL, np.random.default_rng(0).standard_normal(a.order))[0]
         rows = _local_rows(a, abs_a, np.asarray(abs_a.sum(axis=1)).ravel(), theta)
         expected = _rows_from_interlacing(a)
         # at order 400 only the anisotropic field keeps S within n / 2
@@ -835,12 +886,12 @@ class TestCertificate:
         assert vals[-2] < vals[-1]
 
         def second_largest(a_, inverse, arp_tol, v0):
-            if inverse.sigma == 0:
-                return _shift_invert(a_, inverse, arp_tol, v0)
+            if inverse is None or inverse.sigma == 0:
+                return _arpack(a_, inverse, arp_tol, v0)
             v = vecs[:, -2]
             return (*_rayleigh(a_, v), v, True)
 
-        monkeypatch.setattr(fc.spectra, "_shift_invert", second_largest)
+        monkeypatch.setattr(fc.spectra, "_arpack", second_largest)
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.residual <= 1e-8  # the interior pair passes the residual test
         assert not r.certified
@@ -852,12 +903,12 @@ class TestCertificate:
         assert vals[0] < vals[1]
 
         def second_smallest(a_, inverse, arp_tol, v0):
-            if inverse.sigma != 0:
-                return _shift_invert(a_, inverse, arp_tol, v0)
+            if inverse is None or inverse.sigma != 0:
+                return _arpack(a_, inverse, arp_tol, v0)
             v = vecs[:, 1]
             return (*_rayleigh(a_, v), v, True)
 
-        monkeypatch.setattr(fc.spectra, "_shift_invert", second_smallest)
+        monkeypatch.setattr(fc.spectra, "_arpack", second_smallest)
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.residual <= 1e-8
         assert not r.certified
