@@ -2,10 +2,11 @@
 
 An instance has two matrices: A and its Jacobi scaling S A S, S =
 diag(A)^(-1/2), stored on A's own index arrays.  Both are solved on A's
-band order and A's factor at zero (below); extreme_eigenvalues solves one
-matrix by the same steps.  Every call starts with the band Cholesky factor
-of A at zero, the SPD test, which fixes the band order of every later
-factor.  Small systems (order <= 300, and any order below 2) then take both
+band order, A's colouring and A's factor at zero (below); extreme_eigenvalues
+solves one matrix by the same steps.  Every call starts with the band
+Cholesky factor of A at zero, the SPD test, which fixes the band order of
+every later factor; when A's pattern 2-colours, every band holds only half
+of the rows (Red-black elimination, below).  Small systems (order <= 300, and any order below 2) then take both
 eigenvectors from a dense symmetric eigensolver.  Larger ones take them from
 implicitly restarted Lanczos (ARPACK) in its shift-invert mode: each solve
 applies (A - sigma I)^-1 from a band Cholesky factor, whose eigenvalues 1 /
@@ -51,28 +52,26 @@ up to three steps.
      below, which does not depend on how the vector was found.
 
 Mirror start.  Let A have a constant diagonal c, A = c I + N, and let the
-graph of N's entries be connected and 2-colourable, with signs s_i = +-1
-that differ across every edge (the parity of each row's depth in one
-breadth-first search from row 0).  Then S N S = -N for S = diag(s), so S A
+graph of N's entries be connected and 2-coloured by the instance's
+colouring (below), signs s_i = +-1 that differ across every edge.  Then S N S = -N for S = diag(s), so S A
 S = 2 c I - A: the spectrum is symmetric about c, lambda_max = 2 c -
 lambda_min and s v_min is lambda_max's eigenvector, at the cost of one
 product with A once lambda_min is solved.  Every Jacobi-scaled matrix has
 c = 1 exactly, and on the Kuhn-split tensor grids of the committed sweeps
 the graph is the 5- or 7-point stencil, which is bipartite; a uniform
 mesh's A qualifies too.
-Before the test, entries at most MIRROR_NEGLIGIBLE = 1e-12 times max
-|a_ij| are dropped, and so is a spread of the diagonal that small: 3D Kuhn
-tetrahedra leave couplings of about 1e-16 max |a_ij| where 2D leaves 0.0,
-and a uniform 2D A's diagonal spreads by 4e-16 relative.  Such a dropped
-E moves the mirrored pair's residual by about ||E|| / lambda_max, far below
-any tolerance.  The vector is taken as the start only when its Rayleigh
-quotient is 2 c - lambda_min and its residual meets the tolerance, both to
-tol (v_min itself, with the signs lost, fails the first); then the residual
-test and the lambda_max certificate of step 1 judge it like any other start,
-and a failed certificate sends it on to steps 2 and 3.  On a sheared mesh
-the colouring fails and the next start runs; the test costs the search,
-under 1 ms at order 10 000, and no product or factorization, and a matrix
-whose diagonal varies (A off a uniform mesh) is turned away before it.
+The colouring drops the couplings at most MIRROR_NEGLIGIBLE = 1e-12 times
+max |a_ij|, and the mirror a spread of the diagonal that small (relative to
+its own matrix's max |a_ij|): a uniform 2D A's diagonal spreads by 4e-16
+relative.  Such a dropped E moves the mirrored pair's residual by about
+||E|| / lambda_max, far below any tolerance.  The vector is taken as the
+start only when its Rayleigh quotient is 2 c - lambda_min and its residual
+meets the tolerance, both to tol (v_min itself, with the signs lost, fails
+the first); then the residual test and the lambda_max certificate of step
+1 judge it like any other start, and a failed certificate sends it on to
+steps 2 and 3.  On a sheared mesh there is no colouring and the next start
+runs; the mirror costs no factorization, and a matrix whose diagonal varies
+(A off a uniform mesh) is turned away without a product.
 
 Local start.  On a stretched boundary layer the top of A's spectrum belongs
 to the thin cells along the boundary, and lambda_max's eigenvector lives on
@@ -134,25 +133,55 @@ returned eigenvalue is always the Rayleigh quotient of the returned vector
 on A, so an unconverged Ritz value is still a lower bound on lambda_max,
 and an unconverged end is still judged by its residual and certificate.
 
+One colouring per instance.  _colouring runs one breadth-first search of
+A's off-diagonal pattern from row 0, on the pattern without the couplings
+at most MIRROR_NEGLIGIBLE max |a_ij| (3D Kuhn tetrahedra leave some of
+about 1e-17 max |a_ij|, where 2D leaves 0.0): s_i = +-1 is the parity of
+row i's depth, and the pattern is 2-coloured when every kept coupling
+joins rows of different parity.  It is None when that fails (a sheared
+mesh's triangles) or when the search misses a row.  S A S has A's pattern,
+so both matrices' mirror starts and bands read this one colouring; the
+search takes under 1 ms at order 10 000.
+
 One ordering per instance.  The factor at zero computes A's only ordering:
 q = reverse_cuthill_mckee(A), on A's stored pattern, which makes A[q][:, q]
-a band matrix of half-bandwidth kd = max |i - j| over its stored entries.
-S A S has A's stored pattern, so q is its ordering too: its band takes its
-own stored values through the positions of A's band entries, and holds
-exactly the computed S A S.  Every other factor of either matrix (the
-lambda_max start and shifts on the iterative path, and the two
-certificates) is a LAPACK band Cholesky factorization (dpbtrf) of the
-matrix ordered by q and shifted, in that band: a shift changes only the
-diagonal.  The local start's submatrix is ordered the same way once, into
-its own band of half-bandwidth kd_S, which all of its factors share.  Every
-factorization, of either band, is built and counted by _Band.factor, which
-returns it as the shift-invert operator or None when it fails;
-_Band.certify turns one into a certified end of the spectrum
-(Certificates).  Each band is built in Fortran order from the entries of
-the lower triangle of the ordered matrix, scaled by a power of 4 (below),
-factored in place and released before the next one is built, so one (kd +
-1) x n or (kd_S + 1) x |S| array is alive at a time.  Cost model: a factor
-takes about n kd^2 flops, a solve 4 n kd, and both work on n (kd + 1) doubles.
+a band matrix.  S A S has A's stored pattern, so q, the colouring and
+every index array below are its too: its band reads its own stored values
+through them, and holds exactly what its own q and colouring would give.
+
+Red-black elimination (Saad, Iterative Methods for Sparse Linear Systems,
+Sec. 3.3).  Every factorization is of M = sigma I - A or A - sigma I, a
+shift changing only the diagonal.  With a colouring, E is the colour class
+without row 0 and K the other, and M = [[D_E + E_E, B], [B^T, M_KK]] with
+D_E diagonal, B = M[E][:, K] and E_E the couplings inside E that the
+colouring dropped (none in 1D and 2D); without a colouring E is empty.
+The band holds the Schur complement C = M_KK - B^T D_E^-1 B, of order |K|,
+ordered by q restricted to K: c_jl subtracts b_ij b_il / d_i over the
+rows i of E next to both j and l, so on the tensor grids C couples rows
+two grid steps apart and its half-bandwidth kd stays A's (100 at 2D order
+10 000, 257 - 258 at 3D order 4 096) at half the order.  An entry of D_E
+that is not positive shows M not positive definite (a principal
+submatrix), and the factorization fails without a band; otherwise the
+certificates below step back from C to M.  A solve of M x = y takes one
+band solve between two products with B: x_K = C^-1 (y_K - B^T D_E^-1 y_E),
+x_E = D_E^-1 (y_E - B x_K).  A pattern that does not 2-colour keeps all of
+its rows: C = M, ordered by q, exactly the band without elimination.
+Every factor of either matrix (at zero, the lambda_max start and shifts on
+the iterative path, and the two certificates) is a LAPACK band Cholesky
+factorization (dpbtrf) of its C.  The local start's submatrix is ordered
+the same way once, into its own band of half-bandwidth kd_S without a
+colouring, which all of its factors share.  Every factorization, of
+either band, is built and counted by _Band.factor, which returns it as the
+shift-invert operator or None when it fails; _Band.certify turns one into
+a certified end of the spectrum (Certificates).  The products b_ij b_il
+are formed once per band; each factorization divides them by D_E, sums
+them with M_KK's entries straight into the (kd + 1) x |K| Fortran-order
+storage, scaled by a power of 4 (below), factors it in place and releases
+it before the next one is built, so one band is alive at a time.  Cost
+model: a factor takes about |K| kd^2 flops, a solve 4 |K| kd and two
+products with B, and both work on |K| (kd + 1) doubles.  At 2D order 10 000
+a factor took 5.8 - 7.1 ms and a solve 0.5 ms, against 11 - 13 ms and 1.0
+ms with all rows in the band (2-core VM, one BLAS thread).
 On a d-dimensional grid kd is about the number of vertices in a
 cross-section, n^((d-1)/d): at large 2D orders a fill-reducing sparse
 factor needs less memory and fewer flops per solve.  The submatrix of a
@@ -164,7 +193,7 @@ factors (at zero and the two certificates) and lambda_min's solves; one
 that misses adds the shift step's factor, and the submatrix adds its own
 start's and shift step's factors.  Solved with A, S A S builds no factor
 at zero, and a mirror start that is the answer leaves it only its two
-certificates and lambda_min's solves on A's factor.
+certificates and lambda_min's solves on A's factor, as S^-1 A^-1 S^-1.
 The model holds only while the factor's entries are normal numbers;
 arithmetic on subnormal ones is many times slower.  Every shift-invert
 solve uses a 10-vector Krylov basis.
@@ -173,41 +202,48 @@ Exact scaling.  The entries of a band Cholesky factor decay away from the
 diagonal, and below 2^-1022 they turn subnormal: unscaled, the factor of
 sigma I - A on a 2D boundary layer of order 10 000 and kd 100 with D =
 diag(1 + x, 1 + 10 y) held 7 748 of them and took three to four times as
-long as the factor at zero.  So each band is factored as 4^e M, with e
-chosen from |sigma| + max |a_ij|, a bound on every entry of M, to put that
-bound in [2^898, 2^900).  A power of two scales exactly and commutes with
+long as the factor at zero.  So each band is factored as 4^e C, with e
+chosen from |sigma| + max |a_ij| + max_j s_jj, S = B^T D_E^-1 B, to put
+that bound in [2^898, 2^900): it bounds every entry of C, as |c_jl| <=
+|m_jl| + (s_jj + s_ll) / 2 for D_E > 0, and without elimination it is |sigma|
++ max |a_ij|.  Its terms are scaled before they are summed, exactly.  A power of two scales exactly and commutes with
 every rounding while no result leaves the normal range (Higham, Accuracy
-and Stability of Numerical Algorithms, Ch. 2): wherever the factor of M is
-normal, the computed factor of 4^e M is exactly 2^e times it, it completes
-exactly when that of M does, and a solve on 4^e x returns the same bits as
+and Stability of Numerical Algorithms, Ch. 2): wherever the factor of C is
+normal, the computed factor of 4^e C is exactly 2^e times it, it completes
+exactly when that of C does, and a solve on 4^e x returns the same bits as
 the unscaled one, while the fill below 2^-1022 shrinks (to 299 subnormals
 in the example).  ARPACK then runs on the inverse times 2^s, with 2^(s-1)
 <= max |a_ij| < 2^s, both powers applied by one scaling of the right-hand
 side: its convergence test tol max(eps^(2/3), |Ritz value|) turns absolute
 when the Ritz values of (A - sigma I)^-1 are tiny, and without 2^s it
-stops 4^k A, k >= 50, unconverged at a different lambda_max.  With both
-scalings the operator ARPACK sees is the same for 4^k A as for A, bit for
-bit, so every eigenvalue and bound for 4^k A is 4^k times that for A and
-the vectors and counts are the same.  S A S of 4^k A is that of A, and so
-is its lambda_min operator on the factor of 4^e A: it is 2^s (S A S)^-1 =
-2^s T (4^e A)^-1 T with T = 2^e S^-1 = diag(4^e A)^(1/2), both exact, and
-2^s from S A S's own max |a_ij|.
+stops 4^k A, k >= 50, unconverged at a different lambda_max.  B, D_E and
+C scale with A exactly, so the elimination's products and quotients do
+too.  With both scalings the operator ARPACK sees is the same for 4^k A as
+for A, bit for bit, so every eigenvalue and bound for 4^k A is 4^k times
+that for A and the vectors and counts are the same.  S A S of 4^k A is
+that of A, and so is its lambda_min operator on A's factor at zero: it is
+2^s S^-1 A^-1 S^-1 with S^-1 = diag(A)^(1/2) applied before and after A's
+operator, each step exact in 4^k, and 2^s from S A S's own max |a_ij|.
 
 Certificates.  A small residual only says that (theta, v) is close to some
 eigenpair, possibly an interior one.  Both ends are therefore enclosed by
 shifted factorizations:
-  lambda_max in [theta_max, sigma_hi + delta]: the Cholesky factorization
-      of sigma_hi I - A completes, sigma_hi = theta_max (1 + tol 1e-2);
-  lambda_min in [sigma_lo - delta, theta_min]: the Cholesky factorization
-      of A - sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
-_Band.certify writes both shifts and adds or subtracts delta.  The outer
+  lambda_max in [theta_max, sigma_hi + delta]: the factorization of
+      sigma_hi I - A completes, sigma_hi = theta_max (1 + tol 1e-2);
+  lambda_min in [sigma_lo - delta, theta_min]: the factorization of A -
+      sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
+A factorization completes when D_E is positive and the Cholesky
+factorization of C completes.  _Band.certify writes both shifts and adds or
+subtracts delta.  The outer
 ends are proven by the factorizations, the inner ends because theta_max and
 theta_min are Rayleigh quotients on A, on both paths.  When
 sigma_lo - delta <= 0 the lower end is 0, which the factor at zero
 certifies.
 
-Rounding margin delta.  For a symmetric M of half-bandwidth kd, the
-computed Cholesky factor R (M = R^T R) is the exact one of M + E with
+Rounding margin delta.  It has three terms: the band factor's delta_C,
+the formation term phi of C and ||E_E||.  For a symmetric M of
+half-bandwidth kd, the computed Cholesky factor R (M = R^T R) is the exact
+one of M + E with
 |E| <= gamma_w |R^T| |R|, gamma_w = w u / (1 - w u), u the unit roundoff
 and w = kd + 2: every entry of R comes from an inner product of at most kd
 terms, a subtraction and a division or square root, in any order of
@@ -218,18 +254,38 @@ m_ii + e_ii <= m_ii + gamma_w ||r_i||^2, so |E_ij| <= g sqrt(m_ii m_jj) with
 g = gamma_w / (1 - gamma_w), and E vanishes outside the band |i - j| <= kd.
 For the nonnegative |E| with positive weights s_j = sqrt(m_jj), ||E||_2 <=
 rho(|E|) <= max_i sum_j |E_ij| s_j / s_i <= g max_i sum_{|j - i| <= kd}
-m_jj.  Forming M rounds its diagonal by at most u max_j |m_jj|.  So delta =
-g max_i sum_{|j - i| <= kd} m_jj + u max_j |m_jj|: a completed factorization
-proves M + E positive definite with ||E||_2 <= delta, i.e. lambda_min(M) >
--delta.  The factorization actually computed is that of 4^e M, so this
-argument proves 4^e (M + E) positive definite with its margin 4^e delta; the
-margin is linear in the diagonal, and evaluated on M's own diagonal it is
-delta itself.  Underflow is not modelled: the scaled band's entries lie
+m_jj.  Forming M rounds its diagonal by at most u max_j |m_jj|.  So delta_C
+= g max_i sum_{|j - i| <= kd} m_jj + u max_j |m_jj|, with M the band's C and
+its computed diagonal: a completed factorization proves C + E positive
+definite with ||E||_2 <= delta_C.  The factorization actually computed is
+that of 4^e C, so this argument proves 4^e (C + E) positive definite with
+its margin 4^e delta_C; the margin is linear in the diagonal, and evaluated
+on C's own diagonal it is delta_C itself.
+Forming C.  Each product b_ij b_il / d_i carries three roundings (the
+product, d_i = fl(sigma - a_ii), the quotient).  An entry c_jl, l != j,
+sums the exact m_jl and at most k of them in turn, k the most neighbours
+in E of any kept row, so it errs by at most gamma_(k+3) (|a_jl| + sum_i
+|b_ij b_il| / d_i); c_jj = fl(fl(m_jj) - s_jj), with s_jj summed alone, by
+at most u |m_jj| + gamma_(k+2) s_jj + u |c_jj|, whose last term is in
+delta_C.  For the symmetric error ||.||_2 <= ||.||_inf, so phi = max_j (u
+|m_jj| + gamma_(k+3) (sum_{l in K, l != j} |a_jl| + sum_i |b_ij| sum_l
+|b_il| / d_i)) over the kept rows j next to E bounds the rest, and phi = 0
+without elimination.  The computed C then differs from the exact C of M
+(exact d_i, exact sigma) by at most phi + u max_j |c_jj|.
+From C to M.  Let eps = delta_C + phi, so C + eps I is positive definite,
+and let M' = M - blockdiag(E_E, 0).  D_E is positive definite, which the
+computed d_i show exactly: fl(sigma - a_ii) > 0 exactly when sigma > a_ii.
+For eps >= 0, (D_E + eps I)^-1 <= D_E^-1, so the Schur complement M_KK +
+eps I - B^T (D_E + eps I)^-1 B of M' + eps I is at least C + eps I, and
+M' + eps I is positive definite (Haynsworth inertia additivity).  With
+||E_E||_2 <= max_i sum_j |e_ij| (taken over every coupling inside E),
+delta = delta_C + phi + max_i sum_j |e_ij| gives lambda_min(M) > -delta.
+Underflow is not modelled: the scaled band's entries lie
 below 2^900, and its few remaining subnormal fill entries (299 of 10^6 in
 the example above, none in most factors) each err by under 2^-1074,
-nothing beside the scaled margin, which is at least u 4^e max_j |m_jj|.
+nothing beside the scaled margin, which is at least u 4^e max_j |c_jj|.
 Nor is the rounding in evaluating delta itself (relative, below (2 kd + 1)
-u).
+u), nor phi's use of the computed d_i for the exact ones (relative u).
 """
 
 from __future__ import annotations
@@ -295,8 +351,10 @@ class SpectralResult:
     when both outer ends are proven by their shifted factorizations, on
     either path.  converged is False when the iteration cap was reached
     first, a residual misses the tolerance or a certificate fails (the
-    values are then best estimates).  factor_nnz is the size n (kd + 1) of
-    A's band, which every factor of A fills; start names lambda_max's start
+    values are then best estimates).  factor_nnz is the size |K| (kd + 1)
+    of A's band, which every factor of A fills: its Schur complement on the
+    kept rows K, about half of A's rows when A's pattern 2-colours and all
+    of them when it does not (module docstring); start names lambda_max's start
     (module docstring): "dense" on the dense path, else "mirror", "local" or
     "gershgorin"; local_rows is the order |S| of the submatrix that the
     local start came from, 0 for any other start.  factorizations counts
@@ -348,62 +406,158 @@ def _rayleigh(a: SparseSymmetric, v: np.ndarray) -> tuple[float, float]:
     return lam, float(np.linalg.norm(av - lam * v) / (abs(lam) * np.linalg.norm(v)))
 
 
-class _Band:
-    """The symmetric A in one reverse Cuthill-McKee order q: the entries on
-    and below the diagonal of A[q][:, q] by diagonal offset and column, their
-    positions lower among A's stored entries, its diagonal, its
-    half-bandwidth kd and amax = max |a_ij| (see the module docstring).
-    Every factorization of the matrix is built here, by factor (a
-    shift-invert operator) or certify (a certified end of the spectrum);
-    counts them and the solves applied with them.
-    Given like, the band of a matrix on the same index arrays (A's, for S A
-    S from jacobi_scale), it takes like's q and positions instead: its own
-    values through them give the band that its own ordering, q, would."""
+class _Pattern:
+    """The elimination of one colour class E from A in one reverse
+    Cuthill-McKee order q (see the module docstring), from A's stored
+    pattern and colouring alone, so that every matrix on A's index arrays
+    reads it: the kept rows K in the order q restricted to K, the positions
+    among A's stored entries of M_KK's entries below the diagonal, of B =
+    A[E][:, K] (by E's row, columns by band position) and of the couplings
+    inside E, which C leaves out; each pair of B's entries in one row, the
+    entry of C that its product enters, and C's half-bandwidth kd.  signs,
+    the colouring of A's pattern, picks E, the class without row 0; without
+    it E is empty and C is A[q][:, q]."""
 
-    def __init__(self, matrix, like: _Band | None = None):
-        if like is None:
-            n = matrix.shape[0]
-            self.q = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-            pos = np.empty(n, dtype=np.intp)
-            pos[self.q] = np.arange(n)
-            coo = matrix.tocoo()
-            row, col = pos[coo.row], pos[coo.col]
-            self.lower = np.flatnonzero(row >= col)
-            self.offset, self.col = row[self.lower] - col[self.lower], col[self.lower]
-            self.n, self.kd = n, int(self.offset.max(initial=0))
-        else:
-            self.q, self.lower, self.offset, self.col, self.n, self.kd = (
-                like.q, like.lower, like.offset, like.col, like.n, like.kd)
-        self.val = matrix.data[self.lower]
-        self.diagonal = matrix.diagonal()[self.q]
-        self.amax = float(np.abs(self.val).max(initial=0.0))
+    def __init__(self, matrix, signs: np.ndarray | None):
+        n = matrix.shape[0]
+        self.q = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+        elim = np.zeros(n, dtype=bool) if signs is None else signs < 0
+        self.n, self.kept, self.elim = n, self.q[~elim[self.q]], np.flatnonzero(elim)
+        n_kept = len(self.kept)
+        pos = np.empty(n, dtype=np.intp)  # band position of each kept row
+        pos[self.kept] = np.arange(n_kept)
+        stored = np.diff(matrix.indptr)
+        row, col = np.repeat(np.arange(n), stored), matrix.indices.astype(np.intp)
+        row_e, col_e, off_diagonal = np.repeat(elim, stored), elim[col], row != col
+        self.kk_pos = np.flatnonzero(~row_e & ~col_e & off_diagonal)
+        self.kk_rows = pos[row[self.kk_pos]]
+        self.off_pos = self.kk_pos[self.kk_rows > pos[col[self.kk_pos]]]
+        off_row, off_col = pos[row[self.off_pos]], pos[col[self.off_pos]]
+        self.b_pos = np.flatnonzero(row_e & ~col_e)
+        self.b_col = pos[col[self.b_pos]]
+        per_row = np.bincount(row[self.b_pos], minlength=n)[self.elim]
+        self.b_indptr = np.concatenate(([0], np.cumsum(per_row)))
+        self.b_rows = np.repeat(np.arange(len(self.elim)), per_row)
+        self.e_pos = np.flatnonzero(row_e & col_e & off_diagonal)
+        self.e_rows = row[self.e_pos]
+        # B's entries p and p + k share a row for k below the longest row
+        firsts = [np.flatnonzero(self.b_rows[k:] == self.b_rows[:-k])
+                  for k in range(1, int(per_row.max(initial=0)))]
+        self.pair_a = np.concatenate([np.zeros(0, dtype=np.intp), *firsts])
+        self.pair_b = np.concatenate([np.zeros(0, dtype=np.intp),
+                                      *(p + k for k, p in enumerate(firsts, 1))])
+        self.pair_rows = self.b_rows[self.pair_a]
+        pair_j = np.maximum(self.b_col[self.pair_a], self.b_col[self.pair_b])
+        pair_l = np.minimum(self.b_col[self.pair_a], self.b_col[self.pair_b])
+        self.kd = int(max((off_row - off_col).max(initial=0), (pair_j - pair_l).max(initial=0)))
+        w = self.kd + 1
+        # Fortran-order positions in the (kd + 1) x |K| band, in the order
+        # in which _Band.form sums its terms: M_KK's entries first
+        self.targets = np.concatenate((off_col * w + off_row - off_col, np.arange(n_kept) * w,
+                                       pair_l * w + pair_j - pair_l))
+        # the kept rows with a neighbour in E, and the most terms that any
+        # entry of C subtracts
+        touched = np.bincount(self.b_col, minlength=n_kept)
+        self.touched, self.terms = touched > 0, int(touched.max(initial=0))
+
+
+class _Band:
+    """The matrix A on a _Pattern: C = M_KK - B^T D_E^-1 B for M = sigma I -
+    A or A - sigma I (see the module docstring), with the products b_ij b_il
+    that C's entries subtract precomputed, and amax = max |a_ij|.  signs is
+    the colouring of A's pattern, or None.  Every factorization of the
+    matrix is built here, by factor (a shift-invert operator) or certify (a
+    certified end of the spectrum); counts them and the solves applied with
+    them.  Given like, the band of a matrix on the same index arrays (A's,
+    for S A S from jacobi_scale), it reads its own values through like's
+    pattern: the band that its own ordering and colouring would give."""
+
+    def __init__(self, matrix, signs: np.ndarray | None = None, like: _Band | None = None):
+        p = self.pattern = _Pattern(matrix, signs) if like is None else like.pattern
+        self.n, self.kd, self.kept = p.n, p.kd, p.kept
+        data = matrix.data
+        self.full_diagonal = matrix.diagonal()
+        self.diagonal = self.full_diagonal[p.kept]
+        self.elim_diagonal = self.full_diagonal[p.elim]
+        self.amax = float(np.abs(data).max(initial=0.0))
+        self.off, self.kk = data[p.off_pos], data[p.kk_pos]
+        b = data[p.b_pos]
+        self.b = sp.csr_matrix((b, p.b_col, p.b_indptr), shape=(len(p.elim), len(p.kept)))
+        self.squares, self.products = b * b, b[p.pair_a] * b[p.pair_b]
+        # ||E||_inf of the couplings inside E
+        self.dropped = float(np.bincount(p.e_rows, np.abs(data[p.e_pos]), minlength=1).max())
         self.factorizations = self.solves = 0
 
-    def exponent(self, sigma: float) -> int:
-        """e with 4^e (|sigma| + amax) in [2^(BAND_TARGET - 2),
+    def exponent(self, sigma: float, smax: float = 0.0) -> int:
+        """e with 4^e (|sigma| + amax + smax) in [2^(BAND_TARGET - 2),
         2^BAND_TARGET), a bound on every entry of the band that factor
-        factors at sigma (see the module docstring)."""
-        return (BAND_TARGET - math.frexp(abs(sigma) + self.amax)[1]) // 2
+        factors at sigma when smax = max_j (B^T D_E^-1 B)_jj (see the module
+        docstring)."""
+        return (BAND_TARGET - math.frexp(abs(sigma) + self.amax + smax)[1]) // 2
+
+    @staticmethod
+    def shifted(diagonal: np.ndarray, sigma: float, upper: bool) -> np.ndarray:
+        """Diagonal of M = sigma I - A when upper and of M = A - sigma I when
+        not, from A's."""
+        return sigma - diagonal if upper else diagonal - sigma
 
     def shifted_diagonal(self, sigma: float, upper: bool) -> np.ndarray:
-        """Diagonal of M = sigma I - A when upper and of M = A - sigma I when
-        not, in the order q."""
-        return sigma - self.diagonal if upper else self.diagonal - sigma
+        """M's diagonal on the kept rows, in their band order."""
+        return self.shifted(self.diagonal, sigma, upper)
+
+    def form(self, sigma: float, upper: bool):
+        """(4^e C, e, d_E) for M as in shifted: C in lower band storage, in
+        Fortran order so that dpbtrf factors it in place, e = exponent(sigma,
+        max_j (B^T D_E^-1 B)_jj) and d_E the diagonal of M on E; None when an
+        entry of d_E is not positive, so that M is not positive definite."""
+        p = self.pattern
+        d = self.shifted(self.elim_diagonal, sigma, upper)
+        if not np.all(d > 0):
+            return None
+        s_diag = np.bincount(p.b_col, self.squares / d[p.b_rows], minlength=len(p.kept))
+        e = self.exponent(sigma, float(s_diag.max(initial=0.0)))
+        terms = np.concatenate((-self.off if upper else self.off,
+                                self.shifted_diagonal(sigma, upper) - s_diag,
+                                -self.products / d[p.pair_rows]))
+        np.ldexp(terms, 2 * e, out=terms)
+        ab = np.bincount(p.targets, terms, minlength=len(p.kept) * (p.kd + 1))
+        return ab.reshape(len(p.kept), p.kd + 1).T, e, d
 
     def factor(self, sigma: float, upper: bool) -> _Inverse | None:
         """The operator _Inverse, 2^s (A - sigma I)^-1, on the lower band
-        Cholesky factor of 4^e M[q][:, q], M as in shifted_diagonal and e =
-        exponent(sigma), i.e. 2^e times that of M[q][:, q] without its
-        subnormal fill; None when the factorization fails, i.e. M is not
-        positive definite to working precision.  The band is built in
-        Fortran order, so dpbtrf factors it in place."""
-        e2 = 2 * self.exponent(sigma)
-        ab = np.zeros((self.kd + 1, self.n), order="F")
-        ab[self.offset, self.col] = np.ldexp(-self.val if upper else self.val, e2)
-        ab[0] = np.ldexp(self.shifted_diagonal(sigma, upper), e2)
+        Cholesky factor of 4^e C from form, i.e. 2^e times that of C without
+        its subnormal fill; None when d_E or the factorization fails, i.e. M
+        is not positive definite to working precision."""
         self.factorizations += 1
+        formed = self.form(sigma, upper)
+        if formed is None:
+            return None
+        ab, e, d = formed
+        c_diagonal = np.ldexp(ab[0], -2 * e)
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-        return _Inverse(self, factor, sigma, upper) if info == 0 else None
+        return _Inverse(self, factor, sigma, upper, e, d, c_diagonal) if info == 0 else None
+
+    def formation(self, inverse: _Inverse) -> float:
+        """phi >= ||C_computed - C||_2 of inverse's factorization, C from M
+        and d_E in exact arithmetic (see the module docstring); 0 when no
+        row of C subtracts a product."""
+        p, u = self.pattern, np.finfo(float).eps / 2
+        if not p.touched.any():
+            return 0.0
+        gamma = (p.terms + 3) * u / (1 - (p.terms + 3) * u)
+        abs_b = np.abs(self.b.data)
+        b_sums = np.bincount(p.b_rows, abs_b, minlength=len(p.elim)) / inverse.d
+        rows = (u * np.abs(self.shifted_diagonal(inverse.sigma, inverse.upper))
+                + gamma * np.bincount(p.kk_rows, np.abs(self.kk), minlength=len(p.kept))
+                + gamma * np.bincount(p.b_col, abs_b * b_sums[p.b_rows], minlength=len(p.kept)))
+        return float(rows[p.touched].max())
+
+    def margin(self, inverse: _Inverse) -> float:
+        """delta of a completed factorization (see the module docstring):
+        C's rounding margin, its formation term and ||E||_inf of the
+        couplings inside E."""
+        return (_rounding_margin(self.kd, inverse.c_diagonal) + self.formation(inverse)
+                + self.dropped)
 
     def certify(self, theta: float, tol: float, upper: bool) -> float | None:
         """Certified end of the spectrum from one shifted factorization (see
@@ -413,9 +567,10 @@ class _Band:
         1e-2) when not; None when the factorization fails.  The factor is
         released on return."""
         sigma = theta * (1 + tol * 1e-2 if upper else 1 - tol * 1e-2)
-        if self.factor(sigma, upper) is None:
+        inverse = self.factor(sigma, upper)
+        if inverse is None:
             return None
-        delta = _rounding_margin(self.kd, self.shifted_diagonal(sigma, upper))
+        delta = self.margin(inverse)
         return sigma + delta if upper else sigma - delta
 
 
@@ -433,38 +588,51 @@ def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
 
 
 class _Inverse(spla.LinearOperator):
-    """x -> 2^s (A - sigma I)^-1 x in A's order, with 2^(s - 1) <= amax <
-    2^s, from band.factor's factor of 4^e M[q][:, q] (q the band's order),
-    with M = sigma I - A when upper, whose solve is negated, and M = A -
-    sigma I when not; counts its solves on band.  One exact scaling of
-    the right-hand side by 2^(2 e + s) applies both powers (see the module
-    docstring).  congruent gives S A S's inverse on the same factor."""
+    """x -> 2^s (A - sigma I)^-1 x, with 2^(s - 1) <= amax < 2^s, from
+    band.factor's factor of 4^e C, C the Schur complement of M on the kept
+    rows (M = sigma I - A when upper, whose solve is negated, and M = A -
+    sigma I when not), with d_E the diagonal of M on E: y_K = C^-1 (x_K -
+    B^T D_E^-1 x_E), y_E = D_E^-1 (x_E - B y_K), with one band solve; counts
+    its solves on counter, band by default.  One exact scaling of the band
+    solve's right-hand side by 2^(2 e + s) applies both powers (see the
+    module docstring).  c_diagonal is C's diagonal, for the margin;
+    congruent gives S A S's inverse on the same factor, with scale =
+    diag(A)^(1/2)."""
 
-    def __init__(self, band: _Band, factor: np.ndarray, sigma: float, upper: bool,
-                 scale: np.ndarray | None = None):
+    def __init__(self, band: _Band, factor: np.ndarray, sigma: float, upper: bool, e: int,
+                 d: np.ndarray, c_diagonal: np.ndarray | None = None,
+                 counter: _Band | None = None, scale: np.ndarray | None = None):
         super().__init__(dtype=np.float64, shape=(band.n, band.n))
         self.band, self.factor, self.sigma, self.upper = band, factor, sigma, upper
-        self.scale = scale
-        self.s = math.frexp(band.amax)[1]
-        self.rhs_exponent = self.s if scale is not None else 2 * band.exponent(sigma) + self.s
+        self.e, self.d, self.c_diagonal, self.scale = e, d, c_diagonal, scale
+        self.counter = counter or band
+        self.s = math.frexp(self.counter.amax)[1]
+        self.rhs_exponent = 2 * e + self.s
 
     def congruent(self, band: _Band) -> _Inverse:
         """x -> 2^s (S A S)^-1 x = 2^s S^-1 A^-1 S^-1 x, S = diag(A)^(-1/2),
-        from this factor of 4^e A at zero, with s from band, S A S's band
-        in A's order, which counts its solves.  scale = 2^e S^-1 (in the
-        order q) applies the factor's 2^e: S A S = (2^-e S) (4^e A) (2^-e
-        S), so the operator is the same for 4^k A as for A."""
-        scale = np.ldexp(np.sqrt(self.band.diagonal), self.band.exponent(0.0))
-        return _Inverse(band, self.factor, 0.0, upper=False, scale=scale)
+        from this factor of A at zero, with s from band, S A S's band,
+        which counts its solves.  Every step scales exactly with A, so the
+        operator is the same for 4^k A as for A."""
+        return _Inverse(self.band, self.factor, 0.0, False, self.e, self.d, counter=band,
+                        scale=np.sqrt(self.band.full_diagonal))
 
     def _matvec(self, x):
-        self.band.solves += 1
-        q, scale = self.band.q, self.scale
-        b = x[q] if scale is None else scale * x[q]
-        z, _ = dpbtrs(self.factor, np.ldexp(b, self.rhs_exponent), lower=1, overwrite_b=1)
-        y = np.empty_like(z)
-        y[q] = -z if self.upper else z if scale is None else scale * z
-        return y
+        self.counter.solves += 1
+        band, p = self.band, self.band.pattern
+        x = x.ravel() if self.scale is None else self.scale * x.ravel()
+        x_e, x_k = x[p.elim], x[p.kept]
+        bw = band.b.T @ (x_e / self.d)  # B^T D_E^-1 x_E, up to B's sign
+        r = x_k + bw if self.upper else x_k - bw
+        z, _ = dpbtrs(self.factor, np.ldexp(r, self.rhs_exponent), lower=1, overwrite_b=1)
+        bz = band.b @ z
+        x_e = np.ldexp(x_e, self.s)
+        y = np.empty_like(x)
+        y[p.kept] = z
+        y[p.elim] = (x_e + bz if self.upper else x_e - bz) / self.d
+        if self.upper:
+            y = -y
+        return y if self.scale is None else self.scale * y
 
 
 def _inverse_above(band: _Band, sigma: float, gershgorin: float) -> _Inverse | None:
@@ -553,19 +721,16 @@ def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
     return (*top, band.certify(top[0], tol, upper=True))
 
 
-def _mirror_signs(a: SparseSymmetric) -> tuple[float, np.ndarray] | None:
-    """(c, s) with S A S = 2 c I - A, S = diag(s), s_i = +-1, once entries of
-    A at most MIRROR_NEGLIGIBLE max |a_ij| are dropped (see the module
-    docstring): c the middle of A's diagonal, s the parity of each row's
-    depth in one breadth-first search of A's off-diagonal pattern from row
-    0; None unless the diagonal is constant and the pattern is connected and
+def _colouring(a: SparseSymmetric) -> np.ndarray | None:
+    """The instance's one colouring (see the module docstring): s_i = +-1,
+    the parity of each row's depth in one breadth-first search of A's
+    off-diagonal pattern from row 0, once entries at most MIRROR_NEGLIGIBLE
+    max |a_ij| are dropped; None unless the pattern is connected and
     2-coloured by s.  The search runs on the pattern, never on A's signed
     values; the pattern is symmetric, so a directed search finds its
     undirected tree."""
-    m, diag = a.matrix, a.diagonal
+    m = a.matrix
     negligible = MIRROR_NEGLIGIBLE * float(np.abs(m.data).max(initial=0.0))
-    if diag.max() - diag.min() > negligible:
-        return None
     rows = np.repeat(np.arange(a.order), np.diff(m.indptr))
     edges = (rows != m.indices) & (np.abs(m.data) > negligible)
     pattern = sp.csr_matrix((edges.astype(float), m.indices, m.indptr), shape=m.shape,
@@ -586,19 +751,22 @@ def _mirror_signs(a: SparseSymmetric) -> tuple[float, np.ndarray] | None:
     # 2-coloured when every neighbour of every row has the other sign
     if np.any(signs * (pattern @ signs) != -np.diff(pattern.indptr)):
         return None
-    return 0.5 * (diag.max() + diag.min()), signs
+    return signs
 
 
-def _mirror_start(a: SparseSymmetric, minimum, tol: float):
+def _mirror_start(a: SparseSymmetric, signs: np.ndarray | None, minimum, tol: float):
     """The lambda_max start s v_min (see the module docstring) as (Rayleigh
-    quotient on A, its residual, vector, converged), from minimum, the same
-    of lambda_min's solve; None when _mirror_signs finds no mirror, or the
-    Rayleigh quotient misses the mirrored 2 c - lambda_min or the residual
+    quotient on A, its residual, vector, converged), from the colouring
+    signs of A's pattern and minimum, the same of lambda_min's solve; None
+    without a colouring, when A's diagonal spreads by more than
+    MIRROR_NEGLIGIBLE max |a_ij|, or when the Rayleigh quotient misses the
+    mirrored 2 c - lambda_min (c the middle of the diagonal) or the residual
     misses tol."""
-    mirror = _mirror_signs(a)
-    if mirror is None:
+    diag = a.diagonal
+    if signs is None or diag.max() - diag.min() > MIRROR_NEGLIGIBLE * float(
+            np.abs(a.matrix.data).max(initial=0.0)):
         return None
-    c, signs = mirror
+    c = 0.5 * (diag.max() + diag.min())
     lam_min, _, v_min, ok = minimum
     v = signs * v_min
     lam, res = _rayleigh(a, v)
@@ -700,7 +868,8 @@ def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
     _check_tol(tol)
     # One factor at a time: each is released before the next is built.  The
     # factor at zero chooses the band order that every other factor shares.
-    band = _Band(matrices[0].matrix)
+    signs = _colouring(matrices[0])
+    band = _Band(matrices[0].matrix, signs)
     inverse = band.factor(0.0, upper=False)
     if inverse is None:
         raise EigenSolveError("matrix is not SPD (its Cholesky factorization failed)")
@@ -711,12 +880,12 @@ def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
         minima = [_arpack(m, inv, _arpack_tol(tol), v0) for m, inv in
                   zip(matrices, [inverse, *(inverse.congruent(b) for b in bands[1:])])]
     del inverse  # release the factor at zero before the next is built
-    return [_complete(m, band, minimum, tol, dense_cutoff, v0)
+    return [_complete(m, band, minimum, tol, dense_cutoff, v0, signs)
             for m, band, minimum in zip(matrices, bands, minima)]
 
 
 def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff: int,
-              v0: np.ndarray | None) -> SpectralResult:
+              v0: np.ndarray | None, signs: np.ndarray | None) -> SpectralResult:
     """A's result from its band and its lambda_min solve minimum =
     (Rayleigh quotient, residual, vector, converged) on the iterative path,
     or both eigenpairs from the dense eigensolver when minimum is None."""
@@ -734,7 +903,7 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
         abs_a = abs(a.matrix)
         row_sums = np.asarray(abs_a.sum(axis=1)).ravel()
         gershgorin = float(row_sums.max())
-        start, pair = "mirror", _mirror_start(a, minimum, tol)
+        start, pair = "mirror", _mirror_start(a, signs, minimum, tol)
         if pair is None:
             # seeds at max a_ii, then at a Ritz value unless the diagonal is
             # constant (see the module docstring)
@@ -766,7 +935,7 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
         lambda_min_lower=max(lower, 0.0) if lower is not None else float("nan"),
         lambda_max_upper=upper if upper is not None else float("nan"),
         certified=certified,
-        factor_nnz=band.n * (band.kd + 1),
+        factor_nnz=len(band.kept) * (band.kd + 1),
         solves=band.solves,
         factorizations=band.factorizations,
         local_rows=local_rows,

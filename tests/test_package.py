@@ -53,6 +53,17 @@ def test_one_arpack_call_site():
     assert len(calls) == 1, calls
 
 
+def test_one_band_factor_and_solve_call_site():
+    # _Band.factor is the one band Cholesky factorization and _Inverse the
+    # one band solve, of A's band and of the submatrix's alike.
+    src = Path(fc.__file__).resolve().parent
+    for call in ("dpbtrf(", "dpbtrs("):
+        calls = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if call in line]
+        assert len(calls) == 1, (call, calls)
+
+
 @pytest.fixture(scope="module")
 def bench():
     """The benchmark's workload module, loaded from its file."""

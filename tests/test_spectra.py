@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.linalg.lapack import dpbtrf
 import femcond as fc
 from femcond.assembly import SparseSymmetric
 from femcond.spectra import (
+    BAND_TARGET,
     DENSE_CUTOFF,
     LOCAL_LAYERS,
     LOCAL_SHARE,
@@ -20,9 +22,10 @@ from femcond.spectra import (
     EigenSolveError,
     _Band,
     _arpack,
+    _colouring,
     _inverse_above,
     _local_rows,
-    _mirror_signs,
+    _mirror_start,
     _rayleigh,
     _rounding_margin,
     _spectra,
@@ -42,6 +45,11 @@ from oracles import (
 
 def _sparse(dense) -> SparseSymmetric:
     return SparseSymmetric(sp.csr_matrix(np.asarray(dense, dtype=float)))
+
+
+def _band(a: SparseSymmetric) -> _Band:
+    """A's band as the solver builds it, on the instance's colouring."""
+    return _Band(a.matrix, _colouring(a))
 
 
 class TestExtremeEigenvalues:
@@ -267,8 +275,10 @@ class TestFilteredLambdaMax:
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=a.order)
         assert r.method == "dense"
-        kd = _Band(a.matrix).kd
-        assert (r.factor_nnz, r.solves, r.factorizations) == (a.order * (kd + 1), 0, 3)
+        band = _band(a)
+        assert 2 * len(band.kept) == a.order  # the eliminated band: half the rows
+        assert (r.factor_nnz, r.solves, r.factorizations) == (
+            len(band.kept) * (band.kd + 1), 0, 3)
         assert r.start == "dense"
 
 
@@ -397,13 +407,15 @@ class TestShiftInvertLambdaMax:
             assert (r.local_rows > 0) == (n_orders == 2)
             assert len(bands) == r.factorizations
             assert {(f_order, in_place) for _, f_order, in_place in bands} == {(True, True)}
-            # A's band, which factor_nnz reports, and the submatrix's
+            # A's band on its kept rows, which factor_nnz reports, and the
+            # submatrix's on all of its rows
             shapes = {shape for shape, _, _ in bands}
-            sizes = [a.order, r.local_rows][:n_orders]
-            assert [len(q) for q in orders] == sizes
+            assert [len(q) for q in orders] == [a.order, r.local_rows][:n_orders]
+            band = _band(a)
+            sizes = [len(band.kept), r.local_rows][:n_orders]
             assert len(shapes) == n_orders and {n for _, n in shapes} == set(sizes)
-            kd = r.factor_nnz // a.order - 1
-            assert (kd + 1, a.order) in shapes and r.factor_nnz == a.order * (kd + 1)
+            assert (band.kd + 1, len(band.kept)) in shapes
+            assert r.factor_nnz == len(band.kept) * (band.kd + 1)
 
     def test_band_stays_narrow_under_relabelled_vertices(self):
         # An imported mesh (say from Triangle) numbers its vertices in no
@@ -426,32 +438,119 @@ class TestShiftInvertLambdaMax:
             ra = extreme_eigenvalues(a, dense_cutoff=10)
             rb = extreme_eigenvalues(b, dense_cutoff=10)
             assert rb.converged and rb.method == "lanczos_shift_invert"
-            kd = rb.factor_nnz // b.order - 1
-            assert kd <= 1.5 * kd_generated
+            band = _band(b)
+            assert rb.factor_nnz == len(band.kept) * (band.kd + 1)
+            assert band.kd <= 1.5 * kd_generated
             assert rb.lambda_min == pytest.approx(ra.lambda_min, rel=1e-12)
             assert rb.lambda_max == pytest.approx(ra.lambda_max, rel=1e-12)
 
-    def test_one_band_alive_at_a_time(self):
-        # Order 10 000: the band, n (kd + 1) doubles, dominates the memory of
-        # the call, and of the pair's.  Two bands alive at once, or a band in
-        # C order that LAPACK would copy, each take the peak above twice its
-        # size.
+    def test_one_band_alive_at_a_time(self, monkeypatch):
+        # Order 10 000: every band factored before this one has been
+        # released when dpbtrf starts, and the band, |K| (kd + 1) doubles on
+        # half of A's rows, dominates the memory of the call and of the
+        # pair's.  Two bands alive at once, or a band in C order that LAPACK
+        # would copy, each take the peak above three times its size.
         a = fc.assemble_stiffness(fc.generate_boundary_layer(2, 100, 125.0),
                                   fc.DiffusionField.identity(2))
+        factored, alive = [], []
+        lapack = fc.spectra.dpbtrf
+
+        def dpbtrf_spy(ab, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in factored))
+            factored.append(weakref.ref(ab))
+            return lapack(ab, *args, **kwargs)
+
+        monkeypatch.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
         for solve in (lambda: [extreme_eigenvalues(a)], lambda: _spectra(a)):
+            factored.clear()
+            alive.clear()
             tracemalloc.start()
             try:
                 results = solve()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert len(alive) == sum(r.factorizations for r in results)
+            assert alive == [0] * len(alive)
             for r in results:
                 assert r.converged
-                assert peak <= 2.0 * 8 * r.factor_nnz
+                assert peak <= 3.0 * 8 * r.factor_nnz
 
 
 def _stiffness(mesh: fc.SimplicialMesh) -> SparseSymmetric:
     return fc.assemble_stiffness(mesh, fc.DiffusionField.identity(mesh.dim))
+
+
+class TestRedBlack:
+    """A pattern that 2-colours eliminates the colour class without row 0:
+    the band holds C = M_KK - B^T D_E^-1 B on the other class, at half the
+    order.  A pattern that does not gets today's band of all rows."""
+
+    CASES = {
+        "1d": lambda: _stiffness(fc.generate_chebyshev_1d(1024)),
+        "2d": lambda: _local_a(),
+        "3d": lambda: _stiffness(fc.generate_boundary_layer(3, 11, 25.0)),
+        "sheared": lambda: _sheared_layer(),
+        "dense": lambda: _stiffness(fc.generate_boundary_layer(2, 15, 25.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_colouring_per_instance(self, case, monkeypatch):
+        # one breadth-first search of A's pattern; the mirror start and both
+        # bands read it
+        a = self.CASES[case]()
+        searches = []
+        search = fc.spectra.breadth_first_order
+
+        def search_spy(*args, **kwargs):
+            searches.append(args[0].shape)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(fc.spectra, "breadth_first_order", search_spy)
+        pair = _spectra(a)
+        assert searches == [a.matrix.shape]
+        assert all(r.converged and r.certified for r in pair)
+        band = _band(a)
+        for r in pair:
+            assert r.factor_nnz == len(band.kept) * (band.kd + 1)
+        if case != "sheared":
+            assert pair[1].start == ("dense" if case == "dense" else "mirror")
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_half_the_rows_at_the_same_bandwidth(self, case):
+        a = self.CASES[case]()
+        band, whole = _band(a), _Band(a.matrix)
+        if case == "sheared":
+            assert len(band.kept) == a.order and band.kd == whole.kd
+        else:
+            assert len(band.kept) == (a.order + 1) // 2 and band.kd <= whole.kd
+            # no coupling inside E: the 3D layer's are below MIRROR_NEGLIGIBLE
+            assert band.dropped <= MIRROR_NEGLIGIBLE * band.amax
+            assert (band.dropped > 0) == (case == "3d")
+
+    def test_uncoloured_pattern_factors_the_whole_band(self):
+        # The sheared layer's pattern does not 2-colour: its band is A[q][:,
+        # q] with its shifted diagonal, entry for entry, scaled by 4^e with
+        # e from |sigma| + max |a_ij|, and nothing is added to its margin.
+        a = _sheared_layer()
+        band = _band(a)
+        q = band.pattern.q
+        pos = np.empty(a.order, dtype=int)
+        pos[q] = np.arange(a.order)
+        coo = a.matrix.tocoo()
+        row, col = pos[coo.row], pos[coo.col]
+        lower = row > col
+        gershgorin = float(abs(a.matrix).sum(axis=1).max())
+        for sigma, upper in ((0.0, False), (gershgorin * (1 + SHIFT_GAP), True)):
+            ab, e, d = band.form(sigma, upper)
+            assert len(d) == 0 and e == (BAND_TARGET - math.frexp(sigma + band.amax)[1]) // 2
+            expected = np.zeros((band.kd + 1, a.order))
+            expected[(row - col)[lower], col[lower]] = (-1 if upper else 1) * coo.data[lower]
+            expected[0] = sigma - a.diagonal[q] if upper else a.diagonal[q] - sigma
+            assert np.array_equal(ab, np.ldexp(expected, 2 * e))
+            inverse = band.factor(sigma, upper)
+            assert band.formation(inverse) == band.dropped == 0.0
+            assert band.margin(inverse) == _rounding_margin(band.kd, expected[0])
 
 
 class TestSharedBand:
@@ -659,9 +758,10 @@ class TestMirrorStart:
     def test_signs_mirror_the_scaled_matrix(self, case):
         # exactly in 2D and 1D; in 3D up to the couplings of about 1e-16
         # that the Kuhn tetrahedra leave where 2D leaves 0.0
-        m = fc.jacobi_scale(self.CASES[case]()).matrix
-        c, signs = _mirror_signs(SparseSymmetric(m))
-        assert c == 1.0 and set(np.unique(signs)) == {-1.0, 1.0}
+        a = self.CASES[case]()
+        m = fc.jacobi_scale(a).matrix
+        signs = _colouring(a)  # the instance's colouring, on A's pattern
+        assert np.all(m.diagonal() == 1.0) and set(np.unique(signs)) == {-1.0, 1.0}
         flipped = sp.diags(signs) @ m @ sp.diags(signs)
         gap = abs(flipped - (2 * sp.identity(m.shape[0]) - m)).max()
         assert gap <= MIRROR_NEGLIGIBLE * abs(m).max()
@@ -693,7 +793,7 @@ class TestMirrorStart:
         # The colouring fails on both matrices, before any product or
         # factorization: the counts are those without the mirror.
         a = _sheared_layer()
-        assert _mirror_signs(a) is None and _mirror_signs(fc.jacobi_scale(a)) is None
+        assert _colouring(a) is None and _colouring(fc.jacobi_scale(a)) is None
         pair = _spectra(a)
         _mirror_off(monkeypatch)
         for r, off in zip(pair, _spectra(a)):
@@ -710,7 +810,9 @@ class TestMirrorStart:
         _mirror_off(monkeypatch)
         off = extreme_eigenvalues(sas)
         monkeypatch.undo()
-        monkeypatch.setattr(fc.spectra, "_mirror_signs", lambda a: (1.0, np.ones(a.order)))
+        # only the mirror reads the wrong signs; the bands keep the colouring
+        monkeypatch.setattr(fc.spectra, "_mirror_start", lambda a, signs, *args: _mirror_start(
+            a, np.ones(a.order), *args))
         r = extreme_eigenvalues(sas)
         assert r.start == "gershgorin" and r.certified and r.converged
         assert (r.factorizations, r.solves, r.lambda_max) == (
@@ -746,7 +848,7 @@ class TestMirrorStart:
         # reaches only the first, so no signs are claimed for the second.
         sas = fc.jacobi_scale(_stiffness(fc.generate_chebyshev_1d(400))).matrix
         twice = SparseSymmetric(sp.block_diag([sas, sas], format="csr"))
-        assert _mirror_signs(twice) is None
+        assert _colouring(twice) is None
         r = extreme_eigenvalues(twice)
         assert r.start == "gershgorin" and r.certified and r.converged
 
@@ -924,24 +1026,23 @@ class TestCertificate:
         assert r.lambda_max_upper <= r.lambda_max * (1 + 1e-8)
         assert r.lambda_min_lower >= r.lambda_min * (1 - 1e-6)
 
-    @pytest.fixture(scope="class", params=["2d-400", "3d-1331"])
+    @pytest.fixture(scope="class", params=["1d-255", "2d-400", "3d-1331"])
     def matrix_and_spectrum(self, request):
-        if request.param == "2d-400":
-            a = _boundary_layer_a()
-        else:
-            mesh = fc.generate_boundary_layer(3, 11, 25.0)
-            a = fc.assemble_stiffness(mesh, fc.DiffusionField.identity(3))
+        a = {"1d-255": lambda: _stiffness(fc.generate_chebyshev_1d(256)),
+             "2d-400": _boundary_layer_a,
+             "3d-1331": lambda: _stiffness(fc.generate_boundary_layer(3, 11, 25.0)),
+             }[request.param]()
         return a, np.linalg.eigvalsh(a.toarray())
 
     def test_shift_inside_the_spectrum_is_rejected(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
-        band = _Band(a.matrix)
+        band = _band(a)
         assert band.factor(vals[-1] * (1 - 1e-6), upper=True) is None
         assert band.factor(vals[0] * (1 + 1e-6), upper=False) is None
 
     def test_shift_just_outside_the_spectrum_is_accepted(self, matrix_and_spectrum):
         a, vals = matrix_and_spectrum
-        band = _Band(a.matrix)
+        band = _band(a)
         # certify shifts by tol 1e-2 = 1e-10
         hi = band.certify(vals[-1], 1e-8, upper=True)
         lo = band.certify(vals[0], 1e-8, upper=False)
@@ -951,32 +1052,111 @@ class TestCertificate:
     @pytest.mark.parametrize("upper", [True, False])
     def test_rounding_margin_bounds_the_backward_error(self, matrix_and_spectrum, upper):
         # M = sigma I - A just above lambda_max, or A - sigma I just below
-        # lambda_min: nearly singular, the hardest case for the factor.
+        # lambda_min: nearly singular, the hardest case for the factor.  The
+        # band factors C = M_KK - B^T D_E^-1 B on half the rows.  Each term
+        # of the margin bounds its own part of the backward error, measured
+        # densely in extended precision (where numpy has it), and so the
+        # margin bounds all of M's.
         a, vals = matrix_and_spectrum
         sigma = vals[-1] * (1 + 1e-10) if upper else vals[0] * (1 - 1e-10)
-        band = _Band(a.matrix)
-        q, kd, n = band.q, band.kd, band.n
-        m_diag = band.shifted_diagonal(sigma, upper)
-        m = a.toarray()[np.ix_(q, q)] * (-1.0 if upper else 1.0)
-        np.fill_diagonal(m, m_diag)  # M as rounded into the band
-        # The factor is that of 4^e M: compare R^T R with 4^e M and the
-        # backward error with 4^e delta, all scaled exactly.
-        e2 = 2 * band.exponent(sigma)
+        band = _band(a)
+        kept, elim, kd = band.pattern.kept, band.pattern.elim, band.kd
+        assert len(kept) + len(elim) == a.order and len(elim) in (a.order // 2, len(kept))
+        # M and C in exact arithmetic, up to the extended precision
+        sign = -1 if upper else 1
+        m = sign * a.toarray().astype(np.longdouble)
+        m[np.diag_indices(a.order)] -= sign * np.longdouble(sigma)
+        b, d = m[np.ix_(elim, kept)], np.diagonal(m)[elim]
+        c_exact = m[np.ix_(kept, kept)]
+        for b_i, d_i in zip(b, d):
+            nz = np.flatnonzero(b_i)
+            c_exact[np.ix_(nz, nz)] -= np.multiply.outer(b_i[nz], b_i[nz]) / d_i
         inverse = band.factor(sigma, upper)
         assert inverse is not None
+        ab, e, _ = band.form(sigma, upper)
+        c = _from_band(np.ldexp(ab, -2 * e)).astype(np.longdouble)  # C as computed
+        # (1) forming C; the last rounding of its diagonal is the u max
+        # |c_jj| of C's own margin
+        u = np.finfo(float).eps / 2
+        formation = _norm(c - c_exact)
+        assert 0 < formation <= band.formation(inverse) + u * np.abs(inverse.c_diagonal).max()
+        # (2) the factor R of 4^e C, as for any band: R^T R - 4^e C
+        err = -np.ldexp(c, 2 * e)
         factor = inverse.factor
-        # R^T R - 4^e M in extended precision (where numpy has it), so that
-        # the product's own rounding does not swamp the factor's.
-        err = -np.ldexp(m, e2).astype(np.longdouble)
-        for j in range(n):
-            r_j = factor[:min(kd + 1, n - j), j].astype(np.longdouble)
+        for j in range(len(kept)):
+            r_j = factor[:min(kd + 1, len(kept) - j), j].astype(np.longdouble)
             err[j:j + len(r_j), j:j + len(r_j)] += np.multiply.outer(r_j, r_j)
-        backward = float(np.abs(np.linalg.eigvalsh(err.astype(float))).max())
-        delta = _rounding_margin(kd, m_diag)
-        assert backward <= np.ldexp(delta, e2)
-        # The roundoff of M's diagonal alone is exceeded: the margin's
-        # gamma term is needed.
-        assert backward > np.ldexp(np.finfo(float).eps / 2 * np.abs(m_diag).max(), e2)
+        backward = _norm(err)
+        delta = _rounding_margin(kd, inverse.c_diagonal)
+        assert backward <= np.ldexp(delta, 2 * e)
+        # Beyond 1D (kd = 1), the roundoff of C's diagonal alone is exceeded:
+        # the margin's gamma term is needed.
+        assert kd == 1 or backward > np.ldexp(u * np.abs(inverse.c_diagonal).max(), 2 * e)
+        # (3) the couplings inside E, which C leaves out: 3D Kuhn tetrahedra
+        # leave some of about 1e-17 max |a_ij|, 1D and 2D none
+        dropped = m[np.ix_(elim, elim)] - np.diag(d)
+        assert _norm(dropped) <= band.dropped
+        assert (_norm(dropped) > 0) == (a.matrix.shape[0] == 1331)
+        # All of M: d_E and R factor [[D_E, B], [B^T, B^T D_E^-1 B + 4^-e R^T
+        # R]] exactly, which differs from M by blockdiag(-E, 4^-e R^T R - C).
+        whole = max(_norm(dropped), _norm(np.ldexp(err, -2 * e) + c - c_exact))
+        assert whole <= band.margin(inverse)
+
+    @pytest.mark.parametrize("case", ["bl2d-5", "bl2d-25", "bl2d-125", "bl3d-4", "bl3d-6",
+                                      "bl3d-8", "bl3d-11", "varfield-2d"])
+    def test_no_wider_than_the_whole_band(self, case):
+        # On the benchmark's matrices, A and S A S, each certificate of the
+        # eliminated band lies inside the one that the band of all rows,
+        # without a colouring, gives at the same Rayleigh quotient.
+        family, size = case.split("-")
+        if family == "bl2d":
+            a = _stiffness(fc.generate_boundary_layer(2, 100, float(size)))
+        elif family == "bl3d":
+            a = _stiffness(fc.generate_boundary_layer(3, int(size), 25.0))
+        else:
+            field = fc.DiffusionField.from_callable(
+                2, lambda x: np.diag([1.0 + x[0], 1.0 + 10.0 * x[1]]), 1.0, 11.0)
+            a = fc.assemble_stiffness(fc.generate_boundary_layer(2, 100, 125.0), field)
+        signs = _colouring(a)
+        for m, r in zip((a, fc.jacobi_scale(a)), _spectra(a)):
+            whole, eliminated = _Band(m.matrix), _Band(m.matrix, signs)
+            assert 2 * len(eliminated.kept) <= m.order + 1
+            for theta, upper in ((r.lambda_max, True), (r.lambda_min, False)):
+                ends = [band.certify(theta, 1e-8, upper) for band in (whole, eliminated)]
+                assert ends[1] <= ends[0] if upper else ends[1] >= ends[0]
+
+    def test_dropped_coupling_is_in_the_margin(self):
+        # A path of 51 rows with a coupling -1e-12 between rows 25 and 27,
+        # both eliminated: below MIRROR_NEGLIGIBLE max |a_ij|, so the
+        # colouring drops it and C leaves it out.  It lowers lambda_min by
+        # about 1e-14, far beyond C's own margin in 1D, so a certificate at
+        # the path's lambda_min without the coupling must take it back.
+        path = 2.0 * np.eye(51) - np.eye(51, k=1) - np.eye(51, k=-1)
+        coupled = path.copy()
+        coupled[25, 27] = coupled[27, 25] = -1e-12
+        a = _sparse(coupled)
+        band = _band(a)
+        assert 25 in band.pattern.elim and 27 in band.pattern.elim
+        assert band.dropped == 1e-12
+        lam_min, lam_uncoupled = np.linalg.eigvalsh(coupled)[0], np.linalg.eigvalsh(path)[0]
+        assert lam_uncoupled - lam_min > 1e-15
+        assert band.certify(lam_uncoupled, 1e-12, upper=False) <= lam_min
+
+    def test_nonpositive_eliminated_pivot_is_rejected(self):
+        # A path of 5 rows whose eliminated rows 1 and 3 (the colour without
+        # row 0) have a_ii = -1: M = A is indefinite, while C = a_KK + B^T B
+        # is positive definite, so only d_E > 0 rejects it.  The same above
+        # lambda_max, at sigma = 5 below the eliminated a_ii = 10.
+        path = 0.1 * (np.eye(5, k=1) + np.eye(5, k=-1))
+        for diag, sigma, upper in (([1.0, -1.0, 1.0, -1.0, 1.0], 0.0, False),
+                                   ([1.0, 10.0, 1.0, 10.0, 1.0], 5.0, True)):
+            a = _sparse(np.diag(diag) + path)
+            band = _band(a)
+            assert list(band.pattern.elim) == [1, 3]
+            assert band.form(sigma, upper) is None
+            assert band.factor(sigma, upper) is None and band.factorizations == 1
+        with pytest.raises(EigenSolveError, match="not SPD"):
+            extreme_eigenvalues(_sparse(np.diag([1.0, -1.0, 1.0, -1.0, 1.0]) + path))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 100])
     def test_rounding_margin_is_the_padded_window_sum(self, n):
@@ -1043,12 +1223,25 @@ def _variable_field_a() -> SparseSymmetric:
 
 
 def _unscaled_factor(band: _Band, sigma: float, upper: bool):
-    """(dpbtrf's factor of M[q][:, q] itself, info), M as in
-    band.shifted_diagonal."""
-    ab = np.zeros((band.kd + 1, band.n), order="F")
-    ab[band.offset, band.col] = -band.val if upper else band.val
-    ab[0] = band.shifted_diagonal(sigma, upper)
-    return dpbtrf(ab, lower=1)
+    """(dpbtrf's factor of the band's C itself, info), M as in
+    band.shifted: band.form's 4^e C, scaled back exactly."""
+    ab, e, _ = band.form(sigma, upper)
+    return dpbtrf(np.ldexp(ab, -2 * e), lower=1)
+
+
+def _from_band(ab: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band storage is ab."""
+    n = ab.shape[1]
+    c = np.zeros((n, n), dtype=ab.dtype)
+    for k, diagonal in enumerate(ab):
+        rows = np.arange(k, n)
+        c[rows, rows - k] = c[rows - k, rows] = diagonal[:n - k]
+    return c
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 of a symmetric x, rounded to double."""
+    return float(np.abs(np.linalg.eigvalsh(x.astype(float))).max())
 
 
 def _subnormals(x: np.ndarray) -> int:
@@ -1139,19 +1332,21 @@ class TestScaledBand:
     @pytest.mark.parametrize("k", [-200, 0, 200])
     @pytest.mark.parametrize("upper", [False, True])
     def test_inverse_solves_the_shifted_system(self, k, upper):
+        # on the band of all rows and on the eliminated one
         m = _boundary_layer_a().matrix.copy()
         m.data = np.ldexp(m.data, 2 * k)
         a = SparseSymmetric(m)
-        if upper:  # the lambda_max start's shift, above lambda_max
-            gershgorin = float(abs(a.matrix).sum(axis=1).max())
-            sigma = gershgorin * (1 + SHIFT_GAP)
-            inverse = _inverse_above(_Band(a.matrix), sigma, gershgorin)
-        else:
-            sigma, inverse = 0.0, _Band(a.matrix).factor(0.0, upper=False)
         x = np.random.default_rng(1).standard_normal(a.order)
-        expected = np.linalg.solve(a.toarray() - sigma * np.eye(a.order), x)
-        y = np.ldexp(inverse.matvec(x), -inverse.s)
-        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+        for band in (_Band(a.matrix), _band(a)):
+            if upper:  # the lambda_max start's shift, above lambda_max
+                gershgorin = float(abs(a.matrix).sum(axis=1).max())
+                sigma = gershgorin * (1 + SHIFT_GAP)
+                inverse = _inverse_above(band, sigma, gershgorin)
+            else:
+                sigma, inverse = 0.0, band.factor(0.0, upper=False)
+            expected = np.linalg.solve(a.toarray() - sigma * np.eye(a.order), x)
+            y = np.ldexp(inverse.matvec(x), -inverse.s)
+            assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestInertia:
