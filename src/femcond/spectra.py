@@ -430,9 +430,9 @@ class _Pattern:
         row, col = np.repeat(np.arange(n), stored), matrix.indices.astype(np.intp)
         row_e, col_e, off_diagonal = np.repeat(elim, stored), elim[col], row != col
         self.kk_pos = np.flatnonzero(~row_e & ~col_e & off_diagonal)
-        self.kk_rows = pos[row[self.kk_pos]]
-        self.off_pos = self.kk_pos[self.kk_rows > pos[col[self.kk_pos]]]
-        off_row, off_col = pos[row[self.off_pos]], pos[col[self.off_pos]]
+        self.kk_rows, kk_cols = pos[row[self.kk_pos]], pos[col[self.kk_pos]]
+        lower = np.flatnonzero(self.kk_rows > kk_cols)
+        self.off_pos, off_row, off_col = self.kk_pos[lower], self.kk_rows[lower], kk_cols[lower]
         self.b_pos = np.flatnonzero(row_e & ~col_e)
         self.b_col = pos[col[self.b_pos]]
         per_row = np.bincount(row[self.b_pos], minlength=n)[self.elim]
@@ -483,6 +483,7 @@ class _Band:
         self.off, self.kk = data[p.off_pos], data[p.kk_pos]
         b = data[p.b_pos]
         self.b = sp.csr_matrix((b, p.b_col, p.b_indptr), shape=(len(p.elim), len(p.kept)))
+        self.bt = self.b.T.tocsr()
         self.squares, self.products = b * b, b[p.pair_a] * b[p.pair_b]
         # ||E||_inf of the couplings inside E
         self.dropped = float(np.bincount(p.e_rows, np.abs(data[p.e_pos]), minlength=1).max())
@@ -605,6 +606,7 @@ class _Inverse(spla.LinearOperator):
         super().__init__(dtype=np.float64, shape=(band.n, band.n))
         self.band, self.factor, self.sigma, self.upper = band, factor, sigma, upper
         self.e, self.d, self.c_diagonal, self.scale = e, d, c_diagonal, scale
+        self.pivots = -d if upper else d
         self.counter = counter or band
         self.s = math.frexp(self.counter.amax)[1]
         self.rhs_exponent = 2 * e + self.s
@@ -618,20 +620,23 @@ class _Inverse(spla.LinearOperator):
                         scale=np.sqrt(self.band.full_diagonal))
 
     def _matvec(self, x):
+        # (A - sigma I) y = x with A[E][:, E] - sigma I = diag(pivots) and
+        # A[E][:, K] = B: its Schur complement on K is C, negated when
+        # upper, so C y_K = -+(x_K - B^T x_E / pivots) and y_E = (x_E - B
+        # y_K) / pivots.
         self.counter.solves += 1
         band, p = self.band, self.band.pattern
         x = x.ravel() if self.scale is None else self.scale * x.ravel()
-        x_e, x_k = x[p.elim], x[p.kept]
-        bw = band.b.T @ (x_e / self.d)  # B^T D_E^-1 x_E, up to B's sign
-        r = x_k + bw if self.upper else x_k - bw
-        z, _ = dpbtrs(self.factor, np.ldexp(r, self.rhs_exponent), lower=1, overwrite_b=1)
-        bz = band.b @ z
-        x_e = np.ldexp(x_e, self.s)
+        r = x[p.kept]
+        if len(p.elim):
+            x_e = x[p.elim]
+            r = r - band.bt @ (x_e / self.pivots)
+        z, _ = dpbtrs(self.factor, np.ldexp(-r if self.upper else r, self.rhs_exponent),
+                      lower=1, overwrite_b=1)
         y = np.empty_like(x)
         y[p.kept] = z
-        y[p.elim] = (x_e + bz if self.upper else x_e - bz) / self.d
-        if self.upper:
-            y = -y
+        if len(p.elim):
+            y[p.elim] = (np.ldexp(x_e, self.s) - band.b @ z) / self.pivots
         return y if self.scale is None else self.scale * y
 
 
