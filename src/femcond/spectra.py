@@ -6,8 +6,9 @@ band order, A's colouring and A's factor at zero (below); extreme_eigenvalues
 solves one matrix by the same steps.  Every call starts with the band
 Cholesky factor of A at zero, the SPD test, which fixes the band order of
 every later factor; when A's pattern 2-colours, every band holds only half
-of the rows (Red-black elimination, below).  Small systems (order <= 300, and any order below 2) then take both
-eigenvectors from a dense symmetric eigensolver.  Larger ones take them from
+of the rows (Red-black elimination, below).  Small systems (order <= 300,
+and any order below 2) then take both eigenvectors from a dense symmetric
+eigensolver.  Larger ones take them from
 implicitly restarted Lanczos (ARPACK) in its shift-invert mode: each solve
 applies (A - sigma I)^-1 from a band Cholesky factor, whose eigenvalues 1 /
 (lambda - sigma) are largest in magnitude for the eigenvalue of A nearest
@@ -53,7 +54,8 @@ up to three steps.
 
 Mirror start.  Let A have a constant diagonal c, A = c I + N, and let the
 graph of N's entries be connected and 2-coloured by the instance's
-colouring (below), signs s_i = +-1 that differ across every edge.  Then S N S = -N for S = diag(s), so S A
+colouring (below), with signs s_i = +-1 that differ across every edge.
+Then S N S = -N for S = diag(s), so S A
 S = 2 c I - A: the spectrum is symmetric about c, lambda_max = 2 c -
 lambda_min and s v_min is lambda_max's eigenvector, at the cost of one
 product with A once lambda_min is solved.  Every Jacobi-scaled matrix has
@@ -152,20 +154,21 @@ through them, and holds exactly what its own q and colouring would give.
 Red-black elimination (Saad, Iterative Methods for Sparse Linear Systems,
 Sec. 3.3).  Every factorization is of M = sigma I - A or A - sigma I, a
 shift changing only the diagonal.  With a colouring, E is the colour class
-without row 0 and K the other, and M = [[D_E + E_E, B], [B^T, M_KK]] with
-D_E diagonal, B = M[E][:, K] and E_E the couplings inside E that the
+without row 0 and K the other, and M = [[D_E + G, B], [B^T, M_KK]] with
+D_E diagonal, B = M[E][:, K] and G the couplings inside E that the
 colouring dropped (none in 1D and 2D); without a colouring E is empty.
 The band holds the Schur complement C = M_KK - B^T D_E^-1 B, of order |K|,
 ordered by q restricted to K: c_jl subtracts b_ij b_il / d_i over the
 rows i of E next to both j and l, so on the tensor grids C couples rows
-two grid steps apart and its half-bandwidth kd stays A's (100 at 2D order
-10 000, 257 - 258 at 3D order 4 096) at half the order.  An entry of D_E
-that is not positive shows M not positive definite (a principal
-submatrix), and the factorization fails without a band; otherwise the
-certificates below step back from C to M.  A solve of M x = y takes one
-band solve between two products with B: x_K = C^-1 (y_K - B^T D_E^-1 y_E),
-x_E = D_E^-1 (y_E - B x_K).  A pattern that does not 2-colour keeps all of
-its rows: C = M, ordered by q, exactly the band without elimination.
+two grid steps apart and its half-bandwidth kd stays about A's (100
+against 100 at 2D order 10 000, 256 against 257 at 3D order 4 096).  An
+entry of D_E that is not positive shows M not positive definite (a
+principal submatrix), and the factorization fails without a band;
+otherwise the certificates below step back from C to M.  A solve of M x =
+y takes one band solve between two products with B: x_K = C^-1 (y_K - B^T
+D_E^-1 y_E), x_E = D_E^-1 (y_E - B x_K).  A pattern that does not
+2-colour keeps all of its rows: C = M, ordered by q, exactly the band
+without elimination.
 Every factor of either matrix (at zero, the lambda_max start and shifts on
 the iterative path, and the two certificates) is a LAPACK band Cholesky
 factorization (dpbtrf) of its C.  The local start's submatrix is ordered
@@ -203,12 +206,13 @@ diagonal, and below 2^-1022 they turn subnormal: unscaled, the factor of
 sigma I - A on a 2D boundary layer of order 10 000 and kd 100 with D =
 diag(1 + x, 1 + 10 y) held 7 748 of them and took three to four times as
 long as the factor at zero.  So each band is factored as 4^e C, with e
-chosen from |sigma| + max |a_ij| + max_j s_jj, S = B^T D_E^-1 B, to put
-that bound in [2^898, 2^900): it bounds every entry of C, as |c_jl| <=
-|m_jl| + (s_jj + s_ll) / 2 for D_E > 0, and without elimination it is |sigma|
-+ max |a_ij|.  Its terms are scaled before they are summed, exactly.  A power of two scales exactly and commutes with
-every rounding while no result leaves the normal range (Higham, Accuracy
-and Stability of Numerical Algorithms, Ch. 2): wherever the factor of C is
+chosen from |sigma| + max |a_ij| + max_j s_jj, s_jj the diagonal of B^T
+D_E^-1 B, to put that bound in [2^898, 2^900): it bounds every entry of C,
+as |c_jl| <= |m_jl| + (s_jj + s_ll) / 2 for D_E > 0, and without
+elimination it is |sigma| + max |a_ij|.  C's terms are scaled before they
+are summed.  A power of two scales exactly and commutes with every
+rounding while no result leaves the normal range (Higham, Accuracy and
+Stability of Numerical Algorithms, Ch. 2): wherever the factor of C is
 normal, the computed factor of 4^e C is exactly 2^e times it, it completes
 exactly when that of C does, and a solve on 4^e x returns the same bits as
 the unscaled one, while the fill below 2^-1022 shrinks (to 299 subnormals
@@ -233,17 +237,15 @@ shifted factorizations:
   lambda_min in [sigma_lo - delta, theta_min]: the factorization of A -
       sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
 A factorization completes when D_E is positive and the Cholesky
-factorization of C completes.  _Band.certify writes both shifts and adds or
-subtracts delta.  The outer
-ends are proven by the factorizations, the inner ends because theta_max and
-theta_min are Rayleigh quotients on A, on both paths.  When
-sigma_lo - delta <= 0 the lower end is 0, which the factor at zero
-certifies.
+factorization of C completes.  _Band.certify writes both shifts and adds
+or subtracts delta.  The outer ends are proven by the factorizations, the
+inner ends because theta_max and theta_min are Rayleigh quotients on A, on
+both paths.  When sigma_lo - delta <= 0 the lower end is 0, which the
+factor at zero certifies.
 
 Rounding margin delta.  It has three terms: the band factor's delta_C,
-the formation term phi of C and ||E_E||.  For a symmetric M of
-half-bandwidth kd, the computed Cholesky factor R (M = R^T R) is the exact
-one of M + E with
+the formation term phi of C and ||G||.  For a symmetric M of half-bandwidth
+kd, the computed Cholesky factor R (M = R^T R) is the exact one of M + E with
 |E| <= gamma_w |R^T| |R|, gamma_w = w u / (1 - w u), u the unit roundoff
 and w = kd + 2: every entry of R comes from an inner product of at most kd
 terms, a subtraction and a division or square root, in any order of
@@ -273,17 +275,17 @@ delta_C.  For the symmetric error ||.||_2 <= ||.||_inf, so phi = max_j (u
 without elimination.  The computed C then differs from the exact C of M
 (exact d_i, exact sigma) by at most phi + u max_j |c_jj|.
 From C to M.  Let eps = delta_C + phi, so C + eps I is positive definite,
-and let M' = M - blockdiag(E_E, 0).  D_E is positive definite, which the
+and let M' = M - blockdiag(G, 0).  D_E is positive definite, which the
 computed d_i show exactly: fl(sigma - a_ii) > 0 exactly when sigma > a_ii.
 For eps >= 0, (D_E + eps I)^-1 <= D_E^-1, so the Schur complement M_KK +
 eps I - B^T (D_E + eps I)^-1 B of M' + eps I is at least C + eps I, and
 M' + eps I is positive definite (Haynsworth inertia additivity).  With
-||E_E||_2 <= max_i sum_j |e_ij| (taken over every coupling inside E),
-delta = delta_C + phi + max_i sum_j |e_ij| gives lambda_min(M) > -delta.
-Underflow is not modelled: the scaled band's entries lie
-below 2^900, and its few remaining subnormal fill entries (299 of 10^6 in
-the example above, none in most factors) each err by under 2^-1074,
-nothing beside the scaled margin, which is at least u 4^e max_j |c_jj|.
+||G||_2 <= max_i sum_j |g_ij| (taken over every coupling inside E),
+delta = delta_C + phi + max_i sum_j |g_ij| gives lambda_min(M) > -delta.
+Underflow is not modelled: the scaled band's entries lie below 2^900, and
+its few remaining subnormal fill entries (299 of 10^6 in the example
+above, none in most factors) each err by under 2^-1074, nothing beside the
+scaled margin, which is at least u 4^e max_j |c_jj|.
 Nor is the rounding in evaluating delta itself (relative, below (2 kd + 1)
 u), nor phi's use of the computed d_i for the exact ones (relative u).
 """
@@ -354,8 +356,8 @@ class SpectralResult:
     values are then best estimates).  factor_nnz is the size |K| (kd + 1)
     of A's band, which every factor of A fills: its Schur complement on the
     kept rows K, about half of A's rows when A's pattern 2-colours and all
-    of them when it does not (module docstring); start names lambda_max's start
-    (module docstring): "dense" on the dense path, else "mirror", "local" or
+    of them when it does not; start names lambda_max's start (module
+    docstring): "dense" on the dense path, else "mirror", "local" or
     "gershgorin"; local_rows is the order |S| of the submatrix that the
     local start came from, 0 for any other start.  factorizations counts
     the band Cholesky factorizations (3 on the dense path and after a mirror
@@ -485,16 +487,9 @@ class _Band:
         self.b = sp.csr_matrix((b, p.b_col, p.b_indptr), shape=(len(p.elim), len(p.kept)))
         self.bt = self.b.T.tocsr()
         self.squares, self.products = b * b, b[p.pair_a] * b[p.pair_b]
-        # ||E||_inf of the couplings inside E
+        # ||G||_inf of the couplings G inside E
         self.dropped = float(np.bincount(p.e_rows, np.abs(data[p.e_pos]), minlength=1).max())
         self.factorizations = self.solves = 0
-
-    def exponent(self, sigma: float, smax: float = 0.0) -> int:
-        """e with 4^e (|sigma| + amax + smax) in [2^(BAND_TARGET - 2),
-        2^BAND_TARGET), a bound on every entry of the band that factor
-        factors at sigma when smax = max_j (B^T D_E^-1 B)_jj (see the module
-        docstring)."""
-        return (BAND_TARGET - math.frexp(abs(sigma) + self.amax + smax)[1]) // 2
 
     @staticmethod
     def shifted(diagonal: np.ndarray, sigma: float, upper: bool) -> np.ndarray:
@@ -508,15 +503,19 @@ class _Band:
 
     def form(self, sigma: float, upper: bool):
         """(4^e C, e, d_E) for M as in shifted: C in lower band storage, in
-        Fortran order so that dpbtrf factors it in place, e = exponent(sigma,
-        max_j (B^T D_E^-1 B)_jj) and d_E the diagonal of M on E; None when an
-        entry of d_E is not positive, so that M is not positive definite."""
+        Fortran order so that dpbtrf factors it in place, scaled exactly by
+        4^e (see the module docstring), and d_E the diagonal of M on E; None
+        when an entry of d_E is not positive, so that M is not positive
+        definite."""
         p = self.pattern
         d = self.shifted(self.elim_diagonal, sigma, upper)
         if not np.all(d > 0):
             return None
         s_diag = np.bincount(p.b_col, self.squares / d[p.b_rows], minlength=len(p.kept))
-        e = self.exponent(sigma, float(s_diag.max(initial=0.0)))
+        # 4^e (|sigma| + amax + max_j s_jj), a bound on every entry of C, in
+        # [2^(BAND_TARGET - 2), 2^BAND_TARGET)
+        bound = abs(sigma) + self.amax + float(s_diag.max(initial=0.0))
+        e = (BAND_TARGET - math.frexp(bound)[1]) // 2
         terms = np.concatenate((-self.off if upper else self.off,
                                 self.shifted_diagonal(sigma, upper) - s_diag,
                                 -self.products / d[p.pair_rows]))
@@ -555,8 +554,8 @@ class _Band:
 
     def margin(self, inverse: _Inverse) -> float:
         """delta of a completed factorization (see the module docstring):
-        C's rounding margin, its formation term and ||E||_inf of the
-        couplings inside E."""
+        C's rounding margin, its formation term and ||G||_inf of the
+        couplings G inside E."""
         return (_rounding_margin(self.kd, inverse.c_diagonal) + self.formation(inverse)
                 + self.dropped)
 
@@ -867,12 +866,13 @@ def _spectra(a: SparseSymmetric, tol: float = DEFAULT_TOL, *, dense_cutoff: int 
 def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
            seed: int) -> list[SpectralResult]:
     """The results of matrices = [A] or [A, S A S], S A S on A's index
-    arrays: A's factor at zero, the SPD test of both by congruence, and on
-    the iterative path the lambda_min solves of both on it, then the rest
-    of each in turn."""
+    arrays: A's colouring, A's factor at zero, the SPD test of both by
+    congruence, and on the iterative path the lambda_min solves of both on
+    it, then the rest of each in turn."""
     _check_tol(tol)
     # One factor at a time: each is released before the next is built.  The
-    # factor at zero chooses the band order that every other factor shares.
+    # factor at zero chooses the band order, and the colouring the rows,
+    # that every other factor shares.
     signs = _colouring(matrices[0])
     band = _Band(matrices[0].matrix, signs)
     inverse = band.factor(0.0, upper=False)

@@ -1302,7 +1302,7 @@ class TestScaledBand:
         for band, sigma, upper, factor in completed:
             ref, info = _unscaled_factor(band, sigma, upper)
             assert info == 0
-            e, tiny = band.exponent(sigma), np.finfo(float).tiny
+            e, tiny = band.form(sigma, upper)[1], np.finfo(float).tiny
             normal = np.abs(ref) >= tiny
             assert np.array_equal(factor[normal], np.ldexp(ref[normal], e))
             # elsewhere both are below the normal range, unscaled
