@@ -491,24 +491,14 @@ class _Band:
         self.dropped = float(np.bincount(p.e_rows, np.abs(data[p.e_pos]), minlength=1).max())
         self.factorizations = self.solves = 0
 
-    @staticmethod
-    def shifted(diagonal: np.ndarray, sigma: float, upper: bool) -> np.ndarray:
-        """Diagonal of M = sigma I - A when upper and of M = A - sigma I when
-        not, from A's."""
-        return sigma - diagonal if upper else diagonal - sigma
-
-    def shifted_diagonal(self, sigma: float, upper: bool) -> np.ndarray:
-        """M's diagonal on the kept rows, in their band order."""
-        return self.shifted(self.diagonal, sigma, upper)
-
     def form(self, sigma: float, upper: bool):
-        """(4^e C, e, d_E) for M as in shifted: C in lower band storage, in
+        """(4^e C, e, d_E) for M as in _shifted: C in lower band storage, in
         Fortran order so that dpbtrf factors it in place, scaled exactly by
         4^e (see the module docstring), and d_E the diagonal of M on E; None
         when an entry of d_E is not positive, so that M is not positive
         definite."""
         p = self.pattern
-        d = self.shifted(self.elim_diagonal, sigma, upper)
+        d = _shifted(self.elim_diagonal, sigma, upper)
         if not np.all(d > 0):
             return None
         s_diag = np.bincount(p.b_col, self.squares / d[p.b_rows], minlength=len(p.kept))
@@ -517,7 +507,7 @@ class _Band:
         bound = abs(sigma) + self.amax + float(s_diag.max(initial=0.0))
         e = (BAND_TARGET - math.frexp(bound)[1]) // 2
         terms = np.concatenate((-self.off if upper else self.off,
-                                self.shifted_diagonal(sigma, upper) - s_diag,
+                                _shifted(self.diagonal, sigma, upper) - s_diag,
                                 -self.products / d[p.pair_rows]))
         np.ldexp(terms, 2 * e, out=terms)
         ab = np.bincount(p.targets, terms, minlength=len(p.kept) * (p.kd + 1))
@@ -547,7 +537,7 @@ class _Band:
         gamma = (p.terms + 3) * u / (1 - (p.terms + 3) * u)
         abs_b = np.abs(self.b.data)
         b_sums = np.bincount(p.b_rows, abs_b, minlength=len(p.elim)) / inverse.d
-        rows = (u * np.abs(self.shifted_diagonal(inverse.sigma, inverse.upper))
+        rows = (u * np.abs(_shifted(self.diagonal, inverse.sigma, inverse.upper))
                 + gamma * np.bincount(p.kk_rows, np.abs(self.kk), minlength=len(p.kept))
                 + gamma * np.bincount(p.b_col, abs_b * b_sums[p.b_rows], minlength=len(p.kept)))
         return float(rows[p.touched].max())
@@ -572,6 +562,12 @@ class _Band:
             return None
         delta = self.margin(inverse)
         return sigma + delta if upper else sigma - delta
+
+
+def _shifted(diagonal: np.ndarray, sigma: float, upper: bool) -> np.ndarray:
+    """The diagonal of M = sigma I - A when upper and of M = A - sigma I when
+    not, from A's diagonal."""
+    return sigma - diagonal if upper else diagonal - sigma
 
 
 def _rounding_margin(kd: int, m_diag: np.ndarray) -> float:
