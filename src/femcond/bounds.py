@@ -64,7 +64,6 @@ __all__ = [
     "calibrate",
     "build_report",
     "BOUND_IDS",
-    "LOWER_BOUND_IDS",
     "DEFAULT_P",
 ]
 
@@ -85,7 +84,6 @@ BOUNDS = {
     "conjectured.kappa.SAS": ("exact.kappa.SAS", "upper", (2,)),
 }
 BOUND_IDS = tuple(BOUNDS)
-LOWER_BOUND_IDS = tuple(bid for bid, (_, side, _) in BOUNDS.items() if side == "lower")
 
 
 def _resolve_p(dim: int, p: float | None) -> float | None:

@@ -32,9 +32,10 @@ up to three steps.
      ARPACK tolerance 1e-2 at sigma_0 = g (1 + 1e-4), with g = max_i sum_j
      |a_ij| >= lambda_max the Gershgorin bound: sigma_0 I - A is strictly
      diagonally dominant with a positive diagonal, so its factorization
-     completes (a failure raises).  When r_0 meets the tolerance and the
-     lambda_max certificate (below) at theta_0 completes, that pair is the
-     answer.
+     completes (a failure raises); it is step 2's first shift from g with a
+     residual of 0, taken by the same code.  When r_0 meets the tolerance
+     and the lambda_max certificate (below) at theta_0 completes, that pair
+     is the answer.
   2. Shift.  Otherwise sigma_1 = theta_0 (1 + eta), eta = max(1e-4, r_0 / 4),
      is accepted when the Cholesky factorization of sigma_1 I - A completes,
      which shows sigma_1 I - A positive definite to working precision, i.e.
@@ -100,11 +101,14 @@ S is the seeds grown by LOCAL_LAYERS = 6 layers of A's graph: at aspect 25
 the padded vector's residual on A was 1.6e-7 with 4 layers, 7.1e-9 with 5
 and 3.2e-10 with 6, against a tolerance of 1e-8.  When |S| <= n / 2
 (LOCAL_SHARE), the start is the top eigenvector of A[S][:, S], padded with
-zeros: from the dense eigensolver when |S| is at most the dense cutoff, and
-otherwise from steps 1-3 on the submatrix in its own band, without a
-certificate, whose final solve needs only ARPACK tolerance tol, since A's
-own tests judge the result.  The padded vector's Rayleigh quotient on A is
-its Rayleigh quotient on A[S][:, S], so at most lambda_max by Cauchy
+zeros.  A single row is its own eigenvector; any larger S, whatever its
+order, takes steps 1-3 on the submatrix in its own band, eliminated like
+A's (Red-black elimination, below), from its own Gershgorin start and
+without a certificate.  Its final solve needs only ARPACK tolerance tol,
+since A's own tests judge the result.  There is no dense branch: the dense
+cutoff, which decides A's path, does not apply to S.  The padded vector's
+Rayleigh quotient on A is its Rayleigh quotient on A[S][:, S], so at most
+lambda_max by Cauchy
 interlacing, and everything after the start runs on A: its residual on A
 and the certificate on A decide, and a start that misses because S is too
 small only costs A's steps 2 and 3 from the padded vector.  So S changes
@@ -142,7 +146,9 @@ about 1e-17 max |a_ij|, where 2D leaves 0.0): s_i = +-1 is the parity of
 row i's depth, and the pattern is 2-coloured when every kept coupling
 joins rows of different parity.  It is None when that fails (a sheared
 mesh's triangles) or when the search misses a row.  S A S has A's pattern,
-so both matrices' mirror starts and bands read this one colouring; the
+so both matrices' mirror starts and bands read this one colouring; so does
+the band of the local start's submatrix, restricted to S, since the same
+signs 2-colour every principal submatrix of a 2-coloured pattern.  The
 search takes under 1 ms at order 10 000.
 
 One ordering per instance.  The factor at zero computes A's only ordering:
@@ -154,9 +160,11 @@ through them, and holds exactly what its own q and colouring would give.
 Red-black elimination (Saad, Iterative Methods for Sparse Linear Systems,
 Sec. 3.3).  Every factorization is of M = sigma I - A or A - sigma I, a
 shift changing only the diagonal.  With a colouring, E is the colour class
-without row 0 and K the other, and M = [[D_E + G, B], [B^T, M_KK]] with
-D_E diagonal, B = M[E][:, K] and G the couplings inside E that the
-colouring dropped (none in 1D and 2D); without a colouring E is empty.
+of sign -1 and K the other: on A the class without row 0, the search's
+root, and on the local start's submatrix either class.  Then M = [[D_E +
+G, B], [B^T, M_KK]] with D_E diagonal, B = M[E][:, K] and G the couplings
+inside E that the colouring dropped (none in 1D and 2D); without a
+colouring E is empty.
 The band holds the Schur complement C = M_KK - B^T D_E^-1 B, of order |K|,
 ordered by q restricted to K: c_jl subtracts b_ij b_il / d_i over the
 rows i of E next to both j and l, so on the tensor grids C couples rows
@@ -172,9 +180,10 @@ without elimination.
 Every factor of either matrix (at zero, the lambda_max start and shifts on
 the iterative path, and the two certificates) is a LAPACK band Cholesky
 factorization (dpbtrf) of its C.  The local start's submatrix is ordered
-the same way once, into its own band of half-bandwidth kd_S without a
-colouring, which all of its factors share.  Every factorization, of
-either band, is built and counted by _Band.factor, which returns it as the
+and eliminated the same way once, on the colouring restricted to S, into
+its own band of half-bandwidth kd_S, which all of its factors share, so no
+band of a 2-coloured instance keeps all of its rows.  Every factorization,
+of either band, is built and counted by _Band.factor, which returns it as the
 shift-invert operator or None when it fails; _Band.certify turns one into
 a certified end of the spectrum (Certificates).  The products b_ij b_il
 are formed once per band; each factorization divides them by D_E, sums
@@ -189,14 +198,15 @@ On a d-dimensional grid kd is about the number of vertices in a
 cross-section, n^((d-1)/d): at large 2D orders a fill-reducing sparse
 factor needs less memory and fewer flops per solve.  The submatrix of a
 boundary layer is a strip along the boundary, so kd_S is about the strip's
-width in vertices: on a 2D layer of order 40 000 and kd 200, S holds 5 404
-rows with kd_S 15, so a factor of S costs about 1/1 300 of one of A and a
-solve 1/100.  A local start that is the answer leaves A with three
-factors (at zero and the two certificates) and lambda_min's solves; one
-that misses adds the shift step's factor, and the submatrix adds its own
-start's and shift step's factors.  Solved with A, S A S builds no factor
-at zero, and a mirror start that is the answer leaves it only its two
-certificates and lambda_min's solves on A's factor, as S^-1 A^-1 S^-1.
+width in vertices: on a 2D layer of order 40 000, A's band holds 20 000
+rows at kd 200 and S's 2 702 of its 5 404 rows at kd_S 16, so a factor of
+S costs about 1/1 200 of one of A and a solve about 1/90.  A local start
+that is the answer leaves A with three factors (at zero and the two
+certificates) and lambda_min's solves; one that misses adds the shift
+step's factor, and the submatrix adds its own start's and shift step's
+factors.  Solved with A, S A S builds no factor at zero, and a mirror
+start that is the answer leaves it only its two certificates and
+lambda_min's solves on A's factor, as S^-1 A^-1 S^-1.
 The model holds only while the factor's entries are normal numbers;
 arithmetic on subnormal ones is many times slower.  Every shift-invert
 solve uses a 10-vector Krylov basis.
@@ -417,8 +427,10 @@ class _Pattern:
     A[E][:, K] (by E's row, columns by band position) and of the couplings
     inside E, which C leaves out; each pair of B's entries in one row, the
     entry of C that its product enters, and C's half-bandwidth kd.  signs,
-    the colouring of A's pattern, picks E, the class without row 0; without
-    it E is empty and C is A[q][:, q]."""
+    the colouring of A's pattern, picks E, the class with sign -1: on A the
+    class without row 0, and on the local start's submatrix, coloured by A's
+    signs restricted to its rows, a class that may hold its row 0.  Without
+    signs E is empty and C is A[q][:, q]."""
 
     def __init__(self, matrix, signs: np.ndarray | None):
         n = matrix.shape[0]
@@ -467,17 +479,22 @@ class _Band:
     """The matrix A on a _Pattern: C = M_KK - B^T D_E^-1 B for M = sigma I -
     A or A - sigma I (see the module docstring), with the products b_ij b_il
     that C's entries subtract precomputed, and amax = max |a_ij|.  signs is
-    the colouring of A's pattern, or None.  Every factorization of the
+    the colouring of A's pattern (restricted to S on the local start's
+    submatrix), or None.  Every factorization of the
     matrix is built here, by factor (a shift-invert operator) or certify (a
     certified end of the spectrum); counts them and the solves applied with
     them.  Given like, the band of a matrix on the same index arrays (A's,
     for S A S from jacobi_scale), it reads its own values through like's
-    pattern: the band that its own ordering and colouring would give."""
+    pattern: the band that its own ordering and colouring would give.
+    row_sums are the sums sum_j |a_ij| of each row and gershgorin = max_i of
+    them, the Gershgorin bound on lambda_max."""
 
     def __init__(self, matrix, signs: np.ndarray | None = None, like: _Band | None = None):
         p = self.pattern = _Pattern(matrix, signs) if like is None else like.pattern
         self.n, self.kd, self.kept = p.n, p.kd, p.kept
         data = matrix.data
+        self.row_sums = np.asarray(abs(matrix).sum(axis=1)).ravel()
+        self.gershgorin = float(self.row_sums.max(initial=0.0))
         self.full_diagonal = matrix.diagonal()
         self.diagonal = self.full_diagonal[p.kept]
         self.elim_diagonal = self.full_diagonal[p.elim]
@@ -532,15 +549,13 @@ class _Band:
         and d_E in exact arithmetic (see the module docstring); 0 when no
         row of C subtracts a product."""
         p, u = self.pattern, np.finfo(float).eps / 2
-        if not p.touched.any():
-            return 0.0
         gamma = (p.terms + 3) * u / (1 - (p.terms + 3) * u)
         abs_b = np.abs(self.b.data)
         b_sums = np.bincount(p.b_rows, abs_b, minlength=len(p.elim)) / inverse.d
         rows = (u * np.abs(_shifted(self.diagonal, inverse.sigma, inverse.upper))
                 + gamma * np.bincount(p.kk_rows, np.abs(self.kk), minlength=len(p.kept))
                 + gamma * np.bincount(p.b_col, abs_b * b_sums[p.b_rows], minlength=len(p.kept)))
-        return float(rows[p.touched].max())
+        return float(rows[p.touched].max(initial=0.0))
 
     def margin(self, inverse: _Inverse) -> float:
         """delta of a completed factorization (see the module docstring):
@@ -622,44 +637,33 @@ class _Inverse(spla.LinearOperator):
         self.counter.solves += 1
         band, p = self.band, self.band.pattern
         x = x.ravel() if self.scale is None else self.scale * x.ravel()
-        r = x[p.kept]
-        if len(p.elim):
-            x_e = x[p.elim]
-            r = r - band.bt @ (x_e / self.pivots)
+        x_e = x[p.elim]
+        r = x[p.kept] - band.bt @ (x_e / self.pivots)
         z, _ = dpbtrs(self.factor, np.ldexp(-r if self.upper else r, self.rhs_exponent),
                       lower=1, overwrite_b=1)
         y = np.empty_like(x)
         y[p.kept] = z
-        if len(p.elim):
-            y[p.elim] = (np.ldexp(x_e, self.s) - band.b @ z) / self.pivots
+        y[p.elim] = (np.ldexp(x_e, self.s) - band.b @ z) / self.pivots
         return y if self.scale is None else self.scale * y
 
 
-def _inverse_above(band: _Band, sigma: float, gershgorin: float) -> _Inverse | None:
-    """band.factor(sigma, upper=True), whose failure shows lambda_max >=
-    sigma; a failure above the Gershgorin bound gershgorin >= lambda_max
-    raises."""
-    inverse = band.factor(sigma, upper=True)
-    if inverse is None and sigma > gershgorin:
-        raise EigenSolveError(
-            f"the Cholesky factorization of sigma I - A fails at sigma = "
-            f"{sigma:.6g}, above the Gershgorin bound {gershgorin:.6g} of lambda_max"
-        )
-    return inverse
-
-
-def _shift_above_lambda_max(band: _Band, theta0: float, gap: float, gershgorin: float):
+def _shift_above_lambda_max(band: _Band, theta0: float, gap: float) -> _Inverse:
     """2^s (A - sigma I)^-1 from the first band Cholesky factorization of
     sigma I - A that completes (see the module docstring), sigma = theta0 (1
     + gap) and, after each failed one, sigma (1 + eta) with eta doubled from
-    gap.  theta0 <= lambda_max is the Rayleigh quotient of the start, gap
-    the first relative gap of the shift above it and gershgorin = max_i
-    sum_j |a_ij|, above which a failure raises."""
+    gap.  theta0 is the Rayleigh quotient of the start, at most lambda_max,
+    or the Gershgorin bound band.gershgorin >= lambda_max; a failure above
+    that bound raises."""
     if not theta0 > 0:
         raise EigenSolveError(f"matrix is not SPD (Rayleigh quotient {theta0:.6g})")
     sigma, eta = theta0 * (1 + gap), gap
-    while (inverse := _inverse_above(band, sigma, gershgorin)) is None:
+    while (inverse := band.factor(sigma, upper=True)) is None:
         # sigma I - A is not positive definite: lambda_max >= sigma
+        if sigma > band.gershgorin:
+            raise EigenSolveError(
+                f"the Cholesky factorization of sigma I - A fails at sigma = "
+                f"{sigma:.6g}, above the Gershgorin bound {band.gershgorin:.6g} of lambda_max"
+            )
         eta *= 2
         sigma *= 1 + eta
     return inverse
@@ -687,37 +691,28 @@ def _arpack(a: SparseSymmetric, inverse: _Inverse | None, arp_tol: float, v0):
     return (*_rayleigh(a, v), v, ok)
 
 
-def _gershgorin_start(a: SparseSymmetric, band: _Band, gershgorin: float, v0: np.ndarray):
-    """The lambda_max start on A itself: one solve at ARPACK tolerance
-    START_TOL from v0 at the shift gershgorin (1 + SHIFT_GAP), gershgorin =
-    max_i sum_j |a_ij|, as (Rayleigh quotient on A, its residual, vector,
-    converged)."""
-    inverse = _inverse_above(band, gershgorin * (1 + SHIFT_GAP), gershgorin)
-    return _arpack(a, inverse, START_TOL, v0)
+def _solve_above(a: SparseSymmetric, band: _Band, start, arp_tol: float):
+    """One shift-invert solve at ARPACK tolerance arp_tol from the vector of
+    start = (theta0, its residual r_0, vector, ...), at the shift that
+    _shift_above_lambda_max takes from theta0 with the gap max(SHIFT_GAP,
+    r_0 / 4) (see the module docstring): steps 2 and 3 of lambda_max from a
+    start, or the Gershgorin start from (band.gershgorin, 0, v0).  Returns
+    (Rayleigh quotient on A, its residual, vector, converged)."""
+    theta0, res, v = start[:3]
+    return _arpack(a, _shift_above_lambda_max(band, theta0, max(SHIFT_GAP, res / 4)), arp_tol, v)
 
 
-def _solve_above(a: SparseSymmetric, band: _Band, start, gershgorin: float, arp_tol: float):
-    """Steps 2 and 3 of lambda_max (see the module docstring): the solve at
-    ARPACK tolerance arp_tol, from the vector of start = (Rayleigh quotient
-    on A, its residual, vector, converged), at a shift shown above
-    lambda_max.  Returns (Rayleigh quotient, residual, vector, converged)."""
-    lam, res, v, _ = start
-    inverse = _shift_above_lambda_max(band, lam, max(SHIFT_GAP, res / 4), gershgorin)
-    return _arpack(a, inverse, arp_tol, v)
-
-
-def _lambda_max(a: SparseSymmetric, band: _Band, gershgorin: float, tol: float,
-                arp_tol: float, start):
+def _lambda_max(a: SparseSymmetric, band: _Band, tol: float, arp_tol: float, start):
     """Certified top eigenpair of A by shift-invert from above (see the
-    module docstring), on band, with gershgorin = max_i sum_j |a_ij|: the
-    start (Rayleigh quotient on A, its residual, vector, converged) when its
-    residual meets tol and its lambda_max certificate completes, otherwise
-    _solve_above from it, certified.  Returns (Rayleigh quotient, residual,
-    vector, converged, certified upper end or None)."""
+    module docstring), on band: the start (Rayleigh quotient on A, its
+    residual, vector, converged) when its residual meets tol and its
+    lambda_max certificate completes, otherwise _solve_above from it,
+    certified.  Returns (Rayleigh quotient, residual, vector, converged,
+    certified upper end or None)."""
     upper = band.certify(start[0], tol, upper=True) if start[1] <= tol else None
     if upper is not None:
         return (*start, upper)
-    top = _solve_above(a, band, start, gershgorin, arp_tol)
+    top = _solve_above(a, band, start, arp_tol)
     return (*top, band.certify(top[0], tol, upper=True))
 
 
@@ -776,14 +771,14 @@ def _mirror_start(a: SparseSymmetric, signs: np.ndarray | None, minimum, tol: fl
     return lam, res, v, ok
 
 
-def _local_rows(a: SparseSymmetric, abs_a, row_sums: np.ndarray,
-                theta: float) -> np.ndarray | None:
+def _local_rows(a: SparseSymmetric, row_sums: np.ndarray, theta: float) -> np.ndarray | None:
     """The rows S of the lambda_max start's submatrix (see the module
-    docstring), from abs_a = |A|, its row sums and a lower bound theta on
-    lambda_max: those whose Gershgorin disc reaches max(max_i a_ii, theta),
-    grown by LOCAL_LAYERS layers of A's graph; None as soon as they exceed
-    LOCAL_SHARE of A's rows."""
+    docstring), from the row sums sum_j |a_ij| of A and a lower bound theta
+    on lambda_max: those whose Gershgorin disc reaches max(max_i a_ii,
+    theta), grown by LOCAL_LAYERS layers of A's graph; None as soon as they
+    exceed LOCAL_SHARE of A's rows."""
     limit = LOCAL_SHARE * a.order
+    abs_a = abs(a.matrix)
     rows = row_sums >= max(a.diagonal.max(), theta)
     for _ in range(LOCAL_LAYERS):
         if np.count_nonzero(rows) > limit:
@@ -797,26 +792,24 @@ def _dense(order: int, dense_cutoff: int) -> bool:
 
 
 def _local_start(a: SparseSymmetric, band: _Band, rows: np.ndarray, tol: float,
-                 dense_cutoff: int, v0: np.ndarray):
+                 v0: np.ndarray, signs: np.ndarray | None):
     """(Rayleigh quotient on A, its residual, vector, converged) of the top
-    eigenvector of A[rows][:, rows] padded with zeros, from the dense
-    eigensolver or from the uncertified lambda_max solve on the submatrix's
-    own band, whose factorizations and solves are added to band, A's."""
-    sub = SparseSymmetric(a.matrix[rows][:, rows])
-    ok = True
-    if _dense(sub.order, dense_cutoff):
-        v_sub = np.linalg.eigh(sub.toarray())[1][:, -1]
+    eigenvector of A[rows][:, rows] padded with zeros: a single row is its
+    own eigenvector; otherwise it comes from the uncertified lambda_max
+    solve on the submatrix's own band, on A's colouring signs restricted to
+    rows, whose factorizations and solves are added to band, A's."""
+    v, ok = np.zeros(a.order), True
+    if len(rows) == 1:
+        v[rows] = 1.0
     else:
-        sub_band = _Band(sub.matrix)
-        gershgorin = float(abs(sub.matrix).sum(axis=1).max())
-        start = _gershgorin_start(sub, sub_band, gershgorin, v0[rows])
+        sub = SparseSymmetric(a.matrix[rows][:, rows])
+        sub_band = _Band(sub.matrix, None if signs is None else signs[rows])
+        start = _solve_above(sub, sub_band, (sub_band.gershgorin, 0.0, v0[rows]), START_TOL)
         if start[1] > tol:
-            start = _solve_above(sub, sub_band, start, gershgorin, tol)
-        _, _, v_sub, ok = start
+            start = _solve_above(sub, sub_band, start, tol)
+        _, _, v[rows], ok = start
         band.factorizations += sub_band.factorizations
         band.solves += sub_band.solves
-    v = np.zeros(a.order)
-    v[rows] = v_sub
     return (*_rayleigh(a, v), v, ok)
 
 
@@ -833,8 +826,9 @@ def extreme_eigenvalues(
     eigensolver.  Above it, shift-invert solves run (see the module
     docstring): lambda_min at zero, the lambda_max start (v_min with its
     signs flipped on one colour when A's spectrum mirrors about its constant
-    diagonal, on the submatrix where lambda_max's eigenvector lives, which
-    takes the same dense or shift-invert path by its own order, or on A at
+    diagonal; else the top eigenvector of the submatrix where lambda_max's
+    eigenvector lives, from shift-invert solves on the submatrix's own
+    band, eliminated like A's, whatever its order; else one solve on A at
     the Gershgorin shift) and, unless the start is already certified to tol
     on A, lambda_max at a shift shown above it.  MAXITER caps the ARPACK
     iterations (restarts) of each, and of the Lanczos run that seeds the
@@ -842,10 +836,10 @@ def extreme_eigenvalues(
     vector, so its own convergence is then not required.  A reported solve
     that stops unconverged returns ARPACK's partial vector, or its start
     vector when ARPACK has none, and is flagged converged=False; an ARPACK
-    error raises EigenSolveError.  On either path, and
-    converged or not, each eigenvalue is the Rayleigh quotient of its
-    returned vector on A, so lambda_max never exceeds the true lambda_max
-    and lambda_min never falls below the true lambda_min.
+    error raises EigenSolveError.  On either path, and converged or not,
+    each eigenvalue is the Rayleigh quotient of its returned vector on A, so
+    lambda_max never exceeds the true lambda_max and lambda_min never falls
+    below the true lambda_min.
     """
     return _solve([a], tol, dense_cutoff, seed)[0]
 
@@ -881,12 +875,12 @@ def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
         minima = [_arpack(m, inv, _arpack_tol(tol), v0) for m, inv in
                   zip(matrices, [inverse, *(inverse.congruent(b) for b in bands[1:])])]
     del inverse  # release the factor at zero before the next is built
-    return [_complete(m, band, minimum, tol, dense_cutoff, v0, signs)
+    return [_complete(m, band, minimum, tol, v0, signs)
             for m, band, minimum in zip(matrices, bands, minima)]
 
 
-def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff: int,
-              v0: np.ndarray | None, signs: np.ndarray | None) -> SpectralResult:
+def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, v0: np.ndarray | None,
+              signs: np.ndarray | None) -> SpectralResult:
     """A's result from its band and its lambda_min solve minimum =
     (Rayleigh quotient, residual, vector, converged) on the iterative path,
     or both eigenpairs from the dense eigensolver when minimum is None."""
@@ -901,24 +895,21 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, dense_cutoff
     else:
         method = "lanczos_shift_invert"
         lam_min, res_min, v_min, ok_min = minimum
-        abs_a = abs(a.matrix)
-        row_sums = np.asarray(abs_a.sum(axis=1)).ravel()
-        gershgorin = float(row_sums.max())
         start, pair = "mirror", _mirror_start(a, signs, minimum, tol)
         if pair is None:
             # seeds at max a_ii, then at a Ritz value unless the diagonal is
             # constant (see the module docstring)
-            rows = _local_rows(a, abs_a, row_sums, -math.inf)
+            rows = _local_rows(a, band.row_sums, -math.inf)
             if rows is None and a.diagonal.min() < a.diagonal.max():
-                rows = _local_rows(a, abs_a, row_sums, _arpack(a, None, START_TOL, v0)[0])
+                rows = _local_rows(a, band.row_sums, _arpack(a, None, START_TOL, v0)[0])
             if rows is not None:
                 start, local_rows = "local", len(rows)
-                pair = _local_start(a, band, rows, tol, dense_cutoff, v0)
+                pair = _local_start(a, band, rows, tol, v0, signs)
             else:
-                start, pair = "gershgorin", _gershgorin_start(a, band, gershgorin, v0)
-        del abs_a
+                start = "gershgorin"
+                pair = _solve_above(a, band, (band.gershgorin, 0.0, v0), START_TOL)
         lam_max, res_max, v_max, ok_max, upper = _lambda_max(
-            a, band, gershgorin, tol, _arpack_tol(tol), pair)
+            a, band, tol, _arpack_tol(tol), pair)
         ok = ok_min and ok_max
     if lam_min <= 0:  # the factor at zero completed, so it is numerically singular
         raise EigenSolveError(f"matrix is numerically singular (lambda_min = {lam_min:.6g})")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from femcond.bounds import BOUND_IDS, LOWER_BOUND_IDS
+from femcond.bounds import BOUND_IDS, BOUNDS
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 CSVS = sorted(RESULTS.glob("*/*.csv"))
@@ -56,7 +56,7 @@ def test_calibrated_bounds_are_on_the_safe_side(path):
             assert math.isfinite(exact), (_name(path), row["parameter"], exact_key)
             if math.isnan(bound):  # conjectured.kappa.SAS outside 2D
                 continue
-            if bid in LOWER_BOUND_IDS:
+            if BOUNDS[bid][1] == "lower":
                 assert bound <= exact, (_name(path), row["parameter"], bid)
             else:
                 assert bound >= exact, (_name(path), row["parameter"], bid)

@@ -237,6 +237,8 @@ class TestAnalyze:
          "diffusion matrix entries must be finite"),
         (["--family", "uniform", "--dim", "2", "--n", "4", "--diffusion", "const:nan,1"],
          "diffusion matrix entries must be finite"),
+        (["--family", "uniform", "--dim", "2", "--n", "4", "--diffusion", "const:2,0.5,0.4,1"],
+         "diffusion matrix must be symmetric"),
     ])
     def test_usage_error_exits_2(self, args, reason, capsys, no_solve):
         assert_usage_error(["analyze", *args], capsys, reason)
@@ -290,6 +292,46 @@ class TestAnalyze:
             "analyze", "--family", "uniform", "--dim", "2", "--n", "4",
             "--diffusion", "const:4,1",
         ]) == 0
+
+    def test_const_diffusion_forms_agree(self, tmp_path):
+        # the upper triangle and the full row-major matrix name the same D,
+        # which is not the identity
+        texts = []
+        for k, spec in enumerate(["const:2,0.5,1", "const:2,0.5,0.5,1", "identity"]):
+            out = tmp_path / f"r{k}.json"
+            assert run(["analyze", "--family", "uniform", "--dim", "2", "--n", "4",
+                        "--diffusion", spec, "--json", out]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1] != texts[2]
+
+    def test_calibrated_bounds_printed(self, tmp_path, capsys):
+        cal = tmp_path / "cal.json"
+        fc.Calibration(dim=1, constants={"new.kappa.A": 2.0, "prior.kappa.A": 0.5}).save(cal)
+        out = tmp_path / "r.json"
+        assert run(["analyze", "--family", "uniform", "--dim", "1", "--n", "8",
+                    "--calibration", cal, "--json", out]) == 0
+        raw = json.loads(out.read_text())["bounds_raw"]
+        text = capsys.readouterr().out
+        block = text.split("bounds (calibrated):\n")[1].splitlines()
+        assert block == [f"  new.kappa.A = {_fmt(2.0 * raw['new.kappa.A'])}",
+                         f"  prior.kappa.A = {_fmt(0.5 * raw['prior.kappa.A'])}"]
+
+    def test_unconverged_spectrum_exits_3_after_writing(self, tmp_path, capsys, monkeypatch):
+        build = fc.cli.build_report
+
+        def unconverged(*args, **kwargs):
+            report = build(*args, **kwargs)
+            sas = dataclasses.replace(report.exact_SAS, converged=False)
+            return dataclasses.replace(report, exact_SAS=sas)
+
+        monkeypatch.setattr(fc.cli, "build_report", unconverged)
+        out = tmp_path / "r.json"
+        assert run(["analyze", "--family", "uniform", "--dim", "1", "--n", "8",
+                    "--json", out]) == 3
+        captured = capsys.readouterr()
+        assert "warning: eigensolver did not reach the requested tolerance" in captured.err
+        assert "exact SAS: " in captured.out and "[NOT CONVERGED]" in captured.out
+        assert json.loads(out.read_text())["exact"]["SAS"]["converged"] is False
 
     def test_csv_row(self, tmp_path):
         csv = tmp_path / "row.csv"
@@ -465,6 +507,9 @@ class TestSweep:
         assert_usage_error(["sweep", "--family", "boundary_layer_2d", "--values", "4,6",
                             "--aspect", "4", "--calibration", cal], capsys,
                            "calibration is for dimension 1")
+
+    def test_values_required(self, capsys, no_solve):
+        assert_usage_error(["sweep", "--family", "chebyshev"], capsys, "--values is required")
 
     def test_family_required(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,52 @@ class TestImportExport:
         path.write_bytes(content)
         with pytest.raises(MeshFormatError, match=reason):
             fc.import_mesh(path)
+
+
+class TestInputRefusals:
+    """Each entry point refuses a malformed mesh with a message that names
+    the fault (and, for a file, the file)."""
+
+    @pytest.mark.parametrize("dim, vertices, elements, reason", [
+        (2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]],
+         "vertices must have shape (n, 2), got (3, 3)"),
+        (2, [[0, 0], [1, math.nan], [0, 1]], [[0, 1, 2]], "vertex coordinates must be finite"),
+        (2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 3]], "element vertex index out of range"),
+        (2, [[0, 0], [1, 0], [0, 1]], np.zeros((0, 3), dtype=np.int64), "mesh has no elements"),
+        (2, [[0, 0], [1, 0], [0, 1], [5, 5]], [[0, 1, 2]],
+         "vertex 3 is not used by any element"),
+        (1, [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]],
+         "1D mesh must have exactly 2 boundary points, found 4"),
+    ], ids=["vertex-shape", "non-finite", "index-range", "no-elements", "unused-vertex",
+            "1d-boundary"])
+    def test_simplicial_mesh(self, dim, vertices, elements, reason):
+        with pytest.raises(MeshError, match=re.escape(reason)):
+            fc.SimplicialMesh(dim, vertices, elements)
+
+    @pytest.mark.parametrize("content, reason", [
+        ('{"dim": 2,\n "vertices": [[0, 0]],\n}\n', "raw.json:3: "),
+        ('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}', "raw.json: missing key 'elements'"),
+        ('{"dim": 2, "version": 2, "vertices": [[0, 0], [1, 0], [0, 1]],'
+         ' "elements": [[0, 1, 2]]}', "raw.json: unsupported version 2"),
+    ], ids=["invalid-json", "missing-key", "version"])
+    def test_native_json(self, tmp_path, content, reason):
+        path = tmp_path / "raw.json"
+        path.write_text(content)
+        with pytest.raises(MeshFormatError, match=re.escape(reason)):
+            fc.import_mesh(path)
+
+    @pytest.mark.parametrize("node, ele, reason", [
+        ("", "1 3 0\n1 1 2 3\n", "pair.node: empty .node file"),
+        ("3\n1 0 0\n2 1 0\n3 0 1\n", "1 3 0\n1 1 2 3\n", "pair.node:1: bad .node header"),
+        ("3 2 0 0\n1 0 0\n1 1 0\n3 0 1\n", "1 3 0\n1 1 2 3\n",
+         "pair.node: duplicate node ids"),
+        ("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n", "1 3 0\n1 1 2 4\n", "pair.ele: unknown node id 4"),
+    ], ids=["empty", "header", "duplicate-id", "unknown-id"])
+    def test_triangle_pair(self, tmp_path, node, ele, reason):
+        (tmp_path / "pair.node").write_text(node)
+        (tmp_path / "pair.ele").write_text(ele)
+        with pytest.raises(MeshFormatError, match=re.escape(reason)):
+            fc.import_mesh(tmp_path / "pair.node")
 
 
 class SimplicialLike:

@@ -23,11 +23,11 @@ from femcond.spectra import (
     _Band,
     _arpack,
     _colouring,
-    _inverse_above,
     _local_rows,
     _mirror_start,
     _rayleigh,
     _rounding_margin,
+    _shift_above_lambda_max,
     _spectra,
     extreme_eigenvalues,
 )
@@ -213,8 +213,10 @@ class TestFilteredLambdaMax:
         # -10: shift-invert there finds 2, though |-10| is the largest.
         diag = np.concatenate([[-10.0], np.linspace(1.0, 2.0, 2999)])
         a = SparseSymmetric(sp.diags(diag, format="csr"))
-        gershgorin = float(np.abs(diag).max())
-        inverse = _inverse_above(_Band(a.matrix), gershgorin * (1 + SHIFT_GAP), gershgorin)
+        band = _Band(a.matrix)
+        assert band.gershgorin == float(np.abs(diag).max())
+        inverse = _shift_above_lambda_max(band, band.gershgorin, SHIFT_GAP)
+        assert inverse.sigma == band.gershgorin * (1 + SHIFT_GAP)
         v0 = np.random.default_rng(0).standard_normal(a.order)
         lam_max, residual, _, ok = _arpack(a, inverse, 1e-10, v0)
         assert ok and residual <= 1e-8
@@ -351,31 +353,33 @@ class TestShiftInvertLambdaMax:
 
     @pytest.mark.parametrize("seed", [0, 11])
     def test_shift_step_stops_at_the_first_completed_factor(self, monkeypatch, seed):
-        # On the 3D layer (order 1 331, Gershgorin start) the first shift
-        # fails once; the step grows it and keeps the first factor that
+        # On the 3D layer (order 1 331, Gershgorin start) the Gershgorin
+        # start's shift completes at once, and step 2's first shift fails
+        # once; the step grows it and keeps the first factor that
         # completes, without bisecting back towards lambda_max.
         a = _stiffness(fc.generate_boundary_layer(3, 11, 25.0))
-        completed, inside = [], []
-        inverse_above, shift = fc.spectra._inverse_above, fc.spectra._shift_above_lambda_max
+        completed, inside = [], []  # each shift step's factors: completed?
+        factor, shift = _Band.factor, fc.spectra._shift_above_lambda_max
 
-        def inverse_spy(*args):
-            inverse = inverse_above(*args)
+        def factor_spy(band, sigma, upper):
+            inverse = factor(band, sigma, upper)
             if inside:
-                completed.append(inverse is not None)
+                completed[-1].append(inverse is not None)
             return inverse
 
         def shift_spy(*args):
+            completed.append([])
             inside.append(True)
             try:
                 return shift(*args)
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(fc.spectra, "_inverse_above", inverse_spy)
+        monkeypatch.setattr(_Band, "factor", factor_spy)
         monkeypatch.setattr(fc.spectra, "_shift_above_lambda_max", shift_spy)
         r = extreme_eigenvalues(a, seed=seed)
         assert (a.order, r.start) == (1331, "gershgorin")
-        assert completed == [False, True]
+        assert completed == [[True], [False, True]]
         assert r.converged and r.certified
 
     def test_one_band_order_per_call(self, monkeypatch):
@@ -399,21 +403,22 @@ class TestShiftInvertLambdaMax:
         monkeypatch.setattr(fc.spectra, "dpbtrf", dpbtrf_spy)
         a3 = fc.assemble_stiffness(fc.generate_boundary_layer(3, 11, 25.0),
                                    fc.DiffusionField.identity(3))
-        for a, n_orders in ((a3, 1), (_local_a(), 2)):
+        # (order, kept rows) of the submatrix, when there is one
+        for a, sub in ((a3, ()), (_local_a(), (138, 69))):
             orders.clear()
             bands.clear()
             r = extreme_eigenvalues(a, dense_cutoff=10)
             assert r.converged
-            assert (r.local_rows > 0) == (n_orders == 2)
+            assert r.local_rows == (sub[0] if sub else 0)
             assert len(bands) == r.factorizations
             assert {(f_order, in_place) for _, f_order, in_place in bands} == {(True, True)}
             # A's band on its kept rows, which factor_nnz reports, and the
-            # submatrix's on all of its rows
+            # submatrix's on its own kept rows
             shapes = {shape for shape, _, _ in bands}
-            assert [len(q) for q in orders] == [a.order, r.local_rows][:n_orders]
+            assert [len(q) for q in orders] == [a.order, *sub[:1]]
             band = _band(a)
-            sizes = [len(band.kept), r.local_rows][:n_orders]
-            assert len(shapes) == n_orders and {n for _, n in shapes} == set(sizes)
+            sizes = {len(band.kept), *sub[1:]}
+            assert len(shapes) == len(sizes) and {n for _, n in shapes} == sizes
             assert (band.kd + 1, len(band.kept)) in shapes
             assert r.factor_nnz == len(band.kept) * (band.kd + 1)
 
@@ -665,16 +670,16 @@ class TestLocalStart:
 
     @pytest.mark.parametrize("dense_cutoff", [10, DENSE_CUTOFF])
     def test_stretched_layer_takes_the_local_path(self, local, shifted_on, dense_cutoff):
-        # The submatrix goes through the iterative path at dense_cutoff 10
-        # and the dense one at DENSE_CUTOFF; A is iterative either way.  The
-        # padded vector is the answer, so A's band has no shift step.
+        # The submatrix is solved on its own band whatever the dense cutoff,
+        # also at DENSE_CUTOFF, above its order; A is iterative either way.
+        # The padded vector is the answer, so A's band has no shift step.
         a, vals = local
         tol = 1e-8
         r = extreme_eigenvalues(a, tol, dense_cutoff=dense_cutoff)
         assert (r.method, r.start) == ("lanczos_shift_invert", "local")
         assert 0 < r.local_rows <= a.order / 2
         assert (r.local_rows <= dense_cutoff) == (dense_cutoff == DENSE_CUTOFF)
-        assert a.order not in shifted_on
+        assert shifted_on and set(shifted_on) == {r.local_rows}
         assert r.converged and r.certified
         assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
         assert r.lambda_max <= vals[-1] * (1 + 1e-14)
@@ -697,6 +702,35 @@ class TestLocalStart:
         assert r.converged and r.certified
         assert r.lambda_max == pytest.approx(vals[-1], rel=1e-7)
         assert np.count_nonzero(r.v_max) == a.order
+
+    def test_submatrix_band_holds_its_kept_class(self, local, monkeypatch):
+        # The submatrix's band is eliminated like A's, on A's colouring
+        # restricted to S, without a search of its own: it keeps S's rows of
+        # sign +1, 69 of 138.
+        a, _ = local
+        built, searches = [], []
+        init, search = _Band.__init__, fc.spectra.breadth_first_order
+
+        def init_spy(band, matrix, signs=None, like=None):
+            init(band, matrix, signs, like)
+            built.append((band, signs))
+
+        def search_spy(*args, **kwargs):
+            searches.append(args[0].shape)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(_Band, "__init__", init_spy)
+        monkeypatch.setattr(fc.spectra, "breadth_first_order", search_spy)
+        r = _spectra(a)[0]
+        assert searches == [a.matrix.shape]
+        # A's band, S A S's, then the submatrix's
+        assert len(built) == 3
+        sub, signs = built[2]
+        rows = np.flatnonzero(r.v_max)
+        assert (r.start, len(rows), sub.n, len(sub.kept)) == ("local", 138, 138, 69)
+        assert np.array_equal(signs, _colouring(a)[rows])
+        assert np.array_equal(np.sort(sub.kept), np.flatnonzero(signs > 0))
+        assert np.array_equal(sub.pattern.elim, np.flatnonzero(signs < 0))
 
     def test_submatrix_builds_no_certificate(self, local, monkeypatch):
         # The submatrix's solve only supplies the start: A's own residual
@@ -726,6 +760,27 @@ class TestLocalStart:
         assert r.converged and r.certified
         assert r.lambda_max == pytest.approx(vals[-1], rel=10 * tol)
         assert r.lambda_max_upper >= vals[-1]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_small_submatrix_on_its_band(self, k, shifted_on):
+        # A diagonal matrix whose top lies on a chain of k rows, cut off from
+        # the rest: S is the chain.  One row is its own eigenvector and
+        # builds no factor; any longer chain, below ARPACK's 10 Krylov
+        # vectors too, is solved on its own band.
+        n = 400
+        m = sp.lil_matrix(sp.diags(np.linspace(1.0, 2.0, n)))
+        m[7, 7] = 5.0
+        for i in range(7, 7 + k - 1):
+            m[i, i + 1] = m[i + 1, i] = -0.5
+            m[i + 1, i + 1] = 4.9
+        a = SparseSymmetric(sp.csr_matrix(m))
+        top = np.linalg.eigvalsh(a.toarray())[-1]
+        r = extreme_eigenvalues(a, dense_cutoff=10)
+        assert (r.start, r.local_rows) == ("local", k)
+        assert r.converged and r.certified
+        assert r.lambda_max == pytest.approx(top, rel=1e-14)
+        assert set(shifted_on) == ({k} if k > 1 else set())
+        assert r.factorizations == 3 + (k > 1)
 
 
 def _sheared_layer() -> SparseSymmetric:
@@ -965,9 +1020,8 @@ class TestLocalRows:
             "3d": lambda: fc.assemble_stiffness(fc.generate_boundary_layer(3, 11, 25.0),
                                                 fc.DiffusionField.identity(3)),
         }[case]()
-        abs_a = abs(a.matrix)
         theta = _arpack(a, None, START_TOL, np.random.default_rng(0).standard_normal(a.order))[0]
-        rows = _local_rows(a, abs_a, np.asarray(abs_a.sum(axis=1)).ravel(), theta)
+        rows = _local_rows(a, _Band(a.matrix).row_sums, theta)
         expected = _rows_from_interlacing(a)
         # at order 400 only the anisotropic field keeps S within n / 2
         assert (rows is None) == (case != "local")
@@ -1341,7 +1395,8 @@ class TestScaledBand:
             if upper:  # the lambda_max start's shift, above lambda_max
                 gershgorin = float(abs(a.matrix).sum(axis=1).max())
                 sigma = gershgorin * (1 + SHIFT_GAP)
-                inverse = _inverse_above(band, sigma, gershgorin)
+                inverse = _shift_above_lambda_max(band, band.gershgorin, SHIFT_GAP)
+                assert inverse.sigma == sigma
             else:
                 sigma, inverse = 0.0, band.factor(0.0, upper=False)
             expected = np.linalg.solve(a.toarray() - sigma * np.eye(a.order), x)
