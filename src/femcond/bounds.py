@@ -415,7 +415,7 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         """Strict JSON data: a NaN (a bound undefined in this dimension, or
-        an enclosure end whose certificate failed) becomes None."""
+        an enclosure end whose proof failed) becomes None."""
         data = {
             "dim": self.dim,
             "n_elements": self.n_elements,

@@ -256,6 +256,8 @@ def _print_report(report) -> None:
             f"lambda_max <= {_fmt(r.lambda_max_upper)}"
             + ("" if r.certified else "  [NOT CERTIFIED]")
         )
+        print(f"  proofs: lambda_min by {r.proof_min} (width {r.width_min:.2e}), "
+              f"lambda_max by {r.proof_max} (width {r.width_max:.2e})")
     print(
         f"lambda_max sandwich: {_fmt(report.lambda_max_lower)} <= lambda_max(A) "
         f"<= {_fmt(report.upper_lambda_max_A)}"

@@ -13,10 +13,12 @@ implicitly restarted Lanczos (ARPACK) in its shift-invert mode: each solve
 applies (A - sigma I)^-1 from a band Cholesky factor, whose eigenvalues 1 /
 (lambda - sigma) are largest in magnitude for the eigenvalue of A nearest
 sigma.  On both paths a returned eigenvalue is the Rayleigh quotient of its
-vector on A, and both end on the same two shifted Cholesky certificates
-(below).  Every returned eigenvalue carries an explicitly computed relative
-residual ||A v - lambda v|| / ||lambda v|| on A itself; results that miss
-the requested tolerance or their certificate are flagged, not hidden.
+vector on A, and both end on the same proofs of the two ends of the
+spectrum (Certificates, below): a Collatz-Wielandt bound from one product
+with |A| where it is tight enough, else a shifted Cholesky factorization.
+Every returned eigenvalue carries an explicitly computed relative residual
+||A v - lambda v|| / ||lambda v|| on A itself; results that miss the
+requested tolerance or their proof are flagged, not hidden.
 
 lambda_max: shift-invert from above.  On anisotropic meshes the top of the
 spectrum is tightly clustered (relative gaps near 1e-8), so Lanczos on A
@@ -34,7 +36,7 @@ up to three steps.
      diagonally dominant with a positive diagonal, so its factorization
      completes (a failure raises); it is step 2's first shift from g with a
      residual of 0, taken by the same code.  When r_0 meets the tolerance
-     and the lambda_max certificate (below) at theta_0 completes, that pair
+     and the upper end at theta_0 is proven (Certificates, below), that pair
      is the answer.
   2. Shift.  Otherwise sigma_1 = theta_0 (1 + eta), eta = max(1e-4, r_0 / 4),
      is accepted when the Cholesky factorization of sigma_1 I - A completes,
@@ -50,7 +52,7 @@ up to three steps.
      stretched and sheared layers measured it saved no full-band solve.
   3. Solve.  One more solve at the accepted shift, from the vector of step
      1.  The vector only has to be good: a misconverged pair (an interior
-     eigenvalue, or too few digits) is caught by the lambda_max certificate
+     eigenvalue, or too few digits) is caught by the proof of the upper end
      below, which does not depend on how the vector was found.
 
 Mirror start.  Let A have a constant diagonal c, A = c I + N, and let the
@@ -70,9 +72,9 @@ relative.  Such a dropped E moves the mirrored pair's residual by about
 ||E|| / lambda_max, far below any tolerance.  The vector is taken as the
 start only when its Rayleigh quotient is 2 c - lambda_min and its residual
 meets the tolerance, both to tol (v_min itself, with the signs lost, fails
-the first); then the residual test and the lambda_max certificate of step
-1 judge it like any other start, and a failed certificate sends it on to
-steps 2 and 3.  On a sheared mesh there is no colouring and the next start
+the first); then the residual test and the proof of the upper end of step
+1 judge it like any other start, and a failed proof sends it on to steps 2
+and 3.  On a sheared mesh there is no colouring and the next start
 runs; the mirror costs no factorization, and a matrix whose diagonal varies
 (A off a uniform mesh) is turned away without a product.
 
@@ -110,7 +112,7 @@ cutoff, which decides A's path, does not apply to S.  The padded vector's
 Rayleigh quotient on A is its Rayleigh quotient on A[S][:, S], so at most
 lambda_max by Cauchy
 interlacing, and everything after the start runs on A: its residual on A
-and the certificate on A decide, and a start that misses because S is too
+and the proof on A decide, and a start that misses because S is too
 small only costs A's steps 2 and 3 from the padded vector.  So S changes
 the speed, never what is certified.  At aspect 5 the padded vector's
 residual is 4.6e-4, so A still shifts and solves, from a start close enough
@@ -123,12 +125,17 @@ Shift-invert finds the eigenvalue nearest zero, which is the smallest one
 only if A is positive definite; a Cholesky factorization completes only on a
 matrix that is positive definite to working precision, so a failed one is
 rejected as not SPD.  S A S is congruent to A, so the same factorization is
-its SPD test, and its lambda_min certificate at sigma_lo > 0 (below) proves
+its SPD test, and its proven lower end, which is positive (below), proves
 the computed S A S positive definite again.  Its solve runs on A's factor
 too, right after A's and before any other factor is built: (S A S)^-1 =
 S^-1 A^-1 S^-1.  Both solves, and each matrix's own final lambda_max solve,
 ask ARPACK for max(tol 1e-2, 1e-14) (`_arpack_tol`); the final solve on the
-local start's submatrix asks for tol (Local start).
+local start's submatrix asks for tol (Local start).  While the factor is
+alive, REFINE_STEPS = 2 steps of inverse iteration x <- A^-1 x from |v_min|
+refine each matrix's vector for its Collatz-Wielandt bounds (below), S A
+S's through the congruence; a third step gained nothing measured.  The
+dense path takes its eigenvectors before the factor is released and
+refines them the same way.  These steps count as solves.
 
 ARPACK.  Every Lanczos run, the shift-invert solves and the plain run
 behind the local start's Ritz value, is one call of the same function
@@ -137,7 +144,7 @@ returns ARPACK's partial vector, or its own start vector when ARPACK has
 none, flagged unconverged, and an ARPACK error raises EigenSolveError.  A
 returned eigenvalue is always the Rayleigh quotient of the returned vector
 on A, so an unconverged Ritz value is still a lower bound on lambda_max,
-and an unconverged end is still judged by its residual and certificate.
+and an unconverged end is still judged by its residual and its proof.
 
 One colouring per instance.  _colouring runs one breadth-first search of
 A's off-diagonal pattern from row 0, on the pattern without the couplings
@@ -178,14 +185,14 @@ D_E^-1 y_E), x_E = D_E^-1 (y_E - B x_K).  A pattern that does not
 2-colour keeps all of its rows: C = M, ordered by q, exactly the band
 without elimination.
 Every factor of either matrix (at zero, the lambda_max start and shifts on
-the iterative path, and the two certificates) is a LAPACK band Cholesky
+the iterative path, and the band certificates) is a LAPACK band Cholesky
 factorization (dpbtrf) of its C.  The local start's submatrix is ordered
 and eliminated the same way once, on the colouring restricted to S, into
 its own band of half-bandwidth kd_S, which all of its factors share, so no
 band of a 2-coloured instance keeps all of its rows.  Every factorization,
 of either band, is built and counted by _Band.factor, which returns it as the
 shift-invert operator or None when it fails; _Band.certify turns one into
-a certified end of the spectrum (Certificates).  The products b_ij b_il
+a proven end of the spectrum (Certificates).  The products b_ij b_il
 are formed once per band; each factorization divides them by D_E, sums
 them with M_KK's entries straight into the (kd + 1) x |K| Fortran-order
 storage, scaled by a power of 4 (below), factors it in place and releases
@@ -201,12 +208,16 @@ boundary layer is a strip along the boundary, so kd_S is about the strip's
 width in vertices: on a 2D layer of order 40 000, A's band holds 20 000
 rows at kd 200 and S's 2 702 of its 5 404 rows at kd_S 16, so a factor of
 S costs about 1/1 200 of one of A and a solve about 1/90.  A local start
-that is the answer leaves A with three factors (at zero and the two
-certificates) and lambda_min's solves; one that misses adds the shift
-step's factor, and the submatrix adds its own start's and shift step's
-factors.  Solved with A, S A S builds no factor at zero, and a mirror
-start that is the answer leaves it only its two certificates and
-lambda_min's solves on A's factor, as S^-1 A^-1 S^-1.
+that is the answer leaves A with two factors (at zero and the lambda_max
+certificate, which the padded vector's zeros leave to the band; the
+Collatz-Wielandt bound proves lambda_min) and lambda_min's and the
+refinement's solves; one that misses adds the shift step's factor, and the
+submatrix adds its own start's and shift step's factors.  Solved with A, S
+A S builds no factor at zero, and a mirror start that is the answer leaves
+it no factor at all: the refined vector proves both of its ends, and its
+solves are lambda_min's and the refinement's on A's factor, as S^-1 A^-1
+S^-1.  Per pass of the benchmark's instances the band factorizations fell
+from 23 to 13 on bl2d-aspect, 7 to 4 on varfield-2d and 25 to 9 on bl3d-n.
 The model holds only while the factor's entries are normal numbers;
 arithmetic on subnormal ones is many times slower.  Every shift-invert
 solve uses a 10-vector Krylov basis.
@@ -234,24 +245,83 @@ stops 4^k A, k >= 50, unconverged at a different lambda_max.  B, D_E and
 C scale with A exactly, so the elimination's products and quotients do
 too.  With both scalings the operator ARPACK sees is the same for 4^k A as
 for A, bit for bit, so every eigenvalue and bound for 4^k A is 4^k times
-that for A and the vectors and counts are the same.  S A S of 4^k A is
+that for A and the vectors and counts are the same; so are the refined
+vectors, and |4^k A| x = 4^k |A| x exactly, so the Collatz-Wielandt ends
+scale too.  S A S of 4^k A is
 that of A, and so is its lambda_min operator on A's factor at zero: it is
 2^s S^-1 A^-1 S^-1 with S^-1 = diag(A)^(1/2) applied before and after A's
 operator, each step exact in 4^k, and 2^s from S A S's own max |a_ij|.
 
 Certificates.  A small residual only says that (theta, v) is close to some
-eigenpair, possibly an interior one.  Both ends are therefore enclosed by
-shifted factorizations:
-  lambda_max in [theta_max, sigma_hi + delta]: the factorization of
-      sigma_hi I - A completes, sigma_hi = theta_max (1 + tol 1e-2);
-  lambda_min in [sigma_lo - delta, theta_min]: the factorization of A -
-      sigma_lo I completes, sigma_lo = theta_min (1 - tol 1e-2).
-A factorization completes when D_E is positive and the Cholesky
-factorization of C completes.  _Band.certify writes both shifts and adds
-or subtracts delta.  The outer ends are proven by the factorizations, the
-inner ends because theta_max and theta_min are Rayleigh quotients on A, on
-both paths.  When sigma_lo - delta <= 0 the lower end is 0, which the
-factor at zero certifies.
+eigenpair, possibly an interior one.  Both ends are therefore enclosed,
+lambda_min in [l, theta_min] and lambda_max in [theta_max, g], the inner
+ends because theta_min and theta_max are Rayleigh quotients on A, on both
+paths, and the outer ones by one of two proofs, tried in this order by
+_Band.prove:
+  Collatz-Wielandt (below): l or g from one product with |A| and a vector
+      x, taken when every x_i > 0 and the end lies within tol theta of
+      theta.  x is the refined |v_min| for lambda_min, and |v_max| for
+      lambda_max, or the refined vector again after a mirror start.  The
+      bound lies outside the spectrum whatever x is, so a width within tol
+      also shows theta within tol of the extreme eigenvalue.
+  Band: a shifted factorization, which costs a factor of A's band:
+      g = sigma_hi + delta: the factorization of sigma_hi I - A completes,
+          sigma_hi = theta_max (1 + tol 1e-2);
+      l = sigma_lo - delta: the factorization of A - sigma_lo I completes,
+          sigma_lo = theta_min (1 - tol 1e-2).
+      A factorization completes when D_E is positive and the Cholesky
+      factorization of C completes.  _Band.certify writes both shifts and
+      adds or subtracts delta.  When sigma_lo - delta <= 0 the lower end
+      is 0, which the factor at zero certifies.
+The ends that still need a factor are those where the bound is not tight
+enough or x has a zero: lambda_max after a local start that is the answer
+(its vector is zero off S); lambda_min where A's positive couplings put D -
+|O| far below A (sheared layers, perturbed meshes with an anisotropic
+field) or where 2 a_ii x_i - (|A| x)_i cancels to kappa u relative
+(chebyshev_1d(1024)'s A, 6.8e-7 against tol 1e-8); and lambda_max where no
+signature S makes S A S = |A|, or where |v_max| is too small to resolve far
+from a thin layer (the top pair of a stretched layer solved densely).  Each
+end records its proof ("collatz_wielandt", "band", or "none" when the
+factorization fails) and its relative width (theta_min - l) / theta_min or
+(g - theta_max) / theta_max.
+
+Collatz-Wielandt bounds (R. S. Varga, Matrix Iterative Analysis, Ch. 2;
+the core of Alfa, Xue and Ye, Math. Comp. 71, 2002).  Let A be symmetric
+with a positive diagonal D (which the factor at zero shows) and
+off-diagonal part O, so |A| = D + |O|, and let x > 0 entrywise.  Then
+  lambda_min(A) >= min_i ((2 D - |A|) x)_i / x_i,
+  lambda_max(A) <= max_i (|A| x)_i / x_i.
+For a nonnegative symmetric P, rho(P) is its largest eigenvalue, and with
+X = diag(x), rho(P) = rho(X^-1 P X) <= ||X^-1 P X||_inf = max_i (P x)_i /
+x_i, since X^-1 P X is nonnegative with those row sums.  For every y, y^T A
+y <= |y|^T |A| |y| <= rho(|A|) ||y||^2, which is the upper bound.  And y^T
+A y >= |y|^T (D - |O|) |y|, while for s >= max_i d_i, D - |O| = s I - P with
+P = s I - D + |O| >= 0, so lambda_min(D - |O|) = s - rho(P) >= min_i (s x_i
+- (P x)_i) / x_i = min_i ((D - |O|) x)_i / x_i, with D - |O| = 2 D - |A|:
+the lower bound.  Both are exact when x is the Perron vector of the
+nonnegative matrix concerned and A's signs match it: the lower one when O <=
+0 (an M-matrix), whose lambda_min eigenvector is positive, the upper one
+when S A S = |A| for a signature S, as for an M-matrix on a 2-coloured
+pattern.  Every committed and benchmark matrix is both.  The vector must be
+right entry by entry, not only in norm: on boundary_layer(2, 100, 125)
+ARPACK's |v_min| gave A's lambda_min a width of 4.4e-6, one step of
+inverse iteration on the factor at zero 5.6e-10 (but S A S's still above
+tol) and two 5.2e-10 (S A S's 1.9e-11); A^-1 > 0 entrywise for an
+irreducible M-matrix, so the steps keep x > 0.
+Rounding.  Let u be the unit roundoff, gamma_m = m u / (1 - m u), w the most
+entries stored in a row of A and h = gamma_(w + 4).  Every nonzero product
+|a_ij| x_j is required to be normal (else no bound), so each computed y_i
+= fl((|A| x)_i), a sum of at most w nonnegative products in any order, lies
+within gamma_w of the exact (|A| x)_i (Higham, Accuracy and Stability of
+Numerical Algorithms, Sec. 3.1).  The computed upper end fl(fl((1 + h) y_i)
+/ x_i) adds three roundings, so it is at least (1 + h)(1 - gamma_(w + 3))
+(|A| x)_i / x_i >= (|A| x)_i / x_i, as gamma_(m + 1) >= gamma_m / (1 -
+gamma_m).  The computed lower end fl((fl(2 d_i x_i) - fl(fl(1 + 3 h) y_i)) /
+x_i) has five roundings besides y_i's: of 2 d_i x_i <= 2 (|A| x)_i, of 1 +
+3 h, of the product, and of the difference and the quotient, of terms that
+sum to at most 3 (|A| x)_i, about 10 u (|A| x)_i in all, and y_i errs by
+gamma_w (|A| x)_i.  The 3 h y_i taken off covers both with (2 w + 2) u
+(|A| x)_i to spare for the second-order terms.
 
 Rounding margin delta.  It has three terms: the band factor's delta_C,
 the formation term phi of C and ||G||.  For a symmetric M of half-bandwidth
@@ -304,6 +374,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -346,6 +417,9 @@ MIRROR_NEGLIGIBLE = 1e-12
 # on its entries just below 2^BAND_TARGET, leaving 2^124 of headroom to the
 # largest double for the scaled right-hand sides and their solves.
 BAND_TARGET = 900
+# Steps of inverse iteration on the factor at zero that refine |v_min| into
+# the vector of the lambda_min Collatz-Wielandt bound.
+REFINE_STEPS = 2
 
 
 class EigenSolveError(RuntimeError):
@@ -360,25 +434,33 @@ class SpectralResult:
     on A, on either path.  residual is the larger of the two achieved
     relative residuals.  [lambda_min_lower, lambda_min] and [lambda_max,
     lambda_max_upper] enclose the extreme eigenvalues; certified is True
-    when both outer ends are proven by their shifted factorizations, on
-    either path.  converged is False when the iteration cap was reached
-    first, a residual misses the tolerance or a certificate fails (the
-    values are then best estimates).  factor_nnz is the size |K| (kd + 1)
-    of A's band, which every factor of A fills: its Schur complement on the
-    kept rows K, about half of A's rows when A's pattern 2-colours and all
-    of them when it does not; start names lambda_max's start (module
-    docstring): "dense" on the dense path, else "mirror", "local" or
-    "gershgorin"; local_rows is the order |S| of the submatrix that the
-    local start came from, 0 for any other start.  factorizations counts
-    the band Cholesky factorizations (3 on the dense path and after a mirror
-    or local start that is the answer: at zero and the two certificates;
-    the Gershgorin start adds its own and a shift's) and solves the
-    applications of a factor's inverse in the shift-invert solves (0 on the
-    dense path), both on A's band, to which the local start adds its
-    submatrix's (its start's and a shift's factors, no certificate).  Each
-    factorization is counted once, on the result it was built for: S A S
-    solved with A counts no factor at zero, whose solves on A's factor are
-    its own, so its factorizations and A's add up to those of the instance.
+    when both outer ends are proven, each by a Collatz-Wielandt bound or a
+    shifted band factorization (Certificates in the module docstring), on
+    either path.  proof_min and proof_max name each end's proof,
+    "collatz_wielandt", "band" or "none" when the factorization failed, and
+    width_min = (lambda_min - lambda_min_lower) / lambda_min and width_max =
+    (lambda_max_upper - lambda_max) / lambda_max its relative width (nan
+    when unproven).  converged is False when the iteration cap was reached
+    first, a residual misses the tolerance or a proof fails (the values are
+    then best estimates).  factor_nnz is the size |K| (kd + 1) of A's band,
+    which every factor of A fills: its Schur complement on the kept rows K,
+    about half of A's rows when A's pattern 2-colours and all of them when
+    it does not; start names lambda_max's start (module docstring): "dense"
+    on the dense path, else "mirror", "local" or "gershgorin"; local_rows is
+    the order |S| of the submatrix that the local start came from, 0 for
+    any other start.  factorizations counts the band Cholesky
+    factorizations: the factor at zero, plus one band certificate for each
+    end that the Collatz-Wielandt bound does not prove (1 when it proves
+    both, as on bl3d-n's dense instances, 2 after a local start that is the
+    answer, whose lambda_max the band certifies); the Gershgorin start adds
+    its own and a shift's.  solves counts the applications of a factor's inverse: the
+    shift-invert solves and the REFINE_STEPS = 2 of the refinement (only
+    those 2 on the dense path).  Both are on A's band, to which the local
+    start adds its submatrix's (its start's and a shift's factors, no
+    certificate).  Each factorization is counted once, on the result it was
+    built for: S A S solved with A counts no factor at zero, whose solves on
+    A's factor are its own, so its factorizations and A's add up to those of
+    the instance; after a mirror start that is the answer it builds none.
     """
 
     lambda_min: float
@@ -395,6 +477,10 @@ class SpectralResult:
     factorizations: int = 0
     local_rows: int = 0
     start: str = "dense"  # "dense", "mirror", "local" or "gershgorin"
+    proof_min: str = "none"  # "collatz_wielandt", "band" or "none"
+    proof_max: str = "none"
+    width_min: float = float("nan")
+    width_max: float = float("nan")
     v_min: np.ndarray | None = None
     v_max: np.ndarray | None = None
 
@@ -473,6 +559,13 @@ class _Pattern:
         # entry of C subtracts
         touched = np.bincount(self.b_col, minlength=n_kept)
         self.touched, self.terms = touched > 0, int(touched.max(initial=0))
+        # The positions that only _Band.__init__ and the certificates read are
+        # kept in int32 when they fit; those that every factorization or solve
+        # indexes with stay intp, which numpy would otherwise convert per use.
+        if matrix.nnz < 2**31:
+            for name in ("kk_pos", "kk_rows", "off_pos", "b_pos", "b_indptr", "e_pos",
+                         "e_rows", "pair_a", "pair_b"):
+                setattr(self, name, getattr(self, name).astype(np.int32))
 
 
 class _Band:
@@ -482,19 +575,20 @@ class _Band:
     the colouring of A's pattern (restricted to S on the local start's
     submatrix), or None.  Every factorization of the
     matrix is built here, by factor (a shift-invert operator) or certify (a
-    certified end of the spectrum); counts them and the solves applied with
-    them.  Given like, the band of a matrix on the same index arrays (A's,
+    certified end of the spectrum), which prove tries after the
+    Collatz-Wielandt bound; counts them and the solves applied with them.  Given like, the band of a matrix on the same index arrays (A's,
     for S A S from jacobi_scale), it reads its own values through like's
     pattern: the band that its own ordering and colouring would give.
-    row_sums are the sums sum_j |a_ij| of each row and gershgorin = max_i of
-    them, the Gershgorin bound on lambda_max."""
+    abs_matrix is |A| on A's own index arrays, built at its first use, after
+    the factor at zero is released; row_sums are the sums sum_j |a_ij| of
+    each row and gershgorin = max_i of them, the Gershgorin bound on
+    lambda_max."""
 
     def __init__(self, matrix, signs: np.ndarray | None = None, like: _Band | None = None):
         p = self.pattern = _Pattern(matrix, signs) if like is None else like.pattern
         self.n, self.kd, self.kept = p.n, p.kd, p.kept
+        self.matrix = matrix
         data = matrix.data
-        self.row_sums = np.asarray(abs(matrix).sum(axis=1)).ravel()
-        self.gershgorin = float(self.row_sums.max(initial=0.0))
         self.full_diagonal = matrix.diagonal()
         self.diagonal = self.full_diagonal[p.kept]
         self.elim_diagonal = self.full_diagonal[p.elim]
@@ -507,6 +601,19 @@ class _Band:
         # ||G||_inf of the couplings G inside E
         self.dropped = float(np.bincount(p.e_rows, np.abs(data[p.e_pos]), minlength=1).max())
         self.factorizations = self.solves = 0
+
+    @cached_property
+    def abs_matrix(self):
+        m = self.matrix
+        return sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape)
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        return np.asarray(self.abs_matrix.sum(axis=1)).ravel()
+
+    @cached_property
+    def gershgorin(self) -> float:
+        return float(self.row_sums.max(initial=0.0))
 
     def form(self, sigma: float, upper: bool):
         """(4^e C, e, d_E) for M as in _shifted: C in lower band storage, in
@@ -577,6 +684,40 @@ class _Band:
             return None
         delta = self.margin(inverse)
         return sigma + delta if upper else sigma - delta
+
+    def collatz_wielandt(self, x: np.ndarray) -> tuple[float, float] | None:
+        """(l, g) with l <= lambda_min and lambda_max <= g, from one product
+        with |A| (Collatz-Wielandt bounds in the module docstring): l = min_i
+        (2 a_ii x_i - (1 + 3 h) y_i) / x_i and g = max_i (1 + h) y_i / x_i,
+        y = |A| x as computed and h = gamma_(w + 4), w the most entries stored
+        in a row of A; None unless every x_i > 0 and every nonzero product
+        |a_ij| x_j is normal.  A's diagonal must be positive, which the factor
+        at zero shows."""
+        abs_a = self.abs_matrix
+        smallest = np.where(abs_a.data > 0, abs_a.data, np.inf).min(initial=np.inf)
+        if not (np.all(x > 0) and x.min() * smallest >= 2 * np.finfo(float).tiny):
+            return None
+        y = abs_a @ x
+        k = (np.diff(abs_a.indptr).max(initial=0) + 4) * np.finfo(float).eps / 2
+        h = k / (1 - k)
+        lower = (2 * self.full_diagonal * x - (1 + 3 * h) * y) / x
+        upper = (1 + h) * y / x
+        return float(lower.min()), float(upper.max())
+
+    def prove(self, theta: float, tol: float, upper: bool, x: np.ndarray):
+        """(end, proof) for the Rayleigh quotient theta of the top (upper) or
+        bottom eigenpair (Certificates in the module docstring): the
+        Collatz-Wielandt bound from x when every x_i > 0 and it lies within
+        tol theta of theta, proof "collatz_wielandt"; otherwise certify's
+        end, proof "band", or nan and "none" when its factorization
+        fails."""
+        bounds = self.collatz_wielandt(x)
+        if bounds is not None:
+            end = bounds[upper]
+            if (end - theta if upper else theta - end) <= tol * theta:
+                return end, "collatz_wielandt"
+        end = self.certify(theta, tol, upper)
+        return (math.nan, "none") if end is None else (end, "band")
 
 
 def _shifted(diagonal: np.ndarray, sigma: float, upper: bool) -> np.ndarray:
@@ -702,18 +843,21 @@ def _solve_above(a: SparseSymmetric, band: _Band, start, arp_tol: float):
     return _arpack(a, _shift_above_lambda_max(band, theta0, max(SHIFT_GAP, res / 4)), arp_tol, v)
 
 
-def _lambda_max(a: SparseSymmetric, band: _Band, tol: float, arp_tol: float, start):
+def _lambda_max(a: SparseSymmetric, band: _Band, tol: float, arp_tol: float, start,
+                x: np.ndarray | None = None):
     """Certified top eigenpair of A by shift-invert from above (see the
     module docstring), on band: the start (Rayleigh quotient on A, its
-    residual, vector, converged) when its residual meets tol and its
-    lambda_max certificate completes, otherwise _solve_above from it,
-    certified.  Returns (Rayleigh quotient, residual, vector, converged,
-    certified upper end or None)."""
-    upper = band.certify(start[0], tol, upper=True) if start[1] <= tol else None
-    if upper is not None:
-        return (*start, upper)
+    residual, vector, converged) when its residual meets tol and its upper
+    end is proven from x (by default the start's |vector|), otherwise
+    _solve_above from it, proven from its own |vector|.  Returns (Rayleigh
+    quotient, residual, vector, converged, (upper end, proof) from
+    band.prove)."""
+    if start[1] <= tol:
+        upper = band.prove(start[0], tol, True, np.abs(start[2]) if x is None else x)
+        if upper[1] != "none":
+            return (*start, upper)
     top = _solve_above(a, band, start, arp_tol)
-    return (*top, band.certify(top[0], tol, upper=True))
+    return (*top, band.prove(top[0], tol, True, np.abs(top[2])))
 
 
 def _colouring(a: SparseSymmetric) -> np.ndarray | None:
@@ -771,19 +915,18 @@ def _mirror_start(a: SparseSymmetric, signs: np.ndarray | None, minimum, tol: fl
     return lam, res, v, ok
 
 
-def _local_rows(a: SparseSymmetric, row_sums: np.ndarray, theta: float) -> np.ndarray | None:
+def _local_rows(a: SparseSymmetric, band: _Band, theta: float) -> np.ndarray | None:
     """The rows S of the lambda_max start's submatrix (see the module
-    docstring), from the row sums sum_j |a_ij| of A and a lower bound theta
+    docstring), from A's band (|A| and its row sums) and a lower bound theta
     on lambda_max: those whose Gershgorin disc reaches max(max_i a_ii,
     theta), grown by LOCAL_LAYERS layers of A's graph; None as soon as they
     exceed LOCAL_SHARE of A's rows."""
     limit = LOCAL_SHARE * a.order
-    abs_a = abs(a.matrix)
-    rows = row_sums >= max(a.diagonal.max(), theta)
+    rows = band.row_sums >= max(a.diagonal.max(), theta)
     for _ in range(LOCAL_LAYERS):
         if np.count_nonzero(rows) > limit:
             return None
-        rows = abs_a @ rows > 0
+        rows = band.abs_matrix @ rows > 0
     return np.flatnonzero(rows) if np.count_nonzero(rows) <= limit else None
 
 
@@ -829,8 +972,10 @@ def extreme_eigenvalues(
     diagonal; else the top eigenvector of the submatrix where lambda_max's
     eigenvector lives, from shift-invert solves on the submatrix's own
     band, eliminated like A's, whatever its order; else one solve on A at
-    the Gershgorin shift) and, unless the start is already certified to tol
-    on A, lambda_max at a shift shown above it.  MAXITER caps the ARPACK
+    the Gershgorin shift) and, unless the start's upper end is already
+    proven to tol on A, lambda_max at a shift shown above it.  Each end is
+    proven by a Collatz-Wielandt bound or a band certificate (see the module
+    docstring).  MAXITER caps the ARPACK
     iterations (restarts) of each, and of the Lanczos run that seeds the
     local start.  A start that is not the answer only supplies a shift and a
     vector, so its own convergence is then not required.  A reported solve
@@ -857,8 +1002,9 @@ def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
            seed: int) -> list[SpectralResult]:
     """The results of matrices = [A] or [A, S A S], S A S on A's index
     arrays: A's colouring, A's factor at zero, the SPD test of both by
-    congruence, and on the iterative path the lambda_min solves of both on
-    it, then the rest of each in turn."""
+    congruence, the bottom eigenpair of both (by their lambda_min solves on
+    that factor, or the dense eigensolver with the top one) and its refined
+    vector, then the rest of each in turn."""
     _check_tol(tol)
     # One factor at a time: each is released before the next is built.  The
     # factor at zero chooses the band order, and the colouring the rows,
@@ -869,39 +1015,59 @@ def _solve(matrices: list[SparseSymmetric], tol: float, dense_cutoff: int,
     if inverse is None:
         raise EigenSolveError("matrix is not SPD (its Cholesky factorization failed)")
     bands = [band, *(_Band(m.matrix, like=band) for m in matrices[1:])]
-    minima, v0 = [None] * len(matrices), None
-    if not _dense(band.n, dense_cutoff):
+    inverses = [inverse, *(inverse.congruent(b) for b in bands[1:])]
+    if _dense(band.n, dense_cutoff):
+        v0, pairs = None, [_dense_pairs(m) for m in matrices]
+    else:
         v0 = np.random.default_rng(seed).standard_normal(band.n)
-        minima = [_arpack(m, inv, _arpack_tol(tol), v0) for m, inv in
-                  zip(matrices, [inverse, *(inverse.congruent(b) for b in bands[1:])])]
-    del inverse  # release the factor at zero before the next is built
-    return [_complete(m, band, minimum, tol, v0, signs)
-            for m, band, minimum in zip(matrices, bands, minima)]
+        pairs = [(_arpack(m, inv, _arpack_tol(tol), v0), None)
+                 for m, inv in zip(matrices, inverses)]
+    refined = [_refine(inv, minimum[2]) for inv, (minimum, _) in zip(inverses, pairs)]
+    del inverse, inverses  # release the factor at zero before the next is built
+    return [_complete(m, band, minimum, maximum, x, tol, v0, signs)
+            for m, band, (minimum, maximum), x in zip(matrices, bands, pairs, refined)]
 
 
-def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, v0: np.ndarray | None,
-              signs: np.ndarray | None) -> SpectralResult:
-    """A's result from its band and its lambda_min solve minimum =
-    (Rayleigh quotient, residual, vector, converged) on the iterative path,
-    or both eigenpairs from the dense eigensolver when minimum is None."""
+def _dense_pairs(a: SparseSymmetric):
+    """The bottom and the top eigenpair of A from the dense eigensolver, each
+    as (Rayleigh quotient on A, its residual, vector, True)."""
+    vecs = np.linalg.eigh(a.toarray())[1]
+    return tuple((*_rayleigh(a, v), v, True) for v in (vecs[:, 0].copy(), vecs[:, -1].copy()))
+
+
+def _refine(inverse: _Inverse, v: np.ndarray) -> np.ndarray:
+    """|v| after REFINE_STEPS steps of inverse iteration x <- 2^s A^-1 x on
+    the factor at zero: the vector of the lambda_min Collatz-Wielandt bound
+    (see the module docstring)."""
+    x = np.abs(v)
+    for _ in range(REFINE_STEPS):
+        x = inverse.matvec(x)
+    return x
+
+
+def _complete(a: SparseSymmetric, band: _Band, minimum, maximum, x: np.ndarray, tol: float,
+              v0: np.ndarray | None, signs: np.ndarray | None) -> SpectralResult:
+    """A's result from its band, its bottom eigenpair minimum = (Rayleigh
+    quotient, residual, vector, converged), the refined vector x of the
+    bottom one and, on the dense path, its top eigenpair maximum, None on
+    the iterative path."""
     local_rows = 0
-    if minimum is None:
-        method, start, ok = "dense", "dense", True
-        vecs = np.linalg.eigh(a.toarray())[1]
-        v_min, v_max = vecs[:, 0].copy(), vecs[:, -1].copy()
-        lam_min, res_min = _rayleigh(a, v_min)
-        lam_max, res_max = _rayleigh(a, v_max)
-        upper = band.certify(lam_max, tol, upper=True)
+    lam_min, res_min, v_min, ok_min = minimum
+    if maximum is not None:
+        method = start = "dense"
+        lam_max, res_max, v_max, ok_max = maximum
+        upper = band.prove(lam_max, tol, True, np.abs(v_max))
     else:
         method = "lanczos_shift_invert"
-        lam_min, res_min, v_min, ok_min = minimum
-        start, pair = "mirror", _mirror_start(a, signs, minimum, tol)
+        # after a mirror start, both ends are proven from x
+        start, pair, top_x = "mirror", _mirror_start(a, signs, minimum, tol), x
         if pair is None:
+            top_x = None
             # seeds at max a_ii, then at a Ritz value unless the diagonal is
             # constant (see the module docstring)
-            rows = _local_rows(a, band.row_sums, -math.inf)
+            rows = _local_rows(a, band, -math.inf)
             if rows is None and a.diagonal.min() < a.diagonal.max():
-                rows = _local_rows(a, band.row_sums, _arpack(a, None, START_TOL, v0)[0])
+                rows = _local_rows(a, band, _arpack(a, None, START_TOL, v0)[0])
             if rows is not None:
                 start, local_rows = "local", len(rows)
                 pair = _local_start(a, band, rows, tol, v0, signs)
@@ -909,12 +1075,13 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, v0: np.ndarr
                 start = "gershgorin"
                 pair = _solve_above(a, band, (band.gershgorin, 0.0, v0), START_TOL)
         lam_max, res_max, v_max, ok_max, upper = _lambda_max(
-            a, band, tol, _arpack_tol(tol), pair)
-        ok = ok_min and ok_max
+            a, band, tol, _arpack_tol(tol), pair, top_x)
     if lam_min <= 0:  # the factor at zero completed, so it is numerically singular
         raise EigenSolveError(f"matrix is numerically singular (lambda_min = {lam_min:.6g})")
-    lower = band.certify(lam_min, tol, upper=False)
-    certified = upper is not None and lower is not None
+    (lam_lower, proof_min), (lam_upper, proof_max) = band.prove(lam_min, tol, False, x), upper
+    if lam_lower < 0:  # 0, which the factor at zero certifies
+        lam_lower = 0.0
+    certified = "none" not in (proof_min, proof_max)
 
     res = max(res_min, res_max)
     return SpectralResult(
@@ -923,15 +1090,19 @@ def _complete(a: SparseSymmetric, band: _Band, minimum, tol: float, v0: np.ndarr
         kappa=lam_max / lam_min,
         method=method,
         residual=res,
-        converged=ok and res <= tol and certified,
-        lambda_min_lower=max(lower, 0.0) if lower is not None else float("nan"),
-        lambda_max_upper=upper if upper is not None else float("nan"),
+        converged=ok_min and ok_max and res <= tol and certified,
+        lambda_min_lower=lam_lower,
+        lambda_max_upper=lam_upper,
         certified=certified,
         factor_nnz=len(band.kept) * (band.kd + 1),
         solves=band.solves,
         factorizations=band.factorizations,
         local_rows=local_rows,
         start=start,
+        proof_min=proof_min,
+        proof_max=proof_max,
+        width_min=(lam_min - lam_lower) / lam_min,
+        width_max=(lam_upper - lam_max) / lam_max,
         v_min=v_min,
         v_max=v_max,
     )

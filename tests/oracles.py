@@ -17,12 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 import numpy as np
 import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.special import roots_legendre
 
 from femcond import (
@@ -198,6 +200,37 @@ def interlacing_lower_bound(a) -> float:
     ai, aj = d[coo.row[upper]], d[coo.col[upper]]
     pair = 0.5 * (ai + aj) + np.hypot(0.5 * (ai - aj), coo.data[upper])
     return float(max(d.max(), pair.max(initial=-np.inf)))
+
+
+def eigenvalues_below(a, sigma: float) -> int:
+    """The number of eigenvalues of the stored A below sigma, in exact
+    arithmetic: by Sylvester's law of inertia, the number of negative pivots
+    of an LDL^T factorization of A - sigma I, computed in fractions.Fraction
+    (every double is a rational) and eliminated in A's reverse Cuthill-McKee
+    order, so that the fill stays inside A's band.  A zero pivot (sigma an
+    eigenvalue of a leading block) raises ZeroDivisionError."""
+    coo = a.matrix.tocoo()
+    order = reverse_cuthill_mckee(a.matrix.tocsr(), symmetric_mode=True)
+    pos = np.empty(a.order, dtype=int)
+    pos[order] = np.arange(a.order)
+    # row k of the upper triangle of A - sigma I, in elimination order
+    rows = [{k: -Fraction(sigma)} for k in range(a.order)]
+    for i, j, value in zip(pos[coo.row].tolist(), pos[coo.col].tolist(), coo.data.tolist()):
+        if i <= j and value != 0.0:
+            rows[i][j] = rows[i].get(j, 0) + Fraction(value)
+    negatives = 0
+    for k, row in enumerate(rows):
+        pivot = row.pop(k)
+        if pivot == 0:
+            raise ZeroDivisionError(f"zero pivot {k} of A - {sigma!r} I")
+        negatives += pivot < 0
+        below = sorted(row.items())
+        for n, (i, a_ki) in enumerate(below):
+            factor, target = a_ki / pivot, rows[i]
+            for j, a_kj in below[n:]:
+                target[j] = target.get(j, 0) - factor * a_kj
+        rows[k] = None  # eliminated
+    return negatives
 
 
 def read_matrix_market(path) -> SparseSymmetric:

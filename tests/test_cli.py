@@ -164,6 +164,17 @@ class TestAnalyze:
             assert exact["lambda_max"] <= exact["lambda_max_upper"]
             assert line == (f"  enclosure: {_fmt(exact['lambda_min_lower'])} <= lambda_min, "
                             f"lambda_max <= {_fmt(exact['lambda_max_upper'])}")
+        # which proof gave each end, and its relative width
+        proofs = [ln for ln in text.splitlines() if ln.startswith("  proofs: ")]
+        assert len(proofs) == 2
+        for name, line in zip(("A", "SAS"), proofs):
+            exact = data["exact"][name]
+            assert exact["proof_min"] == "collatz_wielandt"
+            assert exact["proof_max"] in ("band", "collatz_wielandt")
+            assert 0 < exact["width_min"] <= 1e-8 and 0 < exact["width_max"] <= 1e-8
+            assert line == (f"  proofs: lambda_min by {exact['proof_min']} "
+                            f"(width {exact['width_min']:.2e}), lambda_max by "
+                            f"{exact['proof_max']} (width {exact['width_max']:.2e})")
 
     @pytest.mark.parametrize("flags", [
         ["--family", "uniform", "--dim", "1", "--n", "8"],

@@ -13,10 +13,12 @@ import femcond as fc
 from femcond.assembly import SparseSymmetric
 from femcond.spectra import (
     BAND_TARGET,
+    DEFAULT_TOL,
     DENSE_CUTOFF,
     LOCAL_LAYERS,
     LOCAL_SHARE,
     MIRROR_NEGLIGIBLE,
+    REFINE_STEPS,
     SHIFT_GAP,
     START_TOL,
     EigenSolveError,
@@ -26,16 +28,18 @@ from femcond.spectra import (
     _local_rows,
     _mirror_start,
     _rayleigh,
+    _refine,
     _rounding_margin,
     _shift_above_lambda_max,
     _spectra,
     extreme_eigenvalues,
 )
-from conftest import random_mesh, random_spd_field
+from conftest import perturb_interior, random_mesh, random_spd_field
 from oracles import (
     DensityFunction,
     assemble_mass_weighted,
     density_equidistributed,
+    eigenvalues_below,
     generalized_min_eigenvalue,
     interlacing_lower_bound,
     lambda_max_unfiltered,
@@ -273,15 +277,18 @@ class TestFilteredLambdaMax:
             assert lam == _rayleigh(a, v)[0]
 
     def test_counters_zero_on_dense_path(self):
-        # no solves; the factor at zero and the two certificates
+        # no shift-invert solve: the two solves refine |v_min| on the factor
+        # at zero, whose Collatz-Wielandt bound proves lambda_min; the
+        # lambda_max certificate is the only other factor, since |v_max| of
+        # this stretched layer is too small to resolve far from the layer
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=a.order)
         assert r.method == "dense"
         band = _band(a)
         assert 2 * len(band.kept) == a.order  # the eliminated band: half the rows
         assert (r.factor_nnz, r.solves, r.factorizations) == (
-            len(band.kept) * (band.kd + 1), 0, 3)
-        assert r.start == "dense"
+            len(band.kept) * (band.kd + 1), REFINE_STEPS, 2)
+        assert (r.start, r.proof_min, r.proof_max) == ("dense", "collatz_wielandt", "band")
 
 
 class TestOneFactorDoor:
@@ -345,10 +352,13 @@ class TestShiftInvertLambdaMax:
         assert r.lambda_min == pytest.approx(vals[0], rel=10 * tol)
 
     def test_first_shift_holds_on_a_converged_start(self):
+        # at zero, the Gershgorin start's, the shift's and the lambda_max
+        # certificate; the Collatz-Wielandt bound proves lambda_min
         a = _boundary_layer_a()
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.converged
-        assert r.factorizations == 5
+        assert r.factorizations == 4
+        assert (r.proof_min, r.proof_max) == ("collatz_wielandt", "band")
         assert r.solves > 0
 
     @pytest.mark.parametrize("seed", [0, 11])
@@ -454,7 +464,8 @@ class TestShiftInvertLambdaMax:
         # released when dpbtrf starts, and the band, |K| (kd + 1) doubles on
         # half of A's rows, dominates the memory of the call and of the
         # pair's.  Two bands alive at once, or a band in C order that LAPACK
-        # would copy, each take the peak above three times its size.
+        # would copy, each take the peak above 2.8 times its size (2.70 was
+        # measured for the pair).
         a = fc.assemble_stiffness(fc.generate_boundary_layer(2, 100, 125.0),
                                   fc.DiffusionField.identity(2))
         factored, alive = [], []
@@ -479,7 +490,7 @@ class TestShiftInvertLambdaMax:
             assert alive == [0] * len(alive)
             for r in results:
                 assert r.converged
-                assert peak <= 3.0 * 8 * r.factor_nnz
+                assert peak <= 2.8 * 8 * r.factor_nnz
 
 
 def _stiffness(mesh: fc.SimplicialMesh) -> SparseSymmetric:
@@ -623,13 +634,18 @@ class TestSharedBand:
         assert (pair_s.method == "dense") == (a.order <= DENSE_CUTOFF)
 
     def test_dense_path_scaled_result_is_bit_identical(self):
+        # but for the lambda_min bound: the pair refines S A S's |v_min| on
+        # A's factor, alone on its own, so the refined vector's bits differ
         a = self.CASES["dense"]()
         pair_s, alone_s = _spectra(a)[1], extreme_eigenvalues(fc.jacobi_scale(a))
-        assert pair_s.method == "dense"
+        assert pair_s.method == "dense" and pair_s.proof_min == "collatz_wielandt"
+        refined = ("lambda_min_lower", "width_min")
         for field in dataclasses.fields(alone_s):
-            if field.name != "factorizations":
+            if field.name not in ("factorizations", *refined):
                 assert np.array_equal(getattr(pair_s, field.name),
                                       getattr(alone_s, field.name)), field.name
+        assert pair_s.lambda_min_lower == pytest.approx(alone_s.lambda_min_lower, rel=1e-13, abs=0)
+        assert pair_s.width_min == pytest.approx(alone_s.width_min, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("k", [-50, 50])
     def test_scaled_result_is_the_same_for_a_power_of_4(self, k):
@@ -746,7 +762,10 @@ class TestLocalStart:
         monkeypatch.setattr(_Band, "certify", certify_spy)
         r = extreme_eigenvalues(a, dense_cutoff=10)
         assert r.start == "local" and r.local_rows > 10
-        assert r.certified and certified_on == [a.order, a.order]
+        # A's lambda_max only: the padded vector has zeros, and the
+        # Collatz-Wielandt bound proves lambda_min
+        assert r.certified and certified_on == [a.order]
+        assert (r.proof_min, r.proof_max) == ("collatz_wielandt", "band")
 
     def test_forced_miss_ends_certified(self, local, shifted_on, monkeypatch):
         # Without the 6 layers the padded vector misses tol on A, and A's
@@ -766,7 +785,9 @@ class TestLocalStart:
         # A diagonal matrix whose top lies on a chain of k rows, cut off from
         # the rest: S is the chain.  One row is its own eigenvector and
         # builds no factor; any longer chain, below ARPACK's 10 Krylov
-        # vectors too, is solved on its own band.
+        # vectors too, is solved on its own band.  The padded vector's zeros
+        # leave lambda_max to its certificate, while the Collatz-Wielandt
+        # bound proves lambda_min = 1 of the diagonal rows.
         n = 400
         m = sp.lil_matrix(sp.diags(np.linspace(1.0, 2.0, n)))
         m[7, 7] = 5.0
@@ -780,7 +801,8 @@ class TestLocalStart:
         assert r.converged and r.certified
         assert r.lambda_max == pytest.approx(top, rel=1e-14)
         assert set(shifted_on) == ({k} if k > 1 else set())
-        assert r.factorizations == 3 + (k > 1)
+        assert r.factorizations == 2 + (k > 1)
+        assert (r.proof_min, r.proof_max) == ("collatz_wielandt", "band")
 
 
 def _sheared_layer() -> SparseSymmetric:
@@ -795,6 +817,12 @@ def _sheared_layer() -> SparseSymmetric:
 
 def _mirror_off(monkeypatch) -> None:
     monkeypatch.setattr(fc.spectra, "_mirror_start", lambda *args: None)
+
+
+def _bound_declines(monkeypatch) -> None:
+    """Every end goes to its band certificate, as without the
+    Collatz-Wielandt bounds."""
+    monkeypatch.setattr(_Band, "collatz_wielandt", lambda band, x: None)
 
 
 class TestMirrorStart:
@@ -830,9 +858,11 @@ class TestMirrorStart:
         off = _spectra(a)[1]
         assert (r.start, off.start) == ("mirror", "gershgorin")
         assert r.certified and r.converged
-        # only the two certificates, against the Gershgorin start's factor
-        # besides them (and on chebyshev a shift's too)
-        assert r.factorizations == 2 < off.factorizations
+        # no factor: the Collatz-Wielandt bounds from the refined |v_min|
+        # prove both ends, against the Gershgorin start's factor (and on
+        # chebyshev a shift's too)
+        assert (r.proof_min, r.proof_max) == ("collatz_wielandt", "collatz_wielandt")
+        assert r.factorizations == 0 < off.factorizations
         assert r.lambda_max == pytest.approx(off.lambda_max, rel=1e-13, abs=0)
         assert r.lambda_max == pytest.approx(2 - r.lambda_min, rel=1e-13, abs=0)
 
@@ -892,6 +922,7 @@ class TestMirrorStart:
 
         monkeypatch.setattr(_Band, "certify", fail_first_top)
         monkeypatch.setattr(fc.spectra, "_shift_above_lambda_max", shift_spy)
+        _bound_declines(monkeypatch)
         r = extreme_eigenvalues(sas)
         assert r.start == "mirror"
         assert tops[0] == shifts[0] == mirrored.lambda_max
@@ -1021,7 +1052,7 @@ class TestLocalRows:
                                                 fc.DiffusionField.identity(3)),
         }[case]()
         theta = _arpack(a, None, START_TOL, np.random.default_rng(0).standard_normal(a.order))[0]
-        rows = _local_rows(a, _Band(a.matrix).row_sums, theta)
+        rows = _local_rows(a, _Band(a.matrix), theta)
         expected = _rows_from_interlacing(a)
         # at order 400 only the anisotropic field keeps S within n / 2
         assert (rows is None) == (case != "local")
@@ -1258,13 +1289,188 @@ class TestCertificate:
     def test_ill_conditioned_dense_spectra_are_certified(self, generate, n):
         # kappa(A) about 9.7e6 and 2.2e6: eigh's lambda_min has to land
         # within the certificate's relative gap tol 1e-2 of the true one.
+        # The Collatz-Wielandt bounds prove every end of S A S and the top
+        # of power2's A; A's lambda_min bound is too wide (kappa u), and
+        # chebyshev's top pair has a near-twin at the mesh's other end.
+        factorizations = {24: (2, 1), 256: (3, 1)}[n]
         a = fc.assemble_stiffness(generate(n), fc.DiffusionField.identity(1))
         results = [extreme_eigenvalues(m) for m in (a, fc.jacobi_scale(a))]
-        for r in results:
+        for r, count in zip(results, factorizations):
             assert r.method == "dense"
             assert r.certified and r.converged
-            assert r.factorizations == 3
+            assert r.factorizations == count
         assert results[0].kappa > 1e6
+
+
+def _perturbed_a(seed: int) -> SparseSymmetric:
+    """A of a conftest-perturbed boundary layer of order 25 with a random
+    anisotropic field: many positive couplings, and triangles in A's
+    graph."""
+    rng = np.random.default_rng(seed)
+    mesh = perturb_interior(fc.generate_boundary_layer(2, 5, 4.0), rng)
+    a = fc.assemble_stiffness(mesh, random_spd_field(rng, 2))
+    assert (a.matrix - sp.diags(a.diagonal)).max() > 0
+    return a
+
+
+class TestCollatzWielandt:
+    """An end proven by one product with |A| (the Collatz-Wielandt bounds of
+    the module docstring) instead of a shifted band factorization, and the
+    band certificate wherever the bound is too wide or x has a zero."""
+
+    def test_rounding_term_covers_the_product(self):
+        # x = (1, 1) is the Perron vector, so without rounding the bounds
+        # would be exact, 1 -+ 2^-54; but fl(1 + 2^-54) = 1 puts both on the
+        # wrong side of the eigenvalue, which only the rounding term undoes.
+        b = 2.0**-54
+        a = _sparse([[1.0, -b], [-b, 1.0]])
+        lower, upper = _Band(a.matrix).collatz_wielandt(np.ones(2))
+        assert eigenvalues_below(a, lower) == 0 and eigenvalues_below(a, upper) == 2
+        assert 1.0 - lower < 1e-14 and upper - 1.0 < 1e-14
+
+    @pytest.mark.parametrize("x", [[1.0, 0.0, 1.0], [1.0, -1e-300, 1.0], [1.0, np.nan, 1.0]])
+    def test_vector_with_a_zero_declines(self, x):
+        # the bounds divide by x_i and hold only for x > 0
+        band = _Band(_laplacian_1d(3).matrix)
+        assert band.collatz_wielandt(np.array(x)) is None
+        # so the end goes to the band certificate
+        theta = 2.0 - math.sqrt(2.0)
+        assert band.prove(theta, 1e-8, False, np.array(x)) == (
+            band.certify(theta, 1e-8, upper=False), "band")
+        assert band.factorizations == 2
+
+    def test_bounds_enclose_the_spectrum_from_any_positive_vector(self):
+        # valid from any x > 0, sharp only from the Perron vector
+        rng = np.random.default_rng(3)
+        for a in (_perturbed_a(0), _local_a(), fc.jacobi_scale(_local_a())):
+            vals = np.linalg.eigvalsh(a.toarray())
+            lower, upper = _Band(a.matrix).collatz_wielandt(rng.uniform(0.5, 2.0, a.order))
+            assert lower < vals[0] and vals[-1] < upper
+
+    @pytest.fixture(scope="class")
+    def chebyshev(self):
+        # chebyshev_1d(1024)'s A with and without the bound, and the lambda_min
+        # bound that the refined vector gave
+        a = _stiffness(fc.generate_chebyshev_1d(1024))
+        seen = []
+        bound = _Band.collatz_wielandt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Band, "collatz_wielandt",
+                       lambda band, x: seen.append(bound(band, x)) or seen[-1])
+            r = extreme_eigenvalues(a)
+            _bound_declines(mp)
+            off = extreme_eigenvalues(a)
+        return r, off, seen
+
+    def test_too_wide_on_chebyshev_1d(self, chebyshev):
+        # kappa 1.4e8: 2 a_ii x_i - y_i cancels to kappa u relative, so the
+        # lambda_min bound is wider than tol, and the padded local start's
+        # zeros rule out the lambda_max one; the band proves both ends with
+        # the counts and ends of a solve without the bound.
+        r, off, seen = chebyshev
+        assert r.start == "local" and (r.proof_min, r.proof_max) == ("band", "band")
+        (lower, _), = [b for b in seen if b is not None]
+        assert (r.lambda_min - lower) / r.lambda_min > 1e-8 * 10
+        for name in ("factorizations", "solves", "lambda_min", "lambda_max", "lambda_min_lower",
+                     "lambda_max_upper", "width_min", "width_max"):
+            assert getattr(r, name) == getattr(off, name), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dense_cutoff", [DENSE_CUTOFF, 1])
+    def test_band_keeps_lambda_min_on_perturbed_meshes(self, seed, dense_cutoff, monkeypatch):
+        # Positive couplings leave D - |O| far below A: its lambda_min bound
+        # is off by more than tol, and the band proves the end exactly as
+        # without the bound.  Where every triangle of A's graph has an even
+        # number of negative couplings, rho(|A|) = lambda_max(A) and the
+        # lambda_max bound is sharp, and it replaces one certificate.
+        a = _perturbed_a(seed)
+        pair = _spectra(a, dense_cutoff=dense_cutoff)
+        _bound_declines(monkeypatch)
+        for r, off in zip(pair, _spectra(a, dense_cutoff=dense_cutoff)):
+            assert r.certified and r.converged and r.proof_min == "band"
+            assert (r.lambda_min, r.lambda_max, r.lambda_min_lower) == (
+                off.lambda_min, off.lambda_max, off.lambda_min_lower)
+            replaced = r.proof_max == "collatz_wielandt"
+            assert r.factorizations == off.factorizations - replaced
+            assert r.solves == off.solves
+            if not replaced:
+                assert r.lambda_max_upper == off.lambda_max_upper
+
+    def test_refined_vector_is_two_solves_on_the_factor_at_zero(self):
+        # on A's factor, and on S A S's through the congruence
+        a = _boundary_layer_a()
+        pair = _spectra(a, dense_cutoff=a.order)
+        assert [r.solves for r in pair] == [REFINE_STEPS, REFINE_STEPS]
+        inverse = _band(a).factor(0.0, upper=False)
+        x = _refine(inverse, pair[0].v_min)
+        dense = np.linalg.solve(a.toarray(), np.linalg.solve(a.toarray(), np.abs(pair[0].v_min)))
+        assert np.allclose(np.ldexp(x, -2 * inverse.s), dense, rtol=1e-10, atol=0)
+
+
+# name: (function making A, dense cutoff, (start, proof_min, proof_max) of A and of
+# S A S, or None where they are not pinned); the dense path, the iterative one at
+# a small cutoff, each lambda_max start, both proofs of each end, a mesh with
+# positive couplings, 4^k A and every committed 1D member
+_R = ("collatz_wielandt",) * 2
+_ORACLE_CASES = {
+    "dense": (lambda: _stiffness(fc.generate_boundary_layer(2, 6, 25.0)), DENSE_CUTOFF,
+              [("dense", *_R), ("dense", *_R)]),
+    "iterative": (lambda: _stiffness(fc.generate_boundary_layer(2, 6, 25.0)), 1,
+                  [("gershgorin", *_R), ("mirror", *_R)]),
+    "4^50": (lambda: _scaled(_stiffness(fc.generate_boundary_layer(2, 6, 25.0)), 50), 1,
+             [("gershgorin", *_R), ("mirror", *_R)]),
+    "variable-field": (lambda: fc.assemble_stiffness(
+        fc.generate_boundary_layer(2, 8, 125.0), fc.DiffusionField.from_callable(
+            2, lambda x: np.diag([1.0 + x[0], 1.0 + 10.0 * x[1]]), 1.0, 11.0)), 1,
+        [("gershgorin", "collatz_wielandt", "band"), ("mirror", *_R)]),
+    "3d": (lambda: _stiffness(fc.generate_boundary_layer(3, 3, 4.0)), 1,
+           [("gershgorin", *_R), ("mirror", *_R)]),
+    "perturbed": (lambda: _perturbed_a(3), 1,
+                  [("gershgorin", "band", "band"), ("gershgorin", "band", "band")]),
+    "chebyshev-128-iterative": (lambda: _stiffness(fc.generate_chebyshev_1d(128)), 10,
+                                [("local", "collatz_wielandt", "band"), ("mirror", *_R)]),
+    **{f"chebyshev-{n}": (lambda n=n: _stiffness(fc.generate_chebyshev_1d(n)), DENSE_CUTOFF,
+                          None) for n in (32, 64, 128, 256, 512, 1024)},
+    **{f"power2-{n}": (lambda n=n: _stiffness(fc.generate_power2_1d(n)), DENSE_CUTOFF, None)
+       for n in range(8, 25, 2)},
+}
+
+
+def _scaled(a: SparseSymmetric, k: int) -> SparseSymmetric:
+    m = a.matrix.copy()
+    m.data = np.ldexp(m.data, 2 * k)
+    return SparseSymmetric(m)
+
+
+class TestExactEnclosure:
+    """Every reported enclosure holds for the stored matrix in exact
+    arithmetic (oracles.eigenvalues_below, Sylvester's law of inertia), and
+    each Rayleigh quotient is within tol of the extreme eigenvalue, from
+    every path and proof."""
+
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_ends_enclose_the_extreme_eigenvalues(self, case):
+        build, dense_cutoff, expected = _ORACLE_CASES[case]
+        a = build()
+        tol = DEFAULT_TOL
+        for m, r in zip((a, fc.jacobi_scale(a)), _spectra(a, tol, dense_cutoff=dense_cutoff)):
+            n = m.order
+            assert r.certified and r.converged
+            assert eigenvalues_below(m, r.lambda_min_lower) == 0
+            assert eigenvalues_below(m, r.lambda_max_upper) == n
+            assert eigenvalues_below(m, r.lambda_min * (1 + tol)) >= 1
+            assert eigenvalues_below(m, r.lambda_max * (1 - tol)) <= n - 1
+            for width, proof in ((r.width_min, r.proof_min), (r.width_max, r.proof_max)):
+                assert width <= (tol if proof == "collatz_wielandt" else 1e-6)
+        if expected is not None:
+            assert [(r.start, r.proof_min, r.proof_max) for r in _spectra(
+                a, tol, dense_cutoff=dense_cutoff)] == expected
+
+    def test_cases_cover_every_start_and_proof(self):
+        seen = [t for _, _, expected in _ORACLE_CASES.values() if expected for t in expected]
+        assert {start for start, _, _ in seen} == {"dense", "mirror", "local", "gershgorin"}
+        for end in (1, 2):
+            assert {t[end] for t in seen} == {"band", "collatz_wielandt"}
 
 
 def _variable_field_a() -> SparseSymmetric:
@@ -1382,6 +1588,11 @@ class TestScaledBand:
         assert (rk.kappa, rk.residual) == (r.kappa, r.residual)
         assert np.array_equal(rk.v_min, r.v_min) and np.array_equal(rk.v_max, r.v_max)
         assert (rk.solves, rk.factorizations) == (r.solves, r.factorizations)
+        # the Collatz-Wielandt end too: the refined vector is the same, and
+        # its product with |4^k A| is 4^k times that with |A|
+        assert r.proof_min == "collatz_wielandt"
+        assert (rk.proof_min, rk.proof_max, rk.width_min, rk.width_max) == (
+            r.proof_min, r.proof_max, r.width_min, r.width_max)
 
     @pytest.mark.parametrize("k", [-200, 0, 200])
     @pytest.mark.parametrize("upper", [False, True])
